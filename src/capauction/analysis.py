@@ -3,16 +3,34 @@
 Expectations are full enumerations of the (product or explicit joint)
 scenario space; parameter search is exhaustive over the finite price grid
 and cap range, so optimization results are exact rather than approximate.
+
+Under truthful bids the welfare of scenario s depends only on the quantity
+q sold: W_s(q) = prefix_s[q] - C(q), where prefix_s[q] sums the q largest
+positive marginals of the scenario pooled across firms and C is the social
+cost. With D_s(p) the number of pooled marginals at or above p (the
+positive ones when p <= 0) and no ceiling meaning D_s(ceiling) = 0,
+
+    q = D_s(ceiling)          if D_s(ceiling) >= cap,
+    q = min(cap, D_s(floor))  otherwise,
+
+and q = D_s(floor) for an unbounded cap, which ignores the ceiling. The
+parameter sweeps (`optimize_cap_and_price`, `optimize_safe`,
+`safe_welfare_table`, and the no-ceiling search of
+`bounds.verify_ceiling_removal`) evaluate candidates through this lookup
+(`_WelfareKernel`). `expected_welfare`, which clears every scenario with
+`auction.run_auction`, is the reference oracle the lookup is tested
+against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import getitem
 
 from .auction import (
     AuctionParams,
@@ -20,6 +38,7 @@ from .auction import (
     make_safe_auction,
     price_candidates,
     run_auction,
+    safe_price,
     single_buyer_mechanism,
 )
 from .model import (
@@ -99,19 +118,83 @@ def max_total_demand(instance: MarketInstance) -> int:
     Caps beyond this are welfare-equivalent to it when there is no price
     ceiling, so it is the default cap search bound.
     """
-    table_like = (
-        instance.joint
-        if instance.joint is not None
-        else itertools.product(*(f.scenarios for f in instance.firms))
-    )
-    best = 0
     if instance.joint is not None:
-        for _, vs in instance.joint:
-            best = max(best, sum(v.positive_units for v in vs))
-    else:
-        for combo in table_like:
-            best = max(best, sum(v.positive_units for _, v in combo))
+        return max(
+            (sum(v.positive_units for v in vs) for _, vs in instance.joint), default=0
+        )
+    best = 0
+    for combo in itertools.product(*(f.scenarios for f in instance.firms)):
+        best = max(best, sum(v.positive_units for _, v in combo))
     return best
+
+
+class _WelfareKernel:
+    """Truthful expected welfare of many parameter choices on one table.
+
+    Built once per sweep. Values and costs are kept as integer multiples
+    of 1/scale and probabilities as integer multiples of 1/weight. Per
+    scenario the kernel keeps the ascending positive pooled marginals (for
+    D_s) and p_s * W_s(q) for every quantity q the sweep can sell, so a
+    candidate costs one demand lookup and one integer sum per scenario.
+    `largest_cap` is the largest cap swept, or None when some candidate
+    is uncapped or has a ceiling (either can sell a scenario's whole
+    demand). A cost curve undefined that far raises here, before any
+    candidate is evaluated.
+    """
+
+    def __init__(
+        self, instance: MarketInstance, table: ScenarioTable, largest_cap: int | None
+    ):
+        pools = [
+            [v for mv in row.valuations for v in mv.marginals if v > 0]
+            for row in table.rows
+        ]
+        tops = [
+            len(pool) if largest_cap is None else min(len(pool), largest_cap)
+            for pool in pools
+        ]
+        cost = [instance.cost.cost(q) for q in range(max(tops, default=0) + 1)]
+        scale = math.lcm(
+            *(v.denominator for pool in pools for v in pool), *(c.denominator for c in cost)
+        )
+        weight = math.lcm(*(row.probability.denominator for row in table.rows))
+        cost = [c.numerator * (scale // c.denominator) for c in cost]
+        self._pools = [
+            sorted(v.numerator * (scale // v.denominator) for v in pool) for pool in pools
+        ]
+        self._nums = []
+        for row, pool, top in zip(table.rows, self._pools, tops):
+            p = row.probability.numerator * (weight // row.probability.denominator)
+            prefix = itertools.accumulate(reversed(pool[len(pool) - top:]), initial=0)
+            self._nums.append([p * (v - c) for v, c in zip(prefix, cost)])
+        self._scale = scale
+        self._den = scale * weight
+        self._demands: dict[Fraction, list[int]] = {}
+
+    def demand(self, price: Fraction) -> list[int]:
+        """D_s(price) for every scenario, memoized per price."""
+        demands = self._demands.get(price)
+        if demands is None:
+            # v / scale >= price iff v >= ceil(price * scale) for integer v; the
+            # pools hold positive marginals only, so a price <= 0 counts them all.
+            least = math.ceil(price * self._scale)
+            demands = [len(pool) - bisect_left(pool, least) for pool in self._pools]
+            self._demands[price] = demands
+        return demands
+
+    def welfare(self, cap: int | None, floor: Fraction, ceiling: Fraction | None = None) -> Fraction:
+        """Equals expected_welfare(instance, AuctionParams(cap, floor, ceiling), table)."""
+        at_floor = self.demand(floor)
+        if cap is None:
+            sold = at_floor
+        elif ceiling is None:
+            sold = [d if d < cap else cap for d in at_floor]
+        else:
+            sold = [
+                c if c >= cap else (d if d < cap else cap)
+                for c, d in zip(self.demand(ceiling), at_floor)
+            ]
+        return Fraction(sum(map(getitem, self._nums, sold)), self._den)
 
 
 @dataclass(frozen=True)
@@ -137,36 +220,11 @@ def _preference_key(welfare: Fraction, cap: int, floor: Fraction, ceiling: Fract
     return (welfare, -cap, floor, ceiling_rank)
 
 
-def _candidate_welfares(args):
-    instance, params_list = args
-    table = enumerate_scenarios(instance)
-    return [expected_welfare(instance, p, table) for p in params_list]
-
-
-def _evaluate_candidates(
-    instance: MarketInstance,
-    params_list: list[AuctionParams],
-    table: ScenarioTable,
-    threads: int,
-) -> list[Fraction]:
-    if threads <= 1 or len(params_list) < 4 * threads:
-        return [expected_welfare(instance, p, table) for p in params_list]
-    chunks = [params_list[i::threads] for i in range(threads)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(_candidate_welfares, [(instance, c) for c in chunks]))
-    merged: list[Fraction] = [ZERO] * len(params_list)
-    for t, chunk_result in enumerate(results):
-        for j, w in enumerate(chunk_result):
-            merged[t + j * threads] = w
-    return merged
-
-
 def optimize_cap_and_price(
     instance: MarketInstance,
     allow_ceiling: bool = True,
     cap_limit: int | None = None,
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-    threads: int = 1,
 ) -> OptResult:
     """Exhaustive exact search for the welfare-best cap and price band.
 
@@ -179,6 +237,7 @@ def optimize_cap_and_price(
         cap_limit = max(1, max_total_demand(instance))
     grid = price_candidates(instance)
     table = enumerate_scenarios(instance, scenario_limit)
+    kernel = _WelfareKernel(instance, table, None if allow_ceiling else cap_limit + 1)
     caps = list(range(1, cap_limit + 2))  # cap_limit + 1 is the sentinel
     params_list = []
     for cap in caps:
@@ -188,7 +247,7 @@ def optimize_cap_and_price(
                 for ceiling in grid:
                     if ceiling > floor:
                         params_list.append(AuctionParams(cap, floor, ceiling, LOWEST_WINNING))
-    welfares = _evaluate_candidates(instance, params_list, table, threads)
+    welfares = [kernel.welfare(p.cap, p.floor, p.ceiling) for p in params_list]
 
     rows = []
     best = None
@@ -211,15 +270,15 @@ def optimize_safe(
     instance: MarketInstance,
     cap_limit: int | None = None,
     scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-    threads: int = 1,
 ) -> OptResult:
     """Best safe-price auction: argmax over caps with floor pinned to the
     average cost of the cap."""
     if cap_limit is None:
         cap_limit = max(1, max_total_demand(instance))
     table = enumerate_scenarios(instance, scenario_limit)
+    kernel = _WelfareKernel(instance, table, cap_limit)
     params_list = [make_safe_auction(c, instance.cost) for c in range(1, cap_limit + 1)]
-    welfares = _evaluate_candidates(instance, params_list, table, threads)
+    welfares = [kernel.welfare(p.cap, p.floor) for p in params_list]
     rows = []
     best = None
     best_w = None
@@ -244,12 +303,10 @@ def safe_welfare_table(
     """
     if cap_limit is None:
         cap_limit = max(1, max_total_demand(instance))
-    table = enumerate_scenarios(instance, scenario_limit)
+    kernel = _WelfareKernel(instance, enumerate_scenarios(instance, scenario_limit), cap_limit)
     out = {0: ZERO}
     for cap in range(1, cap_limit + 1):
-        out[cap] = expected_welfare(
-            instance, make_safe_auction(cap, instance.cost), table
-        )
+        out[cap] = kernel.welfare(cap, safe_price(instance.cost, cap))
     return out
 
 

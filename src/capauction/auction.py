@@ -50,6 +50,8 @@ class AuctionParams:
         object.__setattr__(self, "floor", rat(self.floor))
         if self.ceiling is not None:
             object.__setattr__(self, "ceiling", rat(self.ceiling))
+        if self.cap is not None and (isinstance(self.cap, bool) or not isinstance(self.cap, int)):
+            raise ValidationError(f"cap must be an integer or None, got {self.cap!r}")
         if self.cap is not None and self.cap < 1:
             raise ValidationError(f"cap must be at least 1, got {self.cap}")
         if self.floor < 0:

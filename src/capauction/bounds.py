@@ -14,6 +14,7 @@ from fractions import Fraction
 from .analysis import (
     DEFAULT_SCENARIO_LIMIT,
     OptResult,
+    _WelfareKernel,
     enumerate_scenarios,
     demand_quantile_cap,
     expected_welfare,
@@ -105,11 +106,13 @@ def verify_ceiling_removal(
 
     if cap_limit is None:
         cap_limit = max(1, max_total_demand(instance))
+    kernel = _WelfareKernel(instance, table, cap_limit + 1)
+    grid = price_candidates(instance)
     best = None
     witness_params = None
     for cap in range(1, cap_limit + 2):
-        for floor in price_candidates(instance):
-            w = expected_welfare(instance, AuctionParams(cap, floor, None), table)
+        for floor in grid:
+            w = kernel.welfare(cap, floor)
             if best is None or w > best:
                 best, witness_params = w, (cap, floor)
     status = CHECKED if base > 0 else VACUOUS

@@ -122,8 +122,7 @@ def cmd_optimize(args) -> int:
     instance = load_instance(args.instance)
     if args.safe_only:
         result = optimize_safe(
-            instance, cap_limit=args.cap_limit, scenario_limit=args.scenario_limit,
-            threads=args.threads,
+            instance, cap_limit=args.cap_limit, scenario_limit=args.scenario_limit
         )
         kind = "best safe-price auction"
     else:
@@ -132,7 +131,6 @@ def cmd_optimize(args) -> int:
             allow_ceiling=not args.no_ceiling,
             cap_limit=args.cap_limit,
             scenario_limit=args.scenario_limit,
-            threads=args.threads,
         )
         kind = "best cap-and-price auction"
     p = result.params
@@ -230,7 +228,7 @@ def cmd_verify(args) -> int:
         if opt is None:
             opt = optimize_cap_and_price(
                 instance, allow_ceiling=False, cap_limit=args.cap_limit,
-                scenario_limit=args.scenario_limit, threads=args.threads,
+                scenario_limit=args.scenario_limit,
             )
         return opt
 
@@ -355,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, profile=False):
         p.add_argument("--out", help="write the CSV report here")
         p.add_argument("--scenario-limit", type=int, default=DEFAULT_SCENARIO_LIMIT)
-        p.add_argument("--threads", type=int, default=1,
-                       help="max worker processes for candidate evaluation")
         if profile:
             p.add_argument("--profile-limit", type=int, default=DEFAULT_PROFILE_LIMIT)
 

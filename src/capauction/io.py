@@ -57,6 +57,17 @@ def _cost_to_obj(cost: CostCurve) -> dict:
     }
 
 
+def _items(value, where: str) -> list:
+    """A JSON array field; a string would otherwise iterate by character."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: expected a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _marginal_vector(values, where: str) -> MarginalVector:
+    return MarginalVector(tuple(rat(v) for v in _items(values, where)))
+
+
 def _cost_from_obj(obj) -> CostCurve:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError("cost: expected an object with a 'kind' field")
@@ -68,7 +79,7 @@ def _cost_from_obj(obj) -> CostCurve:
         if extension not in ("repeat-last", "error"):
             raise ValidationError(f"cost.extension: unknown policy {extension!r}")
         return MarginalCostTable(
-            tuple(rat(v) for v in obj.get("values", [])),
+            tuple(rat(v) for v in _items(obj.get("values", []), "cost.values")),
             REPEAT_LAST if extension == "repeat-last" else ERROR_BEYOND,
         )
     raise ValidationError(f"cost.kind: expected 'quadratic' or 'marginals', got {kind!r}")
@@ -109,12 +120,13 @@ def instance_from_obj(obj) -> MarketInstance:
     firms: tuple[FirmDistribution, ...] = ()
     if "joint_scenarios" in obj:
         rows = []
-        for r, row in enumerate(obj["joint_scenarios"]):
+        for r, row in enumerate(_items(obj["joint_scenarios"], "joint_scenarios")):
+            where = f"joint_scenarios[{r}].marginals"
             try:
                 prob = rat(row["prob"])
                 vs = tuple(
-                    MarginalVector(tuple(rat(v) for v in marginals))
-                    for marginals in row["marginals"]
+                    _marginal_vector(marginals, f"{where}[{i}]")
+                    for i, marginals in enumerate(_items(row["marginals"], where))
                 )
             except (KeyError, TypeError) as exc:
                 raise ValidationError(f"joint_scenarios[{r}]: {exc}") from None
@@ -122,11 +134,12 @@ def instance_from_obj(obj) -> MarketInstance:
         joint = tuple(rows)
     elif "firms" in obj:
         parsed = []
-        for i, firm in enumerate(obj["firms"]):
+        for i, firm in enumerate(_items(obj["firms"], "firms")):
+            where = f"firms[{i}].scenarios"
             try:
                 scenarios = tuple(
-                    (rat(s["prob"]), MarginalVector(tuple(rat(v) for v in s["marginals"])))
-                    for s in firm["scenarios"]
+                    (rat(s["prob"]), _marginal_vector(s["marginals"], f"{where}[{k}].marginals"))
+                    for k, s in enumerate(_items(firm["scenarios"], where))
                 )
             except (KeyError, TypeError) as exc:
                 raise ValidationError(f"firms[{i}]: {exc}") from None

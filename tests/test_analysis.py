@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capauction import (
     AuctionParams,
@@ -27,12 +28,15 @@ from capauction import (
     one_minus_inv_e,
     optimize_cap_and_price,
     optimize_safe,
+    price_candidates,
     quadratic,
     safe_welfare_table,
     scale_weight,
     sell_out_probability,
     single_buyer_expected,
+    verify_ceiling_removal,
 )
+from capauction.analysis import Candidate, _WelfareKernel
 
 mv = MarginalVector.of
 BETA5 = scale_weight(5)
@@ -156,13 +160,6 @@ class TestOptimize:
         assert all(
             opt.expected_welfare >= cand.expected_welfare for cand in opt.table
         )
-
-    def test_threads_match_serial(self):
-        m = two_scenario_firm()
-        serial = optimize_cap_and_price(m, allow_ceiling=False)
-        parallel = optimize_cap_and_price(m, allow_ceiling=False, threads=2)
-        assert serial.params == parallel.params
-        assert serial.expected_welfare == parallel.expected_welfare
 
 
 class TestOptimizeSafe:
@@ -343,3 +340,117 @@ class TestBruteForceOracle:
                 for floor in (F(0), F(2), F(7)):
                     got = expected_welfare(m, AuctionParams(cap, floor, None))
                     assert got == hand_expected(m, cap, floor), (seed, cap, floor)
+
+
+class TestWelfareKernel:
+    """The quantity-indexed sweeps against loops over expected_welfare."""
+
+    INSTANCES = (
+        [logscale(n) for n in range(2, 6)]
+        + [demand_reduction()]
+        + [
+            generate(seed, firms=2, scenarios_per_firm=2, max_units=3,
+                     cost_kind="quadratic" if seed % 2 else "marginals")
+            for seed in range(20)
+        ]
+    )
+
+    @given(
+        seed=st.integers(0, 10**6),
+        firms=st.integers(1, 3),
+        value_low=st.sampled_from((0, 1)),
+        divisor=st.sampled_from((1, 3)),
+        cost_kind=st.sampled_from(("quadratic", "marginals")),
+        cap=st.none() | st.integers(1, 12),
+        floor_index=st.integers(0, 30),
+        off_grid=st.sampled_from((F(0), F(1, 3), F(1, 2))),
+        ceiling_gap=st.none() | st.sampled_from((F(1, 4), F(1), F(3), F(40))),
+        pricing=st.sampled_from((LOWEST_WINNING, HIGHEST_LOSING)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_expected_welfare(
+        self, seed, firms, value_low, divisor, cost_kind, cap, floor_index, off_grid,
+        ceiling_gap, pricing,
+    ):
+        m = generate(seed, firms=firms, scenarios_per_firm=2, max_units=3,
+                     value_low=value_low, cost_kind=cost_kind)
+        m = MarketInstance(  # fractional marginals when divisor > 1
+            firms=tuple(
+                FirmDistribution(tuple(
+                    (p, MarginalVector(tuple(v / divisor for v in mv.marginals)))
+                    for p, mv in firm.scenarios
+                ))
+                for firm in m.firms
+            ),
+            cost=m.cost,
+        )
+        grid = price_candidates(m)
+        floor = grid[floor_index % len(grid)] + off_grid
+        ceiling = None if ceiling_gap is None else floor + ceiling_gap
+        table = enumerate_scenarios(m)
+        params = AuctionParams(cap, floor, ceiling, pricing)
+        kernel = _WelfareKernel(m, table, None)
+        assert kernel.welfare(cap, floor, ceiling) == expected_welfare(m, params, table)
+
+    @pytest.mark.parametrize("allow_ceiling", (False, True))
+    def test_optimize_matches_oracle(self, allow_ceiling):
+        for m in self.INSTANCES:
+            grid = price_candidates(m)
+            table = enumerate_scenarios(m)
+            rows = []
+            for cap in range(1, max(1, max_total_demand(m)) + 2):
+                for floor in grid:
+                    ceilings = [c for c in grid if c > floor] if allow_ceiling else []
+                    for ceiling in [None] + ceilings:
+                        w = expected_welfare(m, AuctionParams(cap, floor, ceiling), table)
+                        rows.append(Candidate(cap, floor, ceiling, w))
+            # smaller cap, then larger floor, then larger ceiling (None largest)
+            best = max(rows, key=lambda c: (
+                c.expected_welfare, -c.cap, c.floor,
+                (1, 0) if c.ceiling is None else (0, c.ceiling),
+            ))
+            opt = optimize_cap_and_price(m, allow_ceiling=allow_ceiling)
+            assert opt.table == tuple(rows), m.label
+            assert opt.params == AuctionParams(best.cap, best.floor, best.ceiling)
+            assert opt.expected_welfare == best.expected_welfare
+
+    def test_safe_sweeps_match_oracle(self):
+        for m in self.INSTANCES:
+            cap_limit = max(1, max_total_demand(m))
+            table = enumerate_scenarios(m)
+            safe = [make_safe_auction(c, m.cost) for c in range(1, cap_limit + 1)]
+            welfares = [expected_welfare(m, p, table) for p in safe]
+            assert safe_welfare_table(m) == {0: 0, **dict(enumerate(welfares, start=1))}
+            result = optimize_safe(m)
+            assert [(c.cap, c.floor, c.expected_welfare) for c in result.table] == [
+                (p.cap, p.floor, w) for p, w in zip(safe, welfares)
+            ]
+            best = welfares.index(max(welfares))  # ties keep the smaller cap
+            assert result.params == safe[best]
+            assert result.expected_welfare == welfares[best]
+
+    def test_ceiling_removal_search_matches_oracle(self):
+        for m in self.INSTANCES:
+            grid = price_candidates(m)
+            table = enumerate_scenarios(m)
+            best = None
+            for cap in range(1, max(1, max_total_demand(m)) + 2):
+                for floor in grid:
+                    w = expected_welfare(m, AuctionParams(cap, floor, None), table)
+                    if best is None or w > best[0]:  # ties keep the first
+                        best = (w, cap, floor)
+            cert = verify_ceiling_removal(m, AuctionParams(1, grid[0], grid[-1]))
+            assert (cert.lhs, cert.witness["witness_cap"], cert.witness["witness_floor"]) == best
+
+    def test_error_extension_table_fails_when_built(self):
+        m = MarketInstance(
+            firms=(
+                FirmDistribution.point_mass(mv(9, 8, 7)),
+                FirmDistribution.of((F(1, 2), mv(6, 5)), (F(1, 2), mv(3))),
+            ),
+            cost=cost_table(1, 2, extension="error"),
+        )
+        table = enumerate_scenarios(m)
+        assert _WelfareKernel(m, table, 2).welfare(2, F(0)) == 14
+        with pytest.raises(ValidationError, match="beyond cost table"):
+            _WelfareKernel(m, table, None)

@@ -48,6 +48,11 @@ class TestParams:
         with pytest.raises(ValidationError):
             AuctionParams(0, 0)
 
+    @pytest.mark.parametrize("cap", (F(5, 2), 2.5, True, "2"))
+    def test_cap_must_be_an_integer(self, cap):
+        with pytest.raises(ValidationError, match="cap must be an integer"):
+            AuctionParams(cap, 0)
+
     def test_unbounded_and_infinite_are_fine(self):
         AuctionParams(None, 3, None)
 

@@ -8,6 +8,7 @@ single-buyer mechanism.
 """
 
 from .analysis import (
+    Analysis,
     Candidate,
     OptResult,
     ScenarioRow,
@@ -16,7 +17,6 @@ from .analysis import (
     enumerate_scenarios,
     expected_welfare,
     first_best_expected,
-    max_total_demand,
     one_minus_inv_e,
     optimize_cap_and_price,
     optimize_safe,

@@ -13,13 +13,13 @@ positive ones when p <= 0) and no ceiling meaning D_s(ceiling) = 0,
     q = D_s(ceiling)          if D_s(ceiling) >= cap,
     q = min(cap, D_s(floor))  otherwise,
 
-and q = D_s(floor) for an unbounded cap, which ignores the ceiling. The
-parameter sweeps (`optimize_cap_and_price`, `optimize_safe`,
-`safe_welfare_table`, and the no-ceiling search of
-`bounds.verify_ceiling_removal`) evaluate candidates through this lookup
-(`_WelfareKernel`). `expected_welfare`, which clears every scenario with
-`auction.run_auction`, is the reference oracle the lookup is tested
-against.
+and q = D_s(floor) for an unbounded cap, which ignores the ceiling.
+`Analysis` is the one truthful path per instance: it enumerates the
+scenarios once and keeps D_s and p_s * W_s(q) per scenario, and every
+function here and in `bounds` reads from it. Sweeps, sell-out
+probabilities and demand quantiles are lookups on those arrays.
+`expected_welfare`, which clears every scenario with `auction.run_auction`,
+is the reference oracle the lookups are tested against.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import getitem
 
 from .auction import (
     AuctionParams,
     LOWEST_WINNING,
+    best_own_quantity,
     make_safe_auction,
     price_candidates,
     run_auction,
@@ -97,79 +98,53 @@ def enumerate_scenarios(
     return ScenarioTable(tuple(rows))
 
 
-def expected_welfare(
-    instance: MarketInstance,
-    params: AuctionParams,
-    table: ScenarioTable | None = None,
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-) -> Fraction:
-    """Probability-weighted welfare under truthful bidding."""
-    if table is None:
-        table = enumerate_scenarios(instance, scenario_limit)
-    total = ZERO
-    for row in table.rows:
-        total += row.probability * run_auction(params, row.valuations, instance.cost).welfare
-    return total
+class Analysis:
+    """Everything the truthful analysis of one instance reads, computed once.
 
-
-def max_total_demand(instance: MarketInstance) -> int:
-    """Largest total quantity any scenario demands at price zero.
-
-    Caps beyond this are welfare-equivalent to it when there is no price
-    ceiling, so it is the default cap search bound.
-    """
-    if instance.joint is not None:
-        return max(
-            (sum(v.positive_units for v in vs) for _, vs in instance.joint), default=0
-        )
-    best = 0
-    for combo in itertools.product(*(f.scenarios for f in instance.firms)):
-        best = max(best, sum(v.positive_units for _, v in combo))
-    return best
-
-
-class _WelfareKernel:
-    """Truthful expected welfare of many parameter choices on one table.
-
-    Built once per sweep. Values and costs are kept as integer multiples
-    of 1/scale and probabilities as integer multiples of 1/weight. Per
-    scenario the kernel keeps the ascending positive pooled marginals (for
-    D_s) and p_s * W_s(q) for every quantity q the sweep can sell, so a
-    candidate costs one demand lookup and one integer sum per scenario.
-    `largest_cap` is the largest cap swept, or None when some candidate
-    is uncapped or has a ceiling (either can sell a scenario's whole
-    demand). A cost curve undefined that far raises here, before any
-    candidate is evaluated.
+    Holds the scenario table (checked against `scenario_limit`), the price
+    grid, the largest pooled demand and the validated cap search bound
+    `cap_limit` (default: that demand, at least 1). Values are kept as
+    integer multiples of 1/scale and probabilities as integer multiples of
+    1/weight. Per scenario it keeps the ascending positive pooled marginals
+    (for D_s, memoized per price) and, once a sweep asks for them, p_s *
+    W_s(q) for every quantity q the sweep can sell, so a candidate costs one
+    demand lookup and one integer sum per scenario. The no-ceiling optimum
+    and the safe-welfare table are computed on first use and kept.
     """
 
     def __init__(
-        self, instance: MarketInstance, table: ScenarioTable, largest_cap: int | None
+        self,
+        instance: MarketInstance,
+        scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
+        cap_limit: int | None = None,
     ):
+        self.instance = instance
+        self.table = enumerate_scenarios(instance, scenario_limit)
+        self.grid = price_candidates(instance)
         pools = [
             [v for mv in row.valuations for v in mv.marginals if v > 0]
-            for row in table.rows
+            for row in self.table.rows
         ]
-        tops = [
-            len(pool) if largest_cap is None else min(len(pool), largest_cap)
+        self.max_demand = max(map(len, pools), default=0)
+        if cap_limit is None:
+            cap_limit = max(1, self.max_demand)
+        elif cap_limit < 1:
+            raise ValidationError(f"cap limit must be at least 1, got {cap_limit}")
+        self.cap_limit = cap_limit
+        self._scale = math.lcm(*(v.denominator for pool in pools for v in pool))
+        self._pools = [
+            sorted(v.numerator * (self._scale // v.denominator) for v in pool)
             for pool in pools
         ]
-        cost = [instance.cost.cost(q) for q in range(max(tops, default=0) + 1)]
-        scale = math.lcm(
-            *(v.denominator for pool in pools for v in pool), *(c.denominator for c in cost)
-        )
-        weight = math.lcm(*(row.probability.denominator for row in table.rows))
-        cost = [c.numerator * (scale // c.denominator) for c in cost]
-        self._pools = [
-            sorted(v.numerator * (scale // v.denominator) for v in pool) for pool in pools
+        self._weight = math.lcm(*(row.probability.denominator for row in self.table.rows))
+        self._probs = [
+            row.probability.numerator * (self._weight // row.probability.denominator)
+            for row in self.table.rows
         ]
-        self._nums = []
-        for row, pool, top in zip(table.rows, self._pools, tops):
-            p = row.probability.numerator * (weight // row.probability.denominator)
-            prefix = itertools.accumulate(reversed(pool[len(pool) - top:]), initial=0)
-            self._nums.append([p * (v - c) for v, c in zip(prefix, cost)])
-        self._scale = scale
-        self._den = scale * weight
         self._demands: dict[Fraction, list[int]] = {}
+        self._reach = -1  # rows cover quantities up to min(len(pool), _reach)
+        self._nums: list[list[int]] = []
+        self._den = 1
 
     def demand(self, price: Fraction) -> list[int]:
         """D_s(price) for every scenario, memoized per price."""
@@ -182,8 +157,37 @@ class _WelfareKernel:
             self._demands[price] = demands
         return demands
 
+    def _tabulate(self, largest_cap: int | None) -> None:
+        """Make the p_s * W_s(q) rows cover every quantity a sweep can sell.
+
+        `largest_cap` is the largest cap swept, or None when some candidate
+        is uncapped or has a ceiling (either can sell a scenario's whole
+        demand). Cost is tabulated no further, and a cost curve undefined
+        that far raises here, before any candidate is evaluated. Call once
+        per sweep: the rows are rebuilt only when they must grow.
+        """
+        reach = math.inf if largest_cap is None else largest_cap
+        if reach <= self._reach:
+            return
+        tops = [min(len(pool), reach) for pool in self._pools]
+        cost = [self.instance.cost.cost(q) for q in range(max(tops, default=0) + 1)]
+        scale = math.lcm(self._scale, *(c.denominator for c in cost))
+        up = scale // self._scale
+        cost = [c.numerator * (scale // c.denominator) for c in cost]
+        self._nums = []
+        for p, pool, top in zip(self._probs, self._pools, tops):
+            prefix = itertools.accumulate(
+                (v * up for v in reversed(pool[len(pool) - top:])), initial=0
+            )
+            self._nums.append([p * (v - c) for v, c in zip(prefix, cost)])
+        self._den = scale * self._weight
+        self._reach = reach
+
     def welfare(self, cap: int | None, floor: Fraction, ceiling: Fraction | None = None) -> Fraction:
-        """Equals expected_welfare(instance, AuctionParams(cap, floor, ceiling), table)."""
+        """Equals expected_welfare(self, AuctionParams(cap, floor, ceiling)).
+
+        The rows must cover the quantities sold (see `_tabulate`).
+        """
         at_floor = self.demand(floor)
         if cap is None:
             sold = at_floor
@@ -195,6 +199,40 @@ class _WelfareKernel:
                 for c, d in zip(self.demand(ceiling), at_floor)
             ]
         return Fraction(sum(map(getitem, self._nums, sold)), self._den)
+
+    def sold_out_welfare(self, cap: int, floor: Fraction) -> Fraction:
+        """Sum of p_s * W_s(cap) over the scenarios whose demand at the
+        floor reaches the cap."""
+        self._tabulate(cap)
+        return Fraction(
+            sum(nums[cap] for nums, d in zip(self._nums, self.demand(floor)) if d >= cap),
+            self._den,
+        )
+
+    def safe_welfare(self, cap: int) -> Fraction:
+        """Expected welfare of the safe-price auction with this cap; 0 for
+        cap 0, the convention used when a bound halves an odd cap."""
+        if cap == 0:
+            return ZERO
+        self._tabulate(cap)
+        return self.welfare(cap, safe_price(self.instance.cost, cap))
+
+    @cached_property
+    def no_ceiling_optimum(self) -> OptResult:
+        return optimize_cap_and_price(self, allow_ceiling=False)
+
+    @cached_property
+    def safe_welfares(self) -> dict[int, Fraction]:
+        return safe_welfare_table(self)
+
+
+def expected_welfare(analysis: Analysis, params: AuctionParams) -> Fraction:
+    """Probability-weighted welfare under truthful bidding."""
+    cost = analysis.instance.cost
+    total = ZERO
+    for row in analysis.table.rows:
+        total += row.probability * run_auction(params, row.valuations, cost).welfare
+    return total
 
 
 @dataclass(frozen=True)
@@ -220,25 +258,19 @@ def _preference_key(welfare: Fraction, cap: int, floor: Fraction, ceiling: Fract
     return (welfare, -cap, floor, ceiling_rank)
 
 
-def optimize_cap_and_price(
-    instance: MarketInstance,
-    allow_ceiling: bool = True,
-    cap_limit: int | None = None,
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-) -> OptResult:
+def optimize_cap_and_price(analysis: Analysis, allow_ceiling: bool = True) -> OptResult:
     """Exhaustive exact search for the welfare-best cap and price band.
 
     The price grid is welfare-exhaustive (see price_candidates), and a
     sentinel cap one above the search bound stands in for every larger cap,
     so the reported maximum is the true optimum over all parameter choices,
-    not a discretization of it.
+    not a discretization of it. Candidates come cap by cap, floors ascending.
     """
-    if cap_limit is None:
-        cap_limit = max(1, max_total_demand(instance))
-    grid = price_candidates(instance)
-    table = enumerate_scenarios(instance, scenario_limit)
-    kernel = _WelfareKernel(instance, table, None if allow_ceiling else cap_limit + 1)
-    caps = list(range(1, cap_limit + 2))  # cap_limit + 1 is the sentinel
+    if isinstance(analysis, MarketInstance):  # callers holding only an instance get the defaults
+        analysis = Analysis(analysis)
+    grid = analysis.grid
+    analysis._tabulate(None if allow_ceiling else analysis.cap_limit + 1)
+    caps = list(range(1, analysis.cap_limit + 2))  # cap_limit + 1 is the sentinel
     params_list = []
     for cap in caps:
         for floor in grid:
@@ -247,7 +279,7 @@ def optimize_cap_and_price(
                 for ceiling in grid:
                     if ceiling > floor:
                         params_list.append(AuctionParams(cap, floor, ceiling, LOWEST_WINNING))
-    welfares = [kernel.welfare(p.cap, p.floor, p.ceiling) for p in params_list]
+    welfares = [analysis.welfare(p.cap, p.floor, p.ceiling) for p in params_list]
 
     rows = []
     best = None
@@ -266,23 +298,17 @@ def optimize_cap_and_price(
     )
 
 
-def optimize_safe(
-    instance: MarketInstance,
-    cap_limit: int | None = None,
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-) -> OptResult:
+def optimize_safe(analysis: Analysis) -> OptResult:
     """Best safe-price auction: argmax over caps with floor pinned to the
     average cost of the cap."""
-    if cap_limit is None:
-        cap_limit = max(1, max_total_demand(instance))
-    table = enumerate_scenarios(instance, scenario_limit)
-    kernel = _WelfareKernel(instance, table, cap_limit)
-    params_list = [make_safe_auction(c, instance.cost) for c in range(1, cap_limit + 1)]
-    welfares = [kernel.welfare(p.cap, p.floor) for p in params_list]
+    welfares = analysis.safe_welfares
+    cost = analysis.instance.cost
+    params_list = [make_safe_auction(c, cost) for c in range(1, analysis.cap_limit + 1)]
     rows = []
     best = None
     best_w = None
-    for p, w in zip(params_list, welfares):
+    for p in params_list:
+        w = welfares[p.cap]
         rows.append(Candidate(p.cap, p.floor, p.ceiling, w))
         if best_w is None or w > best_w:  # ties keep the smaller cap
             best, best_w = p, w
@@ -291,41 +317,28 @@ def optimize_safe(
     )
 
 
-def safe_welfare_table(
-    instance: MarketInstance,
-    cap_limit: int | None = None,
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-) -> dict[int, Fraction]:
+def safe_welfare_table(analysis: Analysis) -> dict[int, Fraction]:
     """Expected welfare of the safe-price auction for every cap in range.
 
     Includes the cap-0 convention (sell nothing, welfare 0) used when a
     bound halves an odd cap.
     """
-    if cap_limit is None:
-        cap_limit = max(1, max_total_demand(instance))
-    kernel = _WelfareKernel(instance, enumerate_scenarios(instance, scenario_limit), cap_limit)
-    out = {0: ZERO}
-    for cap in range(1, cap_limit + 1):
-        out[cap] = kernel.welfare(cap, safe_price(instance.cost, cap))
-    return out
+    analysis._tabulate(analysis.cap_limit)
+    return {cap: analysis.safe_welfare(cap) for cap in range(analysis.cap_limit + 1)}
 
 
-def sell_out_probability(
-    instance: MarketInstance,
-    params: AuctionParams,
-    table: ScenarioTable | None = None,
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-) -> Fraction:
+def sell_out_probability(analysis: Analysis, params: AuctionParams) -> Fraction:
     """Probability that demand at the floor reaches the cap."""
     if params.cap is None:
         raise ValidationError("sell-out probability needs a bounded cap")
-    if table is None:
-        table = enumerate_scenarios(instance, scenario_limit)
-    total = ZERO
-    for row in table.rows:
-        if sum(v.demand(params.floor) for v in row.valuations) >= params.cap:
-            total += row.probability
-    return total
+    return sum(
+        (
+            row.probability
+            for row, d in zip(analysis.table.rows, analysis.demand(params.floor))
+            if d >= params.cap
+        ),
+        ZERO,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -346,10 +359,9 @@ def one_minus_inv_e(digits: int = 50) -> Fraction:
 
 
 def demand_quantile_cap(
-    instance: MarketInstance,
+    analysis: Analysis,
     floor: Fraction,
     threshold: Fraction | None = None,
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
 ) -> int:
     """Largest cap demanded with probability at least `threshold`.
 
@@ -364,10 +376,8 @@ def demand_quantile_cap(
         threshold = rat(threshold)
         if not 0 < threshold < 1:
             raise ValidationError(f"threshold must be in (0,1), got {threshold}")
-    table = enumerate_scenarios(instance, scenario_limit)
     demands = sorted(
-        (sum(v.demand(floor) for v in row.valuations), row.probability)
-        for row in table.rows
+        zip(analysis.demand(floor), (row.probability for row in analysis.table.rows))
     )
     # Pr[d >= c] scanning demands from the top down.
     best = 0
@@ -382,40 +392,24 @@ def demand_quantile_cap(
     return best
 
 
-def single_buyer_expected(
-    instance: MarketInstance,
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-) -> Fraction:
+def single_buyer_expected(analysis: Analysis) -> Fraction:
     """Expected welfare of the truthful sell-to-one-firm mechanism."""
-    table = enumerate_scenarios(instance, scenario_limit)
+    cost = analysis.instance.cost
     total = ZERO
-    for row in table.rows:
-        total += row.probability * single_buyer_mechanism(row.valuations, instance.cost).welfare
+    for row in analysis.table.rows:
+        total += row.probability * single_buyer_mechanism(row.valuations, cost).welfare
     return total
 
 
-def first_best_expected(
-    instance: MarketInstance,
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-) -> Fraction:
+def first_best_expected(analysis: Analysis) -> Fraction:
     """Expected welfare of the per-realization unconstrained optimum.
 
-    Greedy over the pooled marginals: by concavity/convexity the welfare
-    increments are non-increasing, so sum them while positive.
+    By concavity and convexity the best quantity of the pooled curve is what
+    one firm holding every scenario marginal would buy.
     """
-    table = enumerate_scenarios(instance, scenario_limit)
+    cost = analysis.instance.cost
     total = ZERO
-    for row in table.rows:
-        pool = sorted(
-            (v for mv in row.valuations for v in mv.marginals), reverse=True
-        )
-        best = ZERO
-        running = ZERO
-        for j, value in enumerate(pool, start=1):
-            step = value - (instance.cost.cost(j) - instance.cost.cost(j - 1))
-            if step <= 0:
-                break
-            running += step
-            best = running
-        total += row.probability * best
+    for row in analysis.table.rows:
+        pool = sorted((v for mv in row.valuations for v in mv.marginals), reverse=True)
+        total += row.probability * best_own_quantity(MarginalVector(tuple(pool)), cost)[1]
     return total

@@ -12,36 +12,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .analysis import (
-    DEFAULT_SCENARIO_LIMIT,
-    OptResult,
-    _WelfareKernel,
-    enumerate_scenarios,
+    Analysis,
     demand_quantile_cap,
     expected_welfare,
-    max_total_demand,
     one_minus_inv_e,
-    optimize_cap_and_price,
-    safe_welfare_table,
+    optimize_safe,
     sell_out_probability,
     single_buyer_expected,
 )
-from .auction import (
-    AuctionParams,
-    FLOOR_BINDS,
-    make_safe_auction,
-    price_candidates,
-    run_auction,
-    safe_price,
-)
+from .auction import AuctionParams, run_auction, safe_price
 from .model import (
     ZERO,
     CostCurve,
     MarginalVector,
-    MarketInstance,
     ValidationError,
     average_cost,
     rat,
-    welfare_of,
 )
 
 CHECKED = "checked"
@@ -82,12 +68,7 @@ def halves(cap: int) -> tuple[int, ...]:
     return (cap // 2, cap // 2 + 1)
 
 
-def verify_ceiling_removal(
-    instance: MarketInstance,
-    params: AuctionParams,
-    cap_limit: int | None = None,
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-) -> BoundCertificate:
+def verify_ceiling_removal(analysis: Analysis, params: AuctionParams) -> BoundCertificate:
     """Some no-ceiling auction recovers half the welfare of a ceiled one.
 
     Exhaustively searches caps and floors with no ceiling; also records the
@@ -97,44 +78,29 @@ def verify_ceiling_removal(
     """
     if params.ceiling is None or params.cap is None:
         raise ValidationError("ceiling-removal check needs a bounded cap and finite ceiling")
-    table = enumerate_scenarios(instance, scenario_limit)
-    base = expected_welfare(instance, params, table)
+    base = expected_welfare(analysis, params)
     same_cap = AuctionParams(params.cap, params.floor, None)
     uncapped = AuctionParams(None, params.ceiling, None)
-    w_same = expected_welfare(instance, same_cap, table)
-    w_uncapped = expected_welfare(instance, uncapped, table)
-
-    if cap_limit is None:
-        cap_limit = max(1, max_total_demand(instance))
-    kernel = _WelfareKernel(instance, table, cap_limit + 1)
-    grid = price_candidates(instance)
-    best = None
-    witness_params = None
-    for cap in range(1, cap_limit + 2):
-        for floor in grid:
-            w = kernel.welfare(cap, floor)
-            if best is None or w > best:
-                best, witness_params = w, (cap, floor)
+    w_same = expected_welfare(analysis, same_cap)
+    w_uncapped = expected_welfare(analysis, uncapped)
+    # The search's candidates run cap by cap, floors ascending; ties keep the first.
+    best = max(analysis.no_ceiling_optimum.table, key=lambda c: c.expected_welfare)
     status = CHECKED if base > 0 else VACUOUS
     return _certify(
         "ceiling-removal-half",
-        best,
+        best.expected_welfare,
         base / 2,
         status=status,
         base_welfare=base,
-        witness_cap=witness_params[0],
-        witness_floor=witness_params[1],
+        witness_cap=best.cap,
+        witness_floor=best.floor,
         same_cap_welfare=w_same,
         uncapped_welfare=w_uncapped,
         shortcut_holds=max(w_same, w_uncapped) >= base / 2,
     )
 
 
-def verify_sellout_conditional(
-    instance: MarketInstance,
-    params: AuctionParams,
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-) -> BoundCertificate:
+def verify_sellout_conditional(analysis: Analysis, params: AuctionParams) -> BoundCertificate:
     """At welfare-optimal no-ceiling parameters, expected welfare conditional
     on selling the full cap is non-negative.
 
@@ -144,18 +110,12 @@ def verify_sellout_conditional(
     """
     if params.cap is None or params.ceiling is not None:
         raise ValidationError("conditional check needs a bounded cap and no ceiling")
-    table = enumerate_scenarios(instance, scenario_limit)
-    q = ZERO
-    contribution = ZERO
-    for row in table.rows:
-        if sum(v.demand(params.floor) for v in row.valuations) >= params.cap:
-            q += row.probability
-            outcome = run_auction(params, row.valuations, instance.cost)
-            contribution += row.probability * outcome.welfare
+    q = sell_out_probability(analysis, params)
     if q == 0:
         return _certify(
             "sell-out-conditional-nonnegative", ZERO, ZERO, status=VACUOUS, sell_out_probability=q
         )
+    contribution = analysis.sold_out_welfare(params.cap, params.floor)
     return _certify(
         "sell-out-conditional-nonnegative",
         contribution / q,
@@ -242,42 +202,27 @@ class DecompositionReport:
         return self.total_welfare <= self.term_sum
 
 
-def threshold_units(valuation: MarginalVector, price: Fraction) -> int:
-    """Largest unit index whose marginal weakly clears `price` (0 if none)."""
-    n = 0
-    for v in valuation.marginals:
-        if v >= price:
-            n += 1
-        else:
-            break
-    return n
-
-
-def decompose_welfare(
-    instance: MarketInstance,
-    cap: int,
-    floor: Fraction,
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-) -> DecompositionReport:
+def decompose_welfare(analysis: Analysis, cap: int, floor: Fraction) -> DecompositionReport:
+    if cap is None:
+        raise ValidationError("welfare decomposition needs a bounded cap")
     floor = rat(floor)
     params = AuctionParams(cap, floor, None)
-    reference = safe_price(instance.cost, cap)
-    table = enumerate_scenarios(instance, scenario_limit)
+    cost = analysis.instance.cost
+    reference = safe_price(cost, cap)
     sell_out_term = ZERO
     above_term = ZERO
     below_term = ZERO
     total = ZERO
     rows = []
-    for row in table.rows:
-        outcome = run_auction(params, row.valuations, instance.cost)
+    for row, demand in zip(analysis.table.rows, analysis.demand(floor)):
+        outcome = run_auction(params, row.valuations, cost)
         total += row.probability * outcome.welfare
-        sold_out = sum(v.demand(floor) for v in row.valuations) >= cap
+        sold_out = demand >= cap
+        thresholds = tuple(v.demand(reference) for v in row.valuations)
         if sold_out:
             sell_out_term += row.probability * outcome.welfare
-            thresholds = tuple(threshold_units(v, reference) for v in row.valuations)
             above = below = tuple(0 for _ in row.valuations)
         else:
-            thresholds = tuple(threshold_units(v, reference) for v in row.valuations)
             above = tuple(
                 min(x, theta) for x, theta in zip(outcome.allocation, thresholds)
             )
@@ -292,10 +237,10 @@ def decompose_welfare(
                 ZERO,
             )
             above_term += row.probability * (
-                above_value - instance.cost.cost(sum(above))
+                above_value - cost.cost(sum(above))
             )
             below_term += row.probability * (
-                below_value - instance.cost.cost(sum(below))
+                below_value - cost.cost(sum(below))
             )
         rows.append(
             DecompositionRow(
@@ -321,11 +266,10 @@ def decompose_welfare(
 
 
 def verify_decomposition_bounds(
-    instance: MarketInstance,
+    analysis: Analysis,
     cap: int,
     floor: Fraction,
     report: DecompositionReport | None = None,
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
 ) -> tuple[BoundCertificate, BoundCertificate]:
     """The two covering bounds behind the sell-out-factor guarantee.
 
@@ -337,29 +281,19 @@ def verify_decomposition_bounds(
     """
     floor = rat(floor)
     if report is None:
-        report = decompose_welfare(instance, cap, floor, scenario_limit)
-    table = enumerate_scenarios(instance, scenario_limit)
-    safe_w = expected_welfare(instance, make_safe_auction(cap, instance.cost), table)
+        report = decompose_welfare(analysis, cap, floor)
     above_cert = _certify(
         "safe-covers-above",
-        safe_w,
+        analysis.safe_welfare(cap),
         report.sell_out_term + report.above_term,
         cap=cap,
     )
-    q = sell_out_probability(instance, AuctionParams(cap, floor, None), table)
+    q = sell_out_probability(analysis, AuctionParams(cap, floor, None))
     rhs = q * report.below_term / 2
-    best_half, best_w = None, None
-    for half in halves(cap):
-        w = (
-            ZERO
-            if half == 0
-            else expected_welfare(instance, make_safe_auction(half, instance.cost), table)
-        )
-        if best_w is None or w > best_w:
-            best_half, best_w = half, w
+    best_half = max(halves(cap), key=analysis.safe_welfare)  # ties keep the smaller
     below_cert = _certify(
         "half-cap-covers-below",
-        best_w,
+        analysis.safe_welfare(best_half),
         rhs,
         cap=cap,
         half_cap=best_half,
@@ -368,25 +302,15 @@ def verify_decomposition_bounds(
     return above_cert, below_cert
 
 
-def verify_sellout_factor(
-    instance: MarketInstance,
-    opt: OptResult | None = None,
-    cap_limit: int | None = None,
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
-) -> BoundCertificate:
+def verify_sellout_factor(analysis: Analysis) -> BoundCertificate:
     """Some safe-price auction is within factor (1 + 2/q) of the best
     no-ceiling auction, q being the optimum's sell-out probability.
 
     Not applicable when the optimum never sells out (q = 0).
     """
-    if opt is None:
-        opt = optimize_cap_and_price(
-            instance, allow_ceiling=False, cap_limit=cap_limit, scenario_limit=scenario_limit
-        )
-    if opt.params.ceiling is not None:
-        raise ValidationError("expected a no-ceiling optimum")
+    opt = analysis.no_ceiling_optimum
     base = opt.expected_welfare
-    q = sell_out_probability(instance, opt.params, scenario_limit=scenario_limit)
+    q = sell_out_probability(analysis, opt.params)
     if q == 0:
         return BoundCertificate(
             name="safe-within-sellout-factor",
@@ -397,11 +321,8 @@ def verify_sellout_factor(
             witness={"sell_out_probability": q},
         )
     factor = 1 + Fraction(2) / q
-    safe_table = safe_welfare_table(instance, cap_limit, scenario_limit)
-    best_cap = max(
-        (c for c in safe_table if c >= 1), key=lambda c: (safe_table[c], -c)
-    )
-    best_w = safe_table[best_cap]
+    best_safe = optimize_safe(analysis)
+    best_w = best_safe.expected_welfare
     needed = None
     if base > 0 and best_w > 0:
         needed = base / best_w
@@ -411,7 +332,7 @@ def verify_sellout_factor(
         base,
         sell_out_probability=q,
         factor=factor,
-        witness_cap=best_cap,
+        witness_cap=best_safe.params.cap,
         witness_welfare=best_w,
         multiplier_needed=needed,
         optimum_cap=opt.params.cap,
@@ -420,11 +341,8 @@ def verify_sellout_factor(
 
 
 def verify_single_buyer_cover(
-    instance: MarketInstance,
-    opt: OptResult | None = None,
-    cap_limit: int | None = None,
+    analysis: Analysis,
     constant: int = SINGLE_BUYER_COVER_CONSTANT,
-    scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
 ) -> tuple[BoundCertificate, BoundCertificate]:
     """The headline guarantee and its four-term refinement.
 
@@ -435,32 +353,26 @@ def verify_single_buyer_cover(
     quantile cap, covers the same. Needs product form (independence);
     degenerate when the quantile cap is 0.
     """
-    if not instance.product_form:
+    if not analysis.instance.product_form:
         raise ValidationError("single-buyer cover needs independent firms (product form)")
-    if opt is None:
-        opt = optimize_cap_and_price(
-            instance, allow_ceiling=False, cap_limit=cap_limit, scenario_limit=scenario_limit
-        )
+    opt = analysis.no_ceiling_optimum
     base = opt.expected_welfare
-    single = single_buyer_expected(instance, scenario_limit)
-    safe_table = safe_welfare_table(instance, cap_limit, scenario_limit)
-    best_cap = max(
-        (c for c in safe_table if c >= 1), key=lambda c: (safe_table[c], -c)
-    )
+    single = single_buyer_expected(analysis)
+    best_safe = optimize_safe(analysis)
     headline = _certify(
         "safe-plus-single-buyer-cover",
-        constant * safe_table[best_cap] + single,
+        constant * best_safe.expected_welfare + single,
         base,
         constant=constant,
-        witness_cap=best_cap,
+        witness_cap=best_safe.params.cap,
         single_buyer_welfare=single,
         optimum_cap=opt.params.cap,
         optimum_floor=opt.params.floor,
     )
 
-    q = sell_out_probability(instance, opt.params, scenario_limit=scenario_limit)
+    q = sell_out_probability(analysis, opt.params)
     threshold = one_minus_inv_e()
-    quantile_cap = demand_quantile_cap(instance, opt.params.floor, scenario_limit=scenario_limit)
+    quantile_cap = demand_quantile_cap(analysis, opt.params.floor)
     route = "sellout-factor" if q >= threshold else "quantile-cap"
     if quantile_cap == 0:
         four_term = BoundCertificate(
@@ -473,16 +385,9 @@ def verify_single_buyer_cover(
         )
         return headline, four_term
 
-    def safe_at(c: int) -> Fraction:
-        if c in safe_table:
-            return safe_table[c]
-        return expected_welfare(
-            instance, make_safe_auction(c, instance.cost), scenario_limit=scenario_limit
-        )
-
-    best_half = max(halves(quantile_cap), key=lambda h: safe_at(h) if h else ZERO)
-    half_w = safe_at(best_half) if best_half else ZERO
-    lhs = safe_at(opt.params.cap) + single + 4 * safe_at(quantile_cap) + 21 * half_w
+    safe_at = analysis.safe_welfare
+    best_half = max(halves(quantile_cap), key=safe_at)
+    lhs = safe_at(opt.params.cap) + single + 4 * safe_at(quantile_cap) + 21 * safe_at(best_half)
     four_term = _certify(
         "four-term-cover",
         lhs,

@@ -15,8 +15,7 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from .analysis import (
     DEFAULT_SCENARIO_LIMIT,
-    enumerate_scenarios,
-    expected_welfare,
+    Analysis,
     optimize_cap_and_price,
     optimize_safe,
     sell_out_probability,
@@ -25,7 +24,6 @@ from .auction import (
     HIGHEST_LOSING,
     LOWEST_WINNING,
     AuctionParams,
-    price_candidates,
     run_auction,
     safe_price,
 )
@@ -70,6 +68,14 @@ def _parse_ceiling(text: str) -> Fraction | None:
     return rat(text)
 
 
+def _cap_and_floor(args, analysis: Analysis) -> tuple[int | None, Fraction]:
+    """--cap and --floor, each defaulting to the best no-ceiling auction's."""
+    cap = _parse_cap(args.cap) if args.cap else analysis.no_ceiling_optimum.params.cap
+    if args.floor is None:
+        return cap, analysis.no_ceiling_optimum.params.floor
+    return cap, rat(args.floor)
+
+
 def _emit(args, header, rows) -> None:
     if args.out:
         write_csv(args.out, header, rows)
@@ -84,13 +90,13 @@ def cmd_evaluate(args) -> int:
         ceiling=_parse_ceiling(args.ceiling),
         pricing=args.pricing,
     )
-    table = enumerate_scenarios(instance, args.scenario_limit)
+    analysis = Analysis(instance, args.scenario_limit)
     header = ["scenario"]
     cols0 = None
     rows = []
     welfare_total = Fraction(0)
     revenue_total = Fraction(0)
-    for idx, row in enumerate(table.rows):
+    for idx, row in enumerate(analysis.table.rows):
         outcome = run_auction(params, row.valuations, instance.cost)
         welfare_total += row.probability * outcome.welfare
         revenue_total += row.probability * outcome.revenue
@@ -108,11 +114,11 @@ def cmd_evaluate(args) -> int:
         rows.append([str(idx)] + [value for _, value in cols])
 
     print(f"instance: {instance.label or args.instance}")
-    print(f"scenarios: {len(table.rows)}")
+    print(f"scenarios: {len(analysis.table.rows)}")
     print(f"expected welfare: {_fmt(welfare_total)}")
     print(f"expected revenue: {_fmt(revenue_total)}")
     if params.cap is not None:
-        q = sell_out_probability(instance, params, table)
+        q = sell_out_probability(analysis, params)
         print(f"sell-out probability: {_fmt(q)}")
     _emit(args, header, rows)
     return 0
@@ -120,18 +126,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_optimize(args) -> int:
     instance = load_instance(args.instance)
+    analysis = Analysis(instance, args.scenario_limit, args.cap_limit)
     if args.safe_only:
-        result = optimize_safe(
-            instance, cap_limit=args.cap_limit, scenario_limit=args.scenario_limit
-        )
+        result = optimize_safe(analysis)
         kind = "best safe-price auction"
     else:
-        result = optimize_cap_and_price(
-            instance,
-            allow_ceiling=not args.no_ceiling,
-            cap_limit=args.cap_limit,
-            scenario_limit=args.scenario_limit,
-        )
+        result = optimize_cap_and_price(analysis, allow_ceiling=not args.no_ceiling)
         kind = "best cap-and-price auction"
     p = result.params
     print(f"instance: {instance.label or args.instance}")
@@ -161,6 +161,7 @@ def cmd_equilibrium(args) -> int:
     if cap is None:
         raise ValidationError("equilibrium search needs a bounded cap")
     params = AuctionParams(cap=cap, floor=rat(args.floor), ceiling=None, pricing=args.pricing)
+    analysis = Analysis(instance, args.scenario_limit)
     report = find_grid_equilibria(
         instance,
         params,
@@ -174,7 +175,7 @@ def cmd_equilibrium(args) -> int:
     if report.worst_welfare is not None:
         print(f"worst equilibrium welfare: {_fmt(report.worst_welfare)}")
     if params.floor == safe_price(instance.cost, cap):
-        poa = check_poa_bound(instance, cap, report)
+        poa = check_poa_bound(analysis, cap, report)
         print(f"safe-price baseline welfare: {_fmt(poa.baseline)}")
         print(f"welfare floor (baseline/3.15): {_fmt(poa.bound)}")
         if poa.ratio is not None:
@@ -197,14 +198,17 @@ def cmd_equilibrium(args) -> int:
     return 0
 
 
+def _verdict(cert) -> str:
+    return "n/a" if cert.holds is None else ("pass" if cert.holds else "FAIL")
+
+
 def _certificate_rows(certs) -> list[list[str]]:
     rows = []
     for cert in certs:
-        holds = "n/a" if cert.holds is None else ("pass" if cert.holds else "FAIL")
         rows.append(
             [
                 cert.name,
-                holds,
+                _verdict(cert),
                 cert.status,
                 format_rational(cert.lhs),
                 format_decimal(cert.lhs),
@@ -219,37 +223,22 @@ def _certificate_rows(certs) -> list[list[str]]:
 
 def cmd_verify(args) -> int:
     instance = load_instance(args.instance)
+    analysis = Analysis(instance, args.scenario_limit, args.cap_limit)
     which = args.which
     certs = []
-    opt = None
-
-    def optimum():
-        nonlocal opt
-        if opt is None:
-            opt = optimize_cap_and_price(
-                instance, allow_ceiling=False, cap_limit=args.cap_limit,
-                scenario_limit=args.scenario_limit,
-            )
-        return opt
 
     if which in ("priceceil", "all"):
-        grid = price_candidates(instance)
+        grid = analysis.grid
         ceiling = rat(args.ceiling) if args.ceiling not in (None, "inf") else grid[-1]
-        cap = _parse_cap(args.cap) if args.cap else optimum().params.cap
-        floor = rat(args.floor) if args.floor is not None else optimum().params.floor
+        cap, floor = _cap_and_floor(args, analysis)
         if ceiling <= floor:
-            floor = min(f for f in grid if f < ceiling)
+            floor = grid[0]  # AuctionParams rejects a ceiling at or below the lowest price
         certs.append(
-            bounds_mod.verify_ceiling_removal(
-                instance, AuctionParams(cap, floor, ceiling),
-                cap_limit=args.cap_limit, scenario_limit=args.scenario_limit,
-            )
+            bounds_mod.verify_ceiling_removal(analysis, AuctionParams(cap, floor, ceiling))
         )
     if which in ("optcond", "all"):
         certs.append(
-            bounds_mod.verify_sellout_conditional(
-                instance, optimum().params, scenario_limit=args.scenario_limit
-            )
+            bounds_mod.verify_sellout_conditional(analysis, analysis.no_ceiling_optimum.params)
         )
     if which in ("unsafe", "all"):
         limit = args.cap_limit or 20
@@ -261,11 +250,8 @@ def cmd_verify(args) -> int:
                     worst = cert
         certs.append(worst)
     if which in ("decomp", "all"):
-        cap = _parse_cap(args.cap) if args.cap else optimum().params.cap
-        floor = rat(args.floor) if args.floor is not None else optimum().params.floor
-        report = bounds_mod.decompose_welfare(
-            instance, cap, floor, scenario_limit=args.scenario_limit
-        )
+        cap, floor = _cap_and_floor(args, analysis)
+        report = bounds_mod.decompose_welfare(analysis, cap, floor)
         certs.append(
             bounds_mod.BoundCertificate(
                 name="three-term-decomposition",
@@ -281,34 +267,19 @@ def cmd_verify(args) -> int:
                 },
             )
         )
-        certs.extend(
-            bounds_mod.verify_decomposition_bounds(
-                instance, cap, floor, report, scenario_limit=args.scenario_limit
-            )
-        )
+        certs.extend(bounds_mod.verify_decomposition_bounds(analysis, cap, floor, report))
     if which in ("thmq", "all"):
-        certs.append(
-            bounds_mod.verify_sellout_factor(
-                instance, optimum(), cap_limit=args.cap_limit,
-                scenario_limit=args.scenario_limit,
-            )
-        )
+        certs.append(bounds_mod.verify_sellout_factor(analysis))
     if which in ("main", "all"):
-        certs.extend(
-            bounds_mod.verify_single_buyer_cover(
-                instance, optimum(), cap_limit=args.cap_limit,
-                scenario_limit=args.scenario_limit,
-            )
-        )
+        certs.extend(bounds_mod.verify_single_buyer_cover(analysis))
 
     print(f"instance: {instance.label or args.instance}")
     failed = 0
     for cert in certs:
-        holds = "n/a" if cert.holds is None else ("pass" if cert.holds else "FAIL")
         if cert.holds is False:
             failed += 1
         print(
-            f"[{holds:>4}] {cert.name} ({cert.status}): "
+            f"[{_verdict(cert):>4}] {cert.name} ({cert.status}): "
             f"lhs {_fmt(cert.lhs)} vs rhs {_fmt(cert.rhs)}, margin {_fmt(cert.margin)}"
         )
     header = ["certificate", "holds", "status", "lhs", "lhs_dec", "rhs", "rhs_dec", "margin", "witness"]

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .analysis import Analysis, expected_welfare
 from .auction import AuctionParams, Outcome, run_auction, safe_price
 from .model import (
     ZERO,
@@ -357,22 +358,20 @@ class PoACheck:
 
 
 def check_poa_bound(
-    instance: MarketInstance,
+    analysis: Analysis,
     cap: int,
     report: EquilibriumReport,
 ) -> PoACheck:
     """Check every found equilibrium of the safe-price auction for the cap
     clears the imported 1/3.15 welfare floor. A failure is a reported
     finding, not an exception."""
-    from .analysis import expected_welfare  # local import avoids a cycle
-
-    expected_floor = safe_price(instance.cost, cap)
+    expected_floor = safe_price(analysis.instance.cost, cap)
     if report.params.cap != cap or report.params.floor != expected_floor:
         raise ValidationError(
             "report params do not match the safe-price auction for this cap"
         )
     baseline = expected_welfare(
-        instance, report.params
+        analysis, report.params
     )
     bound = baseline * POA_FACTOR
     if report.worst_welfare is None:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capauction import (
+    Analysis,
     AuctionParams,
     FirmDistribution,
     HIGHEST_LOSING,
@@ -24,19 +25,19 @@ from capauction import (
     generate,
     logscale,
     make_safe_auction,
-    max_total_demand,
     one_minus_inv_e,
     optimize_cap_and_price,
     optimize_safe,
     price_candidates,
     quadratic,
+    run_auction,
     safe_welfare_table,
     scale_weight,
     sell_out_probability,
     single_buyer_expected,
     verify_ceiling_removal,
 )
-from capauction.analysis import Candidate, _WelfareKernel
+from capauction.analysis import Candidate
 
 mv = MarginalVector.of
 BETA5 = scale_weight(5)
@@ -100,19 +101,19 @@ class TestEnumerate:
 
 class TestExpectedWelfare:
     def test_demand_reduction_truthful(self):
-        m = demand_reduction()
+        m = Analysis(demand_reduction())
         assert expected_welfare(m, AuctionParams(2, 0, None)) == 2
 
     def test_floor_above_everything(self):
-        m = demand_reduction()
+        m = Analysis(demand_reduction())
         assert expected_welfare(m, AuctionParams(3, 11, None)) == 0
 
     def test_logscale_unbounded_floor_one(self):
-        m = logscale(5)
+        m = Analysis(logscale(5))
         assert expected_welfare(m, AuctionParams(None, 1, None)) == 5 / BETA5
 
     def test_pricing_rule_never_changes_welfare(self):
-        m = demand_reduction()
+        m = Analysis(demand_reduction())
         for cap in (1, 2, 3):
             for floor in (0, 1, 6, 9):
                 lw = expected_welfare(m, AuctionParams(cap, floor, None, LOWEST_WINNING))
@@ -122,16 +123,20 @@ class TestExpectedWelfare:
     def test_row_order_independence(self):
         m = two_scenario_firm()
         table = enumerate_scenarios(m)
-        reversed_table = type(table)(tuple(reversed(table.rows)))
+        reversed_rows = MarketInstance(  # the same scenarios as a reversed joint table
+            firms=(),
+            cost=m.cost,
+            joint=tuple((r.probability, r.valuations) for r in reversed(table.rows)),
+        )
         params = AuctionParams(2, 1, None)
-        assert expected_welfare(m, params, table) == expected_welfare(
-            m, params, reversed_table
+        assert expected_welfare(Analysis(m), params) == expected_welfare(
+            Analysis(reversed_rows), params
         )
 
 
 class TestOptimize:
     def test_demand_reduction_opt_is_two(self):
-        opt = optimize_cap_and_price(demand_reduction(), allow_ceiling=False)
+        opt = optimize_cap_and_price(Analysis(demand_reduction()), allow_ceiling=False)
         assert opt.expected_welfare == 2
         assert opt.params.cap == 2
 
@@ -139,23 +144,23 @@ class TestOptimize:
         m = MarketInstance(
             firms=(FirmDistribution.point_mass(mv(3, 2)),), cost=cost_table(5, 5)
         )
-        opt = optimize_cap_and_price(m)
+        opt = optimize_cap_and_price(Analysis(m))
         assert opt.expected_welfare == 0
 
     def test_logscale_opt_exact(self):
-        opt = optimize_cap_and_price(logscale(5), allow_ceiling=False)
+        opt = optimize_cap_and_price(Analysis(logscale(5)), allow_ceiling=False)
         assert opt.expected_welfare == 5 / BETA5
 
     def test_opt_at_least_best_safe_and_nonnegative(self):
         for seed in range(12):
-            m = generate(seed, firms=2, scenarios_per_firm=2, max_units=3)
+            m = Analysis(generate(seed, firms=2, scenarios_per_firm=2, max_units=3))
             opt = optimize_cap_and_price(m, allow_ceiling=False)
             safe = optimize_safe(m)
             assert opt.expected_welfare >= safe.expected_welfare
             assert opt.expected_welfare >= 0
 
     def test_table_covers_search(self):
-        opt = optimize_cap_and_price(demand_reduction(), allow_ceiling=False)
+        opt = optimize_cap_and_price(Analysis(demand_reduction()), allow_ceiling=False)
         assert len(opt.table) == opt.searched
         assert all(
             opt.expected_welfare >= cand.expected_welfare for cand in opt.table
@@ -165,7 +170,7 @@ class TestOptimize:
 class TestOptimizeSafe:
     def test_logscale_best_safe_frozen_value(self):
         # independent closed-form oracle over cap brackets froze 3504/341
-        result = optimize_safe(logscale(5), cap_limit=32)
+        result = optimize_safe(Analysis(logscale(5), cap_limit=32))
         assert result.expected_welfare == F(3504, 341)
         assert result.expected_welfare <= 4 / BETA5
         assert result.params.cap == 4
@@ -174,7 +179,7 @@ class TestOptimizeSafe:
         m = MarketInstance(
             firms=(FirmDistribution.point_mass(mv(10, 10)),), cost=cost_table(9, 9)
         )
-        result = optimize_safe(m)
+        result = optimize_safe(Analysis(m))
         assert result.params.cap == 2
         assert result.expected_welfare == 2
 
@@ -182,31 +187,31 @@ class TestOptimizeSafe:
         m = MarketInstance(
             firms=(FirmDistribution.point_mass(mv(0, 0)),), cost=quadratic(1)
         )
-        result = optimize_safe(m)
+        result = optimize_safe(Analysis(m))
         assert result.expected_welfare == 0
 
     def test_safe_table_has_zero_cap_convention(self):
-        table = safe_welfare_table(demand_reduction())
+        table = safe_welfare_table(Analysis(demand_reduction()))
         assert table[0] == 0
         assert table[2] == 2
 
 
 class TestSellOut:
     def test_deterministic_demand(self):
-        assert sell_out_probability(demand_reduction(), AuctionParams(2, 0, None)) == 1
+        assert sell_out_probability(Analysis(demand_reduction()), AuctionParams(2, 0, None)) == 1
 
     def test_cap_above_everything(self):
-        assert sell_out_probability(demand_reduction(), AuctionParams(5, 0, None)) == 0
+        assert sell_out_probability(Analysis(demand_reduction()), AuctionParams(5, 0, None)) == 0
 
     def test_two_scenario_half(self):
-        assert sell_out_probability(two_scenario_firm(), AuctionParams(2, 1, None)) == F(1, 2)
+        assert sell_out_probability(Analysis(two_scenario_firm()), AuctionParams(2, 1, None)) == F(1, 2)
 
     def test_needs_bounded_cap(self):
         with pytest.raises(ValidationError):
-            sell_out_probability(demand_reduction(), AuctionParams(None, 0, None))
+            sell_out_probability(Analysis(demand_reduction()), AuctionParams(None, 0, None))
 
     def test_monotone_in_cap_and_floor(self):
-        m = two_scenario_firm()
+        m = Analysis(two_scenario_firm())
         probs = [
             sell_out_probability(m, AuctionParams(c, 1, None)) for c in range(1, 5)
         ]
@@ -219,23 +224,23 @@ class TestSellOut:
 
 class TestDemandQuantileCap:
     def test_deterministic_demand_gives_full_demand(self):
-        assert demand_quantile_cap(demand_reduction(), F(0)) == 4
+        assert demand_quantile_cap(Analysis(demand_reduction()), F(0)) == 4
 
     def test_half_half_market(self):
         # Pr[d >= 2] = 1/2 < 1 - 1/e, Pr[d >= 1] = 1
-        assert demand_quantile_cap(two_scenario_firm(), F(1)) == 1
+        assert demand_quantile_cap(Analysis(two_scenario_firm()), F(1)) == 1
 
     def test_threshold_boundary_inclusive(self):
-        assert demand_quantile_cap(two_scenario_firm(), F(1), threshold=F(1, 2)) == 3
+        assert demand_quantile_cap(Analysis(two_scenario_firm()), F(1), threshold=F(1, 2)) == 3
 
     def test_zero_when_nothing_demanded(self):
         m = MarketInstance(
             firms=(FirmDistribution.point_mass(mv(0,)),), cost=quadratic(1)
         )
-        assert demand_quantile_cap(m, F(0)) == 0
+        assert demand_quantile_cap(Analysis(m), F(0)) == 0
 
     def test_monotone_in_threshold(self):
-        m = two_scenario_firm()
+        m = Analysis(two_scenario_firm())
         caps = [
             demand_quantile_cap(m, F(1), threshold=t)
             for t in (F(1, 4), F(1, 2), F(3, 4), F(99, 100))
@@ -255,23 +260,23 @@ class TestDemandQuantileCap:
 
 class TestSingleBuyerExpected:
     def test_demand_reduction(self):
-        assert single_buyer_expected(demand_reduction()) == 2
+        assert single_buyer_expected(Analysis(demand_reduction())) == 2
 
     def test_logscale_equals_first_best(self):
-        assert single_buyer_expected(logscale(5)) == 5 / BETA5
+        assert single_buyer_expected(Analysis(logscale(5))) == 5 / BETA5
 
     def test_all_zero(self):
         m = MarketInstance(
             firms=(FirmDistribution.point_mass(mv(0, 0)),), cost=quadratic(1)
         )
-        assert single_buyer_expected(m) == 0
+        assert single_buyer_expected(Analysis(m)) == 0
 
     def test_dominates_each_fixed_firm(self):
         from capauction import best_own_quantity
 
         for seed in range(10):
             m = generate(seed, firms=3, scenarios_per_firm=2, max_units=3)
-            total = single_buyer_expected(m)
+            total = single_buyer_expected(Analysis(m))
             table = enumerate_scenarios(m)
             for i in range(len(m.firms)):
                 fixed = sum(
@@ -287,16 +292,16 @@ class TestSingleBuyerExpected:
 
 class TestFirstBest:
     def test_first_best_instance_value(self):
-        assert first_best_expected(first_best(5)) == 5 / BETA5
+        assert first_best_expected(Analysis(first_best(5))) == 5 / BETA5
 
     def test_max_total_demand(self):
-        assert max_total_demand(logscale(5)) == 32
-        assert max_total_demand(first_best(5)) == 64
-        assert max_total_demand(demand_reduction()) == 4
+        assert Analysis(logscale(5)).max_demand == 32
+        assert Analysis(first_best(5)).max_demand == 64
+        assert Analysis(demand_reduction()).max_demand == 4
 
     def test_at_least_opt(self):
         for seed in range(10):
-            m = generate(seed, firms=2, scenarios_per_firm=2, max_units=4)
+            m = Analysis(generate(seed, firms=2, scenarios_per_firm=2, max_units=4))
             opt = optimize_cap_and_price(m)
             assert first_best_expected(m) >= opt.expected_welfare
 
@@ -336,9 +341,10 @@ class TestBruteForceOracle:
         for seed in range(25):
             m = generate(seed, firms=2, scenarios_per_firm=2, max_units=3,
                          cost_kind="quadratic" if seed % 2 else "marginals")
+            analysis = Analysis(m)
             for cap in (1, 2, 4):
                 for floor in (F(0), F(2), F(7)):
-                    got = expected_welfare(m, AuctionParams(cap, floor, None))
+                    got = expected_welfare(analysis, AuctionParams(cap, floor, None))
                     assert got == hand_expected(m, cap, floor), (seed, cap, floor)
 
 
@@ -387,41 +393,41 @@ class TestWelfareKernel:
         grid = price_candidates(m)
         floor = grid[floor_index % len(grid)] + off_grid
         ceiling = None if ceiling_gap is None else floor + ceiling_gap
-        table = enumerate_scenarios(m)
         params = AuctionParams(cap, floor, ceiling, pricing)
-        kernel = _WelfareKernel(m, table, None)
-        assert kernel.welfare(cap, floor, ceiling) == expected_welfare(m, params, table)
+        analysis = Analysis(m)
+        analysis._tabulate(None)
+        assert analysis.welfare(cap, floor, ceiling) == expected_welfare(analysis, params)
 
     @pytest.mark.parametrize("allow_ceiling", (False, True))
     def test_optimize_matches_oracle(self, allow_ceiling):
         for m in self.INSTANCES:
             grid = price_candidates(m)
-            table = enumerate_scenarios(m)
+            analysis = Analysis(m)
             rows = []
-            for cap in range(1, max(1, max_total_demand(m)) + 2):
+            for cap in range(1, max(1, analysis.max_demand) + 2):
                 for floor in grid:
                     ceilings = [c for c in grid if c > floor] if allow_ceiling else []
                     for ceiling in [None] + ceilings:
-                        w = expected_welfare(m, AuctionParams(cap, floor, ceiling), table)
+                        w = expected_welfare(analysis, AuctionParams(cap, floor, ceiling))
                         rows.append(Candidate(cap, floor, ceiling, w))
             # smaller cap, then larger floor, then larger ceiling (None largest)
             best = max(rows, key=lambda c: (
                 c.expected_welfare, -c.cap, c.floor,
                 (1, 0) if c.ceiling is None else (0, c.ceiling),
             ))
-            opt = optimize_cap_and_price(m, allow_ceiling=allow_ceiling)
+            opt = optimize_cap_and_price(analysis, allow_ceiling=allow_ceiling)
             assert opt.table == tuple(rows), m.label
             assert opt.params == AuctionParams(best.cap, best.floor, best.ceiling)
             assert opt.expected_welfare == best.expected_welfare
 
     def test_safe_sweeps_match_oracle(self):
         for m in self.INSTANCES:
-            cap_limit = max(1, max_total_demand(m))
-            table = enumerate_scenarios(m)
+            analysis = Analysis(m)
+            cap_limit = max(1, analysis.max_demand)
             safe = [make_safe_auction(c, m.cost) for c in range(1, cap_limit + 1)]
-            welfares = [expected_welfare(m, p, table) for p in safe]
-            assert safe_welfare_table(m) == {0: 0, **dict(enumerate(welfares, start=1))}
-            result = optimize_safe(m)
+            welfares = [expected_welfare(analysis, p) for p in safe]
+            assert safe_welfare_table(analysis) == {0: 0, **dict(enumerate(welfares, start=1))}
+            result = optimize_safe(analysis)
             assert [(c.cap, c.floor, c.expected_welfare) for c in result.table] == [
                 (p.cap, p.floor, w) for p, w in zip(safe, welfares)
             ]
@@ -432,15 +438,31 @@ class TestWelfareKernel:
     def test_ceiling_removal_search_matches_oracle(self):
         for m in self.INSTANCES:
             grid = price_candidates(m)
-            table = enumerate_scenarios(m)
+            analysis = Analysis(m)
             best = None
-            for cap in range(1, max(1, max_total_demand(m)) + 2):
+            for cap in range(1, max(1, analysis.max_demand) + 2):
                 for floor in grid:
-                    w = expected_welfare(m, AuctionParams(cap, floor, None), table)
+                    w = expected_welfare(analysis, AuctionParams(cap, floor, None))
                     if best is None or w > best[0]:  # ties keep the first
                         best = (w, cap, floor)
-            cert = verify_ceiling_removal(m, AuctionParams(1, grid[0], grid[-1]))
+            cert = verify_ceiling_removal(analysis, AuctionParams(1, grid[0], grid[-1]))
             assert (cert.lhs, cert.witness["witness_cap"], cert.witness["witness_floor"]) == best
+
+    def test_sold_out_welfare_matches_oracle(self):
+        for m in self.INSTANCES:
+            analysis = Analysis(m)
+            for cap in range(1, analysis.max_demand + 2):
+                for floor in price_candidates(m):
+                    params = AuctionParams(cap, floor, None)
+                    want = sum(
+                        (
+                            row.probability * run_auction(params, row.valuations, m.cost).welfare
+                            for row in analysis.table.rows
+                            if sum(v.demand(floor) for v in row.valuations) >= cap
+                        ),
+                        F(0),
+                    )
+                    assert analysis.sold_out_welfare(cap, floor) == want, (m.label, cap, floor)
 
     def test_error_extension_table_fails_when_built(self):
         m = MarketInstance(
@@ -450,7 +472,8 @@ class TestWelfareKernel:
             ),
             cost=cost_table(1, 2, extension="error"),
         )
-        table = enumerate_scenarios(m)
-        assert _WelfareKernel(m, table, 2).welfare(2, F(0)) == 14
+        analysis = Analysis(m)
+        analysis._tabulate(2)
+        assert analysis.welfare(2, F(0)) == 14
         with pytest.raises(ValidationError, match="beyond cost table"):
-            _WelfareKernel(m, table, None)
+            analysis._tabulate(None)

@@ -1,10 +1,14 @@
 """Exit codes and printed results of the command-line surface."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from capauction import analysis, bounds, cli, equilibrium
 from capauction.cli import main
+from capauction.instances import demand_reduction, generate, logscale
+from capauction.io import save_instance
 
 from test_io import MALFORMED
 
@@ -46,3 +50,67 @@ def test_short_cost_table_with_ceilings_fails(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: quantity ") and "beyond cost table" in err
+
+
+@pytest.fixture
+def demand_reduction_file(tmp_path):
+    path = tmp_path / "demand-reduction.json"
+    save_instance(demand_reduction(), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--safe-only", "--cap-limit", "0"],
+    ["optimize", "--cap-limit", "-1"],
+    ["optimize", "--cap-limit", "0"],
+    ["verify", "--which", "thmq", "--cap-limit", "-1"],
+    ["verify", "--which", "unsafe", "--cap-limit", "-1"],
+    ["verify", "--which", "unsafe", "--cap-limit", "0"],
+])
+def test_cap_limit_below_one_is_rejected(demand_reduction_file, capsys, argv):
+    command, *options = argv
+    assert main([command, demand_reduction_file, *options]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cap limit must be at least 1")
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--which", "decomp", "--cap", "unbounded"], "needs a bounded cap"),
+    (["--which", "priceceil", "--ceiling", "0"], "price ceiling 0 must exceed floor 0"),
+])
+def test_verify_rejects_unusable_parameters(demand_reduction_file, capsys, options, message):
+    assert main(["verify", demand_reduction_file, *options]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_equilibrium_honours_scenario_limit(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "instance.json"
+    save_instance(generate(0), path)  # 2 firms x 2 scenarios
+    monkeypatch.setattr(cli, "find_grid_equilibria", None)  # must not be reached
+    argv = ["equilibrium", str(path), "--cap", "2", "--floor", "4", "--scenario-limit", "1"]
+    assert main(argv) == 2
+    assert "scenario product has 4 rows, limit 1" in capsys.readouterr().err
+
+
+def test_verify_all_enumerates_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "logscale-5.json"
+    save_instance(logscale(5), path)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name, kwargs.get("allow_ceiling")] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("enumerate_scenarios", "safe_welfare_table", "optimize_cap_and_price"):
+        for module in (analysis, bounds, cli, equilibrium):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert main(["verify", str(path), "--which", "all"]) == 0
+    assert calls == {
+        ("enumerate_scenarios", None): 1,
+        ("safe_welfare_table", None): 1,
+        ("optimize_cap_and_price", False): 1,
+    }

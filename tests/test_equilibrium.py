@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from capauction import (
+    Analysis,
     AuctionParams,
     FirmDistribution,
     HIGHEST_LOSING,
@@ -266,7 +267,7 @@ class TestPoACheck:
     def test_safe_auction_keeps_full_welfare_here(self):
         safe = make_safe_auction(2, MARKET.cost, HIGHEST_LOSING)
         report = find_grid_equilibria(MARKET, safe)
-        poa = check_poa_bound(MARKET, 2, report)
+        poa = check_poa_bound(Analysis(MARKET), 2, report)
         assert poa.holds
         assert poa.baseline == 2
         assert poa.worst == 2
@@ -279,13 +280,13 @@ class TestPoACheck:
         )
         safe = make_safe_auction(1, m.cost)
         report = find_grid_equilibria(m, safe)
-        poa = check_poa_bound(m, 1, report)
+        poa = check_poa_bound(Analysis(m), 1, report)
         assert poa.holds
 
     def test_params_must_match_safe_price(self):
         report = find_grid_equilibria(MARKET, OPEN_FLOOR)
         with pytest.raises(ValidationError):
-            check_poa_bound(MARKET, 2, report)
+            check_poa_bound(Analysis(MARKET), 2, report)
 
     def test_random_tiny_instances_hold(self):
         # marginals exactly at the safe price make firms indifferent and are
@@ -309,7 +310,7 @@ class TestPoACheck:
                 report = find_grid_equilibria(
                     m, make_safe_auction(cap, m.cost, HIGHEST_LOSING)
                 )
-                assert check_poa_bound(m, cap, report).holds
+                assert check_poa_bound(Analysis(m), cap, report).holds
             done += 1
 
     def test_exact_indifference_breaks_ratio_bound(self):
@@ -326,7 +327,7 @@ class TestPoACheck:
             cost=quadratic(1),
         )
         report = find_grid_equilibria(m, make_safe_auction(2, m.cost, HIGHEST_LOSING))
-        poa = check_poa_bound(m, 2, report)
+        poa = check_poa_bound(Analysis(m), 2, report)
         assert poa.baseline == 1  # truthful sale at the floor is counted
         assert poa.worst == 0  # the walk-away equilibrium discards it
         assert not poa.holds

@@ -1,7 +1,9 @@
 """Recorded CLI output: exit code, stdout, stderr and the --out CSV.
 
 Each instance below runs every case in CASES from a scratch directory, and
-the result must equal tests/golden/<instance>.json byte for byte. After a
+the result must equal tests/golden/<instance>.json byte for byte. The
+`equilibrium` command runs once per entry of EQUILIBRIUM_CASES, each on its
+own instance and options, recorded in tests/golden/equilibrium.json. After a
 change that is meant to alter output, re-record with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -64,10 +66,31 @@ CASES = {
     },
 }
 
+# Small enough to search in well under a second each; random-1-marginals
+# exceeds the default profile limit and joint-3 is not in product form.
+EQUILIBRIUM_CASES = {
+    "demand-reduction-safe": (demand_reduction(), ["--cap", "2", "--floor", "9"]),
+    "demand-reduction-epsilon": (
+        demand_reduction(), ["--cap", "2", "--floor", "0", "--epsilon", "1/2"]
+    ),
+    "demand-reduction-strict-lowest": (
+        demand_reduction(),
+        ["--cap", "2", "--floor", "0", "--strict-overbidding", "--pricing", "lowest-winning"],
+    ),
+    "random-5-small-safe": (
+        generate(5, firms=2, scenarios_per_firm=2, max_units=2, value_high=8),
+        ["--cap", "2", "--floor", "2"],
+    ),
+    "joint-3": (JOINT, ["--cap", "2", "--floor", "0"]),
+    "random-1-marginals": (
+        generate(1, cost_kind="marginals"), ["--cap", "2", "--floor", "2"]
+    ),
+}
 
-def run_case(directory: Path, instance: MarketInstance, case: str) -> dict:
-    """Run one case in `directory` with relative paths, so no path varies."""
-    command, *options = CASES[case]
+
+def run_case(directory: Path, instance: MarketInstance, argv: list[str]) -> dict:
+    """Run one command in `directory` with relative paths, so no path varies."""
+    command, *options = argv
     previous = Path.cwd()
     os.chdir(directory)
     try:
@@ -92,7 +115,25 @@ def test_cli_output_matches_recording(tmp_path, name):
     golden = recorded(name)
     assert sorted(golden) == sorted(CASES)
     for case in CASES:
-        assert run_case(tmp_path, INSTANCES[name], case) == golden[case], case
+        assert run_case(tmp_path, INSTANCES[name], CASES[case]) == golden[case], case
+
+
+@pytest.mark.parametrize("case", sorted(EQUILIBRIUM_CASES))
+def test_equilibrium_output_matches_recording(tmp_path, case):
+    instance, options = EQUILIBRIUM_CASES[case]
+    got = run_case(tmp_path, instance, ["equilibrium", *options])
+    assert got == recorded("equilibrium")[case]
+
+
+def test_recorded_equilibrium_exit_codes():
+    golden = recorded("equilibrium")
+    assert sorted(golden) == sorted(EQUILIBRIUM_CASES)
+    assert {case: result["rc"] for case, result in golden.items()} == {
+        **{case: 0 for case in EQUILIBRIUM_CASES},
+        "joint-3": 1,
+        "random-1-marginals": 2,
+    }
+    assert "bound holds: True" in golden["demand-reduction-safe"]["stdout"]
 
 
 def test_joint_instance_has_no_single_buyer_cover():
@@ -106,8 +147,15 @@ if __name__ == "__main__":
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
-        for name, instance in INSTANCES.items():
-            results = {case: run_case(Path(scratch), instance, case) for case in CASES}
-            text = json.dumps(results, indent=1, sort_keys=True) + "\n"
-            (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
-            print(f"recorded {name}", file=sys.stderr)
+        recordings = {
+            name: {case: run_case(Path(scratch), instance, argv) for case, argv in CASES.items()}
+            for name, instance in INSTANCES.items()
+        }
+        recordings["equilibrium"] = {
+            case: run_case(Path(scratch), instance, ["equilibrium", *options])
+            for case, (instance, options) in EQUILIBRIUM_CASES.items()
+        }
+    for name, results in recordings.items():
+        text = json.dumps(results, indent=1, sort_keys=True) + "\n"
+        (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
+        print(f"recorded {name}", file=sys.stderr)

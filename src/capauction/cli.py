@@ -222,24 +222,27 @@ def _certificate_rows(certs) -> list[list[str]]:
 
 
 def cmd_verify(args) -> int:
+    which = args.which
+    if which in ("thmq", "main") and (args.cap is not None or args.floor is not None):
+        raise ValidationError(
+            f"--which {which} certifies the no-ceiling optimum; it takes no --cap or --floor"
+        )
     instance = load_instance(args.instance)
     analysis = Analysis(instance, args.scenario_limit, args.cap_limit)
-    which = args.which
     certs = []
 
     if which in ("priceceil", "all"):
         grid = analysis.grid
         ceiling = rat(args.ceiling) if args.ceiling not in (None, "inf") else grid[-1]
         cap, floor = _cap_and_floor(args, analysis)
-        if ceiling <= floor:
-            floor = grid[0]  # AuctionParams rejects a ceiling at or below the lowest price
+        if ceiling <= floor and args.floor is None:
+            floor = grid[0]  # only a defaulted floor yields; AuctionParams rejects an explicit one
         certs.append(
             bounds_mod.verify_ceiling_removal(analysis, AuctionParams(cap, floor, ceiling))
         )
     if which in ("optcond", "all"):
-        certs.append(
-            bounds_mod.verify_sellout_conditional(analysis, analysis.no_ceiling_optimum.params)
-        )
+        cap, floor = _cap_and_floor(args, analysis)
+        certs.append(bounds_mod.verify_sellout_conditional(analysis, AuctionParams(cap, floor)))
     if which in ("unsafe", "all"):
         limit = args.cap_limit or 20
         worst = None

@@ -7,6 +7,13 @@ quantity never exceeds the true value for that quantity (prefix sums).
 Equilibria found are epsilon-equilibria with respect to this grid; the
 search is exhaustive, deterministic, and makes no completeness claim about
 the unrestricted continuum of reports.
+
+Types are independent, so a firm type's interim utility depends only on
+its own report and the other firms' strategies. One `_GridGame` per search
+enumerates the joint type draws once and caches outcomes, interim
+utilities and, per (firm, type) slot and opponent strategies, the best
+value over the slot's candidates; a profile is an epsilon-equilibrium iff
+no slot's best value exceeds its current utility by more than epsilon.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ DEFAULT_PROFILE_LIMIT = 200_000
 # Imported constant-factor guarantee for uniform-price equilibria: worst
 # equilibrium welfare of a safe-price auction is at least baseline/3.15.
 POA_FACTOR = Fraction(20, 63)  # exactly 1/3.15
+
+_Profile = tuple[tuple[int, ...], ...]  # bid vector ids per firm per type
 
 
 @dataclass(frozen=True)
@@ -98,7 +107,6 @@ def candidate_reports(
     firm: int,
     type_index: int,
     strict: bool = False,
-    grid: tuple[Fraction, ...] | None = None,
 ) -> tuple[MarginalVector, ...]:
     """All grid strategies available to one firm type, canonically sorted.
 
@@ -107,14 +115,13 @@ def candidate_reports(
     no-overbidding against that type's true curve.
     """
     _require_product(instance)
-    if grid is None:
-        grid = bid_grid(instance, params)
     truth = instance.firms[firm].scenarios[type_index][1]
     length = max(v.positive_units for v in instance.firm_valuations(firm))
     if length == 0:
         return (MarginalVector(()),)
+    grid = sorted(bid_grid(instance, params), reverse=True)
     out = []
-    for combo in itertools.combinations_with_replacement(sorted(grid, reverse=True), length):
+    for combo in itertools.combinations_with_replacement(grid, length):
         report = MarginalVector(combo)
         if satisfies_no_overbidding(report, truth, strict):
             out.append(report)
@@ -122,73 +129,95 @@ def candidate_reports(
 
 
 class _GridGame:
-    """Shared caches for repeated auction evaluations over one instance."""
+    """The state of one search. Bid vectors are interned as small integers:
+    a strategy is a tuple of vector ids per type, a profile a tuple of
+    strategies per firm. Draws are in `enumerate_scenarios` order; each slot
+    keeps those where the firm has its type, weighted by the others' types."""
 
-    def __init__(self, instance: MarketInstance, params: AuctionParams):
+    def __init__(self, instance: MarketInstance, params: AuctionParams, strict: bool = False):
         _require_product(instance)
         self.instance = instance
         self.params = params
+        self.strict = strict
         self.types = [firm.scenarios for firm in instance.firms]
-        self.n = len(self.types)
-        self._outcomes: dict[tuple[MarginalVector, ...], Outcome] = {}
+        self.draws = tuple(
+            (math.prod((p for _, (p, _) in combo), start=Fraction(1)), tuple(t for t, _ in combo))
+            for combo in itertools.product(*(list(enumerate(s)) for s in self.types))
+        )
+        self._given = [[[] for _ in scenarios] for scenarios in self.types]
+        for _, types in self.draws:
+            for i, t in enumerate(types):
+                others = (self.types[j][s][0] for j, s in enumerate(types) if j != i)
+                self._given[i][t].append((math.prod(others, start=Fraction(1)), types))
+        self._vectors: list[MarginalVector] = []
+        self._ids: dict[MarginalVector, int] = {}
+        self._candidates: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._outcomes: dict[tuple[int, ...], Outcome] = {}
+        self._utilities: dict[tuple, Fraction] = {}
+        self._best: dict[tuple, tuple[Fraction, int]] = {}
 
-    def outcome(self, bids: tuple[MarginalVector, ...]) -> Outcome:
+    def vector_id(self, report: MarginalVector) -> int:
+        got = self._ids.get(report)
+        if got is None:
+            got = self._ids[report] = len(self._vectors)
+            self._vectors.append(report)
+        return got
+
+    def profile_ids(self, profile: StrategyProfile) -> _Profile:
+        return tuple(tuple(self.vector_id(r) for r in per_type) for per_type in profile.reports)
+
+    def vectors(self, ids: tuple[int, ...]) -> tuple[MarginalVector, ...]:
+        return tuple(self._vectors[r] for r in ids)
+
+    def candidates(self, firm: int, type_index: int) -> tuple[int, ...]:
+        key = (firm, type_index)
+        got = self._candidates.get(key)
+        if got is None:
+            reports = candidate_reports(self.instance, self.params, firm, type_index, self.strict)
+            got = self._candidates[key] = tuple(self.vector_id(r) for r in reports)
+        return got
+
+    def outcome(self, bids: tuple[int, ...]) -> Outcome:
         got = self._outcomes.get(bids)
         if got is None:
-            got = run_auction(self.params, bids, self.instance.cost)
+            got = run_auction(self.params, self.vectors(bids), self.instance.cost)
             self._outcomes[bids] = got
         return got
 
-    def opponent_draws(self, firm: int):
-        """Type tuples and probabilities for everyone but `firm`."""
-        others = [
-            [(p, t) for t, (p, _) in enumerate(scenarios)]
-            for i, scenarios in enumerate(self.types)
-            if i != firm
-        ]
-        for combo in itertools.product(*others):
-            prob = math.prod((p for p, _ in combo), start=Fraction(1))
-            yield prob, tuple(t for _, t in combo)
-
-    def interim_utility(
-        self,
-        firm: int,
-        type_index: int,
-        report: MarginalVector,
-        profile: StrategyProfile,
-    ) -> Fraction:
+    def utility(self, firm: int, type_index: int, report: int, profile: _Profile) -> Fraction:
         """Expected utility of `report` against the others' strategies."""
-        truth = self.types[firm][type_index][1]
-        total = ZERO
-        for prob, opponent_types in self.opponent_draws(firm):
-            bids = []
-            k = 0
-            for j in range(self.n):
-                if j == firm:
-                    bids.append(report)
-                else:
-                    bids.append(profile.report(j, opponent_types[k]))
-                    k += 1
-            outcome = self.outcome(tuple(bids))
-            won = outcome.allocation[firm]
-            total += prob * (truth.value(won) - outcome.unit_price * won)
-        return total
+        key = (firm, type_index, report, profile[:firm] + profile[firm + 1 :])
+        got = self._utilities.get(key)
+        if got is None:
+            truth = self.types[firm][type_index][1]
+            got = ZERO
+            for weight, types in self._given[firm][type_index]:
+                bids = tuple(report if j == firm else profile[j][t] for j, t in enumerate(types))
+                outcome = self.outcome(bids)
+                won = outcome.allocation[firm]
+                got += weight * (truth.value(won) - outcome.unit_price * won)
+            self._utilities[key] = got
+        return got
 
-    def profile_welfare(self, profile: StrategyProfile) -> Fraction:
+    def best(self, firm: int, type_index: int, profile: _Profile) -> tuple[Fraction, int]:
+        """Largest utility over the slot's candidates, and the first
+        candidate in canonical order that reaches it."""
+        key = (firm, type_index, profile[:firm] + profile[firm + 1 :])
+        got = self._best.get(key)
+        if got is None:
+            chosen = max(
+                self.candidates(firm, type_index),
+                key=lambda r: self.utility(firm, type_index, r, profile),
+            )
+            got = self._best[key] = (self.utility(firm, type_index, chosen, profile), chosen)
+        return got
+
+    def welfare(self, profile: _Profile) -> Fraction:
         """Expected welfare of the profile, valued at true curves."""
         total = ZERO
-        for combo in itertools.product(
-            *[[(p, t) for t, (p, _) in enumerate(s)] for s in self.types]
-        ):
-            prob = math.prod((p for p, _ in combo), start=Fraction(1))
-            type_indices = tuple(t for _, t in combo)
-            bids = tuple(
-                profile.report(i, type_indices[i]) for i in range(self.n)
-            )
-            truths = tuple(
-                self.types[i][type_indices[i]][1] for i in range(self.n)
-            )
-            outcome = self.outcome(bids)
+        for prob, types in self.draws:
+            outcome = self.outcome(tuple(profile[j][t] for j, t in enumerate(types)))
+            truths = tuple(self.types[j][t][1] for j, t in enumerate(types))
             total += prob * welfare_of(truths, outcome.allocation, self.instance.cost)
         return total
 
@@ -202,7 +231,8 @@ def utility(
 ) -> Fraction:
     """Interim expected utility of one firm type under a profile."""
     game = _GridGame(instance, params)
-    return game.interim_utility(firm, type_index, profile.report(firm, type_index), profile)
+    ids = game.profile_ids(profile)
+    return game.utility(firm, type_index, ids[firm][type_index], ids)
 
 
 @dataclass(frozen=True)
@@ -226,32 +256,24 @@ def best_response(
     profile_limit: int = DEFAULT_PROFILE_LIMIT,
 ) -> BestResponse:
     """Exhaustive grid best response of one firm, type by type."""
-    game = _GridGame(instance, params)
-    grid = bid_grid(instance, params)
-    best_reports = []
-    best_utilities = []
-    gains = []
-    for t in range(len(instance.firms[firm].scenarios)):
-        candidates = candidate_reports(instance, params, firm, t, strict, grid)
+    game = _GridGame(instance, params, strict)
+    ids = game.profile_ids(profile)
+    for t in range(len(ids[firm])):
+        candidates = game.candidates(firm, t)
         if len(candidates) > profile_limit:
             raise TooLargeError(
                 f"strategy space for firm {firm} type {t} has "
                 f"{len(candidates)} candidates, limit {profile_limit}"
             )
-        current = game.interim_utility(firm, t, profile.report(firm, t), profile)
-        chosen, chosen_u = None, None
-        for report in candidates:
-            u = game.interim_utility(firm, t, report, profile)
-            if chosen_u is None or u > chosen_u:
-                chosen, chosen_u = report, u
-        best_reports.append(chosen)
-        best_utilities.append(chosen_u)
-        gains.append(chosen_u - current)
+    best = [game.best(firm, t, ids) for t in range(len(ids[firm]))]
     return BestResponse(
         firm=firm,
-        per_type=tuple(best_reports),
-        per_type_utility=tuple(best_utilities),
-        per_type_gain=tuple(gains),
+        per_type=game.vectors(tuple(chosen for _, chosen in best)),
+        per_type_utility=tuple(value for value, _ in best),
+        per_type_gain=tuple(
+            value - game.utility(firm, t, current, ids)
+            for t, ((value, _), current) in enumerate(zip(best, ids[firm]))
+        ),
     )
 
 
@@ -272,65 +294,37 @@ def find_grid_equilibria(
     epsilon = rat(epsilon)
     if epsilon < 0:
         raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
-    game = _GridGame(instance, params)
-    grid = bid_grid(instance, params)
-    slots = [
-        (i, t)
-        for i in range(game.n)
-        for t in range(len(instance.firms[i].scenarios))
+    game = _GridGame(instance, params, strict)
+    total = 1
+    for i, scenarios in enumerate(game.types):
+        for t in range(len(scenarios)):
+            total *= len(game.candidates(i, t))
+            if total > profile_limit:
+                raise TooLargeError(
+                    f"profile space has at least {total} profiles, limit {profile_limit}"
+                )
+    strategies = [
+        list(itertools.product(*(game.candidates(i, t) for t in range(len(scenarios)))))
+        for i, scenarios in enumerate(game.types)
     ]
-    candidates = {
-        slot: candidate_reports(instance, params, slot[0], slot[1], strict, grid)
-        for slot in slots
-    }
-    total = math.prod(len(c) for c in candidates.values())
-    if total > profile_limit:
-        raise TooLargeError(f"profile space has {total} profiles, limit {profile_limit}")
-
-    # Interim utilities depend on the candidate and the opponents' full
-    # strategies only; cache across profiles.
-    utility_cache: dict[tuple, Fraction] = {}
-
-    def interim(firm, type_index, report, profile):
-        rest = tuple(profile.reports[:firm] + profile.reports[firm + 1 :])
-        key = (firm, type_index, report, rest)
-        got = utility_cache.get(key)
-        if got is None:
-            got = game.interim_utility(firm, type_index, report, profile)
-            utility_cache[key] = got
-        return got
 
     found = []
     welfares = []
     utilities = []
-    for combo in itertools.product(*(candidates[slot] for slot in slots)):
-        assignment = dict(zip(slots, combo))
-        profile = StrategyProfile(
-            tuple(
-                tuple(assignment[(i, t)] for t in range(len(instance.firms[i].scenarios)))
-                for i in range(game.n)
+    for profile in itertools.product(*strategies):
+        if all(
+            game.best(i, t, profile)[0] <= game.utility(i, t, report, profile) + epsilon
+            for i, strategy in enumerate(profile)
+            for t, report in enumerate(strategy)
+        ):
+            found.append(StrategyProfile(tuple(game.vectors(strategy) for strategy in profile)))
+            welfares.append(game.welfare(profile))
+            utilities.append(
+                tuple(
+                    tuple(game.utility(i, t, report, profile) for t, report in enumerate(strategy))
+                    for i, strategy in enumerate(profile)
+                )
             )
-        )
-        is_equilibrium = True
-        profile_utilities = []
-        for i in range(game.n):
-            firm_utilities = []
-            for t in range(len(instance.firms[i].scenarios)):
-                current = interim(i, t, profile.report(i, t), profile)
-                firm_utilities.append(current)
-                for alternative in candidates[(i, t)]:
-                    if interim(i, t, alternative, profile) > current + epsilon:
-                        is_equilibrium = False
-                        break
-                if not is_equilibrium:
-                    break
-            if not is_equilibrium:
-                break
-            profile_utilities.append(tuple(firm_utilities))
-        if is_equilibrium:
-            found.append(profile)
-            welfares.append(game.profile_welfare(profile))
-            utilities.append(tuple(profile_utilities))
 
     worst = min(welfares) if welfares else None
     return EquilibriumReport(

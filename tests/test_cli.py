@@ -114,3 +114,37 @@ def test_verify_all_enumerates_once(tmp_path, capsys, monkeypatch):
         ("safe_welfare_table", None): 1,
         ("optimize_cap_and_price", False): 1,
     }
+
+
+@pytest.fixture
+def seed3_file(tmp_path):
+    path = tmp_path / "g.json"
+    save_instance(generate(3), path)
+    return str(path)
+
+
+def test_verify_optcond_reads_cap_and_floor(seed3_file, capsys):
+    assert main(["verify", seed3_file, "--which", "optcond"]) == 0
+    at_optimum = capsys.readouterr().out
+    assert main(["verify", seed3_file, "--which", "optcond", "--cap", "3"]) == 0
+    at_cap_3 = capsys.readouterr().out
+    assert "lhs 161/13 " in at_optimum
+    assert "lhs 1373/113 " in at_cap_3
+
+
+@pytest.mark.parametrize("options", [
+    ["--which", "thmq", "--cap", "3"],
+    ["--which", "main", "--floor", "1"],
+])
+def test_verify_optimum_certificates_reject_cap_and_floor(seed3_file, capsys, options):
+    assert main(["verify", seed3_file, *options]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "certifies the no-ceiling optimum; it takes no --cap or --floor" in err
+
+
+def test_verify_priceceil_keeps_an_explicit_floor(seed3_file, capsys):
+    argv = ["verify", seed3_file, "--which", "priceceil", "--ceiling", "1/2"]
+    assert main(argv) == 0  # the optimum's floor yields to the ceiling
+    assert main([*argv, "--floor", "3"]) == 1
+    assert "error: price ceiling 1/2 must exceed floor 3" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Grid strategies, best responses, and equilibrium enumeration."""
 
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -25,6 +27,7 @@ from capauction import (
     enumerate_scenarios,
     expected_welfare,
     find_grid_equilibria,
+    generate,
     make_safe_auction,
     quadratic,
     run_auction,
@@ -32,6 +35,7 @@ from capauction import (
     utility,
     welfare_of,
 )
+from capauction import equilibrium
 
 mv = MarginalVector.of
 
@@ -122,6 +126,11 @@ class TestUtility:
         assert utility(m, params, profile, 0, 0) == expected
 
 
+    def test_builds_no_candidate_list(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "candidate_reports", None)
+        assert utility(MARKET, OPEN_FLOOR, SHADED, 0, 0) == 9
+
+
 class TestBestResponse:
     def test_firm_one_shades_against_truthful_opponent(self):
         br = best_response(MARKET, OPEN_FLOOR, TRUTHFUL, 0)
@@ -197,6 +206,21 @@ class TestFindEquilibria:
         with pytest.raises(TooLargeError, match="50"):
             find_grid_equilibria(MARKET, OPEN_FLOOR, profile_limit=10)
 
+    def test_profile_limit_fails_before_the_last_slot(self, monkeypatch):
+        # candidates per slot: 142, 285, 509, 505; the running product
+        # passes 200000 at the third slot
+        m = generate(1, cost_kind="marginals")
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args[2:4])
+            return candidate_reports(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "candidate_reports", counted)
+        with pytest.raises(TooLargeError, match="at least 20599230 profiles, limit 200000"):
+            find_grid_equilibria(m, AuctionParams(2, 2, None, HIGHEST_LOSING))
+        assert built == [(0, 0), (0, 1), (1, 0)]
+
     def test_rejects_negative_epsilon_and_joint(self):
         with pytest.raises(ValidationError):
             find_grid_equilibria(MARKET, OPEN_FLOOR, epsilon=-1)
@@ -227,6 +251,139 @@ class TestFindEquilibria:
             for firm in range(2):
                 br = best_response(m, params, profile, firm)
                 assert br.gain <= 0, (k, firm)
+
+
+def _type_draws(instance, firm=None, type_index=None):
+    """(probability, type indices) of every joint type draw; with `firm`,
+    only the draws where it has `type_index`, weighted by the others."""
+    for combo in itertools.product(*(list(enumerate(f.scenarios)) for f in instance.firms)):
+        types = tuple(t for t, _ in combo)
+        if firm is not None and types[firm] != type_index:
+            continue
+        prob = F(1)
+        for j, (_, (p, _)) in enumerate(combo):
+            if j != firm:
+                prob *= p
+        yield prob, types
+
+
+def _direct_utility(instance, params, reports, firm, type_index, report):
+    truth = instance.firms[firm].scenarios[type_index][1]
+    total = F(0)
+    for prob, types in _type_draws(instance, firm, type_index):
+        bids = [report if j == firm else reports[j][t] for j, t in enumerate(types)]
+        out = run_auction(params, bids, instance.cost)
+        won = out.allocation[firm]
+        total += prob * (truth.value(won) - out.unit_price * won)
+    return total
+
+
+def _direct_welfare(instance, params, reports):
+    total = F(0)
+    for prob, types in _type_draws(instance):
+        bids = [reports[j][t] for j, t in enumerate(types)]
+        truths = [instance.firms[j].scenarios[t][1] for j, t in enumerate(types)]
+        total += prob * run_auction(params, bids, instance.cost, truths).welfare
+    return total
+
+
+def _oracle_search(instance, params, epsilon, strict):
+    """Every profile and slot, every alternative, by direct expectation."""
+    slots = [(i, t) for i, f in enumerate(instance.firms) for t in range(len(f.scenarios))]
+    options = [candidate_reports(instance, params, i, t, strict) for i, t in slots]
+    profiles, welfares, utilities = [], [], []
+    for combo in itertools.product(*options):
+        reports = [[] for _ in instance.firms]
+        for (i, _), report in zip(slots, combo):
+            reports[i].append(report)
+        current = [
+            [_direct_utility(instance, params, reports, i, t, r) for t, r in enumerate(per_type)]
+            for i, per_type in enumerate(reports)
+        ]
+        if any(
+            _direct_utility(instance, params, reports, i, t, alternative) > current[i][t] + epsilon
+            for (i, t), alternatives in zip(slots, options)
+            for alternative in alternatives
+        ):
+            continue
+        profiles.append(StrategyProfile(tuple(tuple(r) for r in reports)))
+        welfares.append(_direct_welfare(instance, params, reports))
+        utilities.append(tuple(tuple(u) for u in current))
+    return profiles, welfares, utilities, math.prod(len(o) for o in options)
+
+
+def _oracle_best_response(instance, params, profile, firm, strict):
+    chosen, values, gains = [], [], []
+    for t, current in enumerate(profile.reports[firm]):
+        best, best_u = None, None
+        for report in candidate_reports(instance, params, firm, t, strict):
+            u = _direct_utility(instance, params, profile.reports, firm, t, report)
+            if best_u is None or u > best_u:
+                best, best_u = report, u
+        chosen.append(best)
+        values.append(best_u)
+        gains.append(best_u - _direct_utility(instance, params, profile.reports, firm, t, current))
+    return tuple(chosen), tuple(values), tuple(gains)
+
+
+class TestAgainstDirectOracle:
+    """The cached search against a brute force that clears every auction
+    it needs with run_auction and keeps nothing between profiles."""
+
+    def _instances(self):
+        rng = random.Random(5)
+        found = 0
+        while found < 40:
+            m = generate(
+                rng.randrange(10**6),
+                firms=rng.choice((1, 2, 2)),
+                scenarios_per_firm=rng.choice((1, 2, 2)),
+                max_units=rng.choice((1, 1, 2)),
+                value_high=rng.choice((4, 6)),
+            )
+            cap, floor = rng.choice((1, 2)), rng.choice((0, 1, 2))
+            slots = [(i, t) for i, f in enumerate(m.firms) for t in range(len(f.scenarios))]
+            size = 1
+            for i, t in slots:
+                size *= len(candidate_reports(m, AuctionParams(cap, floor), i, t))
+            if size <= 60:
+                found += 1
+                yield m, cap, floor
+
+    def test_search_and_best_response_match(self):
+        rng = random.Random(6)
+        ties = 0
+        for m, cap, floor in self._instances():
+            for pricing, epsilon, strict in itertools.product(
+                (HIGHEST_LOSING, LOWEST_WINNING), (F(0), F(1, 2)), (False, True)
+            ):
+                params = AuctionParams(cap, floor, None, pricing)
+                report = find_grid_equilibria(m, params, epsilon, strict)
+                profiles, welfares, utilities, searched = _oracle_search(m, params, epsilon, strict)
+                assert report.params == params and report.epsilon == epsilon
+                assert report.profiles == tuple(profiles)
+                assert report.welfares == tuple(welfares)
+                assert report.utilities == tuple(utilities)
+                assert report.worst_welfare == (min(welfares) if welfares else None)
+                assert report.searched == searched
+
+                profile = StrategyProfile(tuple(
+                    tuple(rng.choice(candidate_reports(m, params, i, t, strict))
+                          for t in range(len(f.scenarios)))
+                    for i, f in enumerate(m.firms)
+                ))
+                for firm in range(len(m.firms)):
+                    br = best_response(m, params, profile, firm, strict)
+                    chosen, values, gains = _oracle_best_response(m, params, profile, firm, strict)
+                    assert (br.per_type, br.per_type_utility, br.per_type_gain) == (
+                        chosen, values, gains
+                    )
+                    for t, value in enumerate(values):
+                        ties += sum(
+                            _direct_utility(m, params, profile.reports, firm, t, r) == value
+                            for r in candidate_reports(m, params, firm, t, strict)
+                        ) > 1
+        assert ties > 0  # the first-candidate tie-break was exercised
 
 
 class TestPerScenarioSafety:

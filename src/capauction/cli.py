@@ -182,19 +182,17 @@ def cmd_equilibrium(args) -> int:
             print(f"worst/baseline ratio: {_fmt(poa.ratio)}")
         print(f"bound holds: {poa.holds} ({poa.status})")
     header = ["profile", "firm", "type", "bid", "utility", "utility_dec", "welfare", "welfare_dec"]
-    rows = []
-    for k, profile in enumerate(report.profiles):
-        for i, per_type in enumerate(profile.reports):
-            for t, report_vec in enumerate(per_type):
-                bid = "|".join(format_rational(v) for v in report_vec.marginals)
-                u = report.utilities[k][i][t]
-                w = report.welfares[k]
-                rows.append(
-                    [str(k), str(i), str(t), bid,
-                     format_rational(u), format_decimal(u),
-                     format_rational(w), format_decimal(w)]
-                )
-    _emit(args, header, rows)
+
+    def rows():  # formatted only when a report is written
+        for k, (profile, w) in enumerate(zip(report.profiles, report.welfares)):
+            welfare = [format_rational(w), format_decimal(w)]
+            for i, per_type in enumerate(profile.reports):
+                for t, report_vec in enumerate(per_type):
+                    bid = "|".join(format_rational(v) for v in report_vec.marginals)
+                    u = report.utilities[k][i][t]
+                    yield [str(k), str(i), str(t), bid, format_rational(u), format_decimal(u)] + welfare
+
+    _emit(args, header, rows())
     return 0
 
 
@@ -223,9 +221,10 @@ def _certificate_rows(certs) -> list[list[str]]:
 
 def cmd_verify(args) -> int:
     which = args.which
-    if which in ("thmq", "main") and (args.cap is not None or args.floor is not None):
+    if which in ("thmq", "main", "all") and (args.cap is not None or args.floor is not None):
+        certifies = "runs thmq and main, which certify" if which == "all" else "certifies"
         raise ValidationError(
-            f"--which {which} certifies the no-ceiling optimum; it takes no --cap or --floor"
+            f"--which {which} {certifies} the no-ceiling optimum; it takes no --cap or --floor"
         )
     instance = load_instance(args.instance)
     analysis = Analysis(instance, args.scenario_limit, args.cap_limit)

@@ -14,6 +14,22 @@ enumerates the joint type draws once and caches outcomes, interim
 utilities and, per (firm, type) slot and opponent strategies, the best
 value over the slot's candidates; a profile is an epsilon-equilibrium iff
 no slot's best value exceeds its current utility by more than epsilon.
+
+The game computes in exact scaled integers. With L the lcm of the bid
+levels' denominators, values and prices are integers over L. Each firm j
+has P_j, the lcm of its type probabilities' denominators, so a slot of
+firm i weights its draws by integers over prod_{j != i} P_j and its
+utilities are integers over S_i = L * prod_{j != i} P_j; the epsilon test
+is then `best - current <= floor(epsilon * S_i)`. Draw welfare is an
+integer over M = lcm(L, the cost's denominator), and a profile's welfare an
+integer over M * prod_j P_j. Fractions are built only for the report.
+
+The search is factored by the firm i* with the largest strategy space
+(the last such firm on ties): for each strategy profile of the other
+firms, each type of i* keeps only its candidates within epsilon of its
+best value, and only the product of those sets is checked against the
+other firms' slots. When i* is not the last firm the equilibria are
+sorted back into canonical order.
 """
 
 from __future__ import annotations
@@ -24,15 +40,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import Analysis, expected_welfare
-from .auction import AuctionParams, Outcome, run_auction, safe_price
+from .auction import AuctionParams, run_auction, safe_price
 from .model import (
     ZERO,
+    CostCurve,
     MarginalVector,
     MarketInstance,
+    QuadraticCost,
     TooLargeError,
     ValidationError,
     rat,
-    welfare_of,
 )
 
 DEFAULT_PROFILE_LIMIT = 200_000
@@ -101,6 +118,11 @@ def _require_product(instance: MarketInstance) -> None:
         )
 
 
+def _scaled(values, scale: int) -> list[int]:
+    """`values` times `scale` as ints; `scale` is a multiple of every denominator."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
 def candidate_reports(
     instance: MarketInstance,
     params: AuctionParams,
@@ -111,50 +133,106 @@ def candidate_reports(
     """All grid strategies available to one firm type, canonically sorted.
 
     Candidates are the non-increasing vectors over the bid grid, of length
-    up to the firm's largest positive-marginal count, filtered by
-    no-overbidding against that type's true curve.
+    up to the firm's largest positive-marginal count, that satisfy
+    no-overbidding against that type's true curve. They are walked depth
+    first with ascending levels, which is canonical order; a level that
+    breaks the bound at its position is pruned with every higher one.
     """
     _require_product(instance)
     truth = instance.firms[firm].scenarios[type_index][1]
     length = max(v.positive_units for v in instance.firm_valuations(firm))
     if length == 0:
         return (MarginalVector(()),)
-    grid = sorted(bid_grid(instance, params), reverse=True)
+    grid = bid_grid(instance, params)
+    scale = math.lcm(*(g.denominator for g in grid))
+    levels = _scaled(grid, scale)
+    marginals = _scaled(truth.marginals[:length], scale)
+    marginals += [0] * (length - len(marginals))
+    values = list(itertools.accumulate(marginals))
     out = []
-    for combo in itertools.combinations_with_replacement(grid, length):
-        report = MarginalVector(combo)
-        if satisfies_no_overbidding(report, truth, strict):
-            out.append(report)
-    return tuple(sorted(out))
+    chosen = []
+
+    def walk(position: int, top: int, spent: int) -> None:
+        bound = marginals[position] if strict else values[position] - spent
+        last = position + 1 == length
+        for k in range(top + 1):
+            if levels[k] > bound:
+                break
+            chosen.append(grid[k])
+            if last:
+                out.append(MarginalVector(tuple(chosen)))
+            else:
+                walk(position + 1, k, spent + levels[k])
+            chosen.pop()
+
+    walk(0, len(grid) - 1, 0)
+    return tuple(out)
+
+
+def _cost_scale(cost: CostCurve) -> int:
+    """A common denominator of the cost at every quantity."""
+    terms = (cost.a,) if isinstance(cost, QuadraticCost) else cost.marginals
+    return math.lcm(*(c.denominator for c in terms))
 
 
 class _GridGame:
     """The state of one search. Bid vectors are interned as small integers:
     a strategy is a tuple of vector ids per type, a profile a tuple of
     strategies per firm. Draws are in `enumerate_scenarios` order; each slot
-    keeps those where the firm has its type, weighted by the others' types."""
+    keeps those where the firm has its type, weighted by the others' types.
+    Utilities, best values and welfares are the scaled integers of the
+    module docstring; `reports` adds off-grid vectors to the price scale."""
 
-    def __init__(self, instance: MarketInstance, params: AuctionParams, strict: bool = False):
+    def __init__(
+        self,
+        instance: MarketInstance,
+        params: AuctionParams,
+        strict: bool = False,
+        reports: tuple[MarginalVector, ...] = (),
+    ):
         _require_product(instance)
         self.instance = instance
         self.params = params
         self.strict = strict
         self.types = [firm.scenarios for firm in instance.firms]
+        levels = set(bid_grid(instance, params))
+        levels.update(v for r in reports for v in r.marginals)
+        self.scale = math.lcm(*(v.denominator for v in levels))
+        self.welfare_scale = math.lcm(self.scale, _cost_scale(instance.cost))
+        width = max((r.units for r in itertools.chain(instance.all_valuations(), reports)), default=0)
+        self.values = [
+            [
+                list(itertools.accumulate(
+                    _scaled(truth.marginals, self.scale) + [0] * (width - truth.units),
+                    initial=0,
+                ))
+                for _, truth in scenarios
+            ]
+            for scenarios in self.types
+        ]
+        denominators = [math.lcm(*(p.denominator for p, _ in s)) for s in self.types]
+        weights = [_scaled((p for p, _ in s), d) for s, d in zip(self.types, denominators)]
         self.draws = tuple(
-            (math.prod((p for _, (p, _) in combo), start=Fraction(1)), tuple(t for t, _ in combo))
-            for combo in itertools.product(*(list(enumerate(s)) for s in self.types))
+            (math.prod(weights[j][t] for j, t in enumerate(types)), types)
+            for types in itertools.product(*(range(len(s)) for s in self.types))
         )
+        self.draw_scale = self.welfare_scale * math.prod(denominators)
+        self.slot_scale = [
+            self.scale * math.prod(d for j, d in enumerate(denominators) if j != i)
+            for i in range(len(self.types))
+        ]
         self._given = [[[] for _ in scenarios] for scenarios in self.types]
         for _, types in self.draws:
             for i, t in enumerate(types):
-                others = (self.types[j][s][0] for j, s in enumerate(types) if j != i)
-                self._given[i][t].append((math.prod(others, start=Fraction(1)), types))
+                others = math.prod(weights[j][s] for j, s in enumerate(types) if j != i)
+                self._given[i][t].append((others, types))
         self._vectors: list[MarginalVector] = []
         self._ids: dict[MarginalVector, int] = {}
         self._candidates: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._outcomes: dict[tuple[int, ...], Outcome] = {}
-        self._utilities: dict[tuple, Fraction] = {}
-        self._best: dict[tuple, tuple[Fraction, int]] = {}
+        self._outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+        self._best: dict[tuple, tuple[int, int, dict[int, int]]] = {}
+        self._costs: dict[int, int] = {}
+        self._welfares: dict[tuple, int] = {}
 
     def vector_id(self, report: MarginalVector) -> int:
         got = self._ids.get(report)
@@ -177,48 +255,80 @@ class _GridGame:
             got = self._candidates[key] = tuple(self.vector_id(r) for r in reports)
         return got
 
-    def outcome(self, bids: tuple[int, ...]) -> Outcome:
+    def outcome(self, bids: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+        """Allocation and price times L of the auction on these bids."""
         got = self._outcomes.get(bids)
         if got is None:
-            got = run_auction(self.params, self.vectors(bids), self.instance.cost)
+            outcome = run_auction(self.params, self.vectors(bids), self.instance.cost)
+            price = outcome.unit_price
+            got = (outcome.allocation, price.numerator * (self.scale // price.denominator))
             self._outcomes[bids] = got
         return got
 
-    def utility(self, firm: int, type_index: int, report: int, profile: _Profile) -> Fraction:
-        """Expected utility of `report` against the others' strategies."""
-        key = (firm, type_index, report, profile[:firm] + profile[firm + 1 :])
-        got = self._utilities.get(key)
-        if got is None:
-            truth = self.types[firm][type_index][1]
-            got = ZERO
-            for weight, types in self._given[firm][type_index]:
-                bids = tuple(report if j == firm else profile[j][t] for j, t in enumerate(types))
-                outcome = self.outcome(bids)
-                won = outcome.allocation[firm]
-                got += weight * (truth.value(won) - outcome.unit_price * won)
-            self._utilities[key] = got
-        return got
+    def _opponents(self, firm: int, type_index: int, profile: _Profile) -> list:
+        """(weight, bids before the firm's, bids after it) per draw of the slot."""
+        return [
+            (
+                weight,
+                tuple(profile[j][s] for j, s in enumerate(types[:firm])),
+                tuple(profile[j][s] for j, s in enumerate(types[firm + 1 :], firm + 1)),
+            )
+            for weight, types in self._given[firm][type_index]
+        ]
 
-    def best(self, firm: int, type_index: int, profile: _Profile) -> tuple[Fraction, int]:
-        """Largest utility over the slot's candidates, and the first
-        candidate in canonical order that reaches it."""
+    def _utility(self, firm: int, type_index: int, report: int, opponents: list) -> int:
+        values = self.values[firm][type_index]
+        total = 0
+        for weight, before, after in opponents:
+            allocation, price = self.outcome(before + (report,) + after)
+            won = allocation[firm]
+            total += weight * (values[won] - price * won)
+        return total
+
+    def utility(self, firm: int, type_index: int, report: int, profile: _Profile) -> int:
+        """Expected utility of any `report` against the others' strategies,
+        over S_firm; not cached."""
+        return self._utility(firm, type_index, report, self._opponents(firm, type_index, profile))
+
+    def best(self, firm: int, type_index: int, profile: _Profile) -> tuple[int, int, dict[int, int]]:
+        """Against the others' strategies: the largest utility over the
+        slot's candidates, the first candidate in canonical order that
+        reaches it, and every candidate's utility."""
         key = (firm, type_index, profile[:firm] + profile[firm + 1 :])
         got = self._best.get(key)
         if got is None:
-            chosen = max(
-                self.candidates(firm, type_index),
-                key=lambda r: self.utility(firm, type_index, r, profile),
-            )
-            got = self._best[key] = (self.utility(firm, type_index, chosen, profile), chosen)
+            opponents = self._opponents(firm, type_index, profile)
+            utilities = {
+                r: self._utility(firm, type_index, r, opponents)
+                for r in self.candidates(firm, type_index)
+            }
+            chosen = max(utilities, key=utilities.__getitem__)
+            got = self._best[key] = (utilities[chosen], chosen, utilities)
         return got
 
-    def welfare(self, profile: _Profile) -> Fraction:
-        """Expected welfare of the profile, valued at true curves."""
-        total = ZERO
-        for prob, types in self.draws:
-            outcome = self.outcome(tuple(profile[j][t] for j, t in enumerate(types)))
-            truths = tuple(self.types[j][t][1] for j, t in enumerate(types))
-            total += prob * welfare_of(truths, outcome.allocation, self.instance.cost)
+    def cost(self, quantity: int) -> int:
+        """Social cost of `quantity` over M, read only where sold."""
+        got = self._costs.get(quantity)
+        if got is None:
+            got = self._costs[quantity] = (
+                self.instance.cost.cost(quantity) * self.welfare_scale
+            ).numerator
+        return got
+
+    def welfare(self, profile: _Profile) -> int:
+        """Expected welfare of the profile, valued at true curves, over
+        M * prod_j P_j."""
+        total = 0
+        lift = self.welfare_scale // self.scale
+        for weight, types in self.draws:
+            bids = tuple(profile[j][t] for j, t in enumerate(types))
+            key = (bids, types)
+            got = self._welfares.get(key)
+            if got is None:
+                allocation, _ = self.outcome(bids)
+                value = sum(self.values[j][t][x] for j, (t, x) in enumerate(zip(types, allocation)))
+                got = self._welfares[key] = lift * value - self.cost(sum(allocation))
+            total += weight * got
         return total
 
 
@@ -230,9 +340,9 @@ def utility(
     type_index: int,
 ) -> Fraction:
     """Interim expected utility of one firm type under a profile."""
-    game = _GridGame(instance, params)
+    game = _GridGame(instance, params, reports=tuple(itertools.chain(*profile.reports)))
     ids = game.profile_ids(profile)
-    return game.utility(firm, type_index, ids[firm][type_index], ids)
+    return Fraction(game.utility(firm, type_index, ids[firm][type_index], ids), game.slot_scale[firm])
 
 
 @dataclass(frozen=True)
@@ -256,7 +366,7 @@ def best_response(
     profile_limit: int = DEFAULT_PROFILE_LIMIT,
 ) -> BestResponse:
     """Exhaustive grid best response of one firm, type by type."""
-    game = _GridGame(instance, params, strict)
+    game = _GridGame(instance, params, strict, tuple(itertools.chain(*profile.reports)))
     ids = game.profile_ids(profile)
     for t in range(len(ids[firm])):
         candidates = game.candidates(firm, t)
@@ -266,13 +376,14 @@ def best_response(
                 f"{len(candidates)} candidates, limit {profile_limit}"
             )
     best = [game.best(firm, t, ids) for t in range(len(ids[firm]))]
+    scale = game.slot_scale[firm]
     return BestResponse(
         firm=firm,
-        per_type=game.vectors(tuple(chosen for _, chosen in best)),
-        per_type_utility=tuple(value for value, _ in best),
+        per_type=game.vectors(tuple(chosen for _, chosen, _ in best)),
+        per_type_utility=tuple(Fraction(value, scale) for value, _, _ in best),
         per_type_gain=tuple(
-            value - game.utility(firm, t, current, ids)
-            for t, ((value, _), current) in enumerate(zip(best, ids[firm]))
+            Fraction(value - game.utility(firm, t, current, ids), scale)
+            for t, ((value, _, _), current) in enumerate(zip(best, ids[firm]))
         ),
     )
 
@@ -303,37 +414,60 @@ def find_grid_equilibria(
                 raise TooLargeError(
                     f"profile space has at least {total} profiles, limit {profile_limit}"
                 )
-    strategies = [
-        list(itertools.product(*(game.candidates(i, t) for t in range(len(scenarios)))))
-        for i, scenarios in enumerate(game.types)
-    ]
+    slots = [[game.candidates(i, t) for t in range(len(s))] for i, s in enumerate(game.types)]
+    sizes = [math.prod(len(c) for c in per_type) for per_type in slots]
+    star = max(reversed(range(len(slots))), key=sizes.__getitem__)
+    slack = [math.floor(epsilon * scale) for scale in game.slot_scale]
+    others = [list(itertools.product(*per_type)) for i, per_type in enumerate(slots) if i != star]
+
+    def stable(profile: _Profile) -> bool:
+        for i, strategy in enumerate(profile):
+            if i != star:
+                for t, report in enumerate(strategy):
+                    value, _, utilities = game.best(i, t, profile)
+                    if value - utilities[report] > slack[i]:
+                        return False
+        return True
 
     found = []
-    welfares = []
-    utilities = []
-    for profile in itertools.product(*strategies):
-        if all(
-            game.best(i, t, profile)[0] <= game.utility(i, t, report, profile) + epsilon
-            for i, strategy in enumerate(profile)
-            for t, report in enumerate(strategy)
-        ):
-            found.append(StrategyProfile(tuple(game.vectors(strategy) for strategy in profile)))
-            welfares.append(game.welfare(profile))
-            utilities.append(
-                tuple(
-                    tuple(game.utility(i, t, report, profile) for t, report in enumerate(strategy))
-                    for i, strategy in enumerate(profile)
-                )
+    for rest in itertools.product(*others):
+        frame = rest[:star] + ((),) + rest[star:]
+        near = []
+        for t in range(len(slots[star])):
+            value, _, utilities = game.best(star, t, frame)
+            near.append([r for r, u in utilities.items() if u >= value - slack[star]])
+        for own in itertools.product(*near):
+            profile = rest[:star] + (own,) + rest[star:]
+            if stable(profile):
+                found.append(profile)
+    if star != len(slots) - 1:
+        position = [[{r: k for k, r in enumerate(c)} for c in per_type] for per_type in slots]
+        found.sort(
+            key=lambda profile: tuple(
+                position[i][t][r] for i, strategy in enumerate(profile) for t, r in enumerate(strategy)
             )
+        )
 
-    worst = min(welfares) if welfares else None
+    welfares = [game.welfare(profile) for profile in found]
     return EquilibriumReport(
         params=params,
         epsilon=epsilon,
-        profiles=tuple(found),
-        welfares=tuple(welfares),
-        utilities=tuple(utilities),
-        worst_welfare=worst,
+        profiles=tuple(
+            StrategyProfile(tuple(game.vectors(strategy) for strategy in profile))
+            for profile in found
+        ),
+        welfares=tuple(Fraction(w, game.draw_scale) for w in welfares),
+        utilities=tuple(
+            tuple(
+                tuple(
+                    Fraction(game.best(i, t, profile)[2][report], game.slot_scale[i])
+                    for t, report in enumerate(strategy)
+                )
+                for i, strategy in enumerate(profile)
+            )
+            for profile in found
+        ),
+        worst_welfare=Fraction(min(welfares), game.draw_scale) if welfares else None,
         searched=total,
     )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,10 +39,10 @@ def format_rational(value: Fraction) -> str:
 
 def format_decimal(value: Fraction, places: int = DECIMAL_PLACES) -> str:
     """Round-half-up decimal rendering; display only, never compared."""
-    sign = "-" if value < 0 else ""
-    value = abs(value)
+    numerator, denominator = value.numerator, value.denominator
+    sign = "-" if numerator < 0 else ""
     scale = 10**places
-    scaled = (value.numerator * scale * 2 + value.denominator) // (2 * value.denominator)
+    scaled = (abs(numerator) * scale * 2 + denominator) // (2 * denominator)
     whole, frac = divmod(scaled, scale)
     return f"{sign}{whole}.{str(frac).zfill(places)}"
 
@@ -184,7 +185,7 @@ def rational_columns(name: str, value: Fraction | None) -> list[tuple[str, str]]
     return [(name, format_rational(value)), (f"{name}_dec", format_decimal(value))]
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[list[str]]) -> None:
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)

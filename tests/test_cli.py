@@ -143,6 +143,22 @@ def test_verify_optimum_certificates_reject_cap_and_floor(seed3_file, capsys, op
     assert "certifies the no-ceiling optimum; it takes no --cap or --floor" in err
 
 
+@pytest.mark.parametrize("options", [
+    ["--which", "all", "--cap", "3", "--floor", "1"],
+    ["--floor", "1"],  # --which defaults to all
+])
+def test_verify_all_rejects_cap_and_floor(seed3_file, capsys, options):
+    assert main(["verify", seed3_file, *options]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: --which all runs thmq and main, which certify the no-ceiling optimum; "
+        "it takes no --cap or --floor\n"
+    )
+    for which in ("priceceil", "optcond", "decomp"):  # each alone still takes them
+        assert main(["verify", seed3_file, "--which", which, "--cap", "3", "--floor", "1"]) == 0
+
+
 def test_verify_priceceil_keeps_an_explicit_floor(seed3_file, capsys):
     argv = ["verify", seed3_file, "--which", "priceceil", "--ceiling", "1/2"]
     assert main(argv) == 0  # the optimum's floor yields to the ceiling

@@ -23,6 +23,7 @@ from capauction import (
     bid_grid,
     candidate_reports,
     check_poa_bound,
+    cost_table,
     demand_reduction,
     enumerate_scenarios,
     expected_welfare,
@@ -36,6 +37,7 @@ from capauction import (
     welfare_of,
 )
 from capauction import equilibrium
+from capauction.model import ERROR_BEYOND
 
 mv = MarginalVector.of
 
@@ -98,6 +100,21 @@ class TestCandidateReports:
     def test_canonical_order(self):
         candidates = candidate_reports(MARKET, OPEN_FLOOR, firm=0, type_index=0)
         assert list(candidates) == sorted(candidates)
+
+    def test_walk_matches_filter_and_sort(self):
+        rng = random.Random(3)
+        for _ in range(150):
+            m = _mixed_instance(rng, rng.choice((1, 2, 3)), units=(0, 1, 2, 3), zeros=True)
+            levels = sorted({v for f in m.firms for _, t in f.scenarios for v in t.marginals})
+            floor = rng.choice(levels + [F(0), F(5, 4), F(7, 3)])
+            ceiling = rng.choice((None, floor + rng.choice((F(1, 2), F(1), F(8)))))
+            params = AuctionParams(2, floor, ceiling)
+            for i, f in enumerate(m.firms):
+                for t in range(len(f.scenarios)):
+                    for strict in (False, True):
+                        assert candidate_reports(m, params, i, t, strict) == _filtered_candidates(
+                            m, params, i, t, strict
+                        )
 
 
 class TestUtility:
@@ -253,6 +270,39 @@ class TestFindEquilibria:
                 assert br.gain <= 0, (k, firm)
 
 
+def _mixed_instance(rng, firms, units=(1, 1, 2), zeros=False):
+    """Marginals over halves and thirds; two-type firms draw their
+    probabilities over thirds or sevenths, so firms' denominators differ."""
+    low = 0 if zeros else 1
+    distributions = []
+    for _ in range(firms):
+        if rng.random() < 0.4:
+            probabilities = (F(1),)
+        else:
+            den = rng.choice((3, 7))
+            k = rng.randint(1, den - 1)
+            probabilities = (F(k, den), F(den - k, den))
+        distributions.append(FirmDistribution(tuple(
+            (p, mv(*sorted((F(rng.randint(low, 8), rng.choice((1, 2, 3)))
+                            for _ in range(rng.choice(units))), reverse=True)))
+            for p in probabilities
+        )))
+    return MarketInstance(firms=tuple(distributions), cost=quadratic(rng.choice((F(1, 2), 1, F(2, 3)))))
+
+
+def _filtered_candidates(instance, params, firm, type_index, strict):
+    """Every non-increasing grid vector, filtered by no-overbidding, sorted."""
+    truth = instance.firms[firm].scenarios[type_index][1]
+    length = max(v.positive_units for v in instance.firm_valuations(firm))
+    if length == 0:
+        return (MarginalVector(()),)
+    grid = sorted(bid_grid(instance, params), reverse=True)
+    combos = itertools.combinations_with_replacement(grid, length)
+    return tuple(sorted(
+        MarginalVector(c) for c in combos if satisfies_no_overbidding(MarginalVector(c), truth, strict)
+    ))
+
+
 def _type_draws(instance, firm=None, type_index=None):
     """(probability, type indices) of every joint type draw; with `firm`,
     only the draws where it has `type_index`, weighted by the others."""
@@ -384,6 +434,68 @@ class TestAgainstDirectOracle:
                             for r in candidate_reports(m, params, firm, t, strict)
                         ) > 1
         assert ties > 0  # the first-candidate tie-break was exercised
+
+    def test_three_firms_and_mixed_denominators_match(self):
+        # Slot scales differ by firm and epsilon * S_i is rarely an integer,
+        # so the integer test rounds; the search is factored by the firm with
+        # the largest strategy space, which need not be the last.
+        rng = random.Random(8)
+        runs = not_last = exact = 0
+        while runs < 30:
+            m = _mixed_instance(rng, rng.choice((2, 3, 3)))
+            strict = rng.random() < 0.5
+            params = AuctionParams(
+                rng.choice((1, 2)), rng.choice((F(0), F(1, 2), F(4, 3), F(5, 2))), None,
+                rng.choice((HIGHEST_LOSING, LOWEST_WINNING)),
+            )
+            sizes = [
+                math.prod(len(candidate_reports(m, params, i, t, strict)) for t in range(len(f.scenarios)))
+                for i, f in enumerate(m.firms)
+            ]
+            if not 4 <= math.prod(sizes) <= 48:
+                continue
+            runs += 1
+            not_last += len(m.firms) == 3 and max(sizes) > sizes[-1]
+            for epsilon in (F(1, 3), F(1, 7)):
+                report = find_grid_equilibria(m, params, epsilon, strict)
+                profiles, welfares, utilities, searched = _oracle_search(m, params, epsilon, strict)
+                assert report.profiles == tuple(profiles)
+                assert report.welfares == tuple(welfares)
+                assert report.utilities == tuple(utilities)
+                assert report.worst_welfare == (min(welfares) if welfares else None)
+                assert report.searched == searched
+                for profile in profiles:
+                    for firm in range(len(m.firms)):
+                        gains = _oracle_best_response(m, params, profile, firm, strict)[2]
+                        exact += epsilon in gains
+        assert not_last > 0  # three firms, the largest strategy space not last
+        assert exact > 0  # a kept profile where a deviation gains exactly epsilon
+
+    def test_gain_of_exactly_epsilon_is_kept(self):
+        # against truthful firm 2, firm 1 gains exactly 1 by shading
+        assert TRUTHFUL in find_grid_equilibria(MARKET, OPEN_FLOOR, epsilon=1).profiles
+        assert TRUTHFUL not in find_grid_equilibria(MARKET, OPEN_FLOOR, epsilon=F(999, 1000)).profiles
+
+    def test_error_extension_table_covering_sold_quantities(self):
+        # Without a ceiling at most the cap (2) is sold, which the table
+        # covers; the bids' total length (4) is beyond it.
+        m = MarketInstance(
+            firms=(
+                FirmDistribution.point_mass(mv(5, 4)),
+                FirmDistribution.of((F(1, 2), mv(6, 5)), (F(1, 2), mv(3))),
+            ),
+            cost=cost_table(1, 2, extension=ERROR_BEYOND),
+        )
+        with pytest.raises(ValidationError, match="quantity 4 beyond cost table"):
+            m.cost.cost(4)
+        params = AuctionParams(2, 0, None, HIGHEST_LOSING)
+        report = find_grid_equilibria(m, params, F(1, 3))
+        profiles, welfares, utilities, searched = _oracle_search(m, params, F(1, 3), False)
+        assert (report.searched, len(report.profiles), report.worst_welfare) == (252, 32, F(13, 2))
+        assert report.profiles == tuple(profiles)
+        assert report.welfares == tuple(welfares)
+        assert report.utilities == tuple(utilities)
+        assert report.searched == searched
 
 
 class TestPerScenarioSafety:

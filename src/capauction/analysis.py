@@ -27,10 +27,10 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import getitem
+from typing import NamedTuple
 
 from .auction import (
     AuctionParams,
@@ -52,16 +52,15 @@ from .model import (
 )
 
 DEFAULT_SCENARIO_LIMIT = 100_000
+DEFAULT_PROFILE_LIMIT = 200_000  # grid profiles an equilibrium search may enumerate
 
 
-@dataclass(frozen=True)
-class ScenarioRow:
+class ScenarioRow(NamedTuple):
     probability: Fraction
     valuations: tuple[MarginalVector, ...]
 
 
-@dataclass(frozen=True)
-class ScenarioTable:
+class ScenarioTable(NamedTuple):
     rows: tuple[ScenarioRow, ...]
 
     def __len__(self) -> int:
@@ -235,16 +234,14 @@ def expected_welfare(analysis: Analysis, params: AuctionParams) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     cap: int | None
     floor: Fraction
     ceiling: Fraction | None
     expected_welfare: Fraction
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(NamedTuple):
     params: AuctionParams
     expected_welfare: Fraction
     searched: int

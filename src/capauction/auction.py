@@ -10,8 +10,9 @@ cap) and the truthful sell-to-one-firm mechanism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import (
     ZERO,
@@ -33,39 +34,40 @@ FLOOR_BINDS = "floor-binds"
 CAP_BINDS = "cap-binds"
 
 
-@dataclass(frozen=True)
-class AuctionParams:
+class AuctionParams(namedtuple("AuctionParams", "cap floor ceiling pricing")):
     """Cap, price floor, price ceiling, and pricing rule.
 
     `cap=None` means unlimited quantity; `ceiling=None` means no ceiling.
-    The ceiling must exceed the floor strictly.
+    The ceiling must exceed the floor strictly. The floor and ceiling are
+    coerced with `rat`.
     """
 
-    cap: int | None
-    floor: Fraction
-    ceiling: Fraction | None = None
-    pricing: str = LOWEST_WINNING
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "floor", rat(self.floor))
-        if self.ceiling is not None:
-            object.__setattr__(self, "ceiling", rat(self.ceiling))
-        if self.cap is not None and (isinstance(self.cap, bool) or not isinstance(self.cap, int)):
-            raise ValidationError(f"cap must be an integer or None, got {self.cap!r}")
-        if self.cap is not None and self.cap < 1:
-            raise ValidationError(f"cap must be at least 1, got {self.cap}")
-        if self.floor < 0:
-            raise ValidationError(f"price floor must be non-negative, got {self.floor}")
-        if self.ceiling is not None and self.ceiling <= self.floor:
-            raise ValidationError(
-                f"price ceiling {self.ceiling} must exceed floor {self.floor}"
-            )
-        if self.pricing not in PRICING_RULES:
-            raise ValidationError(f"unknown pricing rule {self.pricing!r}")
+    def __new__(
+        cls,
+        cap: int | None,
+        floor: Fraction,
+        ceiling: Fraction | None = None,
+        pricing: str = LOWEST_WINNING,
+    ):
+        floor = rat(floor)
+        if ceiling is not None:
+            ceiling = rat(ceiling)
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int)):
+            raise ValidationError(f"cap must be an integer or None, got {cap!r}")
+        if cap is not None and cap < 1:
+            raise ValidationError(f"cap must be at least 1, got {cap}")
+        if floor < 0:
+            raise ValidationError(f"price floor must be non-negative, got {floor}")
+        if ceiling is not None and ceiling <= floor:
+            raise ValidationError(f"price ceiling {ceiling} must exceed floor {floor}")
+        if pricing not in PRICING_RULES:
+            raise ValidationError(f"unknown pricing rule {pricing!r}")
+        return super().__new__(cls, cap, floor, ceiling, pricing)
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """Realized allocation, uniform price, and which constraint bound."""
 
     allocation: tuple[int, ...]
@@ -79,27 +81,13 @@ class Outcome:
         return sum(self.allocation)
 
 
-def run_auction(
+def clear(
     params: AuctionParams,
     bids: list[MarginalVector] | tuple[MarginalVector, ...],
-    cost: CostCurve,
-    true_values: list[MarginalVector] | tuple[MarginalVector, ...] | None = None,
-) -> Outcome:
-    """Clear the auction on reported bids; value welfare at true curves.
-
-    Allocation and price depend only on the bids; welfare is evaluated at
-    `true_values` (defaults to the bids, i.e. truthful reporting), which is
-    what strategic analysis needs.
-    """
-    bids = tuple(bids)
+) -> tuple[tuple[int, ...], Fraction, str]:
+    """Allocation, uniform unit price and binding case on reported bids."""
     for i, b in enumerate(bids):
         b.require_valid(f"bids[{i}]")
-    truths = bids if true_values is None else tuple(true_values)
-    if len(truths) != len(bids):
-        raise ValidationError(
-            f"{len(truths)} true valuations for {len(bids)} bid vectors"
-        )
-
     cap = params.cap
     ceiling_demand = [b.demand(params.ceiling) for b in bids]
     if cap is not None and sum(ceiling_demand) >= cap:
@@ -131,14 +119,34 @@ def run_auction(
                 losing = units[cap][0] if len(units) > cap else ZERO
                 price = max(params.floor, losing)
             case = CAP_BINDS
+    return allocation, price, case
 
-    quantity = sum(allocation)
+
+def run_auction(
+    params: AuctionParams,
+    bids: list[MarginalVector] | tuple[MarginalVector, ...],
+    cost: CostCurve,
+    true_values: list[MarginalVector] | tuple[MarginalVector, ...] | None = None,
+) -> Outcome:
+    """Clear the auction on reported bids; value welfare at true curves.
+
+    Allocation and price depend only on the bids (see `clear`); welfare is
+    evaluated at `true_values` (defaults to the bids, i.e. truthful
+    reporting).
+    """
+    bids = tuple(bids)
+    allocation, price, case = clear(params, bids)
+    truths = bids if true_values is None else tuple(true_values)
+    if len(truths) != len(bids):
+        raise ValidationError(
+            f"{len(truths)} true valuations for {len(bids)} bid vectors"
+        )
     return Outcome(
         allocation=allocation,
         unit_price=price,
         case=case,
         welfare=welfare_of(truths, allocation, cost),
-        revenue=price * quantity,
+        revenue=price * sum(allocation),
     )
 
 
@@ -171,8 +179,7 @@ def price_candidates(instance: MarketInstance) -> tuple[Fraction, ...]:
     return tuple(sorted(values))
 
 
-@dataclass(frozen=True)
-class SingleBuyerOutcome:
+class SingleBuyerOutcome(NamedTuple):
     """Result of the truthful sell-to-one-firm mechanism.
 
     The winner is the firm whose standalone surplus max_x {V(x) - Q(x)} is

@@ -8,8 +8,8 @@ inequality; a failure is a finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .analysis import (
     Analysis,
@@ -39,16 +39,15 @@ DEGENERATE = "degenerate"
 SINGLE_BUYER_COVER_CONSTANT = 26
 
 
-@dataclass
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """One checked inequality, normalized to lhs >= rhs."""
 
     name: str
     lhs: Fraction
     rhs: Fraction
     holds: bool | None
-    status: str = CHECKED
-    witness: dict = field(default_factory=dict)
+    status: str
+    witness: dict
 
     @property
     def margin(self) -> Fraction:
@@ -150,19 +149,7 @@ def verify_price_gap(cost: CostCurve, quantity: int, units: int) -> BoundCertifi
     )
 
 
-def price_gap_at_half(cost: CostCurve, quantity: int) -> Fraction:
-    """Half the quantity times the safe-price drop from halving it.
-
-    Non-negative by convexity; zero for linear cost.
-    """
-    if quantity < 1:
-        raise ValidationError(f"quantity must be at least 1, got {quantity}")
-    half = Fraction(quantity, 2)
-    return half * (safe_price(cost, quantity) - average_cost(cost, half))
-
-
-@dataclass(frozen=True)
-class DecompositionRow:
+class DecompositionRow(NamedTuple):
     probability: Fraction
     valuations: tuple[MarginalVector, ...]
     allocation: tuple[int, ...]
@@ -172,8 +159,7 @@ class DecompositionRow:
     below: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     """Welfare of a no-ceiling auction split into three exact terms.
 
     `sell_out_term` collects scenarios whose demand reaches the cap;

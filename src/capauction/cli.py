@@ -12,8 +12,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import bounds as bounds_mod
 from .analysis import (
+    DEFAULT_PROFILE_LIMIT,
     DEFAULT_SCENARIO_LIMIT,
     Analysis,
     optimize_cap_and_price,
@@ -27,17 +27,12 @@ from .auction import (
     run_auction,
     safe_price,
 )
-from .equilibrium import (
-    DEFAULT_PROFILE_LIMIT,
-    check_poa_bound,
-    find_grid_equilibria,
-)
 from .instances import NAMED_INSTANCES, generate, named_instance
 from .io import (
     format_decimal,
     format_rational,
     load_instance,
-    rational_columns,
+    rational_cells,
     save_instance,
     write_csv,
 )
@@ -77,6 +72,8 @@ def _cap_and_floor(args, analysis: Analysis) -> tuple[int | None, Fraction]:
 
 
 def _emit(args, header, rows) -> None:
+    """Write the report if --out asks for it; `rows` is a generator, so
+    rows are formatted only then."""
     if args.out:
         write_csv(args.out, header, rows)
         print(f"report written to {args.out}")
@@ -91,35 +88,31 @@ def cmd_evaluate(args) -> int:
         pricing=args.pricing,
     )
     analysis = Analysis(instance, args.scenario_limit)
-    header = ["scenario"]
-    cols0 = None
-    rows = []
+    scenarios = analysis.table.rows
+    outcomes = [run_auction(params, row.valuations, instance.cost) for row in scenarios]
     welfare_total = Fraction(0)
     revenue_total = Fraction(0)
-    for idx, row in enumerate(analysis.table.rows):
-        outcome = run_auction(params, row.valuations, instance.cost)
+    for row, outcome in zip(scenarios, outcomes):
         welfare_total += row.probability * outcome.welfare
         revenue_total += row.probability * outcome.revenue
-        cols = (
-            rational_columns("probability", row.probability)
-            + [("allocation", "|".join(str(x) for x in outcome.allocation))]
-            + rational_columns("unit_price", outcome.unit_price)
-            + [("case", outcome.case)]
-            + rational_columns("welfare", outcome.welfare)
-            + rational_columns("revenue", outcome.revenue)
-        )
-        if cols0 is None:
-            cols0 = [name for name, _ in cols]
-            header += cols0
-        rows.append([str(idx)] + [value for _, value in cols])
 
     print(f"instance: {instance.label or args.instance}")
-    print(f"scenarios: {len(analysis.table.rows)}")
+    print(f"scenarios: {len(scenarios)}")
     print(f"expected welfare: {_fmt(welfare_total)}")
     print(f"expected revenue: {_fmt(revenue_total)}")
     if params.cap is not None:
         q = sell_out_probability(analysis, params)
         print(f"sell-out probability: {_fmt(q)}")
+    header = [
+        "scenario", "probability", "probability_dec", "allocation", "unit_price",
+        "unit_price_dec", "case", "welfare", "welfare_dec", "revenue", "revenue_dec",
+    ]
+    rows = (
+        [str(idx), *rational_cells(row.probability), "|".join(map(str, outcome.allocation)),
+         *rational_cells(outcome.unit_price), outcome.case, *rational_cells(outcome.welfare),
+         *rational_cells(outcome.revenue)]
+        for idx, (row, outcome) in enumerate(zip(scenarios, outcomes))
+    )
     _emit(args, header, rows)
     return 0
 
@@ -141,21 +134,18 @@ def cmd_optimize(args) -> int:
     print(f"  ceiling: {_fmt(p.ceiling)}")
     print(f"  expected welfare: {_fmt(result.expected_welfare)}")
     header = ["cap", "floor", "floor_dec", "ceiling", "ceiling_dec", "welfare", "welfare_dec"]
-    rows = []
-    for cand in result.table:
-        row = [str(cand.cap)]
-        for _, v in rational_columns("floor", cand.floor):
-            row.append(v)
-        for _, v in rational_columns("ceiling", cand.ceiling):
-            row.append(v)
-        for _, v in rational_columns("welfare", cand.expected_welfare):
-            row.append(v)
-        rows.append(row)
+    rows = (
+        [str(cand.cap), *rational_cells(cand.floor), *rational_cells(cand.ceiling),
+         *rational_cells(cand.expected_welfare)]
+        for cand in result.table
+    )
     _emit(args, header, rows)
     return 0
 
 
 def cmd_equilibrium(args) -> int:
+    from .equilibrium import check_poa_bound, find_grid_equilibria
+
     instance = load_instance(args.instance)
     cap = _parse_cap(args.cap)
     if cap is None:
@@ -183,14 +173,14 @@ def cmd_equilibrium(args) -> int:
         print(f"bound holds: {poa.holds} ({poa.status})")
     header = ["profile", "firm", "type", "bid", "utility", "utility_dec", "welfare", "welfare_dec"]
 
-    def rows():  # formatted only when a report is written
+    def rows():
         for k, (profile, w) in enumerate(zip(report.profiles, report.welfares)):
-            welfare = [format_rational(w), format_decimal(w)]
+            welfare = rational_cells(w)
             for i, per_type in enumerate(profile.reports):
                 for t, report_vec in enumerate(per_type):
                     bid = "|".join(format_rational(v) for v in report_vec.marginals)
                     u = report.utilities[k][i][t]
-                    yield [str(k), str(i), str(t), bid, format_rational(u), format_decimal(u)] + welfare
+                    yield [str(k), str(i), str(t), bid, *rational_cells(u), *welfare]
 
     _emit(args, header, rows())
     return 0
@@ -220,6 +210,8 @@ def _certificate_rows(certs) -> list[list[str]]:
 
 
 def cmd_verify(args) -> int:
+    from . import bounds
+
     which = args.which
     if which in ("thmq", "main", "all") and (args.cap is not None or args.floor is not None):
         certifies = "runs thmq and main, which certify" if which == "all" else "certifies"
@@ -237,29 +229,30 @@ def cmd_verify(args) -> int:
         if ceiling <= floor and args.floor is None:
             floor = grid[0]  # only a defaulted floor yields; AuctionParams rejects an explicit one
         certs.append(
-            bounds_mod.verify_ceiling_removal(analysis, AuctionParams(cap, floor, ceiling))
+            bounds.verify_ceiling_removal(analysis, AuctionParams(cap, floor, ceiling))
         )
     if which in ("optcond", "all"):
         cap, floor = _cap_and_floor(args, analysis)
-        certs.append(bounds_mod.verify_sellout_conditional(analysis, AuctionParams(cap, floor)))
+        certs.append(bounds.verify_sellout_conditional(analysis, AuctionParams(cap, floor)))
     if which in ("unsafe", "all"):
         limit = args.cap_limit or 20
         worst = None
         for quantity in range(1, limit + 1):
             for units in range(quantity + 1):
-                cert = bounds_mod.verify_price_gap(instance.cost, quantity, units)
+                cert = bounds.verify_price_gap(instance.cost, quantity, units)
                 if worst is None or cert.margin < worst.margin:
                     worst = cert
         certs.append(worst)
     if which in ("decomp", "all"):
         cap, floor = _cap_and_floor(args, analysis)
-        report = bounds_mod.decompose_welfare(analysis, cap, floor)
+        report = bounds.decompose_welfare(analysis, cap, floor)
         certs.append(
-            bounds_mod.BoundCertificate(
+            bounds.BoundCertificate(
                 name="three-term-decomposition",
                 lhs=report.term_sum,
                 rhs=report.total_welfare,
                 holds=report.bounded,
+                status=bounds.CHECKED,
                 witness={
                     "cap": cap,
                     "floor": format_rational(report.floor),
@@ -269,11 +262,11 @@ def cmd_verify(args) -> int:
                 },
             )
         )
-        certs.extend(bounds_mod.verify_decomposition_bounds(analysis, cap, floor, report))
+        certs.extend(bounds.verify_decomposition_bounds(analysis, cap, floor, report))
     if which in ("thmq", "all"):
-        certs.append(bounds_mod.verify_sellout_factor(analysis))
+        certs.append(bounds.verify_sellout_factor(analysis))
     if which in ("main", "all"):
-        certs.extend(bounds_mod.verify_single_buyer_cover(analysis))
+        certs.extend(bounds.verify_single_buyer_cover(analysis))
 
     print(f"instance: {instance.label or args.instance}")
     failed = 0

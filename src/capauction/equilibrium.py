@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .analysis import Analysis, expected_welfare
-from .auction import AuctionParams, run_auction, safe_price
+from .analysis import DEFAULT_PROFILE_LIMIT, Analysis, expected_welfare
+from .auction import AuctionParams, clear, safe_price
 from .model import (
     ZERO,
     CostCurve,
@@ -52,8 +52,6 @@ from .model import (
     rat,
 )
 
-DEFAULT_PROFILE_LIMIT = 200_000
-
 # Imported constant-factor guarantee for uniform-price equilibria: worst
 # equilibrium welfare of a safe-price auction is at least baseline/3.15.
 POA_FACTOR = Fraction(20, 63)  # exactly 1/3.15
@@ -61,8 +59,7 @@ POA_FACTOR = Fraction(20, 63)  # exactly 1/3.15
 _Profile = tuple[tuple[int, ...], ...]  # bid vector ids per firm per type
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
+class StrategyProfile(NamedTuple):
     """Reported vector per firm per type index."""
 
     reports: tuple[tuple[MarginalVector, ...], ...]
@@ -71,8 +68,7 @@ class StrategyProfile:
         return self.reports[firm][type_index]
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(NamedTuple):
     params: AuctionParams
     epsilon: Fraction
     profiles: tuple[StrategyProfile, ...]
@@ -259,9 +255,8 @@ class _GridGame:
         """Allocation and price times L of the auction on these bids."""
         got = self._outcomes.get(bids)
         if got is None:
-            outcome = run_auction(self.params, self.vectors(bids), self.instance.cost)
-            price = outcome.unit_price
-            got = (outcome.allocation, price.numerator * (self.scale // price.denominator))
+            allocation, price, _ = clear(self.params, self.vectors(bids))
+            got = (allocation, price.numerator * (self.scale // price.denominator))
             self._outcomes[bids] = got
         return got
 
@@ -345,8 +340,7 @@ def utility(
     return Fraction(game.utility(firm, type_index, ids[firm][type_index], ids), game.slot_scale[firm])
 
 
-@dataclass(frozen=True)
-class BestResponse:
+class BestResponse(NamedTuple):
     firm: int
     per_type: tuple[MarginalVector, ...]
     per_type_utility: tuple[Fraction, ...]
@@ -472,8 +466,7 @@ def find_grid_equilibria(
     )
 
 
-@dataclass(frozen=True)
-class PoACheck:
+class PoACheck(NamedTuple):
     """Worst equilibrium welfare versus the truthful-welfare guarantee."""
 
     holds: bool

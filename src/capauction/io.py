@@ -8,7 +8,6 @@ Fraction) and a 12-place decimal for reading.
 
 from __future__ import annotations
 
-import csv
 import json
 from collections.abc import Iterable
 from fractions import Fraction
@@ -178,14 +177,16 @@ def load_instance(path: str | Path, check: bool = True) -> MarketInstance:
     return instance
 
 
-def rational_columns(name: str, value: Fraction | None) -> list[tuple[str, str]]:
-    """Column pair for one rational: exact and decimal rendering."""
+def rational_cells(value: Fraction | None) -> list[str]:
+    """Exact and decimal rendering of one rational; "inf" twice for None."""
     if value is None:
-        return [(name, "inf"), (f"{name}_dec", "inf")]
-    return [(name, format_rational(value)), (f"{name}_dec", format_decimal(value))]
+        return ["inf", "inf"]
+    return [format_rational(value), format_decimal(value)]
 
 
 def write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) -> None:
+    import csv  # only commands that write a report need it
+
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)

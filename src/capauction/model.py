@@ -10,9 +10,8 @@ rational statements and must not be blurred by floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 
 class MarketError(Exception):
@@ -50,8 +49,7 @@ def rat(value: Rational) -> Fraction:
     raise ValidationError(f"not an exact rational: {value!r} (floats are not accepted)")
 
 
-@dataclass(frozen=True, order=True)
-class MarginalVector:
+class MarginalVector(NamedTuple):
     """A firm's valuation as non-increasing per-license marginal values.
 
     The value of x licenses is the prefix sum of the first x entries;
@@ -122,8 +120,7 @@ REPEAT_LAST = "repeat-last"
 ERROR_BEYOND = "error"
 
 
-@dataclass(frozen=True)
-class QuadraticCost:
+class QuadraticCost(NamedTuple):
     """Social cost a*x^2; marginal cost a*(2x-1) is automatically non-decreasing."""
 
     a: Fraction
@@ -139,8 +136,7 @@ class QuadraticCost:
         return []
 
 
-@dataclass(frozen=True)
-class MarginalCostTable:
+class MarginalCostTable(NamedTuple):
     """Social cost via an explicit non-decreasing marginal-cost table.
 
     Quantities past the end either repeat the last marginal (linear tail)
@@ -212,8 +208,7 @@ def average_cost(cost: CostCurve, quantity: Fraction) -> Fraction:
     return interpolated_cost(cost, quantity) / quantity
 
 
-@dataclass(frozen=True)
-class FirmDistribution:
+class FirmDistribution(NamedTuple):
     """A firm's private valuation, drawn from a finite scenario list."""
 
     scenarios: tuple[tuple[Fraction, MarginalVector], ...]
@@ -245,8 +240,7 @@ class FirmDistribution:
 JointRow = tuple[Fraction, tuple[MarginalVector, ...]]
 
 
-@dataclass(frozen=True)
-class MarketInstance:
+class MarketInstance(NamedTuple):
     """Per-firm valuation distributions plus the shared social cost curve.
 
     Firms are independent (product form) unless `joint` is given, in which

@@ -1,6 +1,7 @@
 """The capped uniform-price rule, safe-price construction, single buyer."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from capauction import (
     MarginalVector,
     ValidationError,
     best_own_quantity,
+    clear,
     combined_valuation,
     cost_table,
     demand_reduction,
@@ -26,6 +28,7 @@ from capauction import (
     run_auction,
     safe_price,
     single_buyer_mechanism,
+    welfare_of,
 )
 
 mv = MarginalVector.of
@@ -211,6 +214,47 @@ class TestCasePartition:
         assert run_auction(params, bids, quadratic(1)) == run_auction(
             params, bids, quadratic(1)
         )
+
+
+def _random_vector(rng: random.Random, top: int) -> MarginalVector:
+    values = sorted((F(rng.randint(0, 2 * top), rng.choice((1, 2))) for _ in range(rng.randint(0, 4))),
+                    reverse=True)
+    return MarginalVector(tuple(values))
+
+
+class TestClear:
+    def test_matches_run_auction(self):
+        """`clear` against the oracle on random 1-3-firm markets, both
+        pricing rules, with and without caps and ceilings; welfare is
+        valued at separate true curves, as a strategic search does."""
+        rng = random.Random(12)
+        cases = set()
+        for _ in range(400):
+            firms = rng.randint(1, 3)
+            bids = [_random_vector(rng, 6) for _ in range(firms)]
+            truths = [_random_vector(rng, 6) for _ in range(firms)]
+            cap = rng.choice((None, 1, 2, 3, 5, 8))
+            floor = F(rng.randint(0, 12), rng.choice((1, 2)))
+            ceiling = rng.choice((None, floor + F(rng.randint(1, 8), rng.choice((1, 3)))))
+            params = AuctionParams(cap, floor, ceiling, rng.choice((LOWEST_WINNING, HIGHEST_LOSING)))
+            cost = rng.choice((quadratic(F(1, 2)), cost_table(1, 2, 2, 5)))
+            allocation, price, case = clear(params, bids)
+            out = run_auction(params, bids, cost, truths)
+            assert (allocation, price, case) == (out.allocation, out.unit_price, out.case)
+            assert out.welfare == welfare_of(truths, allocation, cost)
+            assert out.revenue == price * sum(allocation)
+            assert run_auction(params, bids, cost).welfare == welfare_of(bids, allocation, cost)
+            cases.add((case, params.pricing, cap is None, ceiling is None))
+        assert {case for case, *_ in cases} == {CAP_BINDS, CEILING_BINDS, FLOOR_BINDS}
+        assert len(cases) >= 12
+
+    def test_rejects_the_bids_run_auction_rejects(self):
+        bids = (mv(3, 1), MarginalVector((F(1), F(2))))
+        with pytest.raises(ValidationError) as direct:
+            clear(AuctionParams(2, 0), bids)
+        with pytest.raises(ValidationError) as oracle:
+            run_auction(AuctionParams(2, 0), bids, quadratic(1))
+        assert str(direct.value) == str(oracle.value) == "bids[1]: not non-increasing at index 1"
 
 
 class TestSingleBuyer:

@@ -87,7 +87,7 @@ def test_verify_rejects_unusable_parameters(demand_reduction_file, capsys, optio
 def test_equilibrium_honours_scenario_limit(tmp_path, capsys, monkeypatch):
     path = tmp_path / "instance.json"
     save_instance(generate(0), path)  # 2 firms x 2 scenarios
-    monkeypatch.setattr(cli, "find_grid_equilibria", None)  # must not be reached
+    monkeypatch.setattr(equilibrium, "find_grid_equilibria", None)  # must not be reached
     argv = ["equilibrium", str(path), "--cap", "2", "--floor", "4", "--scenario-limit", "1"]
     assert main(argv) == 2
     assert "scenario product has 4 rows, limit 1" in capsys.readouterr().err

@@ -3,8 +3,11 @@
 Each instance below runs every case in CASES from a scratch directory, and
 the result must equal tests/golden/<instance>.json byte for byte. The
 `equilibrium` command runs once per entry of EQUILIBRIUM_CASES, each on its
-own instance and options, recorded in tests/golden/equilibrium.json. After a
-change that is meant to alter output, re-record with
+own instance and options, recorded in tests/golden/equilibrium.json.
+COMMAND_CASES (`examples` and `generate` with the instance file each writes)
+and LIMIT_CASES (exit 2 over --scenario-limit) are recorded in
+tests/golden/commands.json. After a change that is meant to alter output,
+re-record with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -88,22 +91,49 @@ EQUILIBRIUM_CASES = {
 }
 
 
-def run_case(directory: Path, instance: MarketInstance, argv: list[str]) -> dict:
-    """Run one command in `directory` with relative paths, so no path varies."""
-    command, *options = argv
+# Commands that write an instance file, each given `--out instance.json`;
+# the short horizon exits 1 and writes nothing.
+COMMAND_CASES = {
+    "examples-demand-reduction": ["examples", "demand-reduction"],
+    "examples-logscale": ["examples", "logscale", "-n", "3"],
+    "examples-first-best": ["examples", "first-best", "-n", "2", "--horizon", "10"],
+    "examples-first-best-short-horizon": ["examples", "first-best", "-n", "3", "--horizon", "4"],
+    "generate-quadratic": ["generate", "--seed", "7"],
+    "generate-marginals": [
+        "generate", "--seed", "7", "--firms", "3", "--scenarios", "3", "--max-units", "3",
+        "--value-range", "2", "9", "--cost-kind", "marginals",
+    ],
+}
+
+# Resource limits that fail before any work: exit 2, no report.
+LIMIT_CASES = {
+    "optimize-scenario-limit": (generate(0), ["optimize", "--scenario-limit", "3"]),
+    "verify-scenario-limit": (JOINT, ["verify", "--scenario-limit", "2"]),
+}
+
+
+def run_in(directory: Path, argv: list[str], written: str) -> dict:
+    """Run one command in `directory` with relative paths, so no path varies.
+    `written` is the --out file; its text is recorded under its suffix."""
     previous = Path.cwd()
     os.chdir(directory)
     try:
-        Path("report.csv").unlink(missing_ok=True)
-        save_instance(instance, "instance.json")
+        path = Path(written)
+        path.unlink(missing_ok=True)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main([command, "instance.json", *options, "--out", "report.csv"])
-        csv_path = Path("report.csv")
-        csv_text = csv_path.read_text(encoding="utf-8") if csv_path.exists() else None
+            rc = main([*argv, "--out", written])
+        text = path.read_text(encoding="utf-8") if path.exists() else None
     finally:
         os.chdir(previous)
-    return {"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue(), "csv": csv_text}
+    return {"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue(), path.suffix[1:]: text}
+
+
+def run_case(directory: Path, instance: MarketInstance, argv: list[str]) -> dict:
+    """Run one command on `instance`, saved as instance.json, with its CSV report."""
+    command, *options = argv
+    save_instance(instance, directory / "instance.json")
+    return run_in(directory, [command, "instance.json", *options], "report.csv")
 
 
 def recorded(name: str) -> dict:
@@ -136,6 +166,31 @@ def test_recorded_equilibrium_exit_codes():
     assert "bound holds: True" in golden["demand-reduction-safe"]["stdout"]
 
 
+@pytest.mark.parametrize("case", sorted(COMMAND_CASES))
+def test_written_instance_matches_recording(tmp_path, case):
+    assert run_in(tmp_path, COMMAND_CASES[case], "instance.json") == recorded("commands")[case]
+
+
+@pytest.mark.parametrize("case", sorted(LIMIT_CASES))
+def test_limit_output_matches_recording(tmp_path, case):
+    instance, argv = LIMIT_CASES[case]
+    assert run_case(tmp_path, instance, argv) == recorded("commands")[case]
+
+
+def test_recorded_command_exit_codes():
+    golden = recorded("commands")
+    assert sorted(golden) == sorted({**COMMAND_CASES, **LIMIT_CASES})
+    short = golden.pop("examples-first-best-short-horizon")
+    assert short["rc"] == 1 and short["json"] is None
+    assert short["stderr"] == "error: horizon 4 cuts into the largest scenario's surplus range\n"
+    for case in COMMAND_CASES.keys() & golden.keys():
+        assert golden[case]["rc"] == 0 and golden[case]["json"] is not None, case
+    for case in LIMIT_CASES:
+        assert golden[case]["rc"] == 2 and golden[case]["csv"] is None, case
+        assert golden[case]["stdout"] == "", case
+        assert golden[case]["stderr"].startswith("resource limit: "), case
+
+
 def test_joint_instance_has_no_single_buyer_cover():
     result = recorded("joint-3")["verify-all"]
     assert result["rc"] == 1 and result["stdout"] == "" and result["csv"] is None
@@ -154,6 +209,16 @@ if __name__ == "__main__":
         recordings["equilibrium"] = {
             case: run_case(Path(scratch), instance, ["equilibrium", *options])
             for case, (instance, options) in EQUILIBRIUM_CASES.items()
+        }
+        recordings["commands"] = {
+            **{
+                case: run_in(Path(scratch), argv, "instance.json")
+                for case, argv in COMMAND_CASES.items()
+            },
+            **{
+                case: run_case(Path(scratch), instance, argv)
+                for case, (instance, argv) in LIMIT_CASES.items()
+            },
         }
     for name, results in recordings.items():
         text = json.dumps(results, indent=1, sort_keys=True) + "\n"

@@ -30,7 +30,7 @@ _EXPORTS = {
         "BoundCertificate", "DecompositionReport", "decompose_welfare", "halves",
         "verify_ceiling_removal", "verify_decomposition_bounds", "verify_price_gap",
         "verify_sellout_conditional", "verify_sellout_factor",
-        "verify_single_buyer_cover",
+        "verify_single_buyer_cover", "worst_price_gap",
     ),
     "equilibrium": (
         "POA_FACTOR", "BestResponse", "EquilibriumReport", "PoACheck",

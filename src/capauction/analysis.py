@@ -15,11 +15,15 @@ positive ones when p <= 0) and no ceiling meaning D_s(ceiling) = 0,
 
 and q = D_s(floor) for an unbounded cap, which ignores the ceiling.
 `Analysis` is the one truthful path per instance: it enumerates the
-scenarios once and keeps D_s and p_s * W_s(q) per scenario, and every
-function here and in `bounds` reads from it. Sweeps, sell-out
-probabilities and demand quantiles are lookups on those arrays.
-`expected_welfare`, which clears every scenario with `auction.run_auction`,
-is the reference oracle the lookups are tested against.
+scenarios once and keeps D_s, p_s * W_s(q) and each cap's safe price, and
+every function here and in `bounds` reads from it. Sweeps
+(`optimize_cap_and_price`, `optimize_safe`, `safe_welfare_table`), single
+auctions (`Analysis.welfare`), sell-out probabilities and demand quantiles are lookups on those arrays; `single_buyer_expected`
+and `first_best_expected` read its scenario table and solve each
+valuation against the cost curve. `expected_welfare`, which clears every
+scenario with `auction.run_auction`, is the reference oracle the lookups
+are tested against; in the package only `equilibrium.check_poa_bound`
+still calls it.
 """
 
 from __future__ import annotations
@@ -29,18 +33,16 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import getitem
+from operator import attrgetter, getitem
 from typing import NamedTuple
 
 from .auction import (
     AuctionParams,
     LOWEST_WINNING,
     best_own_quantity,
-    make_safe_auction,
     price_candidates,
     run_auction,
     safe_price,
-    single_buyer_mechanism,
 )
 from .model import (
     ZERO,
@@ -141,6 +143,7 @@ class Analysis:
             for row in self.table.rows
         ]
         self._demands: dict[Fraction, list[int]] = {}
+        self._safe_prices: dict[int, Fraction] = {}
         self._reach = -1  # rows cover quantities up to min(len(pool), _reach)
         self._nums: list[list[int]] = []
         self._den = 1
@@ -156,20 +159,20 @@ class Analysis:
             self._demands[price] = demands
         return demands
 
-    def _tabulate(self, largest_cap: int | None) -> None:
-        """Make the p_s * W_s(q) rows cover every quantity a sweep can sell.
+    def _tabulate(self, reach: int | None) -> None:
+        """Make the p_s * W_s(q) rows cover every quantity up to `reach`.
 
-        `largest_cap` is the largest cap swept, or None when some candidate
-        is uncapped or has a ceiling (either can sell a scenario's whole
-        demand). Cost is tabulated no further, and a cost curve undefined
-        that far raises here, before any candidate is evaluated. Call once
-        per sweep: the rows are rebuilt only when they must grow.
+        `reach` is the largest quantity a caller can sell, or None for every
+        scenario's whole demand (an uncapped or ceiled sweep can sell it).
+        Cost is tabulated no further, and a cost curve undefined that far
+        raises here, before any welfare is read. The rows are rebuilt only
+        when they must grow.
         """
-        reach = math.inf if largest_cap is None else largest_cap
+        reach = self.max_demand if reach is None else min(reach, self.max_demand)
         if reach <= self._reach:
             return
         tops = [min(len(pool), reach) for pool in self._pools]
-        cost = [self.instance.cost.cost(q) for q in range(max(tops, default=0) + 1)]
+        cost = [self.instance.cost.cost(q) for q in range(reach + 1)]
         scale = math.lcm(self._scale, *(c.denominator for c in cost))
         up = scale // self._scale
         cost = [c.numerator * (scale // c.denominator) for c in cost]
@@ -185,7 +188,7 @@ class Analysis:
     def welfare(self, cap: int | None, floor: Fraction, ceiling: Fraction | None = None) -> Fraction:
         """Equals expected_welfare(self, AuctionParams(cap, floor, ceiling)).
 
-        The rows must cover the quantities sold (see `_tabulate`).
+        Tabulates no further than the largest quantity this auction sells.
         """
         at_floor = self.demand(floor)
         if cap is None:
@@ -197,6 +200,7 @@ class Analysis:
                 c if c >= cap else (d if d < cap else cap)
                 for c, d in zip(self.demand(ceiling), at_floor)
             ]
+        self._tabulate(max(sold, default=0))
         return Fraction(sum(map(getitem, self._nums, sold)), self._den)
 
     def sold_out_welfare(self, cap: int, floor: Fraction) -> Fraction:
@@ -208,13 +212,20 @@ class Analysis:
             self._den,
         )
 
+    def safe_price(self, cap: int) -> Fraction:
+        """`auction.safe_price` of the instance's cost, memoized per cap."""
+        price = self._safe_prices.get(cap)
+        if price is None:
+            price = self._safe_prices[cap] = safe_price(self.instance.cost, cap)
+        return price
+
     def safe_welfare(self, cap: int) -> Fraction:
         """Expected welfare of the safe-price auction with this cap; 0 for
         cap 0, the convention used when a bound halves an odd cap."""
         if cap == 0:
             return ZERO
         self._tabulate(cap)
-        return self.welfare(cap, safe_price(self.instance.cost, cap))
+        return self.welfare(cap, self.safe_price(cap))
 
     @cached_property
     def no_ceiling_optimum(self) -> OptResult:
@@ -248,50 +259,46 @@ class OptResult(NamedTuple):
     table: tuple[Candidate, ...]
 
 
-def _preference_key(welfare: Fraction, cap: int, floor: Fraction, ceiling: Fraction | None):
-    # Maximize welfare; ties prefer smaller cap, then larger floor, then
-    # larger ceiling (no ceiling counts as the largest).
-    ceiling_rank = (1, ZERO) if ceiling is None else (0, ceiling)
-    return (welfare, -cap, floor, ceiling_rank)
-
-
 def optimize_cap_and_price(analysis: Analysis, allow_ceiling: bool = True) -> OptResult:
     """Exhaustive exact search for the welfare-best cap and price band.
 
     The price grid is welfare-exhaustive (see price_candidates), and a
     sentinel cap one above the search bound stands in for every larger cap,
     so the reported maximum is the true optimum over all parameter choices,
-    not a discretization of it. Candidates come cap by cap, floors ascending.
+    not a discretization of it. Candidates come cap by cap, floors
+    ascending, each floor's no-ceiling candidate before its ceilings.
+    The maximum has the largest welfare; ties prefer the smaller cap, then
+    the larger floor, then the larger ceiling (no ceiling counts as the
+    largest). Candidates are compared as integer welfare numerators over
+    the common denominator, with grid indices standing in for prices.
     """
     if isinstance(analysis, MarketInstance):  # callers holding only an instance get the defaults
         analysis = Analysis(analysis)
     grid = analysis.grid
     analysis._tabulate(None if allow_ceiling else analysis.cap_limit + 1)
-    caps = list(range(1, analysis.cap_limit + 2))  # cap_limit + 1 is the sentinel
-    params_list = []
-    for cap in caps:
-        for floor in grid:
-            params_list.append(AuctionParams(cap, floor, None, LOWEST_WINNING))
+    nums = analysis._nums
+    demands = [analysis.demand(price) for price in grid]
+    top = len(grid)  # the ceiling index of "no ceiling"
+    found = []  # (welfare numerator, -cap, floor index, ceiling index)
+    for cap in range(1, analysis.cap_limit + 2):  # cap_limit + 1 is the sentinel
+        for i, at_floor in enumerate(demands):
+            capped = [d if d < cap else cap for d in at_floor]
+            found.append((sum(map(getitem, nums, capped)), -cap, i, top))
             if allow_ceiling:
-                for ceiling in grid:
-                    if ceiling > floor:
-                        params_list.append(AuctionParams(cap, floor, ceiling, LOWEST_WINNING))
-    welfares = [analysis.welfare(p.cap, p.floor, p.ceiling) for p in params_list]
-
-    rows = []
-    best = None
-    best_key = None
-    best_w = None
-    for p, w in zip(params_list, welfares):
-        rows.append(Candidate(p.cap, p.floor, p.ceiling, w))
-        key = _preference_key(w, p.cap, p.floor, p.ceiling)
-        if best_key is None or key > best_key:
-            best, best_key, best_w = p, key, w
+                for j in range(i + 1, top):
+                    sold = [c if c >= cap else q for c, q in zip(demands[j], capped)]
+                    found.append((sum(map(getitem, nums, sold)), -cap, i, j))
+    den = analysis._den
+    table = tuple(
+        Candidate(-cap, grid[i], None if j == top else grid[j], Fraction(num, den))
+        for num, cap, i, j in found
+    )
+    best = table[found.index(max(found))]
     return OptResult(
-        params=best,
-        expected_welfare=best_w,
-        searched=len(params_list),
-        table=tuple(rows),
+        params=AuctionParams(best.cap, best.floor, best.ceiling, LOWEST_WINNING),
+        expected_welfare=best.expected_welfare,
+        searched=len(table),
+        table=table,
     )
 
 
@@ -299,18 +306,16 @@ def optimize_safe(analysis: Analysis) -> OptResult:
     """Best safe-price auction: argmax over caps with floor pinned to the
     average cost of the cap."""
     welfares = analysis.safe_welfares
-    cost = analysis.instance.cost
-    params_list = [make_safe_auction(c, cost) for c in range(1, analysis.cap_limit + 1)]
-    rows = []
-    best = None
-    best_w = None
-    for p in params_list:
-        w = welfares[p.cap]
-        rows.append(Candidate(p.cap, p.floor, p.ceiling, w))
-        if best_w is None or w > best_w:  # ties keep the smaller cap
-            best, best_w = p, w
+    table = tuple(
+        Candidate(cap, analysis.safe_price(cap), None, welfares[cap])
+        for cap in range(1, analysis.cap_limit + 1)
+    )
+    best = max(table, key=attrgetter("expected_welfare"))  # ties keep the smaller cap
     return OptResult(
-        params=best, expected_welfare=best_w, searched=len(params_list), table=tuple(rows)
+        params=AuctionParams(best.cap, best.floor, None, LOWEST_WINNING),
+        expected_welfare=best.expected_welfare,
+        searched=len(table),
+        table=table,
     )
 
 
@@ -328,13 +333,10 @@ def sell_out_probability(analysis: Analysis, params: AuctionParams) -> Fraction:
     """Probability that demand at the floor reaches the cap."""
     if params.cap is None:
         raise ValidationError("sell-out probability needs a bounded cap")
-    return sum(
-        (
-            row.probability
-            for row, d in zip(analysis.table.rows, analysis.demand(params.floor))
-            if d >= params.cap
-        ),
-        ZERO,
+    cap = params.cap
+    return Fraction(
+        sum(p for p, d in zip(analysis._probs, analysis.demand(params.floor)) if d >= cap),
+        analysis._weight,
     )
 
 
@@ -390,11 +392,27 @@ def demand_quantile_cap(
 
 
 def single_buyer_expected(analysis: Analysis) -> Fraction:
-    """Expected welfare of the truthful sell-to-one-firm mechanism."""
+    """Expected welfare of the truthful sell-to-one-firm mechanism.
+
+    A scenario's welfare is the largest stand-alone surplus max_x {V(x) -
+    C(x)} of its firms (`single_buyer_mechanism`), computed once per
+    distinct valuation by `best_own_quantity`, which reads the cost only
+    as far as that valuation's own optimum.
+    """
     cost = analysis.instance.cost
+    surplus: dict[MarginalVector, Fraction] = {}
+
+    def alone(valuation: MarginalVector) -> Fraction:
+        got = surplus.get(valuation)
+        if got is None:
+            got = surplus[valuation] = best_own_quantity(valuation, cost)[1]
+        return got
+
     total = ZERO
     for row in analysis.table.rows:
-        total += row.probability * single_buyer_mechanism(row.valuations, cost).welfare
+        if not row.valuations:
+            raise ValidationError("at least one firm is required")
+        total += row.probability * max(map(alone, row.valuations))
     return total
 
 

@@ -88,6 +88,14 @@ def clear(
     """Allocation, uniform unit price and binding case on reported bids."""
     for i, b in enumerate(bids):
         b.require_valid(f"bids[{i}]")
+    return clear_valid(params, bids)
+
+
+def clear_valid(
+    params: AuctionParams,
+    bids: list[MarginalVector] | tuple[MarginalVector, ...],
+) -> tuple[tuple[int, ...], Fraction, str]:
+    """`clear` on bids the caller has already validated."""
     cap = params.cap
     ceiling_demand = [b.demand(params.ceiling) for b in bids]
     if cap is not None and sum(ceiling_demand) >= cap:
@@ -205,13 +213,16 @@ def best_own_quantity(valuation: MarginalVector, cost: CostCurve) -> tuple[int, 
     best = ZERO
     x = 0
     running = ZERO
+    below = cost.cost(0)
     for j, v in enumerate(valuation.marginals, start=1):
-        step = v - (cost.cost(j) - cost.cost(j - 1))
+        here = cost.cost(j)
+        step = v - (here - below)
         if step <= 0:
             break
         running += step
         best = running
         x = j
+        below = here
     return x, best
 
 

@@ -4,17 +4,26 @@ Each check produces a self-contained certificate: the two sides of the
 inequality as exact rationals, the witness parameters, and a pass flag that
 is recomputable from the recorded sides. Checks never raise on a failed
 inequality; a failure is a finding.
+
+Every certificate that needs expected welfare reads it from `Analysis`
+(its integer welfare rows, demand memo, safe prices and cached no-ceiling
+optimum), never by clearing scenarios again. The exception is
+`decompose_welfare`, which needs each firm's allocation and so still
+clears every scenario with the `auction.run_auction` oracle. The price-gap
+certificates (`verify_price_gap`, `worst_price_gap`) read only the cost
+curve.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple
 
 from .analysis import (
     Analysis,
     demand_quantile_cap,
-    expected_welfare,
     one_minus_inv_e,
     optimize_safe,
     sell_out_probability,
@@ -77,13 +86,13 @@ def verify_ceiling_removal(analysis: Analysis, params: AuctionParams) -> BoundCe
     """
     if params.ceiling is None or params.cap is None:
         raise ValidationError("ceiling-removal check needs a bounded cap and finite ceiling")
-    base = expected_welfare(analysis, params)
-    same_cap = AuctionParams(params.cap, params.floor, None)
-    uncapped = AuctionParams(None, params.ceiling, None)
-    w_same = expected_welfare(analysis, same_cap)
-    w_uncapped = expected_welfare(analysis, uncapped)
+    # Per scenario the ceiled auction sells at least as much as either
+    # construction candidate, so the rows it tabulates cover all three.
+    base = analysis.welfare(params.cap, params.floor, params.ceiling)
+    w_same = analysis.welfare(params.cap, params.floor)
+    w_uncapped = analysis.welfare(None, params.ceiling)
     # The search's candidates run cap by cap, floors ascending; ties keep the first.
-    best = max(analysis.no_ceiling_optimum.table, key=lambda c: c.expected_welfare)
+    best = max(analysis.no_ceiling_optimum.table, key=attrgetter("expected_welfare"))
     status = CHECKED if base > 0 else VACUOUS
     return _certify(
         "ceiling-removal-half",
@@ -147,6 +156,29 @@ def verify_price_gap(cost: CostCurve, quantity: int, units: int) -> BoundCertifi
         full_price=full_price,
         half_price=half_price,
     )
+
+
+def worst_price_gap(cost: CostCurve, limit: int) -> BoundCertificate:
+    """The `verify_price_gap` certificate of least margin over every
+    quantity in 1..limit and units in 0..quantity; ties keep the first in
+    (quantity, units) order.
+
+    With C the cost, q the quantity and u the units, the certificate's
+    margin is C(q) - C(floor(q/2)) - C(ceil(q/2)) - u * C(q)/q + C(u), so
+    one table of C(0..limit) over a common denominator ranks every pair.
+    """
+    if limit < 1:
+        raise ValidationError(f"quantity limit must be at least 1, got {limit}")
+    costs = [cost.cost(x) for x in range(limit + 1)]
+    scale = math.lcm(*(c.denominator for c in costs))
+    c = [v.numerator * (scale // v.denominator) for v in costs]
+    worst = None  # (margin * quantity * scale, quantity, units)
+    for q in range(1, limit + 1):
+        gap, u = min((q * c[u] - c[q] * u, u) for u in range(q + 1))
+        gap += q * (c[q] - c[q // 2] - c[(q + 1) // 2])
+        if worst is None or gap * worst[1] < worst[0] * q:
+            worst = (gap, q, u)
+    return verify_price_gap(cost, worst[1], worst[2])
 
 
 class DecompositionRow(NamedTuple):

@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .analysis import DEFAULT_PROFILE_LIMIT, Analysis, expected_welfare
-from .auction import AuctionParams, clear, safe_price
+from .auction import AuctionParams, clear_valid, safe_price
 from .model import (
     ZERO,
     CostCurve,
@@ -231,8 +231,11 @@ class _GridGame:
         self._welfares: dict[tuple, int] = {}
 
     def vector_id(self, report: MarginalVector) -> int:
+        """The report's id; a report is validated once, when first seen, so
+        outcomes clear it unchecked."""
         got = self._ids.get(report)
         if got is None:
+            report.require_valid("report")
             got = self._ids[report] = len(self._vectors)
             self._vectors.append(report)
         return got
@@ -255,7 +258,7 @@ class _GridGame:
         """Allocation and price times L of the auction on these bids."""
         got = self._outcomes.get(bids)
         if got is None:
-            allocation, price, _ = clear(self.params, self.vectors(bids))
+            allocation, price, _ = clear_valid(self.params, self.vectors(bids))
             got = (allocation, price.numerator * (self.scale // price.denominator))
             self._outcomes[bids] = got
         return got

@@ -115,6 +115,8 @@ def instance_from_obj(obj) -> MarketInstance:
     if not isinstance(obj, dict):
         raise ValidationError("instance: expected a JSON object")
     label = obj.get("label", "")
+    if not isinstance(label, str):
+        raise ValidationError(f"label: expected a JSON string, got {type(label).__name__}")
     cost = _cost_from_obj(obj.get("cost", {}))
     joint = None
     firms: tuple[FirmDistribution, ...] = ()

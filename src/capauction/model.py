@@ -36,9 +36,13 @@ def rat(value: Rational) -> Fraction:
     """Coerce an int, "p/q" string, or Fraction to an exact Fraction.
 
     Floats are rejected on purpose; they would silently break exactness.
+    So are booleans, which are ints to Python but never a number in an
+    instance file.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ValidationError(f"not a rational: {value!r} (booleans are not accepted)")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):

@@ -1,0 +1,234 @@
+"""Certificates that read `Analysis` against the slow paths they replace."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from capauction import (
+    Analysis,
+    AuctionParams,
+    BoundCertificate,
+    FirmDistribution,
+    MarginalVector,
+    MarketInstance,
+    ValidationError,
+    cost_table,
+    enumerate_scenarios,
+    expected_welfare,
+    generate,
+    logscale,
+    price_candidates,
+    quadratic,
+    single_buyer_expected,
+    single_buyer_mechanism,
+    verify_ceiling_removal,
+    verify_price_gap,
+    worst_price_gap,
+)
+from capauction.model import ERROR_BEYOND, MarginalCostTable
+
+mv = MarginalVector.of
+
+
+def as_joint(m: MarketInstance) -> MarketInstance:
+    """The same market given as an explicit joint table."""
+    rows = enumerate_scenarios(m).rows
+    return MarketInstance(
+        firms=(), cost=m.cost, label=m.label,
+        joint=tuple((row.probability, row.valuations) for row in rows),
+    )
+
+
+def with_error_extension(m: MarketInstance, length: int) -> MarketInstance:
+    """The market with its cost cut to a table of `length` marginals that
+    raises beyond its end."""
+    marginals = tuple(m.cost.cost(x + 1) - m.cost.cost(x) for x in range(length))
+    return m._replace(cost=MarginalCostTable(marginals, ERROR_BEYOND))
+
+
+def market(seed, firms, cost_kind, joint, error_length):
+    m = generate(seed, firms=firms, scenarios_per_firm=2, max_units=3, cost_kind=cost_kind)
+    if error_length is not None:
+        m = with_error_extension(m, error_length)
+    return as_joint(m) if joint else m
+
+
+MARKETS = dict(
+    seed=st.integers(0, 10**6),
+    firms=st.integers(1, 3),
+    cost_kind=st.sampled_from(("quadratic", "marginals")),
+    joint=st.booleans(),
+    error_length=st.none() | st.integers(0, 6),
+)
+
+
+def result(compute):
+    """`compute()`, or the message of the ValidationError it raises."""
+    try:
+        return compute()
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+class TestCeilingRemoval:
+    """`verify_ceiling_removal` reads `Analysis.welfare`; the oracle
+    clears every scenario of every auction with `run_auction`."""
+
+    @staticmethod
+    def oracle(analysis: Analysis, params: AuctionParams) -> BoundCertificate:
+        base = expected_welfare(analysis, params)
+        w_same = expected_welfare(analysis, AuctionParams(params.cap, params.floor, None))
+        w_uncapped = expected_welfare(analysis, AuctionParams(None, params.ceiling, None))
+        best = None
+        for cap in range(1, analysis.cap_limit + 2):
+            for floor in analysis.grid:
+                w = expected_welfare(analysis, AuctionParams(cap, floor, None))
+                if best is None or w > best[0]:  # ties keep the first
+                    best = (w, cap, floor)
+        return BoundCertificate(
+            name="ceiling-removal-half",
+            lhs=best[0],
+            rhs=base / 2,
+            holds=best[0] >= base / 2,
+            status="checked" if base > 0 else "vacuous",
+            witness=dict(
+                base_welfare=base,
+                witness_cap=best[1],
+                witness_floor=best[2],
+                same_cap_welfare=w_same,
+                uncapped_welfare=w_uncapped,
+                shortcut_holds=max(w_same, w_uncapped) >= base / 2,
+            ),
+        )
+
+    @given(
+        **MARKETS,
+        cap=st.integers(1, 10),
+        below_demand=st.integers(0, 4),
+        prices=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle(self, seed, firms, cost_kind, joint, error_length, cap,
+                            below_demand, prices):
+        m = market(seed, firms, cost_kind, joint, error_length)
+        max_demand = Analysis(m).max_demand
+        cap_limit = max(1, max_demand - below_demand)  # at or below the largest demand
+        grid = price_candidates(m)
+        low, high = sorted(grid[i % len(grid)] for i in prices)
+        if low == high:
+            high += F(1, 2)  # an off-grid ceiling
+        params = AuctionParams(cap, low, high)
+        want = result(lambda: self.oracle(Analysis(m, cap_limit=cap_limit), params))
+        got = result(lambda: verify_ceiling_removal(Analysis(m, cap_limit=cap_limit), params))
+        if isinstance(want, str):
+            # Both raise where a cost table runs out. The oracle names the
+            # first quantity sold beyond it, the table its first missing entry.
+            assert isinstance(got, str) and "beyond cost table" in got and "beyond cost table" in want
+        else:
+            assert got == want
+
+    def test_welfares_tabulate_only_what_is_sold(self):
+        # Demand reaches 5 but every auction here sells at most 2, which the
+        # 2-entry "error" table covers.
+        m = MarketInstance(
+            firms=(
+                FirmDistribution.point_mass(mv(9, 8, 7)),
+                FirmDistribution.of((F(1, 2), mv(6, 5)), (F(1, 2), mv(3))),
+            ),
+            cost=cost_table(1, 2, extension="error"),
+        )
+        analysis = Analysis(m, cap_limit=1)
+        for auction in ((2, 6, 8), (2, 6, None), (None, 8, None)):
+            assert analysis.welfare(*auction) == expected_welfare(analysis, AuctionParams(*auction))
+        cert = verify_ceiling_removal(analysis, AuctionParams(2, 6, 8))
+        assert cert.witness["base_welfare"] == 14
+        with pytest.raises(ValidationError, match="quantity 3 beyond cost table"):
+            analysis.welfare(3, 0)
+
+
+def price_gap_loop(cost, limit):
+    """Every (quantity, units) certificate, keeping the first of least margin."""
+    worst = None
+    for quantity in range(1, limit + 1):
+        for units in range(quantity + 1):
+            cert = verify_price_gap(cost, quantity, units)
+            if worst is None or cert.margin < worst.margin:
+                worst = cert
+    return worst
+
+
+COSTS = st.one_of(
+    st.builds(quadratic, st.fractions(F(1, 10), 5)),
+    st.builds(
+        lambda steps, ext: cost_table(*(sum(steps[: i + 1]) for i in range(len(steps))),
+                                      extension=ext),
+        st.lists(st.sampled_from((0, F(1, 3), 1, 2)), min_size=0, max_size=25),
+        st.sampled_from(("repeat-last", "error")),
+    ),
+)
+
+
+class TestWorstPriceGap:
+    @given(cost=COSTS, limit=st.integers(1, 22))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_certificate_loop(self, cost, limit):
+        # Both raise the same error where an "error" table runs out.
+        assert result(lambda: worst_price_gap(cost, limit)) == result(
+            lambda: price_gap_loop(cost, limit)
+        )
+
+    def test_ties_keep_the_first_pair(self):
+        # Linear cost: every margin is 0, so the first pair is kept.
+        cert = worst_price_gap(cost_table(3), 20)
+        assert cert == price_gap_loop(cost_table(3), 20)
+        assert (cert.margin, cert.witness["quantity"], cert.witness["units"]) == (0, 1, 0)
+
+    def test_short_error_table_message(self):
+        cost = cost_table(1, 2, 4, extension="error")
+        with pytest.raises(ValidationError) as loop:
+            price_gap_loop(cost, 20)
+        with pytest.raises(ValidationError) as fast:
+            worst_price_gap(cost, 20)
+        assert str(fast.value) == str(loop.value)
+        assert "quantity 4 beyond cost table of length 3" in str(fast.value)
+
+    def test_limit_below_one(self):
+        with pytest.raises(ValidationError, match="at least 1"):
+            worst_price_gap(quadratic(1), 0)
+
+
+class TestSingleBuyerExpected:
+    @staticmethod
+    def oracle(analysis):
+        return sum(
+            (row.probability * single_buyer_mechanism(row.valuations, analysis.instance.cost).welfare
+             for row in analysis.table.rows),
+            F(0),
+        )
+
+    @given(**MARKETS)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_mechanism(self, seed, firms, cost_kind, joint, error_length):
+        analysis = Analysis(market(seed, firms, cost_kind, joint, error_length))
+        want = result(lambda: self.oracle(analysis))
+        assert result(lambda: single_buyer_expected(analysis)) == want
+
+    def test_reads_no_cost_past_the_optimum(self):
+        # The firm stops after one unit, so C(3), beyond the table, is never read.
+        m = MarketInstance(
+            firms=(FirmDistribution.point_mass(mv(5, 1, 1, 1)),),
+            cost=cost_table(1, 2, extension="error"),
+        )
+        analysis = Analysis(m)
+        assert single_buyer_expected(analysis) == self.oracle(analysis) == 4
+
+    def test_logscale(self):
+        analysis = Analysis(logscale(5))
+        assert single_buyer_expected(analysis) == self.oracle(analysis)
+
+    def test_no_firms(self):
+        analysis = Analysis(MarketInstance(firms=(), cost=quadratic(1)))
+        want = result(lambda: self.oracle(analysis))
+        assert want == "ValidationError: at least one firm is required"
+        assert result(lambda: single_buyer_expected(analysis)) == want

@@ -10,7 +10,7 @@ from capauction.cli import main
 from capauction.instances import demand_reduction, generate, logscale
 from capauction.io import save_instance
 
-from test_io import MALFORMED
+from test_io import BOOLEAN, LABEL, MALFORMED
 
 
 def write(tmp_path, obj):
@@ -24,6 +24,18 @@ def test_evaluate_rejects_malformed_instance(tmp_path, capsys, name):
     path = write(tmp_path, MALFORMED[name])
     assert main(["evaluate", path, "--cap", "1", "--floor", "0"]) == 1
     assert "expected a JSON array" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, message", [
+    *((name, "booleans are not accepted") for name in sorted(BOOLEAN)),
+    *((name, "label: expected a JSON string") for name in sorted(LABEL)),
+])
+def test_evaluate_rejects_misparsable_instance(tmp_path, capsys, name, message):
+    path = write(tmp_path, {**BOOLEAN, **LABEL}[name])
+    assert main(["evaluate", path, "--cap", "1", "--floor", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 # An "error"-extension cost table covers quantities 0..2 only, while

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -175,6 +176,37 @@ class TestBestResponse:
         params = AuctionParams(2, 6, None)
         br = best_response(m, params, StrategyProfile(((mv(4, 3),),)), 0)
         assert br.per_type_utility[0] == 0
+
+
+class TestReportValidation:
+    """Each bid vector is validated once, when the search first sees it."""
+
+    @pytest.mark.parametrize("bad", (
+        MarginalVector((F(1), F(2))),  # increasing
+        MarginalVector((F(-1),)),  # negative
+    ))
+    @pytest.mark.parametrize("firm", (0, 1))
+    def test_invalid_report_raises(self, bad, firm):
+        reports = [(mv(10, 10),), (mv(6, 1),)]
+        reports[firm] = (bad,)
+        profile = StrategyProfile(tuple(reports))
+        with pytest.raises(ValidationError, match="^report"):
+            utility(MARKET, OPEN_FLOOR, profile, 0, 0)
+        with pytest.raises(ValidationError, match="^report"):
+            best_response(MARKET, OPEN_FLOOR, profile, 1 - firm)
+
+    def test_search_validates_each_vector_once(self, monkeypatch):
+        seen = Counter()
+        require_valid = MarginalVector.require_valid
+
+        def counted(self, where="marginals"):
+            seen[self] += 1
+            return require_valid(self, where)
+
+        monkeypatch.setattr(MarginalVector, "require_valid", counted)
+        report = find_grid_equilibria(MARKET, OPEN_FLOOR)
+        assert report.profiles
+        assert len(seen) > 2 and set(seen.values()) == {1}
 
 
 class TestFindEquilibria:

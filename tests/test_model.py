@@ -53,6 +53,11 @@ class TestRat:
         with pytest.raises(ValidationError):
             rat("1/0")
 
+    @pytest.mark.parametrize("value", (True, False))
+    def test_rejects_booleans(self, value):
+        with pytest.raises(ValidationError, match="booleans are not accepted"):
+            rat(value)
+
 
 class TestValueAt:
     def test_flat_marginals(self):

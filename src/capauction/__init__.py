@@ -15,10 +15,8 @@ from importlib import import_module
 _EXPORTS = {
     "analysis": (
         "Analysis", "Candidate", "OptResult", "ScenarioRow", "ScenarioTable",
-        "demand_quantile_cap", "enumerate_scenarios", "expected_welfare",
-        "first_best_expected", "one_minus_inv_e", "optimize_cap_and_price",
+        "enumerate_scenarios", "expected_welfare", "optimize_cap_and_price",
         "optimize_safe", "safe_welfare_table", "sell_out_probability",
-        "single_buyer_expected",
     ),
     "auction": (
         "CAP_BINDS", "CEILING_BINDS", "FLOOR_BINDS", "HIGHEST_LOSING", "LOWEST_WINNING",
@@ -27,9 +25,10 @@ _EXPORTS = {
         "single_buyer_mechanism",
     ),
     "bounds": (
-        "BoundCertificate", "DecompositionReport", "decompose_welfare", "halves",
-        "verify_ceiling_removal", "verify_decomposition_bounds", "verify_price_gap",
-        "verify_sellout_conditional", "verify_sellout_factor",
+        "BoundCertificate", "DecompositionReport", "decompose_welfare",
+        "demand_quantile_cap", "first_best_expected", "halves", "one_minus_inv_e",
+        "single_buyer_expected", "verify_ceiling_removal", "verify_decomposition_bounds",
+        "verify_price_gap", "verify_sellout_conditional", "verify_sellout_factor",
         "verify_single_buyer_cover", "worst_price_gap",
     ),
     "equilibrium": (

@@ -14,16 +14,26 @@ positive ones when p <= 0) and no ceiling meaning D_s(ceiling) = 0,
     q = min(cap, D_s(floor))  otherwise,
 
 and q = D_s(floor) for an unbounded cap, which ignores the ceiling.
-`Analysis` is the one truthful path per instance: it enumerates the
-scenarios once and keeps D_s, p_s * W_s(q) and each cap's safe price, and
-every function here and in `bounds` reads from it. Sweeps
-(`optimize_cap_and_price`, `optimize_safe`, `safe_welfare_table`), single
-auctions (`Analysis.welfare`), sell-out probabilities and demand quantiles are lookups on those arrays; `single_buyer_expected`
-and `first_best_expected` read its scenario table and solve each
-valuation against the cost curve. `expected_welfare`, which clears every
-scenario with `auction.run_auction`, is the reference oracle the lookups
-are tested against; in the package only `equilibrium.check_poa_bound`
-still calls it.
+`Analysis` is the one truthful path per instance. It checks the scenario
+count against the limit before any other work, then builds its integer
+tables straight from the firm types (or the joint rows): D_s, p_s * W_s(q)
+and each cap's safe price. Every function here and in `bounds` reads from
+it. Sweeps (`optimize_cap_and_price`, `optimize_safe`,
+`safe_welfare_table`), single auctions (`Analysis.welfare`) and sell-out
+probabilities are lookups on those arrays. The Fraction scenario table
+(`Analysis.table`) is enumerated only on first read: by the reference
+oracle `expected_welfare`, which clears every scenario with
+`auction.run_auction` and which the lookups are tested against, by
+`evaluate`, and by the `bounds` helpers that need valuations
+(`decompose_welfare`, `single_buyer_expected`, `first_best_expected`).
+So `optimize` never enumerates it.
+
+Where code lives: run without cached bytecode (`PYTHONDONTWRITEBYTECODE`),
+each process compiles every module it imports from source, so this module
+holds only what `optimize`, `evaluate` and `equilibrium` read. The helpers
+that only certificates call (`one_minus_inv_e`, `demand_quantile_cap`,
+`single_buyer_expected`, `first_best_expected`) live in `bounds`, which
+only `verify` loads.
 """
 
 from __future__ import annotations
@@ -32,14 +42,13 @@ import itertools
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import attrgetter, getitem
 from typing import NamedTuple
 
 from .auction import (
     AuctionParams,
     LOWEST_WINNING,
-    best_own_quantity,
     price_candidates,
     run_auction,
     safe_price,
@@ -50,11 +59,11 @@ from .model import (
     MarketInstance,
     TooLargeError,
     ValidationError,
-    rat,
 )
 
 DEFAULT_SCENARIO_LIMIT = 100_000
 DEFAULT_PROFILE_LIMIT = 200_000  # grid profiles an equilibrium search may enumerate
+DEFAULT_GAP_LIMIT = 20  # largest quantity of verify's `unsafe` scan without --cap-limit
 
 
 class ScenarioRow(NamedTuple):
@@ -72,6 +81,16 @@ class ScenarioTable(NamedTuple):
         return sum((r.probability for r in self.rows), ZERO)
 
 
+def _check_scenario_limit(instance: MarketInstance, limit: int) -> None:
+    if instance.joint is not None:
+        if len(instance.joint) > limit:
+            raise TooLargeError(f"joint table has {len(instance.joint)} rows, limit {limit}")
+    else:
+        size = math.prod(len(f.scenarios) for f in instance.firms)
+        if size > limit:
+            raise TooLargeError(f"scenario product has {size} rows, limit {limit}")
+
+
 def enumerate_scenarios(
     instance: MarketInstance, limit: int = DEFAULT_SCENARIO_LIMIT
 ) -> ScenarioTable:
@@ -81,17 +100,11 @@ def enumerate_scenarios(
     joint instances pass their explicit table through. Raises TooLargeError
     before materializing anything bigger than `limit`.
     """
+    _check_scenario_limit(instance, limit)
     if instance.joint is not None:
-        if len(instance.joint) > limit:
-            raise TooLargeError(
-                f"joint table has {len(instance.joint)} rows, limit {limit}"
-            )
         return ScenarioTable(
             tuple(ScenarioRow(p, vs) for p, vs in instance.joint)
         )
-    size = math.prod(len(f.scenarios) for f in instance.firms)
-    if size > limit:
-        raise TooLargeError(f"scenario product has {size} rows, limit {limit}")
     rows = []
     for combo in itertools.product(*(f.scenarios for f in instance.firms)):
         prob = math.prod((p for p, _ in combo), start=Fraction(1))
@@ -102,15 +115,19 @@ def enumerate_scenarios(
 class Analysis:
     """Everything the truthful analysis of one instance reads, computed once.
 
-    Holds the scenario table (checked against `scenario_limit`), the price
-    grid, the largest pooled demand and the validated cap search bound
-    `cap_limit` (default: that demand, at least 1). Values are kept as
-    integer multiples of 1/scale and probabilities as integer multiples of
-    1/weight. Per scenario it keeps the ascending positive pooled marginals
-    (for D_s, memoized per price) and, once a sweep asks for them, p_s *
-    W_s(q) for every quantity q the sweep can sell, so a candidate costs one
-    demand lookup and one integer sum per scenario. The no-ceiling optimum
-    and the safe-welfare table are computed on first use and kept.
+    Holds the price grid, the largest pooled demand and the validated cap
+    search bound `cap_limit` (default: that demand, at least 1). Values are
+    kept as integer multiples of 1/scale and probabilities as integer
+    multiples of 1/weight, built from the instance without Fractions per
+    scenario: each firm type's positive marginals are scaled once, and a
+    scenario's pool and probability weight combine its types' integers (a
+    joint table is one factor whose types are its rows). Per scenario it
+    keeps the ascending positive pooled marginals (for D_s, memoized per
+    price) and, once a sweep asks for them, p_s * W_s(q) for every quantity
+    q the sweep can sell, so a candidate costs one demand lookup and one
+    integer sum per scenario. The Fraction scenario table (`table`), the
+    no-ceiling optimum and the safe-welfare table are computed on first
+    read and kept.
     """
 
     def __init__(
@@ -119,34 +136,51 @@ class Analysis:
         scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
         cap_limit: int | None = None,
     ):
+        _check_scenario_limit(instance, scenario_limit)
         self.instance = instance
-        self.table = enumerate_scenarios(instance, scenario_limit)
+        self.scenario_limit = scenario_limit
         self.grid = price_candidates(instance)
-        pools = [
-            [v for mv in row.valuations for v in mv.marginals if v > 0]
-            for row in self.table.rows
-        ]
-        self.max_demand = max(map(len, pools), default=0)
+        # Independent factors of the scenario space, each a sequence of
+        # (probability, valuations) types; scenarios are their product.
+        if instance.joint is not None:
+            factors = (instance.joint,)
+        else:
+            factors = tuple(tuple((p, (v,)) for p, v in f.scenarios) for f in instance.firms)
+        self._scale = scale = math.lcm(*(
+            v.denominator
+            for types in factors for _, vs in types for mv in vs for v in mv.marginals if v > 0
+        ))
+        self._weight = 1
+        rows = [(1, [])]  # (probability weight, positive marginals) per scenario so far
+        for types in factors:
+            weight = math.lcm(*(p.denominator for p, _ in types))
+            self._weight *= weight
+            scaled = [
+                (p.numerator * (weight // p.denominator),
+                 [v.numerator * (scale // v.denominator)
+                  for mv in vs for v in mv.marginals if v > 0])
+                for p, vs in types
+            ]
+            rows = [(w * p, pool + own) for w, pool in rows for p, own in scaled]
+        self._probs = [w for w, _ in rows]
+        self._pools = [sorted(pool) for _, pool in rows]
+        self.max_demand = max(map(len, self._pools), default=0)
         if cap_limit is None:
             cap_limit = max(1, self.max_demand)
         elif cap_limit < 1:
             raise ValidationError(f"cap limit must be at least 1, got {cap_limit}")
         self.cap_limit = cap_limit
-        self._scale = math.lcm(*(v.denominator for pool in pools for v in pool))
-        self._pools = [
-            sorted(v.numerator * (self._scale // v.denominator) for v in pool)
-            for pool in pools
-        ]
-        self._weight = math.lcm(*(row.probability.denominator for row in self.table.rows))
-        self._probs = [
-            row.probability.numerator * (self._weight // row.probability.denominator)
-            for row in self.table.rows
-        ]
         self._demands: dict[Fraction, list[int]] = {}
         self._safe_prices: dict[int, Fraction] = {}
         self._reach = -1  # rows cover quantities up to min(len(pool), _reach)
         self._nums: list[list[int]] = []
         self._den = 1
+
+    @cached_property
+    def table(self) -> ScenarioTable:
+        """The scenarios as Fractions, for the paths that clear auctions
+        or read valuations; enumerated on first read."""
+        return enumerate_scenarios(self.instance, self.scenario_limit)
 
     def demand(self, price: Fraction) -> list[int]:
         """D_s(price) for every scenario, memoized per price."""
@@ -271,6 +305,8 @@ def optimize_cap_and_price(analysis: Analysis, allow_ceiling: bool = True) -> Op
     the larger floor, then the larger ceiling (no ceiling counts as the
     largest). Candidates are compared as integer welfare numerators over
     the common denominator, with grid indices standing in for prices.
+    Where neither the cap nor the ceiling binds in any scenario, a
+    candidate reuses the numerator of the one it sells the same as.
     """
     if isinstance(analysis, MarketInstance):  # callers holding only an instance get the defaults
         analysis = Analysis(analysis)
@@ -278,19 +314,38 @@ def optimize_cap_and_price(analysis: Analysis, allow_ceiling: bool = True) -> Op
     analysis._tabulate(None if allow_ceiling else analysis.cap_limit + 1)
     nums = analysis._nums
     demands = [analysis.demand(price) for price in grid]
+    # max_s D_s at each grid price; demand falls as the price rises, so this
+    # is non-increasing along the grid, and the sentinel's is 0.
+    most = [max(at_price, default=0) for at_price in demands]
+    uncapped: dict[int, int] = {}  # floor index -> its numerator with no binding cap
     top = len(grid)  # the ceiling index of "no ceiling"
     found = []  # (welfare numerator, -cap, floor index, ceiling index)
     for cap in range(1, analysis.cap_limit + 2):  # cap_limit + 1 is the sentinel
+        # A ceiling with D_s(ceiling) <= cap in every scenario sells what the
+        # capped floor alone sells; so does every higher ceiling.
+        free = next(j for j, m in enumerate(most) if m <= cap)
         for i, at_floor in enumerate(demands):
-            capped = [d if d < cap else cap for d in at_floor]
-            found.append((sum(map(getitem, nums, capped)), -cap, i, top))
+            # Where the cap binds nowhere the floor's uncapped numerator is
+            # reused. It is computed on first need: with a cap limit below the
+            # largest demand, the rows reach only as far as such a cap.
+            if most[i] <= cap:
+                num = uncapped.get(i)
+                if num is None:
+                    num = uncapped[i] = sum(map(getitem, nums, at_floor))
+                capped = at_floor
+            else:
+                capped = [d if d < cap else cap for d in at_floor]
+                num = sum(map(getitem, nums, capped))
+            found.append((num, -cap, i, top))
             if allow_ceiling:
-                for j in range(i + 1, top):
+                for j in range(i + 1, free):
                     sold = [c if c >= cap else q for c, q in zip(demands[j], capped)]
                     found.append((sum(map(getitem, nums, sold)), -cap, i, j))
+                found.extend((num, -cap, i, j) for j in range(max(i + 1, free), top))
     den = analysis._den
+    welfare = {num: Fraction(num, den) for num in {num for num, _, _, _ in found}}
     table = tuple(
-        Candidate(-cap, grid[i], None if j == top else grid[j], Fraction(num, den))
+        Candidate(-cap, grid[i], None if j == top else grid[j], welfare[num])
         for num, cap, i, j in found
     )
     best = table[found.index(max(found))]
@@ -339,92 +394,3 @@ def sell_out_probability(analysis: Analysis, params: AuctionParams) -> Fraction:
         analysis._weight,
     )
 
-
-@lru_cache(maxsize=None)
-def one_minus_inv_e(digits: int = 50) -> Fraction:
-    """Rational over-approximation of 1 - 1/e, accurate to `digits` decimals.
-
-    Built from the exact factorial series for e with a rigorous remainder
-    bound, then rounded up, so the returned threshold is strictly above the
-    irrational value (comparisons never accept a quantity the exact
-    threshold would reject).
-    """
-    terms = 60  # 61! is far beyond 10**50, so the remainder is negligible
-    e_low = sum((Fraction(1, math.factorial(k)) for k in range(terms + 1)), ZERO)
-    e_high = e_low + Fraction(2, math.factorial(terms + 1))
-    upper = 1 - Fraction(1, 1) / e_high  # strict upper bound on 1 - 1/e
-    scale = 10**digits
-    return Fraction(math.ceil(upper * scale), scale)
-
-
-def demand_quantile_cap(
-    analysis: Analysis,
-    floor: Fraction,
-    threshold: Fraction | None = None,
-) -> int:
-    """Largest cap demanded with probability at least `threshold`.
-
-    Demand is measured at the given floor; the default threshold is the
-    1 - 1/e over-approximation. Returns 0 when even one license is too
-    rarely demanded.
-    """
-    floor = rat(floor)
-    if threshold is None:
-        threshold = one_minus_inv_e()
-    else:
-        threshold = rat(threshold)
-        if not 0 < threshold < 1:
-            raise ValidationError(f"threshold must be in (0,1), got {threshold}")
-    demands = sorted(
-        zip(analysis.demand(floor), (row.probability for row in analysis.table.rows))
-    )
-    # Pr[d >= c] scanning demands from the top down.
-    best = 0
-    tail = ZERO
-    for demand, prob in reversed(demands):
-        tail += prob
-        if tail >= threshold:
-            best = demand
-            # Larger demands had tail < threshold; this is the largest c
-            # with Pr[d >= c] >= threshold.
-            break
-    return best
-
-
-def single_buyer_expected(analysis: Analysis) -> Fraction:
-    """Expected welfare of the truthful sell-to-one-firm mechanism.
-
-    A scenario's welfare is the largest stand-alone surplus max_x {V(x) -
-    C(x)} of its firms (`single_buyer_mechanism`), computed once per
-    distinct valuation by `best_own_quantity`, which reads the cost only
-    as far as that valuation's own optimum.
-    """
-    cost = analysis.instance.cost
-    surplus: dict[MarginalVector, Fraction] = {}
-
-    def alone(valuation: MarginalVector) -> Fraction:
-        got = surplus.get(valuation)
-        if got is None:
-            got = surplus[valuation] = best_own_quantity(valuation, cost)[1]
-        return got
-
-    total = ZERO
-    for row in analysis.table.rows:
-        if not row.valuations:
-            raise ValidationError("at least one firm is required")
-        total += row.probability * max(map(alone, row.valuations))
-    return total
-
-
-def first_best_expected(analysis: Analysis) -> Fraction:
-    """Expected welfare of the per-realization unconstrained optimum.
-
-    By concavity and convexity the best quantity of the pooled curve is what
-    one firm holding every scenario marginal would buy.
-    """
-    cost = analysis.instance.cost
-    total = ZERO
-    for row in analysis.table.rows:
-        pool = sorted((v for mv in row.valuations for v in mv.marginals), reverse=True)
-        total += row.probability * best_own_quantity(MarginalVector(tuple(pool)), cost)[1]
-    return total

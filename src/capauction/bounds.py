@@ -12,24 +12,30 @@ optimum), never by clearing scenarios again. The exception is
 clears every scenario with the `auction.run_auction` oracle. The price-gap
 certificates (`verify_price_gap`, `worst_price_gap`) read only the cost
 curve.
+
+Only `verify` loads this module, so it also holds the helpers that only
+certificates read (`one_minus_inv_e`, `demand_quantile_cap`,
+`single_buyer_expected`, `first_best_expected`) and the `verify`
+subcommand's handler, `cmd_verify`: a process compiles every module it
+imports, and `optimize` and `equilibrium` processes need none of this.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple
 
 from .analysis import (
+    DEFAULT_GAP_LIMIT,
     Analysis,
-    demand_quantile_cap,
-    one_minus_inv_e,
     optimize_safe,
     sell_out_probability,
-    single_buyer_expected,
 )
-from .auction import AuctionParams, run_auction, safe_price
+from .auction import AuctionParams, best_own_quantity, run_auction, safe_price
+from .io import display, format_decimal, format_rational, load_instance, parse_cap, write_report
 from .model import (
     ZERO,
     CostCurve,
@@ -74,6 +80,96 @@ def halves(cap: int) -> tuple[int, ...]:
     if cap % 2 == 0:
         return (cap // 2,)
     return (cap // 2, cap // 2 + 1)
+
+
+@lru_cache(maxsize=None)
+def one_minus_inv_e(digits: int = 50) -> Fraction:
+    """Rational over-approximation of 1 - 1/e, accurate to `digits` decimals.
+
+    Built from the exact factorial series for e with a rigorous remainder
+    bound, then rounded up, so the returned threshold is strictly above the
+    irrational value (comparisons never accept a quantity the exact
+    threshold would reject).
+    """
+    terms = 60  # 61! is far beyond 10**50, so the remainder is negligible
+    e_low = sum((Fraction(1, math.factorial(k)) for k in range(terms + 1)), ZERO)
+    e_high = e_low + Fraction(2, math.factorial(terms + 1))
+    upper = 1 - Fraction(1, 1) / e_high  # strict upper bound on 1 - 1/e
+    scale = 10**digits
+    return Fraction(math.ceil(upper * scale), scale)
+
+
+def demand_quantile_cap(
+    analysis: Analysis,
+    floor: Fraction,
+    threshold: Fraction | None = None,
+) -> int:
+    """Largest cap demanded with probability at least `threshold`.
+
+    Demand is measured at the given floor; the default threshold is the
+    1 - 1/e over-approximation. Returns 0 when even one license is too
+    rarely demanded.
+    """
+    floor = rat(floor)
+    if threshold is None:
+        threshold = one_minus_inv_e()
+    else:
+        threshold = rat(threshold)
+        if not 0 < threshold < 1:
+            raise ValidationError(f"threshold must be in (0,1), got {threshold}")
+    demands = sorted(
+        zip(analysis.demand(floor), (row.probability for row in analysis.table.rows))
+    )
+    # Pr[d >= c] scanning demands from the top down.
+    best = 0
+    tail = ZERO
+    for demand, prob in reversed(demands):
+        tail += prob
+        if tail >= threshold:
+            best = demand
+            # Larger demands had tail < threshold; this is the largest c
+            # with Pr[d >= c] >= threshold.
+            break
+    return best
+
+
+def single_buyer_expected(analysis: Analysis) -> Fraction:
+    """Expected welfare of the truthful sell-to-one-firm mechanism.
+
+    A scenario's welfare is the largest stand-alone surplus max_x {V(x) -
+    C(x)} of its firms (`single_buyer_mechanism`), computed once per
+    distinct valuation by `best_own_quantity`, which reads the cost only
+    as far as that valuation's own optimum.
+    """
+    cost = analysis.instance.cost
+    surplus: dict[MarginalVector, Fraction] = {}
+
+    def alone(valuation: MarginalVector) -> Fraction:
+        got = surplus.get(valuation)
+        if got is None:
+            got = surplus[valuation] = best_own_quantity(valuation, cost)[1]
+        return got
+
+    total = ZERO
+    for row in analysis.table.rows:
+        if not row.valuations:
+            raise ValidationError("at least one firm is required")
+        total += row.probability * max(map(alone, row.valuations))
+    return total
+
+
+def first_best_expected(analysis: Analysis) -> Fraction:
+    """Expected welfare of the per-realization unconstrained optimum.
+
+    By concavity and convexity the best quantity of the pooled curve is what
+    one firm holding every scenario marginal would buy.
+    """
+    cost = analysis.instance.cost
+    total = ZERO
+    for row in analysis.table.rows:
+        pool = sorted((v for mv in row.valuations for v in mv.marginals), reverse=True)
+        total += row.probability * best_own_quantity(MarginalVector(tuple(pool)), cost)[1]
+    return total
 
 
 def verify_ceiling_removal(analysis: Analysis, params: AuctionParams) -> BoundCertificate:
@@ -419,3 +515,102 @@ def verify_single_buyer_cover(
         optimum_floor=opt.params.floor,
     )
     return headline, four_term
+
+
+# ---- the `verify` subcommand ---------------------------------------------
+
+def _cap_and_floor(args, analysis: Analysis) -> tuple[int | None, Fraction]:
+    """--cap and --floor, each defaulting to the best no-ceiling auction's."""
+    cap = parse_cap(args.cap) if args.cap else analysis.no_ceiling_optimum.params.cap
+    if args.floor is None:
+        return cap, analysis.no_ceiling_optimum.params.floor
+    return cap, rat(args.floor)
+
+
+def _verdict(cert) -> str:
+    return "n/a" if cert.holds is None else ("pass" if cert.holds else "FAIL")
+
+
+def _certificate_rows(certs) -> list[list[str]]:
+    rows = []
+    for cert in certs:
+        rows.append(
+            [
+                cert.name,
+                _verdict(cert),
+                cert.status,
+                format_rational(cert.lhs),
+                format_decimal(cert.lhs),
+                format_rational(cert.rhs),
+                format_decimal(cert.rhs),
+                format_rational(cert.margin),
+                "; ".join(f"{k}={v}" for k, v in sorted(cert.witness.items(), key=lambda kv: kv[0])),
+            ]
+        )
+    return rows
+
+
+def cmd_verify(args) -> int:
+    """`capauction verify`: print each selected certificate; with --strict,
+    exit 1 when one fails."""
+    which = args.which
+    if which in ("thmq", "main", "all") and (args.cap is not None or args.floor is not None):
+        certifies = "runs thmq and main, which certify" if which == "all" else "certifies"
+        raise ValidationError(
+            f"--which {which} {certifies} the no-ceiling optimum; it takes no --cap or --floor"
+        )
+    instance = load_instance(args.instance)
+    analysis = Analysis(instance, args.scenario_limit, args.cap_limit)
+    certs = []
+
+    if which in ("priceceil", "all"):
+        grid = analysis.grid
+        ceiling = rat(args.ceiling) if args.ceiling not in (None, "inf") else grid[-1]
+        cap, floor = _cap_and_floor(args, analysis)
+        if ceiling <= floor and args.floor is None:
+            floor = grid[0]  # only a defaulted floor yields; AuctionParams rejects an explicit one
+        certs.append(verify_ceiling_removal(analysis, AuctionParams(cap, floor, ceiling)))
+    if which in ("optcond", "all"):
+        cap, floor = _cap_and_floor(args, analysis)
+        certs.append(verify_sellout_conditional(analysis, AuctionParams(cap, floor)))
+    if which in ("unsafe", "all"):
+        certs.append(worst_price_gap(instance.cost, args.cap_limit or DEFAULT_GAP_LIMIT))
+    if which in ("decomp", "all"):
+        cap, floor = _cap_and_floor(args, analysis)
+        report = decompose_welfare(analysis, cap, floor)
+        certs.append(
+            BoundCertificate(
+                name="three-term-decomposition",
+                lhs=report.term_sum,
+                rhs=report.total_welfare,
+                holds=report.bounded,
+                status=CHECKED,
+                witness={
+                    "cap": cap,
+                    "floor": format_rational(report.floor),
+                    "sell_out_term": format_rational(report.sell_out_term),
+                    "above_term": format_rational(report.above_term),
+                    "below_term": format_rational(report.below_term),
+                },
+            )
+        )
+        certs.extend(verify_decomposition_bounds(analysis, cap, floor, report))
+    if which in ("thmq", "all"):
+        certs.append(verify_sellout_factor(analysis))
+    if which in ("main", "all"):
+        certs.extend(verify_single_buyer_cover(analysis))
+
+    print(f"instance: {instance.label or args.instance}")
+    failed = 0
+    for cert in certs:
+        if cert.holds is False:
+            failed += 1
+        print(
+            f"[{_verdict(cert):>4}] {cert.name} ({cert.status}): "
+            f"lhs {display(cert.lhs)} vs rhs {display(cert.rhs)}, margin {display(cert.margin)}"
+        )
+    header = ["certificate", "holds", "status", "lhs", "lhs_dec", "rhs", "rhs_dec", "margin", "witness"]
+    write_report(args.out, header, _certificate_rows(certs))
+    if failed and args.strict:
+        return 1
+    return 0

@@ -4,6 +4,19 @@ Subcommands: evaluate, optimize, equilibrium, verify, examples, generate.
 Exit codes: 0 ok, 1 validation or parse error, 2 resource limit exceeded.
 Certificate failures from `verify` are findings, not errors, and leave the
 exit code at 0 unless --strict is given.
+
+Where each subcommand's code lives: run without cached bytecode
+(`PYTHONDONTWRITEBYTECODE`), each process compiles every module it imports
+from source, so a process should import only its own subcommand's code.
+This module holds the parser, `main`, and the `evaluate` and `optimize`
+handlers, which read only `analysis`, `auction`, `io` and `model`. Each
+other subcommand's handler lives in the module that only that subcommand
+loads (`verify` in `bounds`, `equilibrium` in `equilibrium`, `examples`
+and `generate` in `instances`), and its `cmd_<name>` here imports it on
+call. The helpers the handlers share are in `io`, not here: `python -m
+capauction.cli` runs this module as `__main__`, and importing it again
+would compile it twice. The `analysis` scenario table is enumerated only
+on first read, which `optimize` never makes.
 """
 
 from __future__ import annotations
@@ -13,6 +26,7 @@ import sys
 from fractions import Fraction
 
 from .analysis import (
+    DEFAULT_GAP_LIMIT,
     DEFAULT_PROFILE_LIMIT,
     DEFAULT_SCENARIO_LIMIT,
     Analysis,
@@ -20,42 +34,13 @@ from .analysis import (
     optimize_safe,
     sell_out_probability,
 )
-from .auction import (
-    HIGHEST_LOSING,
-    LOWEST_WINNING,
-    AuctionParams,
-    run_auction,
-    safe_price,
-)
-from .instances import NAMED_INSTANCES, generate, named_instance
-from .io import (
-    format_decimal,
-    format_rational,
-    load_instance,
-    rational_cells,
-    save_instance,
-    write_csv,
-)
-from .model import MarketError, TooLargeError, ValidationError, rat, validate
+from .auction import HIGHEST_LOSING, LOWEST_WINNING, AuctionParams, run_auction
+from .io import display, load_instance, parse_cap, rational_cells, write_report
+from .model import MarketError, TooLargeError, ValidationError, rat
 
 VERIFY_CHECKS = ("priceceil", "optcond", "unsafe", "decomp", "thmq", "main", "all")
-DEFAULT_GAP_LIMIT = 20  # largest quantity of the `unsafe` scan without --cap-limit
-
-
-def _fmt(value: Fraction | None) -> str:
-    if value is None:
-        return "inf"
-    return f"{format_rational(value)} ({format_decimal(value)})"
-
-
-def _parse_cap(text: str) -> int | None:
-    if text in ("unbounded", "inf"):
-        return None
-    try:
-        cap = int(text)
-    except ValueError:
-        raise ValidationError(f"cap must be an integer or 'unbounded', got {text!r}")
-    return cap
+# `instances.NAMED_INSTANCES`, spelled out so the parser need not import it.
+EXAMPLES = ("demand-reduction", "logscale", "first-best")
 
 
 def _parse_ceiling(text: str) -> Fraction | None:
@@ -64,26 +49,10 @@ def _parse_ceiling(text: str) -> Fraction | None:
     return rat(text)
 
 
-def _cap_and_floor(args, analysis: Analysis) -> tuple[int | None, Fraction]:
-    """--cap and --floor, each defaulting to the best no-ceiling auction's."""
-    cap = _parse_cap(args.cap) if args.cap else analysis.no_ceiling_optimum.params.cap
-    if args.floor is None:
-        return cap, analysis.no_ceiling_optimum.params.floor
-    return cap, rat(args.floor)
-
-
-def _emit(args, header, rows) -> None:
-    """Write the report if --out asks for it; `rows` is a generator, so
-    rows are formatted only then."""
-    if args.out:
-        write_csv(args.out, header, rows)
-        print(f"report written to {args.out}")
-
-
 def cmd_evaluate(args) -> int:
     instance = load_instance(args.instance)
     params = AuctionParams(
-        cap=_parse_cap(args.cap),
+        cap=parse_cap(args.cap),
         floor=rat(args.floor),
         ceiling=_parse_ceiling(args.ceiling),
         pricing=args.pricing,
@@ -99,11 +68,11 @@ def cmd_evaluate(args) -> int:
 
     print(f"instance: {instance.label or args.instance}")
     print(f"scenarios: {len(scenarios)}")
-    print(f"expected welfare: {_fmt(welfare_total)}")
-    print(f"expected revenue: {_fmt(revenue_total)}")
+    print(f"expected welfare: {display(welfare_total)}")
+    print(f"expected revenue: {display(revenue_total)}")
     if params.cap is not None:
         q = sell_out_probability(analysis, params)
-        print(f"sell-out probability: {_fmt(q)}")
+        print(f"sell-out probability: {display(q)}")
     header = [
         "scenario", "probability", "probability_dec", "allocation", "unit_price",
         "unit_price_dec", "case", "welfare", "welfare_dec", "revenue", "revenue_dec",
@@ -114,7 +83,7 @@ def cmd_evaluate(args) -> int:
          *rational_cells(outcome.revenue)]
         for idx, (row, outcome) in enumerate(zip(scenarios, outcomes))
     )
-    _emit(args, header, rows)
+    write_report(args.out, header, rows)
     return 0
 
 
@@ -131,176 +100,54 @@ def cmd_optimize(args) -> int:
     print(f"instance: {instance.label or args.instance}")
     print(f"{kind} over {result.searched} candidates:")
     print(f"  cap: {p.cap}")
-    print(f"  floor: {_fmt(p.floor)}")
-    print(f"  ceiling: {_fmt(p.ceiling)}")
-    print(f"  expected welfare: {_fmt(result.expected_welfare)}")
+    print(f"  floor: {display(p.floor)}")
+    print(f"  ceiling: {display(p.ceiling)}")
+    print(f"  expected welfare: {display(result.expected_welfare)}")
     header = ["cap", "floor", "floor_dec", "ceiling", "ceiling_dec", "welfare", "welfare_dec"]
+    # A table has few distinct floors, ceilings and welfares: each is
+    # formatted once, keyed by its value (not its grid position, since
+    # --safe-only floors are off the grid).
+    formatted: dict[tuple[int, int], list[str]] = {}
+
+    def cells(value: Fraction | None) -> list[str]:
+        if value is None:
+            return rational_cells(None)
+        key = value.numerator, value.denominator
+        got = formatted.get(key)
+        if got is None:
+            got = formatted[key] = rational_cells(value)
+        return got
+
     rows = (
-        [str(cand.cap), *rational_cells(cand.floor), *rational_cells(cand.ceiling),
-         *rational_cells(cand.expected_welfare)]
+        [str(cand.cap), *cells(cand.floor), *cells(cand.ceiling), *cells(cand.expected_welfare)]
         for cand in result.table
     )
-    _emit(args, header, rows)
+    write_report(args.out, header, rows)
     return 0
 
 
 def cmd_equilibrium(args) -> int:
-    from .equilibrium import check_poa_bound, find_grid_equilibria
+    from .equilibrium import cmd_equilibrium
 
-    instance = load_instance(args.instance)
-    cap = _parse_cap(args.cap)
-    if cap is None:
-        raise ValidationError("equilibrium search needs a bounded cap")
-    params = AuctionParams(cap=cap, floor=rat(args.floor), ceiling=None, pricing=args.pricing)
-    analysis = Analysis(instance, args.scenario_limit)
-    report = find_grid_equilibria(
-        instance,
-        params,
-        epsilon=rat(args.epsilon),
-        strict=args.strict_overbidding,
-        profile_limit=args.profile_limit,
-    )
-    print(f"instance: {instance.label or args.instance}")
-    print(f"profiles searched: {report.searched}")
-    print(f"equilibria found: {len(report.profiles)}")
-    if report.worst_welfare is not None:
-        print(f"worst equilibrium welfare: {_fmt(report.worst_welfare)}")
-    if params.floor == safe_price(instance.cost, cap):
-        poa = check_poa_bound(analysis, cap, report)
-        print(f"safe-price baseline welfare: {_fmt(poa.baseline)}")
-        print(f"welfare floor (baseline/3.15): {_fmt(poa.bound)}")
-        if poa.ratio is not None:
-            print(f"worst/baseline ratio: {_fmt(poa.ratio)}")
-        print(f"bound holds: {poa.holds} ({poa.status})")
-    header = ["profile", "firm", "type", "bid", "utility", "utility_dec", "welfare", "welfare_dec"]
-
-    def rows():
-        for k, (profile, w) in enumerate(zip(report.profiles, report.welfares)):
-            welfare = rational_cells(w)
-            for i, per_type in enumerate(profile.reports):
-                for t, report_vec in enumerate(per_type):
-                    bid = "|".join(format_rational(v) for v in report_vec.marginals)
-                    u = report.utilities[k][i][t]
-                    yield [str(k), str(i), str(t), bid, *rational_cells(u), *welfare]
-
-    _emit(args, header, rows())
-    return 0
-
-
-def _verdict(cert) -> str:
-    return "n/a" if cert.holds is None else ("pass" if cert.holds else "FAIL")
-
-
-def _certificate_rows(certs) -> list[list[str]]:
-    rows = []
-    for cert in certs:
-        rows.append(
-            [
-                cert.name,
-                _verdict(cert),
-                cert.status,
-                format_rational(cert.lhs),
-                format_decimal(cert.lhs),
-                format_rational(cert.rhs),
-                format_decimal(cert.rhs),
-                format_rational(cert.margin),
-                "; ".join(f"{k}={v}" for k, v in sorted(cert.witness.items(), key=lambda kv: kv[0])),
-            ]
-        )
-    return rows
+    return cmd_equilibrium(args)
 
 
 def cmd_verify(args) -> int:
-    from . import bounds
+    from .bounds import cmd_verify
 
-    which = args.which
-    if which in ("thmq", "main", "all") and (args.cap is not None or args.floor is not None):
-        certifies = "runs thmq and main, which certify" if which == "all" else "certifies"
-        raise ValidationError(
-            f"--which {which} {certifies} the no-ceiling optimum; it takes no --cap or --floor"
-        )
-    instance = load_instance(args.instance)
-    analysis = Analysis(instance, args.scenario_limit, args.cap_limit)
-    certs = []
-
-    if which in ("priceceil", "all"):
-        grid = analysis.grid
-        ceiling = rat(args.ceiling) if args.ceiling not in (None, "inf") else grid[-1]
-        cap, floor = _cap_and_floor(args, analysis)
-        if ceiling <= floor and args.floor is None:
-            floor = grid[0]  # only a defaulted floor yields; AuctionParams rejects an explicit one
-        certs.append(
-            bounds.verify_ceiling_removal(analysis, AuctionParams(cap, floor, ceiling))
-        )
-    if which in ("optcond", "all"):
-        cap, floor = _cap_and_floor(args, analysis)
-        certs.append(bounds.verify_sellout_conditional(analysis, AuctionParams(cap, floor)))
-    if which in ("unsafe", "all"):
-        certs.append(bounds.worst_price_gap(instance.cost, args.cap_limit or DEFAULT_GAP_LIMIT))
-    if which in ("decomp", "all"):
-        cap, floor = _cap_and_floor(args, analysis)
-        report = bounds.decompose_welfare(analysis, cap, floor)
-        certs.append(
-            bounds.BoundCertificate(
-                name="three-term-decomposition",
-                lhs=report.term_sum,
-                rhs=report.total_welfare,
-                holds=report.bounded,
-                status=bounds.CHECKED,
-                witness={
-                    "cap": cap,
-                    "floor": format_rational(report.floor),
-                    "sell_out_term": format_rational(report.sell_out_term),
-                    "above_term": format_rational(report.above_term),
-                    "below_term": format_rational(report.below_term),
-                },
-            )
-        )
-        certs.extend(bounds.verify_decomposition_bounds(analysis, cap, floor, report))
-    if which in ("thmq", "all"):
-        certs.append(bounds.verify_sellout_factor(analysis))
-    if which in ("main", "all"):
-        certs.extend(bounds.verify_single_buyer_cover(analysis))
-
-    print(f"instance: {instance.label or args.instance}")
-    failed = 0
-    for cert in certs:
-        if cert.holds is False:
-            failed += 1
-        print(
-            f"[{_verdict(cert):>4}] {cert.name} ({cert.status}): "
-            f"lhs {_fmt(cert.lhs)} vs rhs {_fmt(cert.rhs)}, margin {_fmt(cert.margin)}"
-        )
-    header = ["certificate", "holds", "status", "lhs", "lhs_dec", "rhs", "rhs_dec", "margin", "witness"]
-    _emit(args, header, _certificate_rows(certs))
-    if failed and args.strict:
-        return 1
-    return 0
+    return cmd_verify(args)
 
 
 def cmd_examples(args) -> int:
-    instance = named_instance(args.name, n=args.n, horizon=args.horizon)
-    save_instance(instance, args.out)
-    print(f"wrote {instance.label} to {args.out}")
-    return 0
+    from .instances import cmd_examples
+
+    return cmd_examples(args)
 
 
 def cmd_generate(args) -> int:
-    instance = generate(
-        seed=args.seed,
-        firms=args.firms,
-        scenarios_per_firm=args.scenarios,
-        max_units=args.max_units,
-        value_low=args.value_range[0],
-        value_high=args.value_range[1],
-        cost_kind=args.cost_kind,
-    )
-    problems = validate(instance)
-    if problems:  # generator contract: never happens
-        raise ValidationError("; ".join(problems))
-    save_instance(instance, args.out)
-    print(f"wrote {instance.label} to {args.out}")
-    return 0
+    from .instances import cmd_generate
+
+    return cmd_generate(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("examples", help="emit a built-in instance file")
-    p.add_argument("name", choices=NAMED_INSTANCES)
+    p.add_argument("name", choices=EXAMPLES)
     p.add_argument("-n", type=int, default=5, help="scenario count for the scaled families")
     p.add_argument("--horizon", type=int, help="marginal-list truncation for first-best")
     p.add_argument("--out", required=True)

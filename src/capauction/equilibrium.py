@@ -30,6 +30,9 @@ firms, each type of i* keeps only its candidates within epsilon of its
 best value, and only the product of those sets is checked against the
 other firms' slots. When i* is not the last firm the equilibria are
 sorted back into canonical order.
+
+The `equilibrium` subcommand's handler, `cmd_equilibrium`, lives here,
+since only that subcommand loads this module.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .analysis import DEFAULT_PROFILE_LIMIT, Analysis, expected_welfare
-from .auction import AuctionParams, clear_valid, safe_price
+from .analysis import DEFAULT_PROFILE_LIMIT, Analysis
+from .auction import AuctionParams, clear_valid
+from .io import display, format_rational, load_instance, parse_cap, rational_cells, write_report
 from .model import (
     ZERO,
     CostCurve,
@@ -488,15 +492,13 @@ def check_poa_bound(
 ) -> PoACheck:
     """Check every found equilibrium of the safe-price auction for the cap
     clears the imported 1/3.15 welfare floor. A failure is a reported
-    finding, not an exception."""
-    expected_floor = safe_price(analysis.instance.cost, cap)
-    if report.params.cap != cap or report.params.floor != expected_floor:
+    finding, not an exception. The baseline is the truthful welfare of
+    that auction, which the pricing rule does not change."""
+    if report.params.cap != cap or report.params.floor != analysis.safe_price(cap):
         raise ValidationError(
             "report params do not match the safe-price auction for this cap"
         )
-    baseline = expected_welfare(
-        analysis, report.params
-    )
+    baseline = analysis.safe_welfare(cap)
     bound = baseline * POA_FACTOR
     if report.worst_welfare is None:
         return PoACheck(
@@ -519,3 +521,46 @@ def check_poa_bound(
         margin=worst - bound,
         status="checked",
     )
+
+
+def cmd_equilibrium(args) -> int:
+    """`capauction equilibrium`: search the grid equilibria and, at the
+    safe price, check the worst one against the 1/3.15 floor."""
+    instance = load_instance(args.instance)
+    cap = parse_cap(args.cap)
+    if cap is None:
+        raise ValidationError("equilibrium search needs a bounded cap")
+    params = AuctionParams(cap=cap, floor=rat(args.floor), ceiling=None, pricing=args.pricing)
+    analysis = Analysis(instance, args.scenario_limit)
+    report = find_grid_equilibria(
+        instance,
+        params,
+        epsilon=rat(args.epsilon),
+        strict=args.strict_overbidding,
+        profile_limit=args.profile_limit,
+    )
+    print(f"instance: {instance.label or args.instance}")
+    print(f"profiles searched: {report.searched}")
+    print(f"equilibria found: {len(report.profiles)}")
+    if report.worst_welfare is not None:
+        print(f"worst equilibrium welfare: {display(report.worst_welfare)}")
+    if params.floor == analysis.safe_price(cap):
+        poa = check_poa_bound(analysis, cap, report)
+        print(f"safe-price baseline welfare: {display(poa.baseline)}")
+        print(f"welfare floor (baseline/3.15): {display(poa.bound)}")
+        if poa.ratio is not None:
+            print(f"worst/baseline ratio: {display(poa.ratio)}")
+        print(f"bound holds: {poa.holds} ({poa.status})")
+    header = ["profile", "firm", "type", "bid", "utility", "utility_dec", "welfare", "welfare_dec"]
+
+    def rows():
+        for k, (profile, w) in enumerate(zip(report.profiles, report.welfares)):
+            welfare = rational_cells(w)
+            for i, per_type in enumerate(profile.reports):
+                for t, report_vec in enumerate(per_type):
+                    bid = "|".join(format_rational(v) for v in report_vec.marginals)
+                    u = report.utilities[k][i][t]
+                    yield [str(k), str(i), str(t), bid, *rational_cells(u), *welfare]
+
+    write_report(args.out, header, rows())
+    return 0

@@ -4,6 +4,9 @@ The named instances are the standard demonstration markets: the two-firm
 demand-reduction market, the single-firm log-scale market whose demand
 variance defeats every safe-price auction, and its pure-linear variant
 whose first-best welfare no capped auction approaches.
+
+The `examples` and `generate` subcommands' handlers live here, since only
+those subcommands load this module.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .model import (
     QuadraticCost,
     REPEAT_LAST,
     ValidationError,
+    validate,
 )
 
 
@@ -159,3 +163,34 @@ def generate(
     return MarketInstance(
         firms=tuple(firm_list), cost=cost, label=f"random-{seed}"
     )
+
+
+def cmd_examples(args) -> int:
+    """`capauction examples`: write a named instance file."""
+    from .io import save_instance  # only the handlers write files
+
+    instance = named_instance(args.name, n=args.n, horizon=args.horizon)
+    save_instance(instance, args.out)
+    print(f"wrote {instance.label} to {args.out}")
+    return 0
+
+
+def cmd_generate(args) -> int:
+    """`capauction generate`: write a seeded random instance file."""
+    from .io import save_instance  # only the handlers write files
+
+    instance = generate(
+        seed=args.seed,
+        firms=args.firms,
+        scenarios_per_firm=args.scenarios,
+        max_units=args.max_units,
+        value_low=args.value_range[0],
+        value_high=args.value_range[1],
+        cost_kind=args.cost_kind,
+    )
+    problems = validate(instance)
+    if problems:  # generator contract: never happens
+        raise ValidationError("; ".join(problems))
+    save_instance(instance, args.out)
+    print(f"wrote {instance.label} to {args.out}")
+    return 0

@@ -1,9 +1,13 @@
-"""Instance files and report emission.
+"""Instance files, report emission and the text forms of CLI values.
 
 Instance files are human-editable JSON with every number written as an
 exact rational string ("p/q" or an integer literal). Reports are CSV with
 each rational emitted twice: exact "p/q" (lossless, reparses to the same
-Fraction) and a 12-place decimal for reading.
+Fraction) and a 12-place decimal for reading. The helpers every
+subcommand's handler shares (`parse_cap`, `display`, `write_report`) live
+here rather than in `cli`: `python -m capauction.cli` runs `cli` as
+`__main__`, so a handler importing from `capauction.cli` would compile it
+a second time.
 """
 
 from __future__ import annotations
@@ -179,6 +183,23 @@ def load_instance(path: str | Path, check: bool = True) -> MarketInstance:
     return instance
 
 
+def parse_cap(text: str) -> int | None:
+    """A --cap value: an integer, or 'unbounded'/'inf' for no cap."""
+    if text in ("unbounded", "inf"):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"cap must be an integer or 'unbounded', got {text!r}")
+
+
+def display(value: Fraction | None) -> str:
+    """One rational as stdout prints it: exact and decimal; "inf" for None."""
+    if value is None:
+        return "inf"
+    return f"{format_rational(value)} ({format_decimal(value)})"
+
+
 def rational_cells(value: Fraction | None) -> list[str]:
     """Exact and decimal rendering of one rational; "inf" twice for None."""
     if value is None:
@@ -193,3 +214,11 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) ->
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_report(out: str | None, header: list[str], rows: Iterable[list[str]]) -> None:
+    """Write the CSV report if --out names a file, and say so; when `rows`
+    is a generator, rows are formatted only then."""
+    if out:
+        write_csv(out, header, rows)
+        print(f"report written to {out}")

@@ -477,3 +477,112 @@ class TestWelfareKernel:
         assert analysis.welfare(2, F(0)) == 14
         with pytest.raises(ValidationError, match="beyond cost table"):
             analysis._tabulate(None)
+
+
+# ---- integer tables and the reused sweep candidates ----------------------
+
+VALUE = st.builds(F, st.integers(0, 12), st.sampled_from((1, 2, 3, 4, 6, 7)))
+VALUATION = st.lists(VALUE, max_size=4).map(lambda vs: MarginalVector(tuple(sorted(vs, reverse=True))))
+# Types of one factor: (weight, valuation), weights 0..4 with one positive;
+# a weight of 0 is a zero-probability type.
+TYPE_WEIGHTS = st.lists(st.integers(0, 4), min_size=1, max_size=3).filter(any)
+
+
+def normalized(weights):
+    total = sum(weights)
+    return [F(w, total) for w in weights]
+
+
+def result(compute):
+    """`compute()`, or the type and message of the MarketError it raises."""
+    try:
+        return compute()
+    except (TooLargeError, ValidationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def markets(draw):
+    """Product or joint instances with mixed denominators, zero-probability
+    types and firms without positive marginals."""
+    cost = draw(st.sampled_from((quadratic(1), quadratic(F(1, 2)), cost_table(1, F(3, 2), 4))))
+    if draw(st.booleans()):
+        firms = []
+        for _ in range(draw(st.integers(1, 3))):
+            weights = draw(TYPE_WEIGHTS)
+            valuations = draw(st.lists(VALUATION, min_size=len(weights), max_size=len(weights)))
+            firms.append(FirmDistribution(tuple(zip(normalized(weights), valuations))))
+        return MarketInstance(firms=tuple(firms), cost=cost)
+    width = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    rows = tuple(
+        (p, tuple(draw(st.lists(VALUATION, min_size=width, max_size=width))))
+        for p in normalized(weights)
+    )
+    return MarketInstance(firms=(), cost=cost, joint=rows)
+
+
+class TestIntegerTables:
+    """`Analysis` builds its integer tables from the firm types; the oracle
+    builds them the old way, from the Fraction rows of enumerate_scenarios."""
+
+    @given(m=markets())
+    @settings(max_examples=200, deadline=None)
+    def test_tables_match_enumerated_scenarios(self, m):
+        analysis = Analysis(m)
+        rows = enumerate_scenarios(m).rows
+        pools = [sorted(v for mv in row.valuations for v in mv.marginals if v > 0) for row in rows]
+        assert [F(w, analysis._weight) for w in analysis._probs] == [r.probability for r in rows]
+        assert [[F(v, analysis._scale) for v in pool] for pool in analysis._pools] == pools
+        assert analysis.max_demand == max(map(len, pools), default=0)
+        assert "table" not in vars(analysis)  # enumerated on first read only
+        assert analysis.table == enumerate_scenarios(m)
+        for price in analysis.grid:
+            assert analysis.demand(price) == [
+                sum(1 for v in pool if v >= price) for pool in pools
+            ]
+
+    @given(m=markets(), limit=st.integers(0, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_limit_errors_match_enumerate_scenarios(self, m, limit):
+        want = result(lambda: len(enumerate_scenarios(m, limit)))
+        got = result(lambda: len(Analysis(m, scenario_limit=limit)._probs))
+        assert got == want
+
+    def test_limit_is_checked_before_any_other_work(self, monkeypatch):
+        from capauction import analysis as module
+
+        def no_work(*args):
+            raise AssertionError("work before the scenario limit check")
+
+        monkeypatch.setattr(module, "price_candidates", no_work)
+        with pytest.raises(TooLargeError, match="scenario product has 4 rows, limit 3"):
+            Analysis(generate(0), scenario_limit=3)
+
+    @given(m=markets(), below_demand=st.integers(0, 3), allow_ceiling=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_every_sweep_row_matches_welfare(self, m, below_demand, allow_ceiling):
+        cap_limit = max(1, Analysis(m).max_demand - below_demand)
+        opt = optimize_cap_and_price(Analysis(m, cap_limit=cap_limit), allow_ceiling)
+        oracle = Analysis(m, cap_limit=cap_limit)
+        for cand in opt.table:
+            assert cand.expected_welfare == oracle.welfare(cand.cap, cand.floor, cand.ceiling)
+        assert opt.expected_welfare == max(c.expected_welfare for c in opt.table)
+
+    def test_sweep_reuses_rows_where_nothing_binds(self):
+        # generate(3): the sentinel cap and the high ceilings bind nowhere,
+        # and cap_limit 1 leaves caps below the largest demand.
+        m = generate(3)
+        for cap_limit in (None, 1):
+            analysis = Analysis(m, cap_limit=cap_limit)
+            opt = optimize_cap_and_price(analysis)
+            free = [
+                c for c in opt.table
+                if c.ceiling is not None and max(analysis.demand(c.ceiling)) <= c.cap
+            ]
+            assert free and len(free) < len(opt.table)
+            oracle = Analysis(m, cap_limit=cap_limit)
+            for cand in opt.table:
+                assert cand.expected_welfare == expected_welfare(
+                    oracle, AuctionParams(cand.cap, cand.floor, cand.ceiling)
+                )

@@ -128,6 +128,22 @@ def test_verify_all_enumerates_once(tmp_path, capsys, monkeypatch):
     }
 
 
+@pytest.mark.parametrize("options", [
+    [], ["--no-ceiling"], ["--safe-only"], ["--cap-limit", "2"], ["--out", "report.csv"],
+])
+def test_optimize_enumerates_no_scenarios(tmp_path, monkeypatch, capsys, options):
+    path = tmp_path / "g.json"
+    save_instance(generate(3), path)
+
+    def enumerate_scenarios(*args):
+        raise AssertionError("optimize enumerated the scenario table")
+
+    monkeypatch.setattr(analysis, "enumerate_scenarios", enumerate_scenarios)
+    monkeypatch.chdir(tmp_path)
+    assert main(["optimize", str(path), *options]) == 0
+    assert "expected welfare: " in capsys.readouterr().out
+
+
 @pytest.fixture
 def seed3_file(tmp_path):
     path = tmp_path / "g.json"

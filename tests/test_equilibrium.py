@@ -17,6 +17,7 @@ from capauction import (
     MarginalVector,
     MarketInstance,
     POA_FACTOR,
+    PoACheck,
     StrategyProfile,
     TooLargeError,
     ValidationError,
@@ -613,6 +614,28 @@ class TestPoACheck:
                 )
                 assert check_poa_bound(Analysis(m), cap, report).holds
             done += 1
+
+    @staticmethod
+    def oracle(analysis, report):
+        """The check with its baseline from the `expected_welfare` oracle."""
+        baseline = expected_welfare(analysis, report.params)
+        bound = baseline * POA_FACTOR
+        worst = report.worst_welfare
+        if worst is None:
+            return PoACheck(True, baseline, bound, None, None, None, "no-equilibria")
+        ratio = worst / baseline if baseline != 0 else None
+        return PoACheck(worst >= bound, baseline, bound, worst, ratio, worst - bound, "checked")
+
+    @pytest.mark.parametrize("pricing", (LOWEST_WINNING, HIGHEST_LOSING))
+    def test_baseline_matches_expected_welfare_oracle(self, pricing):
+        # Safe-price searches on small random markets, as the benchmark's
+        # strategic workload runs them, and a few caps past the largest demand.
+        searches = [(seed, cap) for seed in range(12) for cap in (1, 2)]
+        for seed, cap in searches + [(seed, 5) for seed in range(3)]:
+            m = generate(seed, firms=2, scenarios_per_firm=2, max_units=2, value_high=8)
+            report = find_grid_equilibria(m, make_safe_auction(cap, m.cost, pricing))
+            got = check_poa_bound(Analysis(m), cap, report)
+            assert got == self.oracle(Analysis(m), report), (seed, cap)
 
     def test_exact_indifference_breaks_ratio_bound(self):
         # Boundary degeneracy: a firm whose value equals the safe price

@@ -6,7 +6,8 @@ the result must equal tests/golden/<instance>.json byte for byte. The
 own instance and options, recorded in tests/golden/equilibrium.json.
 COMMAND_CASES (`examples` and `generate` with the instance file each writes)
 and LIMIT_CASES (exit 2 over --scenario-limit) are recorded in
-tests/golden/commands.json. After a change that is meant to alter output,
+tests/golden/commands.json, and SHORT_TABLE_CASES (`verify` where the cost
+table runs out) in tests/golden/short-cost-table.json. After a change that is meant to alter output,
 re-record with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -23,8 +24,10 @@ from pathlib import Path
 import pytest
 
 from capauction import (
+    FirmDistribution,
     MarginalVector,
     MarketInstance,
+    cost_table,
     demand_reduction,
     first_best,
     generate,
@@ -111,6 +114,21 @@ LIMIT_CASES = {
     "verify-scenario-limit": (JOINT, ["verify", "--scenario-limit", "2"]),
 }
 
+# An "error"-extension cost table of two marginals, while total demand
+# reaches 5: each path names the quantity at which it found the table short.
+SHORT_TABLE = MarketInstance(
+    firms=(
+        FirmDistribution.point_mass(mv(9, 8, 7)),
+        FirmDistribution.of((F(1, 2), mv(6, 5)), (F(1, 2), mv(3))),
+    ),
+    cost=cost_table(1, 2, extension="error"),
+    label="short-cost-table",
+)
+SHORT_TABLE_CASES = {
+    "verify-priceceil-cap-floor": ["verify", "--which", "priceceil", "--cap", "2", "--floor", "5"],
+    "verify-all": ["verify", "--which", "all"],
+}
+
 
 def run_in(directory: Path, argv: list[str], written: str) -> dict:
     """Run one command in `directory` with relative paths, so no path varies.
@@ -191,6 +209,20 @@ def test_recorded_command_exit_codes():
         assert golden[case]["stderr"].startswith("resource limit: "), case
 
 
+@pytest.mark.parametrize("case", sorted(SHORT_TABLE_CASES))
+def test_short_cost_table_output_matches_recording(tmp_path, case):
+    got = run_case(tmp_path, SHORT_TABLE, SHORT_TABLE_CASES[case])
+    assert got == recorded("short-cost-table")[case]
+
+
+def test_recorded_short_cost_table_errors():
+    golden = recorded("short-cost-table")
+    assert sorted(golden) == sorted(SHORT_TABLE_CASES)
+    for case, result in golden.items():
+        assert result["rc"] == 1 and result["stdout"] == "" and result["csv"] is None, case
+        assert "beyond cost table of length 2" in result["stderr"], case
+
+
 def test_joint_instance_has_no_single_buyer_cover():
     result = recorded("joint-3")["verify-all"]
     assert result["rc"] == 1 and result["stdout"] == "" and result["csv"] is None
@@ -219,6 +251,10 @@ if __name__ == "__main__":
                 case: run_case(Path(scratch), instance, argv)
                 for case, (instance, argv) in LIMIT_CASES.items()
             },
+        }
+        recordings["short-cost-table"] = {
+            case: run_case(Path(scratch), SHORT_TABLE, argv)
+            for case, argv in SHORT_TABLE_CASES.items()
         }
     for name, results in recordings.items():
         text = json.dumps(results, indent=1, sort_keys=True) + "\n"

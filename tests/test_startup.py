@@ -1,6 +1,7 @@
-"""What a CLI process loads before it parses its arguments, and the records
-that replaced dataclasses."""
+"""What a CLI process loads before it parses its arguments and while it runs
+one subcommand, and the records that replaced dataclasses."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -20,12 +21,19 @@ from capauction import (
 )
 from capauction.analysis import Analysis, enumerate_scenarios, optimize_cap_and_price
 from capauction.bounds import verify_sellout_factor
+from capauction.cli import build_parser
 from capauction.equilibrium import StrategyProfile, find_grid_equilibria
+from capauction.instances import NAMED_INSTANCES
+from capauction.io import save_instance
 
 SRC = str(Path(capauction.__file__).resolve().parent.parent)
 
 # Each of these is imported only by the subcommands that use it.
-NOT_AT_STARTUP = ("dataclasses", "inspect", "csv", "capauction.bounds", "capauction.equilibrium")
+NOT_AT_STARTUP = (
+    "dataclasses", "inspect", "csv",
+    "capauction.bounds", "capauction.equilibrium", "capauction.instances",
+)
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
 
 
 def test_cli_import_loads_no_subcommand_module():
@@ -35,12 +43,53 @@ def test_cli_import_loads_no_subcommand_module():
         "import capauction.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     loaded = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=ENV, capture_output=True, text=True, check=True
     ).stdout.split()
     assert "capauction.cli" in loaded
     assert [name for name in NOT_AT_STARTUP if name in loaded] == []
+
+
+# Package modules each subcommand's process must not load. No process
+# loads `capauction.cli` as a module: `python -m` runs it as `__main__`, so
+# importing it again would compile it a second time.
+NOT_LOADED_BY = {
+    "optimize": ("bounds", "equilibrium", "instances", "cli"),
+    "verify": ("equilibrium", "instances", "cli"),
+    "equilibrium": ("bounds", "instances", "cli"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--out", "report.csv"],
+    ["optimize", "--no-ceiling"],
+    ["verify", "--which", "all"],
+    ["equilibrium", "--cap", "2", "--floor", "9"],
+])
+def test_subcommand_process_loads_only_its_own_modules(tmp_path, argv):
+    save_instance(demand_reduction(), tmp_path / "instance.json")
+    command, *options = argv
+    probe = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(' '.join(sorted(sys.modules)), file=sys.stderr))\n"
+        "sys.argv = ['capauction', *sys.argv[1:]]\n"
+        "runpy.run_module('capauction.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, command, "instance.json", *options],
+        env=ENV, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = done.stderr.split()
+    assert "capauction.analysis" in loaded
+    assert [m for m in NOT_LOADED_BY[command] if f"capauction.{m}" in loaded] == []
+
+
+def test_examples_choices_are_the_named_instances():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    name = next(a for a in commands.choices["examples"]._actions if a.dest == "name")
+    assert tuple(name.choices) == NAMED_INSTANCES
 
 
 def test_every_exported_name_resolves():

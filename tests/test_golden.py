@@ -6,9 +6,9 @@ the result must equal tests/golden/<instance>.json byte for byte. The
 own instance and options, recorded in tests/golden/equilibrium.json.
 COMMAND_CASES (`examples` and `generate` with the instance file each writes)
 and LIMIT_CASES (exit 2 over --scenario-limit) are recorded in
-tests/golden/commands.json, and SHORT_TABLE_CASES (`verify` where the cost
-table runs out) in tests/golden/short-cost-table.json. After a change that is meant to alter output,
-re-record with
+tests/golden/commands.json, and SHORT_TABLE_CASES (`verify` and `evaluate`
+on a cost table shorter than the demand) in tests/golden/short-cost-table.json.
+After a change that is meant to alter output, re-record with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -115,7 +115,9 @@ LIMIT_CASES = {
 }
 
 # An "error"-extension cost table of two marginals, while total demand
-# reaches 5: each path names the quantity at which it found the table short.
+# reaches 5: each path that reads further names the quantity at which it
+# found the table short, and a path that sells and prices at most two
+# units succeeds.
 SHORT_TABLE = MarketInstance(
     firms=(
         FirmDistribution.point_mass(mv(9, 8, 7)),
@@ -127,6 +129,10 @@ SHORT_TABLE = MarketInstance(
 SHORT_TABLE_CASES = {
     "verify-priceceil-cap-floor": ["verify", "--which", "priceceil", "--cap", "2", "--floor", "5"],
     "verify-all": ["verify", "--which", "all"],
+    "verify-decomp-cap-2-floor-5": ["verify", "--which", "decomp", "--cap", "2", "--floor", "5"],
+    "verify-decomp-cap-3-floor-0": ["verify", "--which", "decomp", "--cap", "3", "--floor", "0"],
+    "verify-main": ["verify", "--which", "main"],
+    "evaluate-cap-2-floor-5": ["evaluate", "--cap", "2", "--floor", "5"],
 }
 
 
@@ -218,7 +224,12 @@ def test_short_cost_table_output_matches_recording(tmp_path, case):
 def test_recorded_short_cost_table_errors():
     golden = recorded("short-cost-table")
     assert sorted(golden) == sorted(SHORT_TABLE_CASES)
+    # These sell at most two units and price no third, so the table suffices.
+    whole = {"verify-decomp-cap-2-floor-5", "evaluate-cap-2-floor-5"}
     for case, result in golden.items():
+        if case in whole:
+            assert result["rc"] == 0 and result["stderr"] == "" and result["csv"], case
+            continue
         assert result["rc"] == 1 and result["stdout"] == "" and result["csv"] is None, case
         assert "beyond cost table of length 2" in result["stderr"], case
 

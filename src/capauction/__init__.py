@@ -14,9 +14,9 @@ from importlib import import_module
 # loads only what its subcommand needs.
 _EXPORTS = {
     "analysis": (
-        "Analysis", "Candidate", "OptResult", "ScenarioRow", "ScenarioTable",
-        "enumerate_scenarios", "expected_welfare", "optimize_cap_and_price",
-        "optimize_safe", "safe_welfare_table", "sell_out_probability",
+        "Analysis", "Candidate", "OptResult", "ScenarioRow", "enumerate_scenarios",
+        "expected_welfare", "optimize_cap_and_price", "optimize_safe",
+        "safe_welfare_table", "sell_out_probability",
     ),
     "auction": (
         "CAP_BINDS", "CEILING_BINDS", "FLOOR_BINDS", "HIGHEST_LOSING", "LOWEST_WINNING",
@@ -26,8 +26,8 @@ _EXPORTS = {
     ),
     "bounds": (
         "BoundCertificate", "DecompositionReport", "decompose_welfare",
-        "demand_quantile_cap", "first_best_expected", "halves", "one_minus_inv_e",
-        "single_buyer_expected", "verify_ceiling_removal", "verify_decomposition_bounds",
+        "demand_quantile_cap", "halves", "one_minus_inv_e", "single_buyer_expected",
+        "verify_ceiling_removal", "verify_decomposition_bounds",
         "verify_price_gap", "verify_sellout_conditional", "verify_sellout_factor",
         "verify_single_buyer_cover", "worst_price_gap",
     ),

@@ -19,21 +19,18 @@ count against the limit before any other work, then builds its integer
 tables straight from the firm types (or the joint rows): D_s, p_s * W_s(q)
 and each cap's safe price. Every function here and in `bounds` reads from
 it. Sweeps (`optimize_cap_and_price`, `optimize_safe`,
-`safe_welfare_table`), single auctions (`Analysis.welfare`) and sell-out
-probabilities are lookups on those arrays. The Fraction scenario table
-(`Analysis.table`) is enumerated only on first read: by the reference
-oracle `expected_welfare`, which clears every scenario with
-`auction.run_auction` and which the lookups are tested against, by
-`evaluate`, and by the `bounds` helpers that need valuations
-(`decompose_welfare`, `single_buyer_expected`, `first_best_expected`).
-So `optimize` never enumerates it.
+`safe_welfare_table`), single auctions (`Analysis.welfare`), sell-out
+probabilities and the certificates are lookups on those arrays. The
+Fraction scenario rows of `enumerate_scenarios` serve only `evaluate`,
+which prints each scenario's auction, and the reference oracle
+`expected_welfare`, which clears every scenario with `auction.run_auction`
+and which the lookups are tested against.
 
 Where code lives: run without cached bytecode (`PYTHONDONTWRITEBYTECODE`),
 each process compiles every module it imports from source, so this module
 holds only what `optimize`, `evaluate` and `equilibrium` read. The helpers
 that only certificates call (`one_minus_inv_e`, `demand_quantile_cap`,
-`single_buyer_expected`, `first_best_expected`) live in `bounds`, which
-only `verify` loads.
+`single_buyer_expected`) live in `bounds`, which only `verify` loads.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter, getitem
+from operator import add, attrgetter, getitem, mul
 from typing import NamedTuple
 
 from .auction import (
@@ -71,16 +68,6 @@ class ScenarioRow(NamedTuple):
     valuations: tuple[MarginalVector, ...]
 
 
-class ScenarioTable(NamedTuple):
-    rows: tuple[ScenarioRow, ...]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def total_probability(self) -> Fraction:
-        return sum((r.probability for r in self.rows), ZERO)
-
-
 def _check_scenario_limit(instance: MarketInstance, limit: int) -> None:
     if instance.joint is not None:
         if len(instance.joint) > limit:
@@ -93,7 +80,7 @@ def _check_scenario_limit(instance: MarketInstance, limit: int) -> None:
 
 def enumerate_scenarios(
     instance: MarketInstance, limit: int = DEFAULT_SCENARIO_LIMIT
-) -> ScenarioTable:
+) -> tuple[ScenarioRow, ...]:
     """Materialize the joint scenario space with exact probabilities.
 
     Product instances take the cartesian product of per-firm scenarios;
@@ -102,14 +89,12 @@ def enumerate_scenarios(
     """
     _check_scenario_limit(instance, limit)
     if instance.joint is not None:
-        return ScenarioTable(
-            tuple(ScenarioRow(p, vs) for p, vs in instance.joint)
-        )
+        return tuple(ScenarioRow(p, vs) for p, vs in instance.joint)
     rows = []
     for combo in itertools.product(*(f.scenarios for f in instance.firms)):
         prob = math.prod((p for p, _ in combo), start=Fraction(1))
         rows.append(ScenarioRow(prob, tuple(v for _, v in combo)))
-    return ScenarioTable(tuple(rows))
+    return tuple(rows)
 
 
 class Analysis:
@@ -121,12 +106,12 @@ class Analysis:
     multiples of 1/weight, built from the instance without Fractions per
     scenario: each firm type's positive marginals are scaled once, and a
     scenario's pool and probability weight combine its types' integers (a
-    joint table is one factor whose types are its rows). Per scenario it
-    keeps the ascending positive pooled marginals (for D_s, memoized per
-    price) and, once a sweep asks for them, p_s * W_s(q) for every quantity
-    q the sweep can sell, so a candidate costs one demand lookup and one
-    integer sum per scenario. The Fraction scenario table (`table`), the
-    no-ceiling optimum and the safe-welfare table are computed on first
+    joint table is one factor whose types are its rows) through
+    `_per_scenario`. Per scenario it keeps the ascending positive pooled
+    marginals (for D_s, memoized per price) and, once a sweep asks for
+    them, p_s * W_s(q) for every quantity q the sweep can sell, so a
+    candidate costs one demand lookup and one integer sum per scenario.
+    The no-ceiling optimum and the safe-welfare table are computed on first
     read and kept.
     """
 
@@ -146,24 +131,24 @@ class Analysis:
             factors = (instance.joint,)
         else:
             factors = tuple(tuple((p, (v,)) for p, v in f.scenarios) for f in instance.firms)
+        self._factors = factors
         self._scale = scale = math.lcm(*(
             v.denominator
             for types in factors for _, vs in types for mv in vs for v in mv.marginals if v > 0
         ))
-        self._weight = 1
-        rows = [(1, [])]  # (probability weight, positive marginals) per scenario so far
-        for types in factors:
-            weight = math.lcm(*(p.denominator for p, _ in types))
-            self._weight *= weight
-            scaled = [
-                (p.numerator * (weight // p.denominator),
-                 [v.numerator * (scale // v.denominator)
-                  for mv in vs for v in mv.marginals if v > 0])
-                for p, vs in types
-            ]
-            rows = [(w * p, pool + own) for w, pool in rows for p, own in scaled]
-        self._probs = [w for w, _ in rows]
-        self._pools = [sorted(pool) for _, pool in rows]
+        weights = [math.lcm(*(p.denominator for p, _ in types)) for types in factors]
+        self._weight = math.prod(weights)
+        self._probs = self._per_scenario(
+            ([p.numerator * (weight // p.denominator) for p, _ in types]
+             for types, weight in zip(factors, weights)),
+            1, mul,
+        )
+        self._pools = [sorted(pool) for pool in self._per_scenario(
+            ([[v.numerator * (scale // v.denominator) for mv in vs for v in mv.marginals if v > 0]
+              for _, vs in types]
+             for types in factors),
+            [], add,
+        )]
         self.max_demand = max(map(len, self._pools), default=0)
         if cap_limit is None:
             cap_limit = max(1, self.max_demand)
@@ -174,13 +159,18 @@ class Analysis:
         self._safe_prices: dict[int, Fraction] = {}
         self._reach = -1  # rows cover quantities up to min(len(pool), _reach)
         self._nums: list[list[int]] = []
+        self._cost: list[int] = []  # C(q) * (_den // _weight) for q up to _reach
         self._den = 1
 
-    @cached_property
-    def table(self) -> ScenarioTable:
-        """The scenarios as Fractions, for the paths that clear auctions
-        or read valuations; enumerated on first read."""
-        return enumerate_scenarios(self.instance, self.scenario_limit)
+    @staticmethod
+    def _per_scenario(values, start, combine) -> list:
+        """Every scenario's fold of `combine` from `start` over its types'
+        values, in `enumerate_scenarios` order. `values` gives, factor by
+        factor, the value of each of that factor's types."""
+        rows = [start]
+        for of_types in values:
+            rows = [combine(row, value) for row in rows for value in of_types]
+        return rows
 
     def demand(self, price: Fraction) -> list[int]:
         """D_s(price) for every scenario, memoized per price."""
@@ -209,7 +199,7 @@ class Analysis:
         cost = [self.instance.cost.cost(q) for q in range(reach + 1)]
         scale = math.lcm(self._scale, *(c.denominator for c in cost))
         up = scale // self._scale
-        cost = [c.numerator * (scale // c.denominator) for c in cost]
+        self._cost = cost = [c.numerator * (scale // c.denominator) for c in cost]
         self._nums = []
         for p, pool, top in zip(self._probs, self._pools, tops):
             prefix = itertools.accumulate(
@@ -274,7 +264,7 @@ def expected_welfare(analysis: Analysis, params: AuctionParams) -> Fraction:
     """Probability-weighted welfare under truthful bidding."""
     cost = analysis.instance.cost
     total = ZERO
-    for row in analysis.table.rows:
+    for row in enumerate_scenarios(analysis.instance, analysis.scenario_limit):
         total += row.probability * run_auction(params, row.valuations, cost).welfare
     return total
 

@@ -5,19 +5,18 @@ inequality as exact rationals, the witness parameters, and a pass flag that
 is recomputable from the recorded sides. Checks never raise on a failed
 inequality; a failure is a finding.
 
-Every certificate that needs expected welfare reads it from `Analysis`
-(its integer welfare rows, demand memo, safe prices and cached no-ceiling
-optimum), never by clearing scenarios again. The exception is
-`decompose_welfare`, which needs each firm's allocation and so still
-clears every scenario with the `auction.run_auction` oracle. The price-gap
-certificates (`verify_price_gap`, `worst_price_gap`) read only the cost
-curve.
+Every certificate reads `Analysis` (its integer welfare rows, cost list,
+demand memo, probability weights, safe prices and cached no-ceiling
+optimum), never a scenario cleared again or the Fraction scenario rows of
+`enumerate_scenarios`, which serve only `evaluate` and the
+`expected_welfare` oracle. The price-gap certificates (`verify_price_gap`,
+`worst_price_gap`) read only the cost curve.
 
 Only `verify` loads this module, so it also holds the helpers that only
 certificates read (`one_minus_inv_e`, `demand_quantile_cap`,
-`single_buyer_expected`, `first_best_expected`) and the `verify`
-subcommand's handler, `cmd_verify`: a process compiles every module it
-imports, and `optimize` and `equilibrium` processes need none of this.
+`single_buyer_expected`) and the `verify` subcommand's handler,
+`cmd_verify`: a process compiles every module it imports, and `optimize`
+and `equilibrium` processes need none of this.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import NamedTuple
 
 from .analysis import (
@@ -34,7 +33,7 @@ from .analysis import (
     optimize_safe,
     sell_out_probability,
 )
-from .auction import AuctionParams, best_own_quantity, run_auction, safe_price
+from .auction import AuctionParams, best_own_quantity, safe_price
 from .io import display, format_decimal, format_rational, load_instance, parse_cap, write_report
 from .model import (
     ZERO,
@@ -117,15 +116,12 @@ def demand_quantile_cap(
         threshold = rat(threshold)
         if not 0 < threshold < 1:
             raise ValidationError(f"threshold must be in (0,1), got {threshold}")
-    demands = sorted(
-        zip(analysis.demand(floor), (row.probability for row in analysis.table.rows))
-    )
-    # Pr[d >= c] scanning demands from the top down.
+    # Pr[d >= c] * weight scanning demands from the top down.
     best = 0
-    tail = ZERO
-    for demand, prob in reversed(demands):
-        tail += prob
-        if tail >= threshold:
+    tail = 0
+    for demand, weight in sorted(zip(analysis.demand(floor), analysis._probs), reverse=True):
+        tail += weight
+        if Fraction(tail, analysis._weight) >= threshold:
             best = demand
             # Larger demands had tail < threshold; this is the largest c
             # with Pr[d >= c] >= threshold.
@@ -139,7 +135,8 @@ def single_buyer_expected(analysis: Analysis) -> Fraction:
     A scenario's welfare is the largest stand-alone surplus max_x {V(x) -
     C(x)} of its firms (`single_buyer_mechanism`), computed once per
     distinct valuation by `best_own_quantity`, which reads the cost only
-    as far as that valuation's own optimum.
+    as far as that valuation's own optimum. The per-scenario maximum is
+    one fold over the scenario factors.
     """
     cost = analysis.instance.cost
     surplus: dict[MarginalVector, Fraction] = {}
@@ -150,26 +147,14 @@ def single_buyer_expected(analysis: Analysis) -> Fraction:
             got = surplus[valuation] = best_own_quantity(valuation, cost)[1]
         return got
 
-    total = ZERO
-    for row in analysis.table.rows:
-        if not row.valuations:
-            raise ValidationError("at least one firm is required")
-        total += row.probability * max(map(alone, row.valuations))
-    return total
-
-
-def first_best_expected(analysis: Analysis) -> Fraction:
-    """Expected welfare of the per-realization unconstrained optimum.
-
-    By concavity and convexity the best quantity of the pooled curve is what
-    one firm holding every scenario marginal would buy.
-    """
-    cost = analysis.instance.cost
-    total = ZERO
-    for row in analysis.table.rows:
-        pool = sorted((v for mv in row.valuations for v in mv.marginals), reverse=True)
-        total += row.probability * best_own_quantity(MarginalVector(tuple(pool)), cost)[1]
-    return total
+    # A surplus is never negative, so -1 marks a scenario with no firm.
+    best = analysis._per_scenario(
+        ([max(map(alone, vs), default=-1) for _, vs in types] for types in analysis._factors),
+        -1, max,
+    )
+    if -1 in best:
+        raise ValidationError("at least one firm is required")
+    return sum(map(mul, analysis._probs, best), ZERO) / analysis._weight
 
 
 def verify_ceiling_removal(analysis: Analysis, params: AuctionParams) -> BoundCertificate:
@@ -277,25 +262,23 @@ def worst_price_gap(cost: CostCurve, limit: int) -> BoundCertificate:
     return verify_price_gap(cost, worst[1], worst[2])
 
 
-class DecompositionRow(NamedTuple):
-    probability: Fraction
-    valuations: tuple[MarginalVector, ...]
-    allocation: tuple[int, ...]
-    sold_out: bool
-    thresholds: tuple[int, ...]
-    above: tuple[int, ...]
-    below: tuple[int, ...]
-
-
 class DecompositionReport(NamedTuple):
     """Welfare of a no-ceiling auction split into three exact terms.
 
     `sell_out_term` collects scenarios whose demand reaches the cap;
     elsewhere each firm's allocation is split at its threshold (largest
-    unit whose marginal clears the safe price for the cap) into units
+    unit whose marginal clears the safe price r for the cap) into units
     valued above the safe price (`above_term`) and the rest
     (`below_term`). The total is bounded above by the three-term sum via
     cost superadditivity.
+
+    Where D_s(floor) = x < cap the floor binds, so firm i buys its whole
+    demand D_i(floor), and its threshold is D_i(r). As demand falls with
+    the price, min(D_i(floor), D_i(r)) = D_i(max(floor, r)): the above
+    units are the firm's marginals at or above max(floor, r). Summed over
+    firms they are the a = D_s(max(floor, r)) largest pooled marginals, and
+    the below units are the next x - a. So the scenario's above term is
+    W_s(a) and its below term is W_s(x) - W_s(a) + C(x) - C(a) - C(x - a).
     """
 
     cap: int
@@ -305,77 +288,35 @@ class DecompositionReport(NamedTuple):
     above_term: Fraction
     below_term: Fraction
     total_welfare: Fraction
-    rows: tuple[DecompositionRow, ...]
 
     @property
     def term_sum(self) -> Fraction:
         return self.sell_out_term + self.above_term + self.below_term
-
-    @property
-    def bounded(self) -> bool:
-        return self.total_welfare <= self.term_sum
 
 
 def decompose_welfare(analysis: Analysis, cap: int, floor: Fraction) -> DecompositionReport:
     if cap is None:
         raise ValidationError("welfare decomposition needs a bounded cap")
     floor = rat(floor)
-    params = AuctionParams(cap, floor, None)
-    cost = analysis.instance.cost
-    reference = safe_price(cost, cap)
-    sell_out_term = ZERO
-    above_term = ZERO
-    below_term = ZERO
-    total = ZERO
-    rows = []
-    for row, demand in zip(analysis.table.rows, analysis.demand(floor)):
-        outcome = run_auction(params, row.valuations, cost)
-        total += row.probability * outcome.welfare
-        sold_out = demand >= cap
-        thresholds = tuple(v.demand(reference) for v in row.valuations)
-        if sold_out:
-            sell_out_term += row.probability * outcome.welfare
-            above = below = tuple(0 for _ in row.valuations)
-        else:
-            above = tuple(
-                min(x, theta) for x, theta in zip(outcome.allocation, thresholds)
-            )
-            below = tuple(
-                x - a for x, a in zip(outcome.allocation, above)
-            )
-            above_value = sum(
-                (v.value(a) for v, a in zip(row.valuations, above)), ZERO
-            )
-            below_value = sum(
-                (v.gain(b, theta) for v, b, theta in zip(row.valuations, below, thresholds)),
-                ZERO,
-            )
-            above_term += row.probability * (
-                above_value - cost.cost(sum(above))
-            )
-            below_term += row.probability * (
-                below_value - cost.cost(sum(below))
-            )
-        rows.append(
-            DecompositionRow(
-                probability=row.probability,
-                valuations=row.valuations,
-                allocation=outcome.allocation,
-                sold_out=sold_out,
-                thresholds=thresholds,
-                above=above,
-                below=below,
-            )
-        )
+    reference = analysis.safe_price(cap)  # a cost table short of the cap fails here
+    analysis._tabulate(cap)  # no scenario short of the cap sells more than it
+    cost = analysis._cost
+    above = below = 0
+    at_floor = analysis.demand(floor)
+    at_threshold = analysis.demand(max(floor, reference))
+    for p, row, x, a in zip(analysis._probs, analysis._nums, at_floor, at_threshold):
+        if x < cap:
+            above += row[a]
+            below += row[x] - row[a] + p * (cost[x] - cost[a] - cost[x - a])
+    den = analysis._den
     return DecompositionReport(
         cap=cap,
         floor=floor,
         reference_price=reference,
-        sell_out_term=sell_out_term,
-        above_term=above_term,
-        below_term=below_term,
-        total_welfare=total,
-        rows=tuple(rows),
+        sell_out_term=analysis.sold_out_welfare(cap, floor),
+        above_term=Fraction(above, den),
+        below_term=Fraction(below, den),
+        total_welfare=analysis.welfare(cap, floor),
     )
 
 
@@ -579,19 +520,15 @@ def cmd_verify(args) -> int:
         cap, floor = _cap_and_floor(args, analysis)
         report = decompose_welfare(analysis, cap, floor)
         certs.append(
-            BoundCertificate(
-                name="three-term-decomposition",
-                lhs=report.term_sum,
-                rhs=report.total_welfare,
-                holds=report.bounded,
-                status=CHECKED,
-                witness={
-                    "cap": cap,
-                    "floor": format_rational(report.floor),
-                    "sell_out_term": format_rational(report.sell_out_term),
-                    "above_term": format_rational(report.above_term),
-                    "below_term": format_rational(report.below_term),
-                },
+            _certify(
+                "three-term-decomposition",
+                report.term_sum,
+                report.total_welfare,
+                cap=cap,
+                floor=format_rational(report.floor),
+                sell_out_term=format_rational(report.sell_out_term),
+                above_term=format_rational(report.above_term),
+                below_term=format_rational(report.below_term),
             )
         )
         certs.extend(verify_decomposition_bounds(analysis, cap, floor, report))

@@ -15,8 +15,9 @@ loads (`verify` in `bounds`, `equilibrium` in `equilibrium`, `examples`
 and `generate` in `instances`), and its `cmd_<name>` here imports it on
 call. The helpers the handlers share are in `io`, not here: `python -m
 capauction.cli` runs this module as `__main__`, and importing it again
-would compile it twice. The `analysis` scenario table is enumerated only
-on first read, which `optimize` never makes.
+would compile it twice. Of the subcommands, only `evaluate` reads the
+Fraction scenario rows of `enumerate_scenarios`, to print each scenario's
+auction; the others read the integer tables of `analysis.Analysis`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .analysis import (
     DEFAULT_PROFILE_LIMIT,
     DEFAULT_SCENARIO_LIMIT,
     Analysis,
+    enumerate_scenarios,
     optimize_cap_and_price,
     optimize_safe,
     sell_out_probability,
@@ -58,7 +60,7 @@ def cmd_evaluate(args) -> int:
         pricing=args.pricing,
     )
     analysis = Analysis(instance, args.scenario_limit)
-    scenarios = analysis.table.rows
+    scenarios = enumerate_scenarios(instance, args.scenario_limit)
     outcomes = [run_auction(params, row.valuations, instance.cost) for row in scenarios]
     welfare_total = Fraction(0)
     revenue_total = Fraction(0)

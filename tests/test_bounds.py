@@ -9,17 +9,23 @@ from capauction import (
     Analysis,
     AuctionParams,
     BoundCertificate,
+    DecompositionReport,
     FirmDistribution,
     MarginalVector,
     MarketInstance,
     ValidationError,
     cost_table,
+    decompose_welfare,
+    demand_quantile_cap,
     enumerate_scenarios,
     expected_welfare,
     generate,
     logscale,
+    one_minus_inv_e,
     price_candidates,
     quadratic,
+    run_auction,
+    safe_price,
     single_buyer_expected,
     single_buyer_mechanism,
     verify_ceiling_removal,
@@ -33,7 +39,7 @@ mv = MarginalVector.of
 
 def as_joint(m: MarketInstance) -> MarketInstance:
     """The same market given as an explicit joint table."""
-    rows = enumerate_scenarios(m).rows
+    rows = enumerate_scenarios(m)
     return MarketInstance(
         firms=(), cost=m.cost, label=m.label,
         joint=tuple((row.probability, row.valuations) for row in rows),
@@ -203,7 +209,7 @@ class TestSingleBuyerExpected:
     def oracle(analysis):
         return sum(
             (row.probability * single_buyer_mechanism(row.valuations, analysis.instance.cost).welfare
-             for row in analysis.table.rows),
+             for row in enumerate_scenarios(analysis.instance)),
             F(0),
         )
 
@@ -232,3 +238,159 @@ class TestSingleBuyerExpected:
         want = result(lambda: self.oracle(analysis))
         assert want == "ValidationError: at least one firm is required"
         assert result(lambda: single_buyer_expected(analysis)) == want
+
+
+def scenario_demands(instance, floor):
+    """(D_s(floor), p_s) per scenario, from the Fraction scenario rows."""
+    return [
+        (sum(v.demand(floor) for v in row.valuations), row.probability)
+        for row in enumerate_scenarios(instance)
+    ]
+
+
+class TestDecomposeWelfare:
+    """`decompose_welfare` reads the integer tables; the oracle clears every
+    scenario with `run_auction` and splits each firm's allocation at its
+    threshold, summing Fractions firm by firm."""
+
+    @staticmethod
+    def oracle(analysis: Analysis, cap: int, floor: F) -> DecompositionReport:
+        params = AuctionParams(cap, floor, None)
+        cost = analysis.instance.cost
+        reference = safe_price(cost, cap)
+        sell_out_term = above_term = below_term = total = F(0)
+        for row in enumerate_scenarios(analysis.instance):
+            outcome = run_auction(params, row.valuations, cost)
+            total += row.probability * outcome.welfare
+            if sum(v.demand(floor) for v in row.valuations) >= cap:
+                sell_out_term += row.probability * outcome.welfare
+                continue
+            thresholds = [v.demand(reference) for v in row.valuations]
+            above = [min(x, theta) for x, theta in zip(outcome.allocation, thresholds)]
+            below = [x - a for x, a in zip(outcome.allocation, above)]
+            above_value = sum((v.value(a) for v, a in zip(row.valuations, above)), F(0))
+            below_value = sum(
+                (v.gain(b, theta) for v, b, theta in zip(row.valuations, below, thresholds)), F(0)
+            )
+            above_term += row.probability * (above_value - cost.cost(sum(above)))
+            below_term += row.probability * (below_value - cost.cost(sum(below)))
+        return DecompositionReport(
+            cap=cap,
+            floor=floor,
+            reference_price=reference,
+            sell_out_term=sell_out_term,
+            above_term=above_term,
+            below_term=below_term,
+            total_welfare=total,
+        )
+
+    @given(
+        **MARKETS,
+        cap_index=st.integers(0, 20),
+        floor_kind=st.sampled_from(("grid", "between", "below-safe", "safe", "above-safe")),
+        floor_index=st.integers(0, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, seed, firms, cost_kind, joint, error_length, cap_index,
+                            floor_kind, floor_index):
+        m = market(seed, firms, cost_kind, joint, error_length)
+        cap = 1 + cap_index % (Analysis(m).max_demand + 1)  # 1 to max_demand + 1
+        grid = price_candidates(m)
+        floor = grid[floor_index % len(grid)]
+        if floor_kind == "between":  # off the grid, between two of its prices
+            floor = (floor + grid[(floor_index + 1) % len(grid)]) / 2
+        elif floor_kind != "grid":
+            reference = result(lambda: safe_price(m.cost, cap))
+            if not isinstance(reference, str):  # else the short table raises anyway
+                step = {"below-safe": F(-1, 7), "safe": 0, "above-safe": F(1, 7)}[floor_kind]
+                floor = max(F(0), reference + step)
+        want = result(lambda: self.oracle(Analysis(m), cap, floor))
+        got = result(lambda: decompose_welfare(Analysis(m), cap, floor))
+        assert got == want
+        if not isinstance(got, str):
+            assert got.total_welfare <= got.term_sum
+
+    def test_short_table_names_the_cap(self):
+        # The safe price for cap 3 reads C(3), one past the two-entry table,
+        # before any welfare is tabulated.
+        m = MarketInstance(
+            firms=(
+                FirmDistribution.point_mass(mv(9, 8, 7)),
+                FirmDistribution.of((F(1, 2), mv(6, 5)), (F(1, 2), mv(3))),
+            ),
+            cost=cost_table(1, 2, extension="error"),
+        )
+        for cap, floor in ((3, F(0)), (3, F(9))):
+            want = result(lambda: self.oracle(Analysis(m), cap, floor))
+            assert want == (
+                "ValidationError: quantity 3 beyond cost table of length 2 "
+                "(extension policy 'error')"
+            )
+            assert result(lambda: decompose_welfare(Analysis(m), cap, floor)) == want
+        report = decompose_welfare(Analysis(m), 2, F(5))  # sells out everywhere
+        assert report == self.oracle(Analysis(m), 2, F(5))
+        assert (report.sell_out_term, report.above_term, report.below_term) == (14, 0, 0)
+
+    def test_unbounded_cap(self):
+        with pytest.raises(ValidationError, match="needs a bounded cap"):
+            decompose_welfare(Analysis(logscale(3)), None, F(0))
+
+
+class TestDemandQuantileCap:
+    """`demand_quantile_cap` scans integer weights; the oracle scans the
+    Fraction probabilities of the scenario rows."""
+
+    @staticmethod
+    def oracle(instance, floor, threshold):
+        tail = F(0)
+        for demand, probability in sorted(scenario_demands(instance, floor), reverse=True):
+            tail += probability
+            if tail >= threshold:
+                return demand
+        return 0
+
+    @given(
+        **MARKETS,
+        floor_index=st.integers(0, 40),
+        off_grid=st.booleans(),
+        threshold_kind=st.sampled_from(("default", "any", "tail", "above-tail")),
+        pick=st.integers(0, 20),
+        any_threshold=st.fractions(F(1, 1000), F(999, 1000)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_tail_scan(self, seed, firms, cost_kind, joint, error_length, floor_index,
+                               off_grid, threshold_kind, pick, any_threshold):
+        m = market(seed, firms, cost_kind, joint, error_length)
+        grid = price_candidates(m)
+        floor = grid[floor_index % len(grid)] + (F(1, 5) if off_grid else 0)
+        threshold = {"default": None, "any": any_threshold}.get(threshold_kind)
+        if threshold_kind in ("tail", "above-tail"):
+            # A threshold on the boundary: some Pr[D_s(floor) >= c] exactly,
+            # or just above it.
+            demands = scenario_demands(m, floor)
+            tails = sorted({
+                sum(p for d, p in demands if d >= c) for c, _ in demands
+            } - {0, 1})
+            if not tails:
+                return
+            threshold = tails[pick % len(tails)]
+            if threshold_kind == "above-tail":
+                threshold = min(threshold + F(1, 10**9), (threshold + 1) / 2)
+        want = self.oracle(m, floor, one_minus_inv_e() if threshold is None else threshold)
+        assert demand_quantile_cap(Analysis(m), floor, threshold) == want
+
+    def test_threshold_boundary(self):
+        # Demand 3 w.p. 1/2 and 1 w.p. 1/2: Pr[D >= 3] = 1/2 exactly.
+        m = MarketInstance(
+            firms=(FirmDistribution.of((F(1, 2), mv(4, 4, 4)), (F(1, 2), mv(4))),),
+            cost=quadratic(1),
+        )
+        analysis = Analysis(m)
+        assert demand_quantile_cap(analysis, 1, F(1, 2)) == 3
+        assert demand_quantile_cap(analysis, 1, F(1, 2) + F(1, 10**30)) == 1
+        assert demand_quantile_cap(analysis, 5, F(1, 2)) == 0
+
+    @pytest.mark.parametrize("threshold", [0, 1, F(3, 2)])
+    def test_threshold_outside_unit_interval(self, threshold):
+        with pytest.raises(ValidationError, match="threshold must be in"):
+            demand_quantile_cap(Analysis(logscale(3)), 0, threshold)

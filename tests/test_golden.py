@@ -14,6 +14,7 @@ After a change that is meant to alter output, re-record with
 """
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -232,6 +233,22 @@ def test_recorded_short_cost_table_errors():
             continue
         assert result["rc"] == 1 and result["stdout"] == "" and result["csv"] is None, case
         assert "beyond cost table of length 2" in result["stderr"], case
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_certificate_verdicts_follow_their_sides(tmp_path, name):
+    """Each certificate's verdict is n/a or recomputable from its sides."""
+    instance = INSTANCES[name]
+    # `main`, and so `all`, needs product form; joint-3 runs the other checks.
+    checks = ["all"]
+    if not instance.product_form:
+        checks = ["priceceil", "optcond", "unsafe", "decomp", "thmq"]
+    for which in checks:
+        got = run_case(tmp_path, instance, ["verify", "--which", which])
+        assert got["rc"] == 0, which
+        for cert in csv.DictReader(io.StringIO(got["csv"])):
+            if cert["holds"] != "n/a":
+                assert (cert["holds"] == "pass") == (F(cert["lhs"]) >= F(cert["rhs"])), cert
 
 
 def test_joint_instance_has_no_single_buyer_cover():

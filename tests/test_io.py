@@ -108,7 +108,7 @@ def test_round_trip(seed, firms, scenarios, max_units, cost_kind, divisor, error
     if error_extension and cost_kind == "marginals":
         m = m._replace(cost=MarginalCostTable(m.cost.marginals, ERROR_BEYOND))
     if joint:
-        rows = enumerate_scenarios(m).rows
+        rows = enumerate_scenarios(m)
         m = MarketInstance(firms=(), cost=m.cost, label=m.label,
                            joint=tuple((row.probability, row.valuations) for row in rows))
     text = dumps_instance(m)

@@ -131,8 +131,7 @@ def _records():
         instance,
         instance.firms[0],
         params,
-        enumerate_scenarios(instance),
-        enumerate_scenarios(instance).rows[0],
+        enumerate_scenarios(instance)[0],
         optimize_cap_and_price(analysis, allow_ceiling=False),
         verify_sellout_factor(analysis),
         report,

@@ -116,7 +116,7 @@ def demand_quantile_cap(
         threshold = rat(threshold)
         if not 0 < threshold < 1:
             raise ValidationError(f"threshold must be in (0,1), got {threshold}")
-    # Pr[d >= c] * weight scanning demands from the top down.
+    # tail = Pr[d >= c] * _weight, scanning demands from the top down.
     best = 0
     tail = 0
     for demand, weight in sorted(zip(analysis.demand(floor), analysis._probs), reverse=True):

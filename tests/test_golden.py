@@ -60,6 +60,11 @@ INSTANCES = {
     "random-0": generate(0),
     "random-1-marginals": generate(1, cost_kind="marginals"),
     "joint-3": JOINT,
+    # Demand 1 never reaches the safe price 5 of quadratic(5): the checks
+    # print their vacuous, not-applicable and degenerate statuses.
+    "no-trade": MarketInstance(
+        firms=(FirmDistribution.point_mass(mv(1)),), cost=quadratic(5), label="no-trade"
+    ),
 }
 
 CASES = {

@@ -15,18 +15,16 @@ from importlib import import_module
 _EXPORTS = {
     "analysis": (
         "Analysis", "Candidate", "OptResult", "ScenarioRow", "enumerate_scenarios",
-        "expected_welfare", "optimize_cap_and_price", "optimize_safe",
-        "safe_welfare_table", "sell_out_probability",
+        "expected_welfare", "optimize_cap_and_price", "optimize_safe", "sell_out_probability",
     ),
     "auction": (
         "CAP_BINDS", "CEILING_BINDS", "FLOOR_BINDS", "HIGHEST_LOSING", "LOWEST_WINNING",
         "AuctionParams", "Outcome", "SingleBuyerOutcome", "best_own_quantity", "clear",
-        "make_safe_auction", "price_candidates", "run_auction", "safe_price",
-        "single_buyer_mechanism",
+        "price_candidates", "run_auction", "safe_price", "single_buyer_mechanism",
     ),
     "bounds": (
         "BoundCertificate", "DecompositionReport", "decompose_welfare",
-        "demand_quantile_cap", "halves", "one_minus_inv_e", "single_buyer_expected",
+        "demand_quantile_cap", "one_minus_inv_e", "single_buyer_expected",
         "verify_ceiling_removal", "verify_decomposition_bounds",
         "verify_price_gap", "verify_sellout_conditional", "verify_sellout_factor",
         "verify_single_buyer_cover", "worst_price_gap",
@@ -47,8 +45,8 @@ _EXPORTS = {
     "model": (
         "CostCurve", "FirmDistribution", "MarginalCostTable", "MarginalVector",
         "MarketError", "MarketInstance", "QuadraticCost", "TooLargeError",
-        "ValidationError", "average_cost", "combined_valuation", "cost_table",
-        "interpolated_cost", "quadratic", "rat", "validate", "welfare_of",
+        "ValidationError", "average_cost", "cost_table", "interpolated_cost", "quadratic",
+        "rat", "validate", "welfare_of",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -18,9 +18,9 @@ and q = D_s(floor) for an unbounded cap, which ignores the ceiling.
 count against the limit before any other work, then builds its integer
 tables straight from the firm types (or the joint rows): D_s, p_s * W_s(q)
 and each cap's safe price. Every function here and in `bounds` reads from
-it. Sweeps (`optimize_cap_and_price`, `optimize_safe`,
-`safe_welfare_table`), single auctions (`Analysis.welfare`), sell-out
-probabilities and the certificates are lookups on those arrays. The
+it. Sweeps (`optimize_cap_and_price`, `optimize_safe`), single auctions
+(`Analysis.welfare`, `Analysis.safe_welfare`), sell-out probabilities and
+the certificates are lookups on those arrays. The
 Fraction scenario rows of `enumerate_scenarios` serve only `evaluate`,
 which prints each scenario's auction, and the reference oracle
 `expected_welfare`, which clears every scenario with `auction.run_auction`
@@ -111,8 +111,7 @@ class Analysis:
     marginals (for D_s, memoized per price) and, once a sweep asks for
     them, p_s * W_s(q) for every quantity q the sweep can sell, so a
     candidate costs one demand lookup and one integer sum per scenario.
-    The no-ceiling optimum and the safe-welfare table are computed on first
-    read and kept.
+    The no-ceiling optimum is computed on first read and kept.
     """
 
     def __init__(
@@ -255,10 +254,6 @@ class Analysis:
     def no_ceiling_optimum(self) -> OptResult:
         return optimize_cap_and_price(self, allow_ceiling=False)
 
-    @cached_property
-    def safe_welfares(self) -> dict[int, Fraction]:
-        return safe_welfare_table(self)
-
 
 def expected_welfare(analysis: Analysis, params: AuctionParams) -> Fraction:
     """Probability-weighted welfare under truthful bidding."""
@@ -350,9 +345,9 @@ def optimize_cap_and_price(analysis: Analysis, allow_ceiling: bool = True) -> Op
 def optimize_safe(analysis: Analysis) -> OptResult:
     """Best safe-price auction: argmax over caps with floor pinned to the
     average cost of the cap."""
-    welfares = analysis.safe_welfares
+    analysis._tabulate(analysis.cap_limit)  # once, not growing cap by cap
     table = tuple(
-        Candidate(cap, analysis.safe_price(cap), None, welfares[cap])
+        Candidate(cap, analysis.safe_price(cap), None, analysis.safe_welfare(cap))
         for cap in range(1, analysis.cap_limit + 1)
     )
     best = max(table, key=attrgetter("expected_welfare"))  # ties keep the smaller cap
@@ -362,16 +357,6 @@ def optimize_safe(analysis: Analysis) -> OptResult:
         searched=len(table),
         table=table,
     )
-
-
-def safe_welfare_table(analysis: Analysis) -> dict[int, Fraction]:
-    """Expected welfare of the safe-price auction for every cap in range.
-
-    Includes the cap-0 convention (sell nothing, welfare 0) used when a
-    bound halves an odd cap.
-    """
-    analysis._tabulate(analysis.cap_limit)
-    return {cap: analysis.safe_welfare(cap) for cap in range(analysis.cap_limit + 1)}
 
 
 def sell_out_probability(analysis: Analysis, params: AuctionParams) -> Fraction:

@@ -165,13 +165,6 @@ def safe_price(cost: CostCurve, cap: int) -> Fraction:
     return average_cost(cost, Fraction(cap))
 
 
-def make_safe_auction(
-    cap: int, cost: CostCurve, pricing: str = LOWEST_WINNING
-) -> AuctionParams:
-    """Capped auction whose floor is the average cost of selling the cap."""
-    return AuctionParams(cap=cap, floor=safe_price(cost, cap), ceiling=None, pricing=pricing)
-
-
 def price_candidates(instance: MarketInstance) -> tuple[Fraction, ...]:
     """Finite price grid that is welfare-exhaustive for floors and ceilings.
 

@@ -2,7 +2,9 @@
 
 Each check produces a self-contained certificate: the two sides of the
 inequality as exact rationals, the witness parameters, and a pass flag that
-is recomputable from the recorded sides. Checks never raise on a failed
+is recomputable from the recorded sides. Every certificate is built by
+`_certify`, which sets that flag from the sides, or to None for a
+not-applicable or degenerate check. Checks never raise on a failed
 inequality; a failure is a finding.
 
 Every certificate reads `Analysis` (its integer welfare rows, cost list,
@@ -27,22 +29,12 @@ from functools import lru_cache
 from operator import attrgetter, mul
 from typing import NamedTuple
 
-from .analysis import (
-    DEFAULT_GAP_LIMIT,
-    Analysis,
-    optimize_safe,
-    sell_out_probability,
-)
+from .analysis import DEFAULT_GAP_LIMIT, Analysis, optimize_safe, sell_out_probability
 from .auction import AuctionParams, best_own_quantity, safe_price
-from .io import display, format_decimal, format_rational, load_instance, parse_cap, write_report
-from .model import (
-    ZERO,
-    CostCurve,
-    MarginalVector,
-    ValidationError,
-    average_cost,
-    rat,
+from .io import (
+    display, format_rational, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
 )
+from .model import ZERO, CostCurve, MarginalVector, ValidationError, average_cost, rat
 
 CHECKED = "checked"
 VACUOUS = "vacuous"
@@ -69,21 +61,21 @@ class BoundCertificate(NamedTuple):
 
 
 def _certify(name: str, lhs: Fraction, rhs: Fraction, status=CHECKED, **witness) -> BoundCertificate:
-    return BoundCertificate(
-        name=name, lhs=lhs, rhs=rhs, holds=lhs >= rhs, status=status, witness=witness
-    )
+    """The one constructor of a certificate: a not-applicable or degenerate
+    check has no verdict (`holds` is None); any other holds iff lhs >= rhs."""
+    holds = None if status in (NOT_APPLICABLE, DEGENERATE) else lhs >= rhs
+    return BoundCertificate(name, lhs, rhs, holds, status, witness)
 
 
-def halves(cap: int) -> tuple[int, ...]:
-    """Integer caps standing in for half of `cap` (both when odd)."""
-    if cap % 2 == 0:
-        return (cap // 2,)
-    return (cap // 2, cap // 2 + 1)
+def _best_half(analysis: Analysis, cap: int) -> int:
+    """The half of `cap` (either, when odd) whose safe-price auction has
+    the larger welfare; ties keep the smaller."""
+    return max((cap // 2, (cap + 1) // 2), key=analysis.safe_welfare)
 
 
 @lru_cache(maxsize=None)
-def one_minus_inv_e(digits: int = 50) -> Fraction:
-    """Rational over-approximation of 1 - 1/e, accurate to `digits` decimals.
+def one_minus_inv_e() -> Fraction:
+    """Rational over-approximation of 1 - 1/e, accurate to 50 decimals.
 
     Built from the exact factorial series for e with a rigorous remainder
     bound, then rounded up, so the returned threshold is strictly above the
@@ -94,7 +86,7 @@ def one_minus_inv_e(digits: int = 50) -> Fraction:
     e_low = sum((Fraction(1, math.factorial(k)) for k in range(terms + 1)), ZERO)
     e_high = e_low + Fraction(2, math.factorial(terms + 1))
     upper = 1 - Fraction(1, 1) / e_high  # strict upper bound on 1 - 1/e
-    scale = 10**digits
+    scale = 10**50
     return Fraction(math.ceil(upper * scale), scale)
 
 
@@ -321,40 +313,47 @@ def decompose_welfare(analysis: Analysis, cap: int, floor: Fraction) -> Decompos
 
 
 def verify_decomposition_bounds(
-    analysis: Analysis,
-    cap: int,
-    floor: Fraction,
-    report: DecompositionReport | None = None,
-) -> tuple[BoundCertificate, BoundCertificate]:
-    """The two covering bounds behind the sell-out-factor guarantee.
+    analysis: Analysis, cap: int, floor: Fraction
+) -> tuple[BoundCertificate, BoundCertificate, BoundCertificate]:
+    """The three-term decomposition and the two covering bounds behind the
+    sell-out-factor guarantee.
 
-    First: the safe-price auction at the same cap covers the sell-out term
-    plus the above-price term. Second: the safe-price auction at half the
-    cap covers half the sell-out probability times the below-price term
-    (at least one half works when the cap is odd). The second bound relies
-    on (cap, floor) being welfare-optimal.
+    First: the three terms of `decompose_welfare` sum to at least the
+    total welfare. Second: the safe-price auction at the same cap covers
+    the sell-out term plus the above-price term. Third: the safe-price
+    auction at half the cap covers half the sell-out probability times the
+    below-price term (at least one half works when the cap is odd). The
+    third bound relies on (cap, floor) being welfare-optimal.
     """
-    floor = rat(floor)
-    if report is None:
-        report = decompose_welfare(analysis, cap, floor)
-    above_cert = _certify(
-        "safe-covers-above",
-        analysis.safe_welfare(cap),
-        report.sell_out_term + report.above_term,
-        cap=cap,
+    report = decompose_welfare(analysis, cap, floor)
+    q = sell_out_probability(analysis, AuctionParams(cap, report.floor, None))
+    half = _best_half(analysis, cap)
+    return (
+        _certify(
+            "three-term-decomposition",
+            report.term_sum,
+            report.total_welfare,
+            cap=cap,
+            floor=report.floor,
+            sell_out_term=report.sell_out_term,
+            above_term=report.above_term,
+            below_term=report.below_term,
+        ),
+        _certify(
+            "safe-covers-above",
+            analysis.safe_welfare(cap),
+            report.sell_out_term + report.above_term,
+            cap=cap,
+        ),
+        _certify(
+            "half-cap-covers-below",
+            analysis.safe_welfare(half),
+            q * report.below_term / 2,
+            cap=cap,
+            half_cap=half,
+            sell_out_probability=q,
+        ),
     )
-    q = sell_out_probability(analysis, AuctionParams(cap, floor, None))
-    rhs = q * report.below_term / 2
-    best_half = max(halves(cap), key=analysis.safe_welfare)  # ties keep the smaller
-    below_cert = _certify(
-        "half-cap-covers-below",
-        analysis.safe_welfare(best_half),
-        rhs,
-        cap=cap,
-        half_cap=best_half,
-        sell_out_probability=q,
-    )
-    return above_cert, below_cert
 
 
 def verify_sellout_factor(analysis: Analysis) -> BoundCertificate:
@@ -367,13 +366,8 @@ def verify_sellout_factor(analysis: Analysis) -> BoundCertificate:
     base = opt.expected_welfare
     q = sell_out_probability(analysis, opt.params)
     if q == 0:
-        return BoundCertificate(
-            name="safe-within-sellout-factor",
-            lhs=ZERO,
-            rhs=base,
-            holds=None,
-            status=NOT_APPLICABLE,
-            witness={"sell_out_probability": q},
+        return _certify(
+            "safe-within-sellout-factor", ZERO, base, status=NOT_APPLICABLE, sell_out_probability=q
         )
     factor = 1 + Fraction(2) / q
     best_safe = optimize_safe(analysis)
@@ -395,10 +389,7 @@ def verify_sellout_factor(analysis: Analysis) -> BoundCertificate:
     )
 
 
-def verify_single_buyer_cover(
-    analysis: Analysis,
-    constant: int = SINGLE_BUYER_COVER_CONSTANT,
-) -> tuple[BoundCertificate, BoundCertificate]:
+def verify_single_buyer_cover(analysis: Analysis) -> tuple[BoundCertificate, BoundCertificate]:
     """The headline guarantee and its four-term refinement.
 
     (a) Some safe-price auction, scaled by the cover constant, plus the
@@ -416,9 +407,9 @@ def verify_single_buyer_cover(
     best_safe = optimize_safe(analysis)
     headline = _certify(
         "safe-plus-single-buyer-cover",
-        constant * best_safe.expected_welfare + single,
+        SINGLE_BUYER_COVER_CONSTANT * best_safe.expected_welfare + single,
         base,
-        constant=constant,
+        constant=SINGLE_BUYER_COVER_CONSTANT,
         witness_cap=best_safe.params.cap,
         single_buyer_welfare=single,
         optimum_cap=opt.params.cap,
@@ -430,18 +421,13 @@ def verify_single_buyer_cover(
     quantile_cap = demand_quantile_cap(analysis, opt.params.floor)
     route = "sellout-factor" if q >= threshold else "quantile-cap"
     if quantile_cap == 0:
-        four_term = BoundCertificate(
-            name="four-term-cover",
-            lhs=ZERO,
-            rhs=base,
-            holds=None,
-            status=DEGENERATE,
-            witness={"quantile_cap": 0, "route": route},
+        four_term = _certify(
+            "four-term-cover", ZERO, base, status=DEGENERATE, quantile_cap=0, route=route
         )
         return headline, four_term
 
     safe_at = analysis.safe_welfare
-    best_half = max(halves(quantile_cap), key=safe_at)
+    best_half = _best_half(analysis, quantile_cap)
     lhs = safe_at(opt.params.cap) + single + 4 * safe_at(quantile_cap) + 21 * safe_at(best_half)
     four_term = _certify(
         "four-term-cover",
@@ -462,7 +448,7 @@ def verify_single_buyer_cover(
 
 def _cap_and_floor(args, analysis: Analysis) -> tuple[int | None, Fraction]:
     """--cap and --floor, each defaulting to the best no-ceiling auction's."""
-    cap = parse_cap(args.cap) if args.cap else analysis.no_ceiling_optimum.params.cap
+    cap = parse_cap(args.cap) if args.cap is not None else analysis.no_ceiling_optimum.params.cap
     if args.floor is None:
         return cap, analysis.no_ceiling_optimum.params.floor
     return cap, rat(args.floor)
@@ -473,22 +459,18 @@ def _verdict(cert) -> str:
 
 
 def _certificate_rows(certs) -> list[list[str]]:
-    rows = []
-    for cert in certs:
-        rows.append(
-            [
-                cert.name,
-                _verdict(cert),
-                cert.status,
-                format_rational(cert.lhs),
-                format_decimal(cert.lhs),
-                format_rational(cert.rhs),
-                format_decimal(cert.rhs),
-                format_rational(cert.margin),
-                "; ".join(f"{k}={v}" for k, v in sorted(cert.witness.items(), key=lambda kv: kv[0])),
-            ]
-        )
-    return rows
+    return [
+        [
+            cert.name,
+            _verdict(cert),
+            cert.status,
+            *rational_cells(cert.lhs),
+            *rational_cells(cert.rhs),
+            format_rational(cert.margin),
+            "; ".join(f"{k}={v}" for k, v in sorted(cert.witness.items())),
+        ]
+        for cert in certs
+    ]
 
 
 def cmd_verify(args) -> int:
@@ -502,36 +484,24 @@ def cmd_verify(args) -> int:
         )
     instance = load_instance(args.instance)
     analysis = Analysis(instance, args.scenario_limit, args.cap_limit)
+    ceiling = parse_ceiling(args.ceiling) if which in ("priceceil", "all") else None
+    if which in ("priceceil", "optcond", "decomp", "all"):
+        cap, floor = _cap_and_floor(args, analysis)
     certs = []
 
     if which in ("priceceil", "all"):
         grid = analysis.grid
-        ceiling = rat(args.ceiling) if args.ceiling not in (None, "inf") else grid[-1]
-        cap, floor = _cap_and_floor(args, analysis)
-        if ceiling <= floor and args.floor is None:
-            floor = grid[0]  # only a defaulted floor yields; AuctionParams rejects an explicit one
-        certs.append(verify_ceiling_removal(analysis, AuctionParams(cap, floor, ceiling)))
+        if ceiling is None:
+            ceiling = grid[-1]
+        # Only a defaulted floor yields; AuctionParams rejects an explicit one.
+        low = grid[0] if ceiling <= floor and args.floor is None else floor
+        certs.append(verify_ceiling_removal(analysis, AuctionParams(cap, low, ceiling)))
     if which in ("optcond", "all"):
-        cap, floor = _cap_and_floor(args, analysis)
         certs.append(verify_sellout_conditional(analysis, AuctionParams(cap, floor)))
     if which in ("unsafe", "all"):
         certs.append(worst_price_gap(instance.cost, args.cap_limit or DEFAULT_GAP_LIMIT))
     if which in ("decomp", "all"):
-        cap, floor = _cap_and_floor(args, analysis)
-        report = decompose_welfare(analysis, cap, floor)
-        certs.append(
-            _certify(
-                "three-term-decomposition",
-                report.term_sum,
-                report.total_welfare,
-                cap=cap,
-                floor=format_rational(report.floor),
-                sell_out_term=format_rational(report.sell_out_term),
-                above_term=format_rational(report.above_term),
-                below_term=format_rational(report.below_term),
-            )
-        )
-        certs.extend(verify_decomposition_bounds(analysis, cap, floor, report))
+        certs.extend(verify_decomposition_bounds(analysis, cap, floor))
     if which in ("thmq", "all"):
         certs.append(verify_sellout_factor(analysis))
     if which in ("main", "all"):

@@ -37,7 +37,7 @@ from .analysis import (
     sell_out_probability,
 )
 from .auction import HIGHEST_LOSING, LOWEST_WINNING, AuctionParams, run_auction
-from .io import display, load_instance, parse_cap, rational_cells, write_report
+from .io import display, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
 from .model import MarketError, TooLargeError, ValidationError, rat
 
 VERIFY_CHECKS = ("priceceil", "optcond", "unsafe", "decomp", "thmq", "main", "all")
@@ -45,18 +45,12 @@ VERIFY_CHECKS = ("priceceil", "optcond", "unsafe", "decomp", "thmq", "main", "al
 EXAMPLES = ("demand-reduction", "logscale", "first-best")
 
 
-def _parse_ceiling(text: str) -> Fraction | None:
-    if text in ("inf", "none"):
-        return None
-    return rat(text)
-
-
 def cmd_evaluate(args) -> int:
     instance = load_instance(args.instance)
     params = AuctionParams(
         cap=parse_cap(args.cap),
         floor=rat(args.floor),
-        ceiling=_parse_ceiling(args.ceiling),
+        ceiling=parse_ceiling(args.ceiling),
         pricing=args.pricing,
     )
     analysis = Analysis(instance, args.scenario_limit)

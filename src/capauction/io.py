@@ -3,11 +3,11 @@
 Instance files are human-editable JSON with every number written as an
 exact rational string ("p/q" or an integer literal). Reports are CSV with
 each rational emitted twice: exact "p/q" (lossless, reparses to the same
-Fraction) and a 12-place decimal for reading. The helpers every
-subcommand's handler shares (`parse_cap`, `display`, `write_report`) live
-here rather than in `cli`: `python -m capauction.cli` runs `cli` as
-`__main__`, so a handler importing from `capauction.cli` would compile it
-a second time.
+Fraction) and a 12-place decimal for reading. The helpers the
+subcommands' handlers share (`parse_cap`, `parse_ceiling`, `display`,
+`write_report`) live here rather than in `cli`: `python -m
+capauction.cli` runs `cli` as `__main__`, so a handler importing from
+`capauction.cli` would compile it a second time.
 """
 
 from __future__ import annotations
@@ -40,14 +40,14 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def format_decimal(value: Fraction, places: int = DECIMAL_PLACES) -> str:
+def format_decimal(value: Fraction) -> str:
     """Round-half-up decimal rendering; display only, never compared."""
     numerator, denominator = value.numerator, value.denominator
     sign = "-" if numerator < 0 else ""
-    scale = 10**places
+    scale = 10**DECIMAL_PLACES
     scaled = (abs(numerator) * scale * 2 + denominator) // (2 * denominator)
     whole, frac = divmod(scaled, scale)
-    return f"{sign}{whole}.{str(frac).zfill(places)}"
+    return f"{sign}{whole}.{str(frac).zfill(DECIMAL_PLACES)}"
 
 
 def _cost_to_obj(cost: CostCurve) -> dict:
@@ -172,14 +172,13 @@ def save_instance(instance: MarketInstance, path: str | Path) -> None:
     Path(path).write_text(dumps_instance(instance), encoding="utf-8")
 
 
-def load_instance(path: str | Path, check: bool = True) -> MarketInstance:
+def load_instance(path: str | Path) -> MarketInstance:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read instance file {path}: {exc}") from None
     instance = loads_instance(text)
-    if check:
-        require_valid(instance)
+    require_valid(instance)
     return instance
 
 
@@ -191,6 +190,13 @@ def parse_cap(text: str) -> int | None:
         return int(text)
     except ValueError:
         raise ValidationError(f"cap must be an integer or 'unbounded', got {text!r}")
+
+
+def parse_ceiling(text: str | None) -> Fraction | None:
+    """A --ceiling value: a rational, or 'inf'/'none' (or no flag) for no ceiling."""
+    if text is None or text in ("inf", "none"):
+        return None
+    return rat(text)
 
 
 def display(value: Fraction | None) -> str:

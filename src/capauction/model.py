@@ -258,12 +258,6 @@ class MarketInstance(NamedTuple):
     joint: tuple[JointRow, ...] | None = None
 
     @property
-    def firm_count(self) -> int:
-        if self.joint is not None and self.joint:
-            return len(self.joint[0][1])
-        return len(self.firms)
-
-    @property
     def product_form(self) -> bool:
         return self.joint is None
 
@@ -316,18 +310,6 @@ def require_valid(instance: MarketInstance) -> None:
     problems = validate(instance)
     if problems:
         raise ValidationError("; ".join(problems))
-
-
-def combined_valuation(valuations: Sequence[MarginalVector], x: int) -> Fraction:
-    """Maximum total value from splitting x licenses among the firms.
-
-    By concavity this is the sum of the x largest marginals across all
-    firms, which matches the exhaustive partition maximum.
-    """
-    if x <= 0:
-        return ZERO
-    pool = sorted((v for mv in valuations for v in mv.marginals), reverse=True)
-    return sum(pool[:x], ZERO)
 
 
 def welfare_of(

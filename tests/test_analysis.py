@@ -23,20 +23,19 @@ from capauction import (
     first_best,
     generate,
     logscale,
-    make_safe_auction,
     one_minus_inv_e,
     optimize_cap_and_price,
     optimize_safe,
     price_candidates,
     quadratic,
     run_auction,
-    safe_welfare_table,
     scale_weight,
     sell_out_probability,
     single_buyer_expected,
     verify_ceiling_removal,
 )
 from capauction.analysis import Candidate
+from oracles import make_safe_auction
 
 mv = MarginalVector.of
 BETA5 = scale_weight(5)
@@ -190,9 +189,9 @@ class TestOptimizeSafe:
         assert result.expected_welfare == 0
 
     def test_safe_table_has_zero_cap_convention(self):
-        table = safe_welfare_table(Analysis(demand_reduction()))
-        assert table[0] == 0
-        assert table[2] == 2
+        analysis = Analysis(demand_reduction())
+        assert analysis.safe_welfare(0) == 0
+        assert analysis.safe_welfare(2) == 2
 
 
 class TestSellOut:
@@ -416,7 +415,6 @@ class TestWelfareKernel:
             cap_limit = max(1, analysis.max_demand)
             safe = [make_safe_auction(c, m.cost) for c in range(1, cap_limit + 1)]
             welfares = [expected_welfare(analysis, p) for p in safe]
-            assert safe_welfare_table(analysis) == {0: 0, **dict(enumerate(welfares, start=1))}
             result = optimize_safe(analysis)
             assert [(c.cap, c.floor, c.expected_welfare) for c in result.table] == [
                 (p.cap, p.floor, w) for p, w in zip(safe, welfares)

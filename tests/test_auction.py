@@ -18,11 +18,9 @@ from capauction import (
     ValidationError,
     best_own_quantity,
     clear,
-    combined_valuation,
     cost_table,
     demand_reduction,
     logscale,
-    make_safe_auction,
     price_candidates,
     quadratic,
     run_auction,
@@ -30,6 +28,7 @@ from capauction import (
     single_buyer_mechanism,
     welfare_of,
 )
+from oracles import combined_valuation, make_safe_auction
 
 mv = MarginalVector.of
 COST_9X = cost_table(9, 9)

@@ -17,6 +17,7 @@ from capauction import (
     cost_table,
     decompose_welfare,
     demand_quantile_cap,
+    demand_reduction,
     enumerate_scenarios,
     expected_welfare,
     generate,
@@ -29,7 +30,11 @@ from capauction import (
     single_buyer_expected,
     single_buyer_mechanism,
     verify_ceiling_removal,
+    verify_decomposition_bounds,
     verify_price_gap,
+    verify_sellout_conditional,
+    verify_sellout_factor,
+    verify_single_buyer_cover,
     worst_price_gap,
 )
 from capauction.model import ERROR_BEYOND, MarginalCostTable
@@ -334,6 +339,86 @@ class TestDecomposeWelfare:
     def test_unbounded_cap(self):
         with pytest.raises(ValidationError, match="needs a bounded cap"):
             decompose_welfare(Analysis(logscale(3)), None, F(0))
+
+
+class TestDecompositionBounds:
+    """`verify_decomposition_bounds` against `decompose_welfare` and the
+    safe-price welfares it reads."""
+
+    def test_three_certificates_in_order(self):
+        analysis = Analysis(generate(3))
+        cap, floor = 2, F(3)
+        report = decompose_welfare(analysis, cap, floor)
+        q = sum(p for d, p in scenario_demands(analysis.instance, floor) if d >= cap)
+        terms, above, below = verify_decomposition_bounds(analysis, cap, floor)
+        assert (terms.name, above.name, below.name) == (
+            "three-term-decomposition", "safe-covers-above", "half-cap-covers-below"
+        )
+        assert (terms.lhs, terms.rhs) == (report.term_sum, report.total_welfare)
+        assert terms.witness == {
+            "cap": cap, "floor": floor, "sell_out_term": report.sell_out_term,
+            "above_term": report.above_term, "below_term": report.below_term,
+        }
+        assert (above.lhs, above.rhs) == (
+            analysis.safe_welfare(cap), report.sell_out_term + report.above_term
+        )
+        assert (below.lhs, below.rhs) == (analysis.safe_welfare(1), q * report.below_term / 2)
+        assert below.witness == {"cap": cap, "half_cap": 1, "sell_out_probability": q}
+
+    @pytest.mark.parametrize("marginals, half_cap", [
+        ((10, 10, 10), 2),  # safe welfare 9 at cap 1, 16 at cap 2
+        ((3, 1), 1),  # 2 at both caps: the tie keeps the smaller half
+    ])
+    def test_odd_cap_takes_the_better_half(self, marginals, half_cap):
+        m = MarketInstance(firms=(FirmDistribution.point_mass(mv(*marginals)),), cost=quadratic(1))
+        analysis = Analysis(m)
+        below = verify_decomposition_bounds(analysis, 3, F(0))[2]
+        assert below.witness["half_cap"] == half_cap
+        assert below.lhs == analysis.safe_welfare(half_cap) == max(
+            analysis.safe_welfare(1), analysis.safe_welfare(2)
+        )
+
+
+# One firm demanding a unit worth 1 below the safe price 5: nothing trades at
+# a safe price, and the optimum never sells out.
+NO_TRADE = MarketInstance(firms=(FirmDistribution.point_mass(mv(1)),), cost=quadratic(5))
+
+
+def every_certificate(m: MarketInstance) -> list[BoundCertificate]:
+    analysis = Analysis(m)
+    opt = analysis.no_ceiling_optimum.params
+    ceiled = AuctionParams(opt.cap, analysis.grid[0], analysis.grid[-1])
+    return [
+        verify_ceiling_removal(analysis, ceiled),
+        verify_sellout_conditional(analysis, opt),
+        worst_price_gap(m.cost, 6),
+        *verify_decomposition_bounds(analysis, opt.cap, opt.floor),
+        verify_sellout_factor(analysis),
+        *verify_single_buyer_cover(analysis),
+    ]
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("m", [
+        NO_TRADE, demand_reduction(), logscale(3), *(generate(seed) for seed in range(4)),
+    ])
+    def test_only_unchecked_statuses_have_no_verdict(self, m):
+        for cert in every_certificate(m):
+            if cert.status in ("not-applicable", "degenerate"):
+                assert cert.holds is None, cert
+            else:
+                assert cert.holds == (cert.lhs >= cert.rhs), cert
+
+    def test_no_trade_statuses(self):
+        got = {cert.name: (cert.status, cert.holds) for cert in every_certificate(NO_TRADE)}
+        assert got["ceiling-removal-half"] == ("vacuous", True)
+        assert got["sell-out-conditional-nonnegative"] == ("vacuous", True)
+        assert got["safe-within-sellout-factor"] == ("not-applicable", None)
+        assert got["four-term-cover"] == ("degenerate", None)
+
+    def test_single_buyer_cover_needs_product_form(self):
+        with pytest.raises(ValidationError, match="needs independent firms"):
+            verify_single_buyer_cover(Analysis(as_joint(generate(0))))
 
 
 class TestDemandQuantileCap:

@@ -90,10 +90,29 @@ def test_cap_limit_below_one_is_rejected(demand_reduction_file, capsys, argv):
 @pytest.mark.parametrize("options, message", [
     (["--which", "decomp", "--cap", "unbounded"], "needs a bounded cap"),
     (["--which", "priceceil", "--ceiling", "0"], "price ceiling 0 must exceed floor 0"),
+    (["--which", "optcond", "--cap="], "cap must be an integer or 'unbounded', got ''"),
 ])
 def test_verify_rejects_unusable_parameters(demand_reduction_file, capsys, options, message):
     assert main(["verify", demand_reduction_file, *options]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_verify_ceiling_none_means_no_ceiling(tmp_path, capsys, monkeypatch):
+    save_instance(logscale(3), tmp_path / "logscale-3.json")
+    monkeypatch.chdir(tmp_path)
+    printed = {}
+    for ceiling in ("inf", "none"):
+        argv = ["verify", "logscale-3.json", "--which", "priceceil", "--ceiling", ceiling]
+        assert main([*argv, "--out", f"{ceiling}.csv"]) == 0
+        out = capsys.readouterr().out
+        printed[ceiling] = out.replace(f"{ceiling}.csv", ""), (tmp_path / f"{ceiling}.csv").read_text()
+    assert printed["none"] == printed["inf"]
+
+
+def test_verify_unsafe_needs_no_optimum(demand_reduction_file, capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "optimize_cap_and_price", None)  # must not be reached
+    assert main(["verify", demand_reduction_file, "--which", "unsafe"]) == 0
+    assert "below-safe-price-welfare-gap (checked)" in capsys.readouterr().out
 
 
 def test_equilibrium_honours_scenario_limit(tmp_path, capsys, monkeypatch):
@@ -116,16 +135,17 @@ def test_verify_all_enumerates_once(tmp_path, capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    names = ("enumerate_scenarios", "run_auction", "safe_welfare_table", "optimize_cap_and_price")
+    names = ("enumerate_scenarios", "run_auction", "optimize_safe", "optimize_cap_and_price")
     for name in names:
         for module in (analysis, auction, bounds, cli, equilibrium):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert main(["verify", str(path), "--which", "all"]) == 0
     # Every certificate reads the integer tables: no scenario is enumerated
-    # as Fractions or cleared by the auction oracle.
+    # as Fractions or cleared by the auction oracle. thmq and main each
+    # search the safe auctions.
     assert calls == {
-        ("safe_welfare_table", None): 1,
+        ("optimize_safe", None): 2,
         ("optimize_cap_and_price", False): 1,
     }
 

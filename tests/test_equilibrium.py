@@ -31,7 +31,6 @@ from capauction import (
     expected_welfare,
     find_grid_equilibria,
     generate,
-    make_safe_auction,
     quadratic,
     run_auction,
     satisfies_no_overbidding,
@@ -40,6 +39,7 @@ from capauction import (
 )
 from capauction import equilibrium
 from capauction.model import ERROR_BEYOND
+from oracles import make_safe_auction
 
 mv = MarginalVector.of
 

@@ -13,7 +13,6 @@ from capauction import (
     MarketInstance,
     ValidationError,
     average_cost,
-    combined_valuation,
     cost_table,
     interpolated_cost,
     quadratic,
@@ -22,6 +21,7 @@ from capauction import (
     welfare_of,
 )
 from capauction.model import ERROR_BEYOND
+from oracles import combined_valuation
 
 mv = MarginalVector.of
 

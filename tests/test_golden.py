@@ -93,6 +93,12 @@ EQUILIBRIUM_CASES = {
         generate(5, firms=2, scenarios_per_firm=2, max_units=2, value_high=8),
         ["--cap", "2", "--floor", "2"],
     ),
+    # A true marginal equals the safe price 6 at cap 3: the worst
+    # equilibrium has welfare 0 and the PoA check prints a failing verdict.
+    "random-20-small-safe-tie": (
+        generate(20, firms=2, scenarios_per_firm=2, max_units=2, value_high=8),
+        ["--cap", "3", "--floor", "6"],
+    ),
     "joint-3": (JOINT, ["--cap", "2", "--floor", "0"]),
     "random-1-marginals": (
         generate(1, cost_kind="marginals"), ["--cap", "2", "--floor", "2"]
@@ -194,6 +200,7 @@ def test_recorded_equilibrium_exit_codes():
         "random-1-marginals": 2,
     }
     assert "bound holds: True" in golden["demand-reduction-safe"]["stdout"]
+    assert "bound holds: False (checked)" in golden["random-20-small-safe-tie"]["stdout"]
 
 
 @pytest.mark.parametrize("case", sorted(COMMAND_CASES))

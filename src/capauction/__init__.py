@@ -30,10 +30,9 @@ _EXPORTS = {
         "verify_single_buyer_cover", "worst_price_gap",
     ),
     "equilibrium": (
-        "POA_FACTOR", "BestResponse", "EquilibriumReport", "PoACheck",
-        "StrategyProfile", "best_response", "bid_grid", "candidate_reports",
-        "check_poa_bound", "find_grid_equilibria", "satisfies_no_overbidding",
-        "utility",
+        "POA_FACTOR", "EquilibriumReport", "PoACheck", "StrategyProfile", "bid_grid",
+        "candidate_reports", "check_poa_bound", "find_grid_equilibria",
+        "satisfies_no_overbidding",
     ),
     "instances": (
         "demand_reduction", "first_best", "generate", "logscale", "scale_weight",

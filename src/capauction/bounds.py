@@ -482,9 +482,11 @@ def cmd_verify(args) -> int:
         raise ValidationError(
             f"--which {which} {certifies} the no-ceiling optimum; it takes no --cap or --floor"
         )
+    if which not in ("priceceil", "all") and args.ceiling is not None:
+        raise ValidationError(f"--which {which} checks no ceiling; it takes no --ceiling")
     instance = load_instance(args.instance)
     analysis = Analysis(instance, args.scenario_limit, args.cap_limit)
-    ceiling = parse_ceiling(args.ceiling) if which in ("priceceil", "all") else None
+    ceiling = parse_ceiling(args.ceiling)
     if which in ("priceceil", "optcond", "decomp", "all"):
         cap, floor = _cap_and_floor(args, analysis)
     certs = []

@@ -1,4 +1,4 @@
-"""Strategic analysis on a finite bid grid.
+"""Grid-equilibrium search and its price-of-anarchy check.
 
 Strategies map each firm's realized type to a reported marginal vector
 drawn from a finite grid (all true marginal values plus the floor, ceiling
@@ -10,10 +10,12 @@ the unrestricted continuum of reports.
 
 Types are independent, so a firm type's interim utility depends only on
 its own report and the other firms' strategies. One `_GridGame` per search
-enumerates the joint type draws once and caches outcomes, interim
-utilities and, per (firm, type) slot and opponent strategies, the best
-value over the slot's candidates; a profile is an epsilon-equilibrium iff
-no slot's best value exceeds its current utility by more than epsilon.
+enumerates the joint type draws once and caches outcomes and, per
+(firm, type) slot and opponent strategies, every candidate's interim
+utility and their best value; a profile is an epsilon-equilibrium iff no
+slot's best value exceeds its current utility by more than epsilon. The
+search is the module's only client of the game, and the worst equilibrium
+it finds is what `check_poa_bound` compares with the safe-price baseline.
 
 The game computes in exact scaled integers. With L the lcm of the bid
 levels' denominators, values and prices are integers over L. Each firm j
@@ -67,9 +69,6 @@ class StrategyProfile(NamedTuple):
     """Reported vector per firm per type index."""
 
     reports: tuple[tuple[MarginalVector, ...], ...]
-
-    def report(self, firm: int, type_index: int) -> MarginalVector:
-        return self.reports[firm][type_index]
 
 
 class EquilibriumReport(NamedTuple):
@@ -181,25 +180,19 @@ class _GridGame:
     strategies per firm. Draws are in `enumerate_scenarios` order; each slot
     keeps those where the firm has its type, weighted by the others' types.
     Utilities, best values and welfares are the scaled integers of the
-    module docstring; `reports` adds off-grid vectors to the price scale."""
+    module docstring. Every vector is some slot's grid candidate, so bids
+    and prices are grid levels over L, and no firm wins more units than the
+    longest true curve has, the width of every type's value table."""
 
-    def __init__(
-        self,
-        instance: MarketInstance,
-        params: AuctionParams,
-        strict: bool = False,
-        reports: tuple[MarginalVector, ...] = (),
-    ):
+    def __init__(self, instance: MarketInstance, params: AuctionParams, strict: bool = False):
         _require_product(instance)
         self.instance = instance
         self.params = params
         self.strict = strict
         self.types = [firm.scenarios for firm in instance.firms]
-        levels = set(bid_grid(instance, params))
-        levels.update(v for r in reports for v in r.marginals)
-        self.scale = math.lcm(*(v.denominator for v in levels))
+        self.scale = math.lcm(*(v.denominator for v in bid_grid(instance, params)))
         self.welfare_scale = math.lcm(self.scale, _cost_scale(instance.cost))
-        width = max((r.units for r in itertools.chain(instance.all_valuations(), reports)), default=0)
+        width = max((v.units for v in instance.all_valuations()), default=0)
         self.values = [
             [
                 list(itertools.accumulate(
@@ -230,7 +223,7 @@ class _GridGame:
         self._ids: dict[MarginalVector, int] = {}
         self._candidates: dict[tuple[int, int], tuple[int, ...]] = {}
         self._outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        self._best: dict[tuple, tuple[int, int, dict[int, int]]] = {}
+        self._best: dict[tuple, tuple[int, dict[int, int]]] = {}
         self._costs: dict[int, int] = {}
         self._welfares: dict[tuple, int] = {}
 
@@ -243,9 +236,6 @@ class _GridGame:
             got = self._ids[report] = len(self._vectors)
             self._vectors.append(report)
         return got
-
-    def profile_ids(self, profile: StrategyProfile) -> _Profile:
-        return tuple(tuple(self.vector_id(r) for r in per_type) for per_type in profile.reports)
 
     def vectors(self, ids: tuple[int, ...]) -> tuple[MarginalVector, ...]:
         return tuple(self._vectors[r] for r in ids)
@@ -267,45 +257,30 @@ class _GridGame:
             self._outcomes[bids] = got
         return got
 
-    def _opponents(self, firm: int, type_index: int, profile: _Profile) -> list:
-        """(weight, bids before the firm's, bids after it) per draw of the slot."""
-        return [
-            (
-                weight,
-                tuple(profile[j][s] for j, s in enumerate(types[:firm])),
-                tuple(profile[j][s] for j, s in enumerate(types[firm + 1 :], firm + 1)),
-            )
-            for weight, types in self._given[firm][type_index]
-        ]
-
-    def _utility(self, firm: int, type_index: int, report: int, opponents: list) -> int:
-        values = self.values[firm][type_index]
-        total = 0
-        for weight, before, after in opponents:
-            allocation, price = self.outcome(before + (report,) + after)
-            won = allocation[firm]
-            total += weight * (values[won] - price * won)
-        return total
-
-    def utility(self, firm: int, type_index: int, report: int, profile: _Profile) -> int:
-        """Expected utility of any `report` against the others' strategies,
-        over S_firm; not cached."""
-        return self._utility(firm, type_index, report, self._opponents(firm, type_index, profile))
-
-    def best(self, firm: int, type_index: int, profile: _Profile) -> tuple[int, int, dict[int, int]]:
-        """Against the others' strategies: the largest utility over the
-        slot's candidates, the first candidate in canonical order that
-        reaches it, and every candidate's utility."""
+    def best(self, firm: int, type_index: int, profile: _Profile) -> tuple[int, dict[int, int]]:
+        """Against the others' strategies: every candidate's utility over
+        S_firm, and the largest of them."""
         key = (firm, type_index, profile[:firm] + profile[firm + 1 :])
         got = self._best.get(key)
         if got is None:
-            opponents = self._opponents(firm, type_index, profile)
-            utilities = {
-                r: self._utility(firm, type_index, r, opponents)
-                for r in self.candidates(firm, type_index)
-            }
-            chosen = max(utilities, key=utilities.__getitem__)
-            got = self._best[key] = (utilities[chosen], chosen, utilities)
+            values = self.values[firm][type_index]
+            opponents = [
+                (
+                    weight,
+                    tuple(profile[j][s] for j, s in enumerate(types[:firm])),
+                    tuple(profile[j][s] for j, s in enumerate(types[firm + 1 :], firm + 1)),
+                )
+                for weight, types in self._given[firm][type_index]
+            ]
+            utilities = {}
+            for report in self.candidates(firm, type_index):
+                total = 0
+                for weight, before, after in opponents:
+                    allocation, price = self.outcome(before + (report,) + after)
+                    won = allocation[firm]
+                    total += weight * (values[won] - price * won)
+                utilities[report] = total
+            got = self._best[key] = (max(utilities.values()), utilities)
         return got
 
     def cost(self, quantity: int) -> int:
@@ -332,61 +307,6 @@ class _GridGame:
                 got = self._welfares[key] = lift * value - self.cost(sum(allocation))
             total += weight * got
         return total
-
-
-def utility(
-    instance: MarketInstance,
-    params: AuctionParams,
-    profile: StrategyProfile,
-    firm: int,
-    type_index: int,
-) -> Fraction:
-    """Interim expected utility of one firm type under a profile."""
-    game = _GridGame(instance, params, reports=tuple(itertools.chain(*profile.reports)))
-    ids = game.profile_ids(profile)
-    return Fraction(game.utility(firm, type_index, ids[firm][type_index], ids), game.slot_scale[firm])
-
-
-class BestResponse(NamedTuple):
-    firm: int
-    per_type: tuple[MarginalVector, ...]
-    per_type_utility: tuple[Fraction, ...]
-    per_type_gain: tuple[Fraction, ...]
-
-    @property
-    def gain(self) -> Fraction:
-        return max(self.per_type_gain)
-
-
-def best_response(
-    instance: MarketInstance,
-    params: AuctionParams,
-    profile: StrategyProfile,
-    firm: int,
-    strict: bool = False,
-    profile_limit: int = DEFAULT_PROFILE_LIMIT,
-) -> BestResponse:
-    """Exhaustive grid best response of one firm, type by type."""
-    game = _GridGame(instance, params, strict, tuple(itertools.chain(*profile.reports)))
-    ids = game.profile_ids(profile)
-    for t in range(len(ids[firm])):
-        candidates = game.candidates(firm, t)
-        if len(candidates) > profile_limit:
-            raise TooLargeError(
-                f"strategy space for firm {firm} type {t} has "
-                f"{len(candidates)} candidates, limit {profile_limit}"
-            )
-    best = [game.best(firm, t, ids) for t in range(len(ids[firm]))]
-    scale = game.slot_scale[firm]
-    return BestResponse(
-        firm=firm,
-        per_type=game.vectors(tuple(chosen for _, chosen, _ in best)),
-        per_type_utility=tuple(Fraction(value, scale) for value, _, _ in best),
-        per_type_gain=tuple(
-            Fraction(value - game.utility(firm, t, current, ids), scale)
-            for t, ((value, _, _), current) in enumerate(zip(best, ids[firm]))
-        ),
-    )
 
 
 def find_grid_equilibria(
@@ -425,7 +345,7 @@ def find_grid_equilibria(
         for i, strategy in enumerate(profile):
             if i != star:
                 for t, report in enumerate(strategy):
-                    value, _, utilities = game.best(i, t, profile)
+                    value, utilities = game.best(i, t, profile)
                     if value - utilities[report] > slack[i]:
                         return False
         return True
@@ -435,7 +355,7 @@ def find_grid_equilibria(
         frame = rest[:star] + ((),) + rest[star:]
         near = []
         for t in range(len(slots[star])):
-            value, _, utilities = game.best(star, t, frame)
+            value, utilities = game.best(star, t, frame)
             near.append([r for r, u in utilities.items() if u >= value - slack[star]])
         for own in itertools.product(*near):
             profile = rest[:star] + (own,) + rest[star:]
@@ -461,7 +381,7 @@ def find_grid_equilibria(
         utilities=tuple(
             tuple(
                 tuple(
-                    Fraction(game.best(i, t, profile)[2][report], game.slot_scale[i])
+                    Fraction(game.best(i, t, profile)[1][report], game.slot_scale[i])
                     for t, report in enumerate(strategy)
                 )
                 for i, strategy in enumerate(profile)

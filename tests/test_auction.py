@@ -1,6 +1,5 @@
 """The capped uniform-price rule, safe-price construction, single buyer."""
 
-import itertools
 import random
 from fractions import Fraction as F
 
@@ -24,7 +23,6 @@ from capauction import (
     price_candidates,
     quadratic,
     run_auction,
-    safe_price,
     single_buyer_mechanism,
     welfare_of,
 )

@@ -91,6 +91,10 @@ def test_cap_limit_below_one_is_rejected(demand_reduction_file, capsys, argv):
     (["--which", "decomp", "--cap", "unbounded"], "needs a bounded cap"),
     (["--which", "priceceil", "--ceiling", "0"], "price ceiling 0 must exceed floor 0"),
     (["--which", "optcond", "--cap="], "cap must be an integer or 'unbounded', got ''"),
+    *(
+        (["--which", which, "--ceiling", "1/2"], f"--which {which} checks no ceiling")
+        for which in ("optcond", "unsafe", "decomp", "thmq", "main")
+    ),
 ])
 def test_verify_rejects_unusable_parameters(demand_reduction_file, capsys, options, message):
     assert main(["verify", demand_reduction_file, *options]) == 1

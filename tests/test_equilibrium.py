@@ -1,4 +1,5 @@
-"""Grid strategies, best responses, and equilibrium enumeration."""
+"""Grid strategies, interim utilities and equilibrium enumeration, checked
+against brute-force oracles that clear every auction with run_auction."""
 
 import itertools
 import math
@@ -21,21 +22,17 @@ from capauction import (
     StrategyProfile,
     TooLargeError,
     ValidationError,
-    best_response,
     bid_grid,
     candidate_reports,
     check_poa_bound,
     cost_table,
     demand_reduction,
-    enumerate_scenarios,
     expected_welfare,
     find_grid_equilibria,
     generate,
     quadratic,
     run_auction,
     satisfies_no_overbidding,
-    utility,
-    welfare_of,
 )
 from capauction import equilibrium
 from capauction.model import ERROR_BEYOND
@@ -120,15 +117,18 @@ class TestCandidateReports:
 
 
 class TestUtility:
+    """Hand-computed interim utilities, checked on the direct oracle that the
+    search is compared with below."""
+
     def test_truthful_firm_one(self):
-        assert utility(MARKET, OPEN_FLOOR, TRUTHFUL, 0, 0) == 8
+        assert _direct_utility(MARKET, OPEN_FLOOR, TRUTHFUL.reports, 0, 0, mv(10, 10)) == 8
 
     def test_shaded_firm_one(self):
-        assert utility(MARKET, OPEN_FLOOR, SHADED, 0, 0) == 9
+        assert _direct_utility(MARKET, OPEN_FLOOR, SHADED.reports, 0, 0, mv(10, 1)) == 9
 
     def test_unallocated_firm(self):
         floor9 = AuctionParams(2, 9, None, HIGHEST_LOSING)
-        assert utility(MARKET, floor9, TRUTHFUL, 1, 0) == 0
+        assert _direct_utility(MARKET, floor9, TRUTHFUL.reports, 1, 0, mv(6, 1)) == 0
 
     def test_expectation_over_opponent_types(self):
         m = MarketInstance(
@@ -139,62 +139,14 @@ class TestUtility:
             cost=quadratic(1),
         )
         params = AuctionParams(2, 0, None, HIGHEST_LOSING)
-        profile = StrategyProfile(((mv(5, 5),), (mv(8), mv(2))))
+        reports = ((mv(5, 5),), (mv(8), mv(2)))
         # vs type 8: allocation (1,1) price 5; vs type 2: (2,0) price 2
         expected = F(1, 2) * (5 - 5) + F(1, 2) * (10 - 2 * 2)
-        assert utility(m, params, profile, 0, 0) == expected
-
-
-    def test_builds_no_candidate_list(self, monkeypatch):
-        monkeypatch.setattr(equilibrium, "candidate_reports", None)
-        assert utility(MARKET, OPEN_FLOOR, SHADED, 0, 0) == 9
-
-
-class TestBestResponse:
-    def test_firm_one_shades_against_truthful_opponent(self):
-        br = best_response(MARKET, OPEN_FLOOR, TRUTHFUL, 0)
-        assert br.per_type_utility[0] == 9
-        assert br.gain == 1
-        chosen = br.per_type[0]
-        out = run_auction(
-            OPEN_FLOOR, (chosen, mv(6, 1)), MARKET.cost, (mv(10, 10), mv(6, 1))
-        )
-        assert out.allocation[0] == 1 and out.unit_price == 1
-
-    def test_solo_firm_truthful_is_best(self):
-        m = MarketInstance(
-            firms=(FirmDistribution.point_mass(mv(4, 3)),), cost=quadratic(1)
-        )
-        params = AuctionParams(5, 0, None, HIGHEST_LOSING)
-        profile = StrategyProfile(((mv(4, 3),),))
-        br = best_response(m, params, profile, 0)
-        assert br.gain == 0
-
-    def test_everything_below_floor(self):
-        m = MarketInstance(
-            firms=(FirmDistribution.point_mass(mv(4, 3)),), cost=quadratic(1)
-        )
-        params = AuctionParams(2, 6, None)
-        br = best_response(m, params, StrategyProfile(((mv(4, 3),),)), 0)
-        assert br.per_type_utility[0] == 0
+        assert _direct_utility(m, params, reports, 0, 0, mv(5, 5)) == expected
 
 
 class TestReportValidation:
     """Each bid vector is validated once, when the search first sees it."""
-
-    @pytest.mark.parametrize("bad", (
-        MarginalVector((F(1), F(2))),  # increasing
-        MarginalVector((F(-1),)),  # negative
-    ))
-    @pytest.mark.parametrize("firm", (0, 1))
-    def test_invalid_report_raises(self, bad, firm):
-        reports = [(mv(10, 10),), (mv(6, 1),)]
-        reports[firm] = (bad,)
-        profile = StrategyProfile(tuple(reports))
-        with pytest.raises(ValidationError, match="^report"):
-            utility(MARKET, OPEN_FLOOR, profile, 0, 0)
-        with pytest.raises(ValidationError, match="^report"):
-            best_response(MARKET, OPEN_FLOOR, profile, 1 - firm)
 
     def test_search_validates_each_vector_once(self, monkeypatch):
         seen = Counter()
@@ -284,8 +236,7 @@ class TestFindEquilibria:
         report = find_grid_equilibria(MARKET, OPEN_FLOOR)
         for profile in report.profiles:
             for firm in range(2):
-                br = best_response(MARKET, OPEN_FLOOR, profile, firm)
-                assert br.gain <= 0
+                assert max(_oracle_gains(MARKET, OPEN_FLOOR, profile, firm, False)) <= 0
 
     def test_bayesian_two_type_market(self):
         m = MarketInstance(
@@ -299,8 +250,7 @@ class TestFindEquilibria:
         report = find_grid_equilibria(m, params, profile_limit=500_000)
         for k, profile in enumerate(report.profiles):
             for firm in range(2):
-                br = best_response(m, params, profile, firm)
-                assert br.gain <= 0, (k, firm)
+                assert max(_oracle_gains(m, params, profile, firm, False)) <= 0, (k, firm)
 
 
 def _mixed_instance(rng, firms, units=(1, 1, 2), zeros=False):
@@ -395,18 +345,16 @@ def _oracle_search(instance, params, epsilon, strict):
     return profiles, welfares, utilities, math.prod(len(o) for o in options)
 
 
-def _oracle_best_response(instance, params, profile, firm, strict):
-    chosen, values, gains = [], [], []
-    for t, current in enumerate(profile.reports[firm]):
-        best, best_u = None, None
-        for report in candidate_reports(instance, params, firm, t, strict):
-            u = _direct_utility(instance, params, profile.reports, firm, t, report)
-            if best_u is None or u > best_u:
-                best, best_u = report, u
-        chosen.append(best)
-        values.append(best_u)
-        gains.append(best_u - _direct_utility(instance, params, profile.reports, firm, t, current))
-    return tuple(chosen), tuple(values), tuple(gains)
+def _oracle_gains(instance, params, profile, firm, strict):
+    """Per type of `firm`, what its best grid deviation gains over its report."""
+    return tuple(
+        max(
+            _direct_utility(instance, params, profile.reports, firm, t, report)
+            for report in candidate_reports(instance, params, firm, t, strict)
+        )
+        - _direct_utility(instance, params, profile.reports, firm, t, current)
+        for t, current in enumerate(profile.reports[firm])
+    )
 
 
 class TestAgainstDirectOracle:
@@ -434,8 +382,8 @@ class TestAgainstDirectOracle:
                 yield m, cap, floor
 
     def test_search_and_best_response_match(self):
-        rng = random.Random(6)
-        ties = 0
+        # The oracle tries every unilateral deviation of every slot, which is
+        # the best-response test the search applies to each profile.
         for m, cap, floor in self._instances():
             for pricing, epsilon, strict in itertools.product(
                 (HIGHEST_LOSING, LOWEST_WINNING), (F(0), F(1, 2)), (False, True)
@@ -449,24 +397,6 @@ class TestAgainstDirectOracle:
                 assert report.utilities == tuple(utilities)
                 assert report.worst_welfare == (min(welfares) if welfares else None)
                 assert report.searched == searched
-
-                profile = StrategyProfile(tuple(
-                    tuple(rng.choice(candidate_reports(m, params, i, t, strict))
-                          for t in range(len(f.scenarios)))
-                    for i, f in enumerate(m.firms)
-                ))
-                for firm in range(len(m.firms)):
-                    br = best_response(m, params, profile, firm, strict)
-                    chosen, values, gains = _oracle_best_response(m, params, profile, firm, strict)
-                    assert (br.per_type, br.per_type_utility, br.per_type_gain) == (
-                        chosen, values, gains
-                    )
-                    for t, value in enumerate(values):
-                        ties += sum(
-                            _direct_utility(m, params, profile.reports, firm, t, r) == value
-                            for r in candidate_reports(m, params, firm, t, strict)
-                        ) > 1
-        assert ties > 0  # the first-candidate tie-break was exercised
 
     def test_three_firms_and_mixed_denominators_match(self):
         # Slot scales differ by firm and epsilon * S_i is rarely an integer,
@@ -499,8 +429,7 @@ class TestAgainstDirectOracle:
                 assert report.searched == searched
                 for profile in profiles:
                     for firm in range(len(m.firms)):
-                        gains = _oracle_best_response(m, params, profile, firm, strict)[2]
-                        exact += epsilon in gains
+                        exact += epsilon in _oracle_gains(m, params, profile, firm, strict)
         assert not_last > 0  # three firms, the largest strategy space not last
         assert exact > 0  # a kept profile where a deviation gains exactly epsilon
 

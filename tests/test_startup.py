@@ -22,7 +22,7 @@ from capauction import (
 from capauction.analysis import Analysis, enumerate_scenarios, optimize_cap_and_price
 from capauction.bounds import verify_sellout_factor
 from capauction.cli import build_parser
-from capauction.equilibrium import StrategyProfile, find_grid_equilibria
+from capauction.equilibrium import find_grid_equilibria
 from capauction.instances import NAMED_INSTANCES
 from capauction.io import save_instance
 
@@ -151,7 +151,6 @@ def test_records_are_read_only():
 def test_marginal_vectors_order_as_their_tuples():
     vectors = [MarginalVector.of(*vs) for vs in ((3, 1), (2, 2), (3,), (), (3, 1, 1))]
     assert sorted(vectors) == [MarginalVector(m) for m in sorted(v.marginals for v in vectors)]
-    assert StrategyProfile(((vectors[0],),)).report(0, 0) == vectors[0]
 
 
 def test_generated_instances_hash_and_compare_by_value():

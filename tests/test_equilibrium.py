@@ -29,7 +29,9 @@ from capauction import (
     demand_reduction,
     expected_welfare,
     find_grid_equilibria,
+    first_best,
     generate,
+    logscale,
     quadratic,
     run_auction,
     satisfies_no_overbidding,
@@ -114,6 +116,22 @@ class TestCandidateReports:
                         assert candidate_reports(m, params, i, t, strict) == _filtered_candidates(
                             m, params, i, t, strict
                         )
+
+    def test_walk_matches_filter_on_long_vectors(self):
+        # Safe-price slots of the one-firm families: up to 495 candidates
+        # per slot and vectors up to 8 units long.
+        longest = most = 0
+        for m in (logscale(2), logscale(3), first_best(2)):
+            for cap in (1, 2):
+                params = make_safe_auction(cap, m.cost, HIGHEST_LOSING)
+                for i, f in enumerate(m.firms):
+                    for t in range(len(f.scenarios)):
+                        for strict in (False, True):
+                            got = candidate_reports(m, params, i, t, strict)
+                            assert got == _filtered_candidates(m, params, i, t, strict)
+                            longest = max(longest, got[0].units)
+                            most = max(most, len(got))
+        assert (longest, most) == (8, 495)
 
 
 class TestUtility:
@@ -276,7 +294,7 @@ def _mixed_instance(rng, firms, units=(1, 1, 2), zeros=False):
 def _filtered_candidates(instance, params, firm, type_index, strict):
     """Every non-increasing grid vector, filtered by no-overbidding, sorted."""
     truth = instance.firms[firm].scenarios[type_index][1]
-    length = max(v.positive_units for v in instance.firm_valuations(firm))
+    length = max(v.positive_units for _, v in instance.firms[firm].scenarios)
     if length == 0:
         return (MarginalVector(()),)
     grid = sorted(bid_grid(instance, params), reverse=True)

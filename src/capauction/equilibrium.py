@@ -10,12 +10,14 @@ the unrestricted continuum of reports.
 
 Types are independent, so a firm type's interim utility depends only on
 its own report and the other firms' strategies. One `_GridGame` per search
-enumerates the joint type draws once and caches outcomes and, per
-(firm, type) slot and opponent strategies, every candidate's interim
-utility and their best value; a profile is an epsilon-equilibrium iff no
-slot's best value exceeds its current utility by more than epsilon. The
-search is the module's only client of the game, and the worst equilibrium
-it finds is what `check_poa_bound` compares with the safe-price baseline.
+builds the bid grid and every type's value table once, walks each
+(firm, type) slot's candidates from them on first use, enumerates the
+joint type draws once, and caches outcomes and, per slot and opponent
+strategies, every candidate's interim utility and their best value; a
+profile is an epsilon-equilibrium iff no slot's best value exceeds its
+current utility by more than epsilon. `candidate_reports` shows one slot
+of such a game. The worst equilibrium the search finds is what
+`check_poa_bound` compares with the safe-price baseline.
 
 The game computes in exact scaled integers. With L the lcm of the bid
 levels' denominators, values and prices are integers over L. Each firm j
@@ -110,62 +112,9 @@ def satisfies_no_overbidding(
     return True
 
 
-def _require_product(instance: MarketInstance) -> None:
-    if not instance.product_form:
-        raise ValidationError(
-            "strategic analysis needs per-firm independent types (product form)"
-        )
-
-
 def _scaled(values, scale: int) -> list[int]:
     """`values` times `scale` as ints; `scale` is a multiple of every denominator."""
     return [v.numerator * (scale // v.denominator) for v in values]
-
-
-def candidate_reports(
-    instance: MarketInstance,
-    params: AuctionParams,
-    firm: int,
-    type_index: int,
-    strict: bool = False,
-) -> tuple[MarginalVector, ...]:
-    """All grid strategies available to one firm type, canonically sorted.
-
-    Candidates are the non-increasing vectors over the bid grid, of length
-    up to the firm's largest positive-marginal count, that satisfy
-    no-overbidding against that type's true curve. They are walked depth
-    first with ascending levels, which is canonical order; a level that
-    breaks the bound at its position is pruned with every higher one.
-    """
-    _require_product(instance)
-    truth = instance.firms[firm].scenarios[type_index][1]
-    length = max(v.positive_units for v in instance.firm_valuations(firm))
-    if length == 0:
-        return (MarginalVector(()),)
-    grid = bid_grid(instance, params)
-    scale = math.lcm(*(g.denominator for g in grid))
-    levels = _scaled(grid, scale)
-    marginals = _scaled(truth.marginals[:length], scale)
-    marginals += [0] * (length - len(marginals))
-    values = list(itertools.accumulate(marginals))
-    out = []
-    chosen = []
-
-    def walk(position: int, top: int, spent: int) -> None:
-        bound = marginals[position] if strict else values[position] - spent
-        last = position + 1 == length
-        for k in range(top + 1):
-            if levels[k] > bound:
-                break
-            chosen.append(grid[k])
-            if last:
-                out.append(MarginalVector(tuple(chosen)))
-            else:
-                walk(position + 1, k, spent + levels[k])
-            chosen.pop()
-
-    walk(0, len(grid) - 1, 0)
-    return tuple(out)
 
 
 def _cost_scale(cost: CostCurve) -> int:
@@ -175,34 +124,40 @@ def _cost_scale(cost: CostCurve) -> int:
 
 
 class _GridGame:
-    """The state of one search. Bid vectors are interned as small integers:
-    a strategy is a tuple of vector ids per type, a profile a tuple of
-    strategies per firm. Draws are in `enumerate_scenarios` order; each slot
-    keeps those where the firm has its type, weighted by the others' types.
-    Utilities, best values and welfares are the scaled integers of the
-    module docstring. Every vector is some slot's grid candidate, so bids
-    and prices are grid levels over L, and no firm wins more units than the
-    longest true curve has, the width of every type's value table."""
+    """The state of one search, built once: the bid grid, its levels over L
+    and, per firm type, the true values over L of 0, 1, ... units. A firm
+    bids vectors of one length, its longest positive demand, and wins no
+    more units than it bids, so each value table is cut or zero-padded to
+    that length. Bid vectors are interned as small integers: a strategy is
+    a tuple of vector ids per type, a profile a tuple of strategies per
+    firm. Draws are in `enumerate_scenarios` order; each slot keeps those
+    where the firm has its type, weighted by the others' types. Utilities,
+    best values and welfares are the scaled integers of the module
+    docstring."""
 
     def __init__(self, instance: MarketInstance, params: AuctionParams, strict: bool = False):
-        _require_product(instance)
+        if not instance.product_form:
+            raise ValidationError(
+                "strategic analysis needs per-firm independent types (product form)"
+            )
         self.instance = instance
         self.params = params
         self.strict = strict
         self.types = [firm.scenarios for firm in instance.firms]
-        self.scale = math.lcm(*(v.denominator for v in bid_grid(instance, params)))
+        self.grid = bid_grid(instance, params)
+        self.scale = math.lcm(*(g.denominator for g in self.grid))
+        self.levels = _scaled(self.grid, self.scale)
         self.welfare_scale = math.lcm(self.scale, _cost_scale(instance.cost))
-        width = max((v.units for v in instance.all_valuations()), default=0)
-        self.values = [
-            [
+        self.values = []
+        for scenarios in self.types:
+            length = max(truth.positive_units for _, truth in scenarios)
+            self.values.append([
                 list(itertools.accumulate(
-                    _scaled(truth.marginals, self.scale) + [0] * (width - truth.units),
+                    _scaled(truth.marginals[:length], self.scale) + [0] * (length - truth.units),
                     initial=0,
                 ))
                 for _, truth in scenarios
-            ]
-            for scenarios in self.types
-        ]
+            ])
         denominators = [math.lcm(*(p.denominator for p, _ in s)) for s in self.types]
         weights = [_scaled((p for p, _ in s), d) for s, d in zip(self.types, denominators)]
         self.draws = tuple(
@@ -215,37 +170,59 @@ class _GridGame:
             for i in range(len(self.types))
         ]
         self._given = [[[] for _ in scenarios] for scenarios in self.types]
-        for _, types in self.draws:
+        for weight, types in self.draws:
             for i, t in enumerate(types):
-                others = math.prod(weights[j][s] for j, s in enumerate(types) if j != i)
-                self._given[i][t].append((others, types))
+                self._given[i][t].append((weight // weights[i][t], types))
         self._vectors: list[MarginalVector] = []
-        self._ids: dict[MarginalVector, int] = {}
+        self._ids: dict[tuple[int, ...], int] = {}
         self._candidates: dict[tuple[int, int], tuple[int, ...]] = {}
         self._outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
         self._best: dict[tuple, tuple[int, dict[int, int]]] = {}
         self._costs: dict[int, int] = {}
         self._welfares: dict[tuple, int] = {}
 
-    def vector_id(self, report: MarginalVector) -> int:
-        """The report's id; a report is validated once, when first seen, so
-        outcomes clear it unchecked."""
-        got = self._ids.get(report)
-        if got is None:
-            report.require_valid("report")
-            got = self._ids[report] = len(self._vectors)
-            self._vectors.append(report)
-        return got
-
     def vectors(self, ids: tuple[int, ...]) -> tuple[MarginalVector, ...]:
         return tuple(self._vectors[r] for r in ids)
 
     def candidates(self, firm: int, type_index: int) -> tuple[int, ...]:
+        """The slot's grid strategies as vector ids, in canonical order.
+
+        They are the non-increasing vectors over the bid grid, of the firm's
+        bid length, that satisfy no-overbidding against the type's true
+        values. On first use they are walked depth first with ascending
+        levels, which is canonical order; a level that breaks the bound at
+        its position is pruned with every higher one. Each vector is
+        interned by its grid indices; the walk emits only valid vectors, so
+        outcomes clear them unchecked.
+        """
         key = (firm, type_index)
         got = self._candidates.get(key)
-        if got is None:
-            reports = candidate_reports(self.instance, self.params, firm, type_index, self.strict)
-            got = self._candidates[key] = tuple(self.vector_id(r) for r in reports)
+        if got is not None:
+            return got
+        values = self.values[firm][type_index]
+        length = len(values) - 1
+        levels, strict = self.levels, self.strict
+        walked = []
+        chosen = []
+
+        def walk(position: int, top: int, spent: int) -> None:
+            if position == length:
+                walked.append(tuple(chosen))
+                return
+            bound = values[position + 1] - (values[position] if strict else spent)
+            for k in range(top + 1):
+                if levels[k] > bound:
+                    break
+                chosen.append(k)
+                walk(position + 1, k, spent + levels[k])
+                chosen.pop()
+
+        walk(0, len(levels) - 1, 0)
+        for indices in walked:
+            if indices not in self._ids:
+                self._ids[indices] = len(self._vectors)
+                self._vectors.append(MarginalVector(tuple(self.grid[k] for k in indices)))
+        got = self._candidates[key] = tuple(map(self._ids.__getitem__, walked))
         return got
 
     def outcome(self, bids: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -309,6 +286,19 @@ class _GridGame:
         return total
 
 
+def candidate_reports(
+    instance: MarketInstance,
+    params: AuctionParams,
+    firm: int,
+    type_index: int,
+    strict: bool = False,
+) -> tuple[MarginalVector, ...]:
+    """All grid strategies available to one firm type, canonically sorted:
+    that slot of the game a search with these parameters walks."""
+    game = _GridGame(instance, params, strict)
+    return game.vectors(game.candidates(firm, type_index))
+
+
 def find_grid_equilibria(
     instance: MarketInstance,
     params: AuctionParams,
@@ -323,6 +313,8 @@ def find_grid_equilibria(
     their sorted candidate sets), so output is order-independent. Finding
     no equilibrium is a legitimate outcome.
     """
+    if profile_limit < 1:
+        raise ValidationError(f"profile limit must be at least 1, got {profile_limit}")
     epsilon = rat(epsilon)
     if epsilon < 0:
         raise ValidationError(f"epsilon must be non-negative, got {epsilon}")

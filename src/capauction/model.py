@@ -248,8 +248,8 @@ class MarketInstance(NamedTuple):
     """Per-firm valuation distributions plus the shared social cost curve.
 
     Firms are independent (product form) unless `joint` is given, in which
-    case the explicit joint table replaces the product enumeration and the
-    per-firm distributions are derived marginals kept for grids only.
+    case the explicit joint table is the scenario space and `firms` is
+    empty.
     """
 
     firms: tuple[FirmDistribution, ...]
@@ -270,11 +270,6 @@ class MarketInstance(NamedTuple):
             for firm in self.firms:
                 for _, v in firm.scenarios:
                     yield v
-
-    def firm_valuations(self, i: int) -> tuple[MarginalVector, ...]:
-        if self.joint is not None:
-            return tuple(vs[i] for _, vs in self.joint)
-        return tuple(v for _, v in self.firms[i].scenarios)
 
 
 def validate(instance: MarketInstance) -> list[str]:

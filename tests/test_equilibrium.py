@@ -4,7 +4,6 @@ against brute-force oracles that clear every auction with run_auction."""
 import itertools
 import math
 import random
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -164,20 +163,32 @@ class TestUtility:
 
 
 class TestReportValidation:
-    """Each bid vector is validated once, when the search first sees it."""
+    """A search builds its bid grid once, and its walk emits only valid
+    vectors, which the search clears without validating them again."""
 
-    def test_search_validates_each_vector_once(self, monkeypatch):
-        seen = Counter()
-        require_valid = MarginalVector.require_valid
+    def test_search_walks_valid_vectors_on_one_grid(self, monkeypatch):
+        grids, walked = [], set()
+        candidates = equilibrium._GridGame.candidates
 
-        def counted(self, where="marginals"):
-            seen[self] += 1
-            return require_valid(self, where)
+        def counted(*args):
+            grids.append(args)
+            return bid_grid(*args)
 
-        monkeypatch.setattr(MarginalVector, "require_valid", counted)
-        report = find_grid_equilibria(MARKET, OPEN_FLOOR)
-        assert report.profiles
-        assert len(seen) > 2 and set(seen.values()) == {1}
+        def recorded(self, firm, type_index):
+            got = candidates(self, firm, type_index)
+            walked.update(self.vectors(got))
+            return got
+
+        monkeypatch.setattr(equilibrium, "bid_grid", counted)
+        monkeypatch.setattr(equilibrium._GridGame, "candidates", recorded)
+        m = generate(3, firms=2, scenarios_per_firm=2, max_units=2, value_high=8)
+        for instance, params in ((MARKET, OPEN_FLOOR), (m, make_safe_auction(2, m.cost))):
+            for strict in (False, True):
+                grids.clear()
+                assert find_grid_equilibria(instance, params, strict=strict).profiles
+                assert len(grids) == 1
+        assert len(walked) > 20
+        assert all(v.violations() == [] for v in walked)
 
 
 class TestFindEquilibria:
@@ -226,20 +237,30 @@ class TestFindEquilibria:
         with pytest.raises(TooLargeError, match="50"):
             find_grid_equilibria(MARKET, OPEN_FLOOR, profile_limit=10)
 
+    def test_profile_limit_below_one_is_malformed(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "_GridGame", None)  # must not be reached
+        for limit in (0, -1):
+            with pytest.raises(ValidationError, match=f"profile limit must be at least 1, got {limit}"):
+                find_grid_equilibria(MARKET, OPEN_FLOOR, profile_limit=limit)
+        monkeypatch.undo()
+        with pytest.raises(TooLargeError, match="limit 1"):
+            find_grid_equilibria(MARKET, OPEN_FLOOR, profile_limit=1)
+
     def test_profile_limit_fails_before_the_last_slot(self, monkeypatch):
         # candidates per slot: 142, 285, 509, 505; the running product
         # passes 200000 at the third slot
         m = generate(1, cost_kind="marginals")
-        built = []
+        walked = []
+        candidates = equilibrium._GridGame.candidates
 
-        def counted(*args, **kwargs):
-            built.append(args[2:4])
-            return candidate_reports(*args, **kwargs)
+        def counted(self, firm, type_index):
+            walked.append((firm, type_index))
+            return candidates(self, firm, type_index)
 
-        monkeypatch.setattr(equilibrium, "candidate_reports", counted)
+        monkeypatch.setattr(equilibrium._GridGame, "candidates", counted)
         with pytest.raises(TooLargeError, match="at least 20599230 profiles, limit 200000"):
             find_grid_equilibria(m, AuctionParams(2, 2, None, HIGHEST_LOSING))
-        assert built == [(0, 0), (0, 1), (1, 0)]
+        assert walked == [(0, 0), (0, 1), (1, 0)]
 
     def test_rejects_negative_epsilon_and_joint(self):
         with pytest.raises(ValidationError):

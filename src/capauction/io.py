@@ -125,6 +125,8 @@ def instance_from_obj(obj) -> MarketInstance:
     joint = None
     firms: tuple[FirmDistribution, ...] = ()
     if "joint_scenarios" in obj:
+        if "firms" in obj:
+            raise ValidationError("instance: give either 'firms' or 'joint_scenarios', not both")
         rows = []
         for r, row in enumerate(_items(obj["joint_scenarios"], "joint_scenarios")):
             where = f"joint_scenarios[{r}].marginals"

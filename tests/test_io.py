@@ -41,6 +41,14 @@ def test_wrong_json_type_is_a_validation_error(name):
         loads_instance(json.dumps(MALFORMED[name]))
 
 
+def test_firms_beside_a_joint_table_are_rejected():
+    joint = [{"prob": "1", "marginals": [["9", "1"]]}]
+    with pytest.raises(ValidationError, match="either 'firms' or 'joint_scenarios', not both"):
+        loads_instance(json.dumps({"cost": QUADRATIC, "firms": [FIRM], "joint_scenarios": joint}))
+    m = loads_instance(json.dumps({"cost": QUADRATIC, "joint_scenarios": joint}))
+    assert m.firms == () and m.joint == ((F(1), (MarginalVector.of(9, 1),)),)
+
+
 def test_well_formed_lists_still_parse():
     m = loads_instance(json.dumps({"cost": QUADRATIC, "firms": [FIRM]}))
     assert m.firms[0].scenarios == ((F(1), MarginalVector.of(9, 1)),)

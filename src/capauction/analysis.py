@@ -69,6 +69,8 @@ class ScenarioRow(NamedTuple):
 
 
 def _check_scenario_limit(instance: MarketInstance, limit: int) -> None:
+    if limit < 1:
+        raise ValidationError(f"scenario limit must be at least 1, got {limit}")
     if instance.joint is not None:
         if len(instance.joint) > limit:
             raise TooLargeError(f"joint table has {len(instance.joint)} rows, limit {limit}")

@@ -528,7 +528,7 @@ class TestIntegerTables:
                 sum(1 for v in pool if v >= price) for pool in pools
             ]
 
-    @given(m=markets(), limit=st.integers(0, 30))
+    @given(m=markets(), limit=st.integers(-2, 30))
     @settings(max_examples=100, deadline=None)
     def test_limit_errors_match_enumerate_scenarios(self, m, limit):
         want = result(lambda: len(enumerate_scenarios(m, limit)))
@@ -544,6 +544,19 @@ class TestIntegerTables:
         monkeypatch.setattr(module, "price_candidates", no_work)
         with pytest.raises(TooLargeError, match="scenario product has 4 rows, limit 3"):
             Analysis(generate(0), scenario_limit=3)
+
+    @pytest.mark.parametrize("limit", (0, -1))
+    def test_limit_below_one_is_malformed(self, monkeypatch, limit):
+        from capauction import analysis as module
+
+        def no_work(*args):
+            raise AssertionError("work before the scenario limit check")
+
+        monkeypatch.setattr(module, "price_candidates", no_work)
+        with pytest.raises(ValidationError, match=f"scenario limit must be at least 1, got {limit}"):
+            Analysis(generate(0), scenario_limit=limit)
+        with pytest.raises(TooLargeError, match="scenario product has 4 rows, limit 1"):
+            Analysis(generate(0), scenario_limit=1)
 
     @given(m=markets(), below_demand=st.integers(0, 3), allow_ceiling=st.booleans())
     @settings(max_examples=150, deadline=None)

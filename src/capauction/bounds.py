@@ -34,7 +34,7 @@ from .auction import AuctionParams, best_own_quantity, safe_price
 from .io import (
     display, format_rational, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
 )
-from .model import ZERO, CostCurve, MarginalVector, ValidationError, average_cost, rat
+from .model import ZERO, CostCurve, ValidationError, average_cost, rat
 
 CHECKED = "checked"
 VACUOUS = "vacuous"
@@ -125,23 +125,16 @@ def single_buyer_expected(analysis: Analysis) -> Fraction:
     """Expected welfare of the truthful sell-to-one-firm mechanism.
 
     A scenario's welfare is the largest stand-alone surplus max_x {V(x) -
-    C(x)} of its firms (`single_buyer_mechanism`), computed once per
-    distinct valuation by `best_own_quantity`, which reads the cost only
-    as far as that valuation's own optimum. The per-scenario maximum is
-    one fold over the scenario factors.
+    C(x)} of its firms (`single_buyer_mechanism`), computed once per type
+    by `best_own_quantity`, which reads the cost only as far as that
+    valuation's own optimum. The per-scenario maximum is one fold over the
+    scenario factors.
     """
     cost = analysis.instance.cost
-    surplus: dict[MarginalVector, Fraction] = {}
-
-    def alone(valuation: MarginalVector) -> Fraction:
-        got = surplus.get(valuation)
-        if got is None:
-            got = surplus[valuation] = best_own_quantity(valuation, cost)[1]
-        return got
-
     # A surplus is never negative, so -1 marks a scenario with no firm.
     best = analysis._per_scenario(
-        ([max(map(alone, vs), default=-1) for _, vs in types] for types in analysis._factors),
+        ([max((best_own_quantity(v, cost)[1] for v in vs), default=-1) for _, vs in types]
+         for types in analysis._factors),
         -1, max,
     )
     if -1 in best:

@@ -34,9 +34,8 @@ from .analysis import (
     enumerate_scenarios,
     optimize_cap_and_price,
     optimize_safe,
-    sell_out_probability,
 )
-from .auction import HIGHEST_LOSING, LOWEST_WINNING, AuctionParams, run_auction
+from .auction import FLOOR_BINDS, HIGHEST_LOSING, LOWEST_WINNING, AuctionParams, run_auction
 from .io import display, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
 from .model import MarketError, TooLargeError, ValidationError, rat
 
@@ -53,22 +52,23 @@ def cmd_evaluate(args) -> int:
         ceiling=parse_ceiling(args.ceiling),
         pricing=args.pricing,
     )
-    analysis = Analysis(instance, args.scenario_limit)
     scenarios = enumerate_scenarios(instance, args.scenario_limit)
     outcomes = [run_auction(params, row.valuations, instance.cost) for row in scenarios]
     welfare_total = Fraction(0)
     revenue_total = Fraction(0)
+    sold_out = Fraction(0)  # demand at the floor reaches the cap
     for row, outcome in zip(scenarios, outcomes):
         welfare_total += row.probability * outcome.welfare
         revenue_total += row.probability * outcome.revenue
+        if outcome.case != FLOOR_BINDS:
+            sold_out += row.probability
 
     print(f"instance: {instance.label or args.instance}")
     print(f"scenarios: {len(scenarios)}")
     print(f"expected welfare: {display(welfare_total)}")
     print(f"expected revenue: {display(revenue_total)}")
     if params.cap is not None:
-        q = sell_out_probability(analysis, params)
-        print(f"sell-out probability: {display(q)}")
+        print(f"sell-out probability: {display(sold_out)}")
     header = [
         "scenario", "probability", "probability_dec", "allocation", "unit_price",
         "unit_price_dec", "case", "welfare", "welfare_dec", "revenue", "revenue_dec",

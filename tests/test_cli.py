@@ -8,7 +8,7 @@ import pytest
 from capauction import analysis, auction, bounds, cli, equilibrium
 from capauction.cli import main
 from capauction.instances import demand_reduction, generate, logscale
-from capauction.io import save_instance
+from capauction.io import display, save_instance
 
 from test_io import BOOLEAN, LABEL, MALFORMED
 
@@ -36,6 +36,18 @@ def test_evaluate_rejects_misparsable_instance(tmp_path, capsys, name, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_evaluate_rejects_firms_beside_a_joint_table(tmp_path, capsys):
+    path = write(tmp_path, {
+        "cost": {"kind": "quadratic", "a": "1"},
+        "firms": [{"scenarios": [{"prob": "1", "marginals": ["9", "1"]}]}],
+        "joint_scenarios": [{"prob": "1", "marginals": [["2"]]}],
+    })
+    assert main(["evaluate", path, "--cap", "1", "--floor", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: instance: give either 'firms' or 'joint_scenarios', not both\n"
 
 
 # An "error"-extension cost table covers quantities 0..2 only, while
@@ -126,6 +138,62 @@ def test_equilibrium_honours_scenario_limit(tmp_path, capsys, monkeypatch):
     argv = ["equilibrium", str(path), "--cap", "2", "--floor", "4", "--scenario-limit", "1"]
     assert main(argv) == 2
     assert "scenario product has 4 rows, limit 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evaluate", "--cap", "2", "--floor", "1", "--scenario-limit", "-1"],
+     "scenario limit must be at least 1, got -1"),
+    (["evaluate", "--cap", "2", "--floor", "1", "--scenario-limit", "0"],
+     "scenario limit must be at least 1, got 0"),
+    (["optimize", "--scenario-limit", "0"], "scenario limit must be at least 1, got 0"),
+    (["verify", "--scenario-limit", "0"], "scenario limit must be at least 1, got 0"),
+    (["equilibrium", "--cap", "2", "--floor", "4", "--scenario-limit", "0"],
+     "scenario limit must be at least 1, got 0"),
+    (["equilibrium", "--cap", "2", "--floor", "4", "--profile-limit", "0"],
+     "profile limit must be at least 1, got 0"),
+    (["equilibrium", "--cap", "2", "--floor", "4", "--profile-limit", "-5"],
+     "profile limit must be at least 1, got -5"),
+])
+def test_limit_below_one_is_malformed(tmp_path, capsys, argv, message):
+    path = tmp_path / "instance.json"
+    save_instance(generate(0), path)
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+    # a limit of 1 is well formed, and too small for four scenarios
+    assert main(["equilibrium", str(path), "--cap", "2", "--floor", "4", "--profile-limit", "1"]) == 2
+
+
+def test_evaluate_reads_sell_out_from_its_outcomes(tmp_path, capsys, monkeypatch):
+    cases = [
+        (seed, cap, floor, ceiling, pricing)
+        for seed in range(3)
+        for cap in ("1", "2", "3")
+        for floor, ceiling in (("0", "inf"), ("3", "inf"), ("6", "inf"), ("0", "4"), ("3", "8"))
+        for pricing in ("lowest-winning", "highest-losing")
+    ]
+    expected = {}
+    for seed, cap, floor, ceiling, pricing in cases:
+        m = generate(seed)
+        params = auction.AuctionParams(
+            int(cap), floor, None if ceiling == "inf" else ceiling, pricing
+        )
+        expected[seed, cap, floor, ceiling, pricing] = display(
+            analysis.sell_out_probability(analysis.Analysis(m), params)
+        )
+
+    def no_analysis(*args):
+        raise AssertionError("evaluate built an Analysis")
+
+    monkeypatch.setattr(cli, "Analysis", no_analysis)
+    for (seed, cap, floor, ceiling, pricing), want in expected.items():
+        path = tmp_path / f"random-{seed}.json"
+        save_instance(generate(seed), path)
+        argv = ["evaluate", str(path), "--cap", cap, "--floor", floor, "--ceiling", ceiling,
+                "--pricing", pricing]
+        assert main(argv) == 0
+        assert f"\nsell-out probability: {want}\n" in capsys.readouterr().out
 
 
 def test_verify_all_enumerates_once(tmp_path, capsys, monkeypatch):

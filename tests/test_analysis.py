@@ -35,7 +35,7 @@ from capauction import (
     verify_ceiling_removal,
 )
 from capauction.analysis import Candidate
-from oracles import make_safe_auction
+from oracles import make_safe_auction, scenario_product
 
 mv = MarginalVector.of
 BETA5 = scale_weight(5)
@@ -585,3 +585,26 @@ class TestIntegerTables:
                 assert cand.expected_welfare == expected_welfare(
                     oracle, AuctionParams(cand.cap, cand.floor, cand.ceiling)
                 )
+
+
+# ---- scenario order against the itertools.product enumeration ------------
+
+NO_FIRMS = MarketInstance(firms=(), cost=quadratic(1))
+
+
+class TestScenarioOrder:
+    """Every scenario fold matches `oracles.scenario_product` row by row."""
+
+    @given(m=st.one_of(markets(), st.just(NO_FIRMS)))
+    @settings(max_examples=200, deadline=None)
+    def test_folds_match_the_product(self, m):
+        want = scenario_product(m)
+        rows = enumerate_scenarios(m)
+        assert [(r.probability, r.valuations) for r in rows] == [(p, vs) for p, _, vs in want]
+        analysis = Analysis(m)
+        assert [F(w, analysis._weight) for w in analysis._probs] == [p for p, _, _ in want]
+
+    def test_no_firms_is_one_empty_scenario(self):
+        assert enumerate_scenarios(NO_FIRMS) == ((F(1), ()),)
+        analysis = Analysis(NO_FIRMS)
+        assert (analysis._probs, analysis._weight) == ([1], 1)

@@ -37,7 +37,7 @@ from capauction import (
 )
 from capauction import equilibrium
 from capauction.model import ERROR_BEYOND
-from oracles import make_safe_auction
+from oracles import bid_levels, make_safe_auction, scenario_product
 
 mv = MarginalVector.of
 
@@ -84,6 +84,39 @@ class TestBidGrid:
 
     def test_finite_ceiling_included(self):
         assert F(7) in bid_grid(MARKET, AuctionParams(2, 0, 7))
+
+    def test_matches_the_set_construction(self):
+        # Floors and ceilings on the grid, between its levels and above it.
+        rng = random.Random(11)
+        for firms in range(4):
+            for _ in range(5):
+                m = _mixed_instance(rng, firms, zeros=True)
+                levels = bid_levels(m, AuctionParams(1, 0))
+                off = [(a + b) / 2 for a, b in zip(levels, levels[1:])] + [levels[-1] + F(1, 3)]
+                for floor in (*levels, *off):
+                    for ceiling in (None, *(p for p in (*levels, *off) if p > floor)):
+                        params = AuctionParams(1, floor, ceiling)
+                        assert bid_grid(m, params) == bid_levels(m, params), (m, params)
+
+
+class TestDraws:
+    """A search's type draws are the scenario product, weighted by their
+    probabilities: the weights over their total are the probabilities."""
+
+    def test_match_the_product(self):
+        rng = random.Random(5)
+        for firms in range(4):
+            for _ in range(10):
+                m = _mixed_instance(rng, firms)
+                draws = equilibrium._GridGame(m, AuctionParams(1, 0)).draws
+                total = sum(w for w, _ in draws)
+                assert [(F(w, total), types) for w, types in draws] == [
+                    (p, types) for p, types, _ in scenario_product(m)
+                ]
+
+    def test_no_firms_draw_once(self):
+        m = MarketInstance(firms=(), cost=quadratic(1))
+        assert equilibrium._GridGame(m, AuctionParams(1, 0)).draws == ((1, ()),)
 
 
 class TestCandidateReports:

@@ -14,6 +14,10 @@ positive ones when p <= 0) and no ceiling meaning D_s(ceiling) = 0,
     q = min(cap, D_s(floor))  otherwise,
 
 and q = D_s(floor) for an unbounded cap, which ignores the ceiling.
+This module owns scenario order and the integer encoding: `_factors` and
+`_per_scenario` are the only code that splits and folds the scenario
+product, and `_integers` and `_scaled` put rationals over a common
+denominator for `Analysis`, `bounds` and the equilibrium search.
 `Analysis` is the one truthful path per instance. It checks the scenario
 count against the limit before any other work, then builds its integer
 tables straight from the firm types (or the joint rows): D_s, p_s * W_s(q)
@@ -51,6 +55,7 @@ from .auction import (
     safe_price,
 )
 from .model import (
+    ONE,
     ZERO,
     MarginalVector,
     MarketInstance,
@@ -68,35 +73,60 @@ class ScenarioRow(NamedTuple):
     valuations: tuple[MarginalVector, ...]
 
 
-def _check_scenario_limit(instance: MarketInstance, limit: int) -> None:
+def _factors(instance: MarketInstance) -> tuple:
+    """Independent factors of the scenario space, each a sequence of
+    (probability, valuations) types: one per firm, or the joint table's rows."""
+    if instance.joint is not None:
+        return (instance.joint,)
+    return tuple(tuple((p, (v,)) for p, v in f.scenarios) for f in instance.firms)
+
+
+def _per_scenario(values, start, combine) -> list:
+    """Every scenario's fold of `combine` from `start` over its types'
+    values, in scenario order: the product of the factors, the last
+    factor's type changing fastest. `values` gives, factor by factor, the
+    value of each of that factor's types."""
+    rows = [start]
+    for of_types in values:
+        rows = [combine(row, value) for row in rows for value in of_types]
+    return rows
+
+
+def _scaled(values, scale: int) -> list[int]:
+    """`values` times `scale` as ints; `scale` is a multiple of every denominator."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _integers(values, base: int = 1) -> tuple[int, list[int]]:
+    """The lcm of `base` and the values' denominators, and the values over it as ints."""
+    values = list(values)
+    scale = math.lcm(base, *(v.denominator for v in values))
+    return scale, _scaled(values, scale)
+
+
+def _check_scenario_limit(instance: MarketInstance, limit: int) -> tuple:
+    """The instance's `_factors`, once their product fits in `limit`."""
     if limit < 1:
         raise ValidationError(f"scenario limit must be at least 1, got {limit}")
-    if instance.joint is not None:
-        if len(instance.joint) > limit:
-            raise TooLargeError(f"joint table has {len(instance.joint)} rows, limit {limit}")
-    else:
-        size = math.prod(len(f.scenarios) for f in instance.firms)
-        if size > limit:
-            raise TooLargeError(f"scenario product has {size} rows, limit {limit}")
+    factors = _factors(instance)
+    size = math.prod(map(len, factors))
+    if size > limit:
+        kind = "scenario product" if instance.joint is None else "joint table"
+        raise TooLargeError(f"{kind} has {size} rows, limit {limit}")
+    return factors
 
 
 def enumerate_scenarios(
     instance: MarketInstance, limit: int = DEFAULT_SCENARIO_LIMIT
 ) -> tuple[ScenarioRow, ...]:
-    """Materialize the joint scenario space with exact probabilities.
-
-    Product instances take the cartesian product of per-firm scenarios;
-    joint instances pass their explicit table through. Raises TooLargeError
-    before materializing anything bigger than `limit`.
-    """
-    _check_scenario_limit(instance, limit)
-    if instance.joint is not None:
-        return tuple(ScenarioRow(p, vs) for p, vs in instance.joint)
-    rows = []
-    for combo in itertools.product(*(f.scenarios for f in instance.firms)):
-        prob = math.prod((p for p, _ in combo), start=Fraction(1))
-        rows.append(ScenarioRow(prob, tuple(v for _, v in combo)))
-    return tuple(rows)
+    """Materialize the scenario space with exact probabilities. Raises
+    TooLargeError before materializing anything bigger than `limit`."""
+    factors = _check_scenario_limit(instance, limit)
+    return tuple(map(
+        ScenarioRow,
+        _per_scenario(([p for p, _ in types] for types in factors), ONE, mul),
+        _per_scenario(([vs for _, vs in types] for types in factors), (), add),
+    ))
 
 
 class Analysis:
@@ -104,15 +134,14 @@ class Analysis:
 
     Holds the price grid, the largest pooled demand and the validated cap
     search bound `cap_limit` (default: that demand, at least 1). Values are
-    kept as integer multiples of 1/scale and probabilities as integer
-    multiples of 1/weight, built from the instance without Fractions per
-    scenario: each firm type's positive marginals are scaled once, and a
-    scenario's pool and probability weight combine its types' integers (a
-    joint table is one factor whose types are its rows) through
-    `_per_scenario`. Per scenario it keeps the ascending positive pooled
-    marginals (for D_s, memoized per price) and, once a sweep asks for
-    them, p_s * W_s(q) for every quantity q the sweep can sell, so a
-    candidate costs one demand lookup and one integer sum per scenario.
+    kept as integer multiples of 1/scale (scale: the lcm of the grid's
+    denominators) and probabilities as integer multiples of 1/weight: each
+    type's positive marginals and probability are encoded once, and
+    `_per_scenario` combines them per scenario. Per scenario it keeps the
+    ascending positive pooled marginals (for D_s, memoized per price) and,
+    once a sweep asks for them, p_s * W_s(q) for every quantity q the sweep
+    can sell, so a candidate costs one demand lookup and one integer sum
+    per scenario.
     The no-ceiling optimum is computed on first read and kept.
     """
 
@@ -122,31 +151,16 @@ class Analysis:
         scenario_limit: int = DEFAULT_SCENARIO_LIMIT,
         cap_limit: int | None = None,
     ):
-        _check_scenario_limit(instance, scenario_limit)
+        self._factors = factors = _check_scenario_limit(instance, scenario_limit)
         self.instance = instance
         self.scenario_limit = scenario_limit
         self.grid = price_candidates(instance)
-        # Independent factors of the scenario space, each a sequence of
-        # (probability, valuations) types; scenarios are their product.
-        if instance.joint is not None:
-            factors = (instance.joint,)
-        else:
-            factors = tuple(tuple((p, (v,)) for p, v in f.scenarios) for f in instance.firms)
-        self._factors = factors
-        self._scale = scale = math.lcm(*(
-            v.denominator
-            for types in factors for _, vs in types for mv in vs for v in mv.marginals if v > 0
-        ))
-        weights = [math.lcm(*(p.denominator for p, _ in types)) for types in factors]
-        self._weight = math.prod(weights)
-        self._probs = self._per_scenario(
-            ([p.numerator * (weight // p.denominator) for p, _ in types]
-             for types, weight in zip(factors, weights)),
-            1, mul,
-        )
-        self._pools = [sorted(pool) for pool in self._per_scenario(
-            ([[v.numerator * (scale // v.denominator) for mv in vs for v in mv.marginals if v > 0]
-              for _, vs in types]
+        self._scale = scale = math.lcm(*(g.denominator for g in self.grid))
+        weights = [_integers(p for p, _ in types) for types in factors]
+        self._weight = math.prod(weight for weight, _ in weights)
+        self._probs = _per_scenario((probs for _, probs in weights), 1, mul)
+        self._pools = [sorted(pool) for pool in _per_scenario(
+            ([_scaled((v for mv in vs for v in mv.marginals if v > 0), scale) for _, vs in types]
              for types in factors),
             [], add,
         )]
@@ -162,16 +176,6 @@ class Analysis:
         self._nums: list[list[int]] = []
         self._cost: list[int] = []  # C(q) * (_den // _weight) for q up to _reach
         self._den = 1
-
-    @staticmethod
-    def _per_scenario(values, start, combine) -> list:
-        """Every scenario's fold of `combine` from `start` over its types'
-        values, in `enumerate_scenarios` order. `values` gives, factor by
-        factor, the value of each of that factor's types."""
-        rows = [start]
-        for of_types in values:
-            rows = [combine(row, value) for row in rows for value in of_types]
-        return rows
 
     def demand(self, price: Fraction) -> list[int]:
         """D_s(price) for every scenario, memoized per price."""
@@ -197,16 +201,14 @@ class Analysis:
         if reach <= self._reach:
             return
         tops = [min(len(pool), reach) for pool in self._pools]
-        cost = [self.instance.cost.cost(q) for q in range(reach + 1)]
-        scale = math.lcm(self._scale, *(c.denominator for c in cost))
+        scale, self._cost = _integers(map(self.instance.cost.cost, range(reach + 1)), self._scale)
         up = scale // self._scale
-        self._cost = cost = [c.numerator * (scale // c.denominator) for c in cost]
         self._nums = []
         for p, pool, top in zip(self._probs, self._pools, tops):
             prefix = itertools.accumulate(
                 (v * up for v in reversed(pool[len(pool) - top:])), initial=0
             )
-            self._nums.append([p * (v - c) for v, c in zip(prefix, cost)])
+            self._nums.append([p * (v - c) for v, c in zip(prefix, self._cost)])
         self._den = scale * self._weight
         self._reach = reach
 

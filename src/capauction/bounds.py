@@ -29,7 +29,9 @@ from functools import lru_cache
 from operator import attrgetter, mul
 from typing import NamedTuple
 
-from .analysis import DEFAULT_GAP_LIMIT, Analysis, optimize_safe, sell_out_probability
+from .analysis import (
+    DEFAULT_GAP_LIMIT, Analysis, _integers, _per_scenario, optimize_safe, sell_out_probability
+)
 from .auction import AuctionParams, best_own_quantity, safe_price
 from .io import (
     display, format_rational, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
@@ -132,7 +134,7 @@ def single_buyer_expected(analysis: Analysis) -> Fraction:
     """
     cost = analysis.instance.cost
     # A surplus is never negative, so -1 marks a scenario with no firm.
-    best = analysis._per_scenario(
+    best = _per_scenario(
         ([max((best_own_quantity(v, cost)[1] for v in vs), default=-1) for _, vs in types]
          for types in analysis._factors),
         -1, max,
@@ -235,10 +237,8 @@ def worst_price_gap(cost: CostCurve, limit: int) -> BoundCertificate:
     """
     if limit < 1:
         raise ValidationError(f"quantity limit must be at least 1, got {limit}")
-    costs = [cost.cost(x) for x in range(limit + 1)]
-    scale = math.lcm(*(c.denominator for c in costs))
-    c = [v.numerator * (scale // v.denominator) for v in costs]
-    worst = None  # (margin * quantity * scale, quantity, units)
+    _, c = _integers(cost.cost(x) for x in range(limit + 1))
+    worst = None  # (margin * quantity * common denominator, quantity, units)
     for q in range(1, limit + 1):
         gap, u = min((q * c[u] - c[q] * u, u) for u in range(q + 1))
         gap += q * (c[q] - c[q // 2] - c[(q + 1) // 2])

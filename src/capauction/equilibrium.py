@@ -11,13 +11,14 @@ the unrestricted continuum of reports.
 Types are independent, so a firm type's interim utility depends only on
 its own report and the other firms' strategies. One `_GridGame` per search
 builds the bid grid and every type's value table once, walks each
-(firm, type) slot's candidates from them on first use, enumerates the
-joint type draws once, and caches outcomes and, per slot and opponent
-strategies, every candidate's interim utility and their best value; a
-profile is an epsilon-equilibrium iff no slot's best value exceeds its
-current utility by more than epsilon. `candidate_reports` shows one slot
-of such a game. The worst equilibrium the search finds is what
-`check_poa_bound` compares with the safe-price baseline.
+(firm, type) slot's candidates from them on first use, folds the joint
+type draws once through `analysis._per_scenario`, and caches outcomes
+and, per slot and opponent strategies, every candidate's interim utility
+and their best value; a profile is an epsilon-equilibrium iff no slot's
+best value exceeds its current utility by more than epsilon.
+`candidate_reports` shows one slot of such a game. The worst equilibrium
+the search finds is what `check_poa_bound` compares with the safe-price
+baseline.
 
 The game computes in exact scaled integers. With L the lcm of the bid
 levels' denominators, values and prices are integers over L. Each firm j
@@ -44,14 +45,14 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add, mul
 from typing import NamedTuple
 
-from .analysis import DEFAULT_PROFILE_LIMIT, Analysis
-from .auction import AuctionParams, clear_valid
+from .analysis import DEFAULT_PROFILE_LIMIT, Analysis, _integers, _per_scenario, _scaled
+from .auction import AuctionParams, clear_valid, price_candidates
 from .io import display, format_rational, load_instance, parse_cap, rational_cells, write_report
 from .model import (
     ZERO,
-    CostCurve,
     MarginalVector,
     MarketInstance,
     QuadraticCost,
@@ -86,8 +87,7 @@ class EquilibriumReport(NamedTuple):
 def bid_grid(instance: MarketInstance, params: AuctionParams) -> tuple[Fraction, ...]:
     """Candidate marginal-bid levels: zero, every true marginal, the floor,
     and the ceiling when finite."""
-    values = {v for mv in instance.all_valuations() for v in mv.marginals}
-    values.add(ZERO)
+    values = set(price_candidates(instance)[:-1])  # zero and the marginals; no sentinel
     values.add(params.floor)
     if params.ceiling is not None:
         values.add(params.ceiling)
@@ -112,17 +112,6 @@ def satisfies_no_overbidding(
     return True
 
 
-def _scaled(values, scale: int) -> list[int]:
-    """`values` times `scale` as ints; `scale` is a multiple of every denominator."""
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
-def _cost_scale(cost: CostCurve) -> int:
-    """A common denominator of the cost at every quantity."""
-    terms = (cost.a,) if isinstance(cost, QuadraticCost) else cost.marginals
-    return math.lcm(*(c.denominator for c in terms))
-
-
 class _GridGame:
     """The state of one search, built once: the bid grid, its levels over L
     and, per firm type, the true values over L of 0, 1, ... units. A firm
@@ -130,10 +119,11 @@ class _GridGame:
     more units than it bids, so each value table is cut or zero-padded to
     that length. Bid vectors are interned as small integers: a strategy is
     a tuple of vector ids per type, a profile a tuple of strategies per
-    firm. Draws are in `enumerate_scenarios` order; each slot keeps those
-    where the firm has its type, weighted by the others' types. Utilities,
-    best values and welfares are the scaled integers of the module
-    docstring."""
+    firm. Draws (weight, type indices) fold the firms' types through
+    `analysis._per_scenario`, so they are in scenario order; each slot
+    keeps those where the firm has its type, weighted by the others'
+    types. Utilities, best values and welfares are the scaled integers of
+    the module docstring."""
 
     def __init__(self, instance: MarketInstance, params: AuctionParams, strict: bool = False):
         if not instance.product_form:
@@ -145,9 +135,11 @@ class _GridGame:
         self.strict = strict
         self.types = [firm.scenarios for firm in instance.firms]
         self.grid = bid_grid(instance, params)
-        self.scale = math.lcm(*(g.denominator for g in self.grid))
-        self.levels = _scaled(self.grid, self.scale)
-        self.welfare_scale = math.lcm(self.scale, _cost_scale(instance.cost))
+        self.scale, self.levels = _integers(self.grid)
+        # The lcm of the cost's coefficients is a denominator of C(q) for every q.
+        cost = instance.cost
+        coefficients = (cost.a,) if isinstance(cost, QuadraticCost) else cost.marginals
+        self.welfare_scale, _ = _integers(coefficients, self.scale)
         self.values = []
         for scenarios in self.types:
             length = max(truth.positive_units for _, truth in scenarios)
@@ -158,17 +150,15 @@ class _GridGame:
                 ))
                 for _, truth in scenarios
             ])
-        denominators = [math.lcm(*(p.denominator for p, _ in s)) for s in self.types]
-        weights = [_scaled((p for p, _ in s), d) for s, d in zip(self.types, denominators)]
-        self.draws = tuple(
-            (math.prod(weights[j][t] for j, t in enumerate(types)), types)
-            for types in itertools.product(*(range(len(s)) for s in self.types))
-        )
-        self.draw_scale = self.welfare_scale * math.prod(denominators)
-        self.slot_scale = [
-            self.scale * math.prod(d for j, d in enumerate(denominators) if j != i)
-            for i in range(len(self.types))
-        ]
+        encoded = [_integers(p for p, _ in scenarios) for scenarios in self.types]
+        weights = [of_types for _, of_types in encoded]
+        self.draws = tuple(zip(
+            _per_scenario(weights, 1, mul),
+            _per_scenario(([(t,) for t in range(len(s))] for s in self.types), (), add),
+        ))
+        every = math.prod(d for d, _ in encoded)  # prod_j P_j
+        self.draw_scale = self.welfare_scale * every
+        self.slot_scale = [self.scale * (every // d) for d, _ in encoded]
         self._given = [[[] for _ in scenarios] for scenarios in self.types]
         for weight, types in self.draws:
             for i, t in enumerate(types):

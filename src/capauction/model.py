@@ -50,7 +50,9 @@ def rat(value: Rational) -> Fraction:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational: {value!r} ({exc})") from None
-    raise ValidationError(f"not an exact rational: {value!r} (floats are not accepted)")
+    if isinstance(value, float):
+        raise ValidationError(f"not an exact rational: {value!r} (floats are not accepted)")
+    raise ValidationError(f"not a rational: {value!r} (got {type(value).__name__})")
 
 
 class MarginalVector(NamedTuple):

@@ -22,23 +22,34 @@ from capauction.model import ERROR_BEYOND, MarginalCostTable
 QUADRATIC = {"kind": "quadratic", "a": "1"}
 FIRM = {"scenarios": [{"prob": "1", "marginals": ["9", "1"]}]}
 
-# Each is a well-formed instance with one field given the wrong JSON type.
+ARRAY = "expected a JSON array"
+
+# Each is a well-formed instance with one field given the wrong JSON type,
+# and the message that names the mistake.
 MALFORMED = {
-    "marginals-string": {"cost": QUADRATIC,
-                         "firms": [{"scenarios": [{"prob": "1", "marginals": "91"}]}]},
-    "firms-number": {"cost": QUADRATIC, "firms": 5},
-    "scenarios-object": {"cost": QUADRATIC, "firms": [{"scenarios": {"prob": "1"}}]},
-    "cost-values-number": {"cost": {"kind": "marginals", "values": 7}, "firms": [FIRM]},
-    "joint-number": {"cost": QUADRATIC, "joint_scenarios": 3},
-    "joint-marginals-string": {"cost": QUADRATIC,
-                               "joint_scenarios": [{"prob": "1", "marginals": ["91"]}]},
+    "marginals-string": ({"cost": QUADRATIC,
+                          "firms": [{"scenarios": [{"prob": "1", "marginals": "91"}]}]}, ARRAY),
+    "firms-number": ({"cost": QUADRATIC, "firms": 5}, ARRAY),
+    "scenarios-object": ({"cost": QUADRATIC, "firms": [{"scenarios": {"prob": "1"}}]}, ARRAY),
+    "cost-values-number": ({"cost": {"kind": "marginals", "values": 7}, "firms": [FIRM]}, ARRAY),
+    "joint-number": ({"cost": QUADRATIC, "joint_scenarios": 3}, ARRAY),
+    "joint-marginals-string": ({"cost": QUADRATIC,
+                                "joint_scenarios": [{"prob": "1", "marginals": ["91"]}]}, ARRAY),
+    "marginal-list": ({"cost": QUADRATIC,
+                       "firms": [{"scenarios": [{"prob": "1", "marginals": [[1]]}]}]},
+                      "not a rational: [1] (got list)"),
+    "prob-object": ({"cost": QUADRATIC,
+                     "firms": [{"scenarios": [{"prob": {"p": 1}, "marginals": ["9"]}]}]},
+                    "not a rational: {'p': 1} (got dict)"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_wrong_json_type_is_a_validation_error(name):
-    with pytest.raises(ValidationError, match="expected a JSON array"):
-        loads_instance(json.dumps(MALFORMED[name]))
+    obj, message = MALFORMED[name]
+    with pytest.raises(ValidationError) as raised:
+        loads_instance(json.dumps(obj))
+    assert message in str(raised.value)
 
 
 def test_firms_beside_a_joint_table_are_rejected():

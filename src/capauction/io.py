@@ -53,11 +53,10 @@ def format_decimal(value: Fraction) -> str:
 def _cost_to_obj(cost: CostCurve) -> dict:
     if isinstance(cost, QuadraticCost):
         return {"kind": "quadratic", "a": format_rational(cost.a)}
-    extension = "repeat-last" if cost.extension == REPEAT_LAST else "error"
     return {
         "kind": "marginals",
         "values": [format_rational(v) for v in cost.marginals],
-        "extension": extension,
+        "extension": cost.extension,
     }
 
 
@@ -79,12 +78,11 @@ def _cost_from_obj(obj) -> CostCurve:
     if kind == "quadratic":
         return QuadraticCost(rat(obj.get("a", "1")))
     if kind == "marginals":
-        extension = obj.get("extension", "repeat-last")
-        if extension not in ("repeat-last", "error"):
+        extension = obj.get("extension", REPEAT_LAST)
+        if extension not in (REPEAT_LAST, ERROR_BEYOND):
             raise ValidationError(f"cost.extension: unknown policy {extension!r}")
         return MarginalCostTable(
-            tuple(rat(v) for v in _items(obj.get("values", []), "cost.values")),
-            REPEAT_LAST if extension == "repeat-last" else ERROR_BEYOND,
+            tuple(rat(v) for v in _items(obj.get("values", []), "cost.values")), extension
         )
     raise ValidationError(f"cost.kind: expected 'quadratic' or 'marginals', got {kind!r}")
 

@@ -52,6 +52,12 @@ def test_wrong_json_type_is_a_validation_error(name):
     assert message in str(raised.value)
 
 
+def test_unknown_cost_extension_is_a_validation_error():
+    cost = {"kind": "marginals", "values": ["1"], "extension": "wrap"}
+    with pytest.raises(ValidationError, match="cost.extension: unknown policy 'wrap'"):
+        loads_instance(json.dumps({"cost": cost, "firms": [FIRM]}))
+
+
 def test_firms_beside_a_joint_table_are_rejected():
     joint = [{"prob": "1", "marginals": [["9", "1"]]}]
     with pytest.raises(ValidationError, match="either 'firms' or 'joint_scenarios', not both"):

@@ -289,6 +289,17 @@ def candidate_reports(
     return game.vectors(game.candidates(firm, type_index))
 
 
+def _checked_epsilon(epsilon: Fraction | int | str, profile_limit: int) -> Fraction:
+    """`epsilon` as a Fraction, once it and the profile limit are valid;
+    `cmd_equilibrium` calls it before any resource limit is checked."""
+    if profile_limit < 1:
+        raise ValidationError(f"profile limit must be at least 1, got {profile_limit}")
+    epsilon = rat(epsilon)
+    if epsilon < 0:
+        raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
+    return epsilon
+
+
 def find_grid_equilibria(
     instance: MarketInstance,
     params: AuctionParams,
@@ -303,11 +314,7 @@ def find_grid_equilibria(
     their sorted candidate sets), so output is order-independent. Finding
     no equilibrium is a legitimate outcome.
     """
-    if profile_limit < 1:
-        raise ValidationError(f"profile limit must be at least 1, got {profile_limit}")
-    epsilon = rat(epsilon)
-    if epsilon < 0:
-        raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
+    epsilon = _checked_epsilon(epsilon, profile_limit)
     game = _GridGame(instance, params, strict)
     total = 1
     for i, scenarios in enumerate(game.types):
@@ -433,11 +440,12 @@ def cmd_equilibrium(args) -> int:
     if cap is None:
         raise ValidationError("equilibrium search needs a bounded cap")
     params = AuctionParams(cap=cap, floor=rat(args.floor), ceiling=None, pricing=args.pricing)
+    epsilon = _checked_epsilon(args.epsilon, args.profile_limit)
     analysis = Analysis(instance, args.scenario_limit)
     report = find_grid_equilibria(
         instance,
         params,
-        epsilon=rat(args.epsilon),
+        epsilon=epsilon,
         strict=args.strict_overbidding,
         profile_limit=args.profile_limit,
     )

@@ -159,6 +159,23 @@ def test_limit_below_one_is_malformed(tmp_path, capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--profile-limit", "0"], "profile limit must be at least 1, got 0"),
+    (["--epsilon", "-1"], "epsilon must be non-negative, got -1"),
+    (["--epsilon", "abc"], "not a rational: 'abc' (Invalid literal for Fraction: 'abc')"),
+])
+def test_equilibrium_reports_malformed_arguments_before_the_scenario_limit(
+    tmp_path, capsys, options, message
+):
+    path = tmp_path / "instance.json"
+    save_instance(generate(0), path)  # 2 firms x 2 scenarios
+    argv = ["equilibrium", str(path), "--cap", "2", "--floor", "2", "--scenario-limit", "1"]
+    assert main([*argv, *options]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_evaluate_reads_sell_out_from_its_outcomes(tmp_path, capsys, monkeypatch):
     cases = [
         (seed, cap, floor, ceiling, pricing)

@@ -14,10 +14,9 @@ positive ones when p <= 0) and no ceiling meaning D_s(ceiling) = 0,
     q = min(cap, D_s(floor))  otherwise,
 
 and q = D_s(floor) for an unbounded cap, which ignores the ceiling.
-This module owns scenario order and the integer encoding: `_factors` and
-`_per_scenario` are the only code that splits and folds the scenario
-product, and `_integers` and `_scaled` put rationals over a common
-denominator for `Analysis`, `bounds` and the equilibrium search.
+This module owns scenario order (`_factors`, `_per_scenario`) and the
+integer encoding (`_integers`, `_scaled`); `Analysis`, `bounds` and the
+equilibrium search fold scenarios and encode rationals only through them.
 `Analysis` is the one truthful path per instance. It checks the scenario
 count against the limit before any other work, then builds its integer
 tables straight from the firm types (or the joint rows): D_s, p_s * W_s(q)
@@ -55,7 +54,6 @@ from .auction import (
     safe_price,
 )
 from .model import (
-    ONE,
     ZERO,
     MarginalVector,
     MarketInstance,
@@ -124,7 +122,7 @@ def enumerate_scenarios(
     factors = _check_scenario_limit(instance, limit)
     return tuple(map(
         ScenarioRow,
-        _per_scenario(([p for p, _ in types] for types in factors), ONE, mul),
+        _per_scenario(([p for p, _ in types] for types in factors), Fraction(1), mul),
         _per_scenario(([vs for _, vs in types] for types in factors), (), add),
     ))
 

@@ -290,8 +290,7 @@ def candidate_reports(
 
 
 def _checked_epsilon(epsilon: Fraction | int | str, profile_limit: int) -> Fraction:
-    """`epsilon` as a Fraction, once it and the profile limit are valid;
-    `cmd_equilibrium` calls it before any resource limit is checked."""
+    """`epsilon` as a Fraction, once it and the profile limit are valid."""
     if profile_limit < 1:
         raise ValidationError(f"profile limit must be at least 1, got {profile_limit}")
     epsilon = rat(epsilon)

@@ -15,12 +15,12 @@ from importlib import import_module
 _EXPORTS = {
     "analysis": (
         "Analysis", "Candidate", "OptResult", "ScenarioRow", "enumerate_scenarios",
-        "expected_welfare", "optimize_cap_and_price", "optimize_safe", "sell_out_probability",
+        "optimize_cap_and_price", "optimize_safe", "sell_out_probability",
     ),
     "auction": (
         "CAP_BINDS", "CEILING_BINDS", "FLOOR_BINDS", "HIGHEST_LOSING", "LOWEST_WINNING",
-        "AuctionParams", "Outcome", "SingleBuyerOutcome", "best_own_quantity", "clear",
-        "price_candidates", "run_auction", "safe_price", "single_buyer_mechanism",
+        "AuctionParams", "Outcome", "best_own_quantity", "clear", "price_candidates",
+        "run_auction", "safe_price",
     ),
     "bounds": (
         "BoundCertificate", "DecompositionReport", "decompose_welfare",
@@ -30,9 +30,8 @@ _EXPORTS = {
         "verify_single_buyer_cover", "worst_price_gap",
     ),
     "equilibrium": (
-        "POA_FACTOR", "EquilibriumReport", "PoACheck", "StrategyProfile", "bid_grid",
-        "candidate_reports", "check_poa_bound", "find_grid_equilibria",
-        "satisfies_no_overbidding",
+        "POA_FACTOR", "EquilibriumReport", "PoACheck", "StrategyProfile", "check_poa_bound",
+        "find_grid_equilibria",
     ),
     "instances": (
         "demand_reduction", "first_best", "generate", "logscale", "scale_weight",
@@ -44,8 +43,7 @@ _EXPORTS = {
     "model": (
         "CostCurve", "FirmDistribution", "MarginalCostTable", "MarginalVector",
         "MarketError", "MarketInstance", "QuadraticCost", "TooLargeError",
-        "ValidationError", "average_cost", "cost_table", "interpolated_cost", "quadratic",
-        "rat", "validate", "welfare_of",
+        "ValidationError", "average_cost", "interpolated_cost", "rat", "validate", "welfare_of",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -21,13 +21,12 @@ equilibrium search fold scenarios and encode rationals only through them.
 count against the limit before any other work, then builds its integer
 tables straight from the firm types (or the joint rows): D_s, p_s * W_s(q)
 and each cap's safe price. Every function here and in `bounds` reads from
-it. Sweeps (`optimize_cap_and_price`, `optimize_safe`), single auctions
-(`Analysis.welfare`, `Analysis.safe_welfare`), sell-out probabilities and
-the certificates are lookups on those arrays. The
+it, and so does the equilibrium search, for its price grid, type weights
+and cost list. Sweeps (`optimize_cap_and_price`, `optimize_safe`), single
+auctions (`Analysis.welfare`, `Analysis.safe_welfare`), sell-out
+probabilities and the certificates are lookups on those arrays. The
 Fraction scenario rows of `enumerate_scenarios` serve only `evaluate`,
-which prints each scenario's auction, and the reference oracle
-`expected_welfare`, which clears every scenario with `auction.run_auction`
-and which the lookups are tested against.
+which prints each scenario's auction.
 
 Where code lives: run without cached bytecode (`PYTHONDONTWRITEBYTECODE`),
 each process compiles every module it imports from source, so this module
@@ -50,7 +49,6 @@ from .auction import (
     AuctionParams,
     LOWEST_WINNING,
     price_candidates,
-    run_auction,
     safe_price,
 )
 from .model import (
@@ -134,13 +132,16 @@ class Analysis:
     search bound `cap_limit` (default: that demand, at least 1). Values are
     kept as integer multiples of 1/scale (scale: the lcm of the grid's
     denominators) and probabilities as integer multiples of 1/weight: each
-    type's positive marginals and probability are encoded once, and
-    `_per_scenario` combines them per scenario. Per scenario it keeps the
+    type's positive marginals and probability are encoded once (`_weights`
+    keeps each factor's lcm and type weights), and `_per_scenario` combines
+    them per scenario. Per scenario it keeps the
     ascending positive pooled marginals (for D_s, memoized per price) and,
     once a sweep asks for them, p_s * W_s(q) for every quantity q the sweep
     can sell, so a candidate costs one demand lookup and one integer sum
     per scenario.
-    The no-ceiling optimum is computed on first read and kept.
+    The no-ceiling optimum is computed on first read and kept. The
+    equilibrium search reads the price grid, the type weights and the cost
+    list from here too.
     """
 
     def __init__(
@@ -154,7 +155,7 @@ class Analysis:
         self.scenario_limit = scenario_limit
         self.grid = price_candidates(instance)
         self._scale = scale = math.lcm(*(g.denominator for g in self.grid))
-        weights = [_integers(p for p, _ in types) for types in factors]
+        self._weights = weights = [_integers(p for p, _ in types) for types in factors]
         self._weight = math.prod(weight for weight, _ in weights)
         self._probs = _per_scenario((probs for _, probs in weights), 1, mul)
         self._pools = [sorted(pool) for pool in _per_scenario(
@@ -211,7 +212,8 @@ class Analysis:
         self._reach = reach
 
     def welfare(self, cap: int | None, floor: Fraction, ceiling: Fraction | None = None) -> Fraction:
-        """Equals expected_welfare(self, AuctionParams(cap, floor, ceiling)).
+        """Expected welfare of the auction with this cap, floor and ceiling
+        under truthful bids.
 
         Tabulates no further than the largest quantity this auction sells.
         """
@@ -255,15 +257,6 @@ class Analysis:
     @cached_property
     def no_ceiling_optimum(self) -> OptResult:
         return optimize_cap_and_price(self, allow_ceiling=False)
-
-
-def expected_welfare(analysis: Analysis, params: AuctionParams) -> Fraction:
-    """Probability-weighted welfare under truthful bidding."""
-    cost = analysis.instance.cost
-    total = ZERO
-    for row in enumerate_scenarios(analysis.instance, analysis.scenario_limit):
-        total += row.probability * run_auction(params, row.valuations, cost).welfare
-    return total
 
 
 class Candidate(NamedTuple):

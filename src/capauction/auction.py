@@ -5,7 +5,8 @@ price ceiling: if demand at the ceiling covers the cap, everyone buys at the
 ceiling; if demand at the floor falls short of the cap, everyone buys at the
 floor; otherwise exactly `cap` licenses go to the highest reported marginals.
 Also provides the safe-price variant (floor = average social cost at the
-cap) and the truthful sell-to-one-firm mechanism.
+cap) and each firm's stand-alone optimum, which the truthful
+sell-to-one-firm mechanism sells.
 """
 
 from __future__ import annotations
@@ -180,23 +181,6 @@ def price_candidates(instance: MarketInstance) -> tuple[Fraction, ...]:
     return tuple(sorted(values))
 
 
-class SingleBuyerOutcome(NamedTuple):
-    """Result of the truthful sell-to-one-firm mechanism.
-
-    The winner is the firm whose standalone surplus max_x {V(x) - Q(x)} is
-    highest; it buys its own optimal quantity and additionally pays the
-    runner-up surplus for the right to buy (a second-price rule, which is
-    what makes the mechanism truthful).
-    """
-
-    winner: int
-    quantity: int
-    allocation: tuple[int, ...]
-    welfare: Fraction
-    right_payment: Fraction
-    scores: tuple[Fraction, ...]
-
-
 def best_own_quantity(valuation: MarginalVector, cost: CostCurve) -> tuple[int, Fraction]:
     """Smallest maximizer and maximum of V(x) - Q(x) for one firm.
 
@@ -218,28 +202,3 @@ def best_own_quantity(valuation: MarginalVector, cost: CostCurve) -> tuple[int, 
         below = here
     return x, best
 
-
-def single_buyer_mechanism(
-    true_values: list[MarginalVector] | tuple[MarginalVector, ...],
-    cost: CostCurve,
-) -> SingleBuyerOutcome:
-    """Run the sell-to-one-firm mechanism under truthful reporting."""
-    truths = tuple(true_values)
-    if not truths:
-        raise ValidationError("at least one firm is required")
-    plans = [best_own_quantity(v, cost) for v in truths]
-    scores = tuple(score for _, score in plans)
-    winner = max(range(len(truths)), key=lambda i: (scores[i], -i))
-    quantity = plans[winner][0]
-    allocation = tuple(quantity if i == winner else 0 for i in range(len(truths)))
-    runner_up = max(
-        (scores[i] for i in range(len(truths)) if i != winner), default=ZERO
-    )
-    return SingleBuyerOutcome(
-        winner=winner,
-        quantity=quantity,
-        allocation=allocation,
-        welfare=scores[winner],
-        right_payment=runner_up,
-        scores=scores,
-    )

@@ -10,8 +10,7 @@ inequality; a failure is a finding.
 Every certificate reads `Analysis` (its integer welfare rows, cost list,
 demand memo, probability weights, safe prices and cached no-ceiling
 optimum), never a scenario cleared again or the Fraction scenario rows of
-`enumerate_scenarios`, which serve only `evaluate` and the
-`expected_welfare` oracle. The price-gap certificates (`verify_price_gap`,
+`enumerate_scenarios`, which serve only `evaluate`. The price-gap certificates (`verify_price_gap`,
 `worst_price_gap`) read only the cost curve.
 
 Only `verify` loads this module, so it also holds the helpers that only
@@ -127,10 +126,9 @@ def single_buyer_expected(analysis: Analysis) -> Fraction:
     """Expected welfare of the truthful sell-to-one-firm mechanism.
 
     A scenario's welfare is the largest stand-alone surplus max_x {V(x) -
-    C(x)} of its firms (`single_buyer_mechanism`), computed once per type
-    by `best_own_quantity`, which reads the cost only as far as that
-    valuation's own optimum. The per-scenario maximum is one fold over the
-    scenario factors.
+    C(x)} of its firms, computed once per type by `best_own_quantity`,
+    which reads the cost only as far as that valuation's own optimum. The
+    per-scenario maximum is one fold over the scenario factors.
     """
     cost = analysis.instance.cost
     # A surplus is never negative, so -1 marks a scenario with no firm.

@@ -10,13 +10,12 @@ the unrestricted continuum of reports.
 
 Types are independent, so a firm type's interim utility depends only on
 its own report and the other firms' strategies. One `_GridGame` per search
-builds the bid grid and every type's value table once, walks each
-(firm, type) slot's candidates from them on first use, folds the joint
-type draws once through `analysis._per_scenario`, and caches outcomes
-and, per slot and opponent strategies, every candidate's interim utility
-and their best value; a profile is an epsilon-equilibrium iff no slot's
-best value exceeds its current utility by more than epsilon.
-`candidate_reports` shows one slot of such a game. The worst equilibrium
+reads the instance's `Analysis` for its price grid, type weights and cost
+list, builds every type's value table once, walks each (firm, type)
+slot's candidates from them on first use, and caches outcomes and, per
+slot and opponent strategies, every candidate's interim utility and their
+best value; a profile is an epsilon-equilibrium iff no slot's best value
+exceeds its current utility by more than epsilon. The worst equilibrium
 the search finds is what `check_poa_bound` compares with the safe-price
 baseline.
 
@@ -26,8 +25,9 @@ has P_j, the lcm of its type probabilities' denominators, so a slot of
 firm i weights its draws by integers over prod_{j != i} P_j and its
 utilities are integers over S_i = L * prod_{j != i} P_j; the epsilon test
 is then `best - current <= floor(epsilon * S_i)`. Draw welfare is an
-integer over M = lcm(L, the cost's denominator), and a profile's welfare an
-integer over M * prod_j P_j. Fractions are built only for the report.
+integer over M = lcm(L, the analysis's cost scale), and a profile's
+welfare an integer over M * prod_j P_j. Fractions are built only for the
+report.
 
 The search is factored by the firm i* with the largest strategy space
 (the last such firm on ties): for each strategy profile of the other
@@ -49,17 +49,9 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .analysis import DEFAULT_PROFILE_LIMIT, Analysis, _integers, _per_scenario, _scaled
-from .auction import AuctionParams, clear_valid, price_candidates
+from .auction import AuctionParams, clear_valid
 from .io import display, format_rational, load_instance, parse_cap, rational_cells, write_report
-from .model import (
-    ZERO,
-    MarginalVector,
-    MarketInstance,
-    QuadraticCost,
-    TooLargeError,
-    ValidationError,
-    rat,
-)
+from .model import MarginalVector, MarketInstance, TooLargeError, ValidationError, rat
 
 # Imported constant-factor guarantee for uniform-price equilibria: worst
 # equilibrium welfare of a safe-price auction is at least baseline/3.15.
@@ -84,62 +76,42 @@ class EquilibriumReport(NamedTuple):
     searched: int
 
 
-def bid_grid(instance: MarketInstance, params: AuctionParams) -> tuple[Fraction, ...]:
-    """Candidate marginal-bid levels: zero, every true marginal, the floor,
-    and the ceiling when finite."""
-    values = set(price_candidates(instance)[:-1])  # zero and the marginals; no sentinel
-    values.add(params.floor)
-    if params.ceiling is not None:
-        values.add(params.ceiling)
-    return tuple(sorted(values))
-
-
-def satisfies_no_overbidding(
-    report: MarginalVector, truth: MarginalVector, strict: bool = False
-) -> bool:
-    """Aggregate mode caps reported prefix sums by true values; strict mode
-    additionally dominates marginal by marginal."""
-    if strict:
-        for j, b in enumerate(report.marginals, start=1):
-            if b > truth.gain(1, j - 1):
-                return False
-        return True
-    running = ZERO
-    for j, b in enumerate(report.marginals, start=1):
-        running += b
-        if running > truth.value(j):
-            return False
-    return True
-
-
 class _GridGame:
-    """The state of one search, built once: the bid grid, its levels over L
-    and, per firm type, the true values over L of 0, 1, ... units. A firm
-    bids vectors of one length, its longest positive demand, and wins no
-    more units than it bids, so each value table is cut or zero-padded to
-    that length. Bid vectors are interned as small integers: a strategy is
-    a tuple of vector ids per type, a profile a tuple of strategies per
-    firm. Draws (weight, type indices) fold the firms' types through
-    `analysis._per_scenario`, so they are in scenario order; each slot
-    keeps those where the firm has its type, weighted by the others'
-    types. Utilities, best values and welfares are the scaled integers of
-    the module docstring."""
+    """The state of one search, built once: the bid grid (the analysis's
+    price grid without its sentinel, plus the floor and a finite ceiling),
+    its levels over L and, per firm type, the true values over L of 0, 1,
+    ... units. A firm bids vectors of one length, its longest positive
+    demand, and wins no more units than it bids, so each value table is
+    cut or zero-padded to that length. Bid vectors are interned as small
+    integers: a strategy is a tuple of vector ids per type, a profile a
+    tuple of strategies per firm. Draws pair the analysis's scenario
+    weights with the firms' type indices, in scenario order; each firm's
+    opponent draws fold only the other firms' type weights and indices.
+    Utilities, best values and welfares are the scaled integers of the
+    module docstring."""
 
-    def __init__(self, instance: MarketInstance, params: AuctionParams, strict: bool = False):
+    def __init__(self, analysis: Analysis, params: AuctionParams, strict: bool = False):
+        instance = analysis.instance
         if not instance.product_form:
             raise ValidationError(
                 "strategic analysis needs per-firm independent types (product form)"
             )
-        self.instance = instance
         self.params = params
         self.strict = strict
         self.types = [firm.scenarios for firm in instance.firms]
-        self.grid = bid_grid(instance, params)
+        levels = {*analysis.grid[:-1], params.floor}  # zero and the marginals; no sentinel
+        if params.ceiling is not None:
+            levels.add(params.ceiling)
+        self.grid = tuple(sorted(levels))
         self.scale, self.levels = _integers(self.grid)
-        # The lcm of the cost's coefficients is a denominator of C(q) for every q.
-        cost = instance.cost
-        coefficients = (cost.a,) if isinstance(cost, QuadraticCost) else cost.marginals
-        self.welfare_scale, _ = _integers(coefficients, self.scale)
+        # A profile sells at most the cap, unless a ceiling binds, and at
+        # most the bids' total length, the largest demand: the cost list
+        # covers every draw. `_tabulate` replaces the list when it grows,
+        # so the game keeps this one.
+        analysis._tabulate(params.cap if params.ceiling is None else None)
+        cost_scale = analysis._den // analysis._weight
+        self.welfare_scale = math.lcm(self.scale, cost_scale)
+        self.costs = [c * (self.welfare_scale // cost_scale) for c in analysis._cost]
         self.values = []
         for scenarios in self.types:
             length = max(truth.positive_units for _, truth in scenarios)
@@ -150,25 +122,23 @@ class _GridGame:
                 ))
                 for _, truth in scenarios
             ])
-        encoded = [_integers(p for p, _ in scenarios) for scenarios in self.types]
-        weights = [of_types for _, of_types in encoded]
-        self.draws = tuple(zip(
-            _per_scenario(weights, 1, mul),
-            _per_scenario(([(t,) for t in range(len(s))] for s in self.types), (), add),
-        ))
-        every = math.prod(d for d, _ in encoded)  # prod_j P_j
-        self.draw_scale = self.welfare_scale * every
-        self.slot_scale = [self.scale * (every // d) for d, _ in encoded]
-        self._given = [[[] for _ in scenarios] for scenarios in self.types]
-        for weight, types in self.draws:
-            for i, t in enumerate(types):
-                self._given[i][t].append((weight // weights[i][t], types))
+        weights = [of_types for _, of_types in analysis._weights]
+        indices = [[(t,) for t in range(len(s))] for s in self.types]
+        self.draws = tuple(zip(analysis._probs, _per_scenario(indices, (), add)))
+        self.opponents = [
+            tuple(zip(
+                _per_scenario(weights[:i] + weights[i + 1 :], 1, mul),
+                _per_scenario(indices[:i] + indices[i + 1 :], (), add),
+            ))
+            for i in range(len(self.types))
+        ]
+        self.draw_scale = self.welfare_scale * analysis._weight
+        self.slot_scale = [self.scale * (analysis._weight // d) for d, _ in analysis._weights]
         self._vectors: list[MarginalVector] = []
         self._ids: dict[tuple[int, ...], int] = {}
         self._candidates: dict[tuple[int, int], tuple[int, ...]] = {}
         self._outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
         self._best: dict[tuple, tuple[int, dict[int, int]]] = {}
-        self._costs: dict[int, int] = {}
         self._welfares: dict[tuple, int] = {}
 
     def vectors(self, ids: tuple[int, ...]) -> tuple[MarginalVector, ...]:
@@ -235,9 +205,9 @@ class _GridGame:
                 (
                     weight,
                     tuple(profile[j][s] for j, s in enumerate(types[:firm])),
-                    tuple(profile[j][s] for j, s in enumerate(types[firm + 1 :], firm + 1)),
+                    tuple(profile[j][s] for j, s in enumerate(types[firm:], firm + 1)),
                 )
-                for weight, types in self._given[firm][type_index]
+                for weight, types in self.opponents[firm]
             ]
             utilities = {}
             for report in self.candidates(firm, type_index):
@@ -248,15 +218,6 @@ class _GridGame:
                     total += weight * (values[won] - price * won)
                 utilities[report] = total
             got = self._best[key] = (max(utilities.values()), utilities)
-        return got
-
-    def cost(self, quantity: int) -> int:
-        """Social cost of `quantity` over M, read only where sold."""
-        got = self._costs.get(quantity)
-        if got is None:
-            got = self._costs[quantity] = (
-                self.instance.cost.cost(quantity) * self.welfare_scale
-            ).numerator
         return got
 
     def welfare(self, profile: _Profile) -> int:
@@ -271,22 +232,9 @@ class _GridGame:
             if got is None:
                 allocation, _ = self.outcome(bids)
                 value = sum(self.values[j][t][x] for j, (t, x) in enumerate(zip(types, allocation)))
-                got = self._welfares[key] = lift * value - self.cost(sum(allocation))
+                got = self._welfares[key] = lift * value - self.costs[sum(allocation)]
             total += weight * got
         return total
-
-
-def candidate_reports(
-    instance: MarketInstance,
-    params: AuctionParams,
-    firm: int,
-    type_index: int,
-    strict: bool = False,
-) -> tuple[MarginalVector, ...]:
-    """All grid strategies available to one firm type, canonically sorted:
-    that slot of the game a search with these parameters walks."""
-    game = _GridGame(instance, params, strict)
-    return game.vectors(game.candidates(firm, type_index))
 
 
 def _checked_epsilon(epsilon: Fraction | int | str, profile_limit: int) -> Fraction:
@@ -300,7 +248,7 @@ def _checked_epsilon(epsilon: Fraction | int | str, profile_limit: int) -> Fract
 
 
 def find_grid_equilibria(
-    instance: MarketInstance,
+    analysis: Analysis,
     params: AuctionParams,
     epsilon: Fraction | int | str = 0,
     strict: bool = False,
@@ -314,7 +262,9 @@ def find_grid_equilibria(
     no equilibrium is a legitimate outcome.
     """
     epsilon = _checked_epsilon(epsilon, profile_limit)
-    game = _GridGame(instance, params, strict)
+    if isinstance(analysis, MarketInstance):  # callers holding only an instance get the defaults
+        analysis = Analysis(analysis)
+    game = _GridGame(analysis, params, strict)
     total = 1
     for i, scenarios in enumerate(game.types):
         for t in range(len(scenarios)):
@@ -442,7 +392,7 @@ def cmd_equilibrium(args) -> int:
     epsilon = _checked_epsilon(args.epsilon, args.profile_limit)
     analysis = Analysis(instance, args.scenario_limit)
     report = find_grid_equilibria(
-        instance,
+        analysis,
         params,
         epsilon=epsilon,
         strict=args.strict_overbidding,

@@ -181,14 +181,6 @@ class MarginalCostTable(NamedTuple):
 CostCurve = Union[QuadraticCost, MarginalCostTable]
 
 
-def quadratic(a: Rational) -> QuadraticCost:
-    return QuadraticCost(rat(a))
-
-
-def cost_table(*values: Rational, extension: str = REPEAT_LAST) -> MarginalCostTable:
-    return MarginalCostTable(tuple(rat(v) for v in values), extension)
-
-
 def interpolated_cost(cost: CostCurve, x: Fraction) -> Fraction:
     """Cost extended to fractional quantities by linear interpolation.
 

@@ -1,4 +1,5 @@
-"""Slow reference constructions that the tests check the package against.
+"""Slow reference constructions that the tests check the package against,
+and the small builders only tests use.
 
 Not a test module (pytest collects only `test_*.py`); the test modules
 import it by name, since pytest puts this directory on `sys.path`.
@@ -7,11 +8,34 @@ import it by name, since pytest puts this directory on `sys.path`.
 import itertools
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from capauction import (
-    LOWEST_WINNING, AuctionParams, CostCurve, MarginalVector, MarketInstance, safe_price
+    LOWEST_WINNING,
+    Analysis,
+    AuctionParams,
+    CostCurve,
+    MarginalCostTable,
+    MarginalVector,
+    MarketInstance,
+    QuadraticCost,
+    ValidationError,
+    best_own_quantity,
+    enumerate_scenarios,
+    rat,
+    run_auction,
+    safe_price,
 )
+from capauction.equilibrium import _GridGame
+from capauction.model import REPEAT_LAST, ZERO
+
+
+def quadratic(a) -> QuadraticCost:
+    return QuadraticCost(rat(a))
+
+
+def cost_table(*values, extension: str = REPEAT_LAST) -> MarginalCostTable:
+    return MarginalCostTable(tuple(rat(v) for v in values), extension)
 
 
 def combined_valuation(valuations: Sequence[MarginalVector], x: int) -> Fraction:
@@ -58,3 +82,86 @@ def bid_levels(instance: MarketInstance, params: AuctionParams) -> tuple[Fractio
     if params.ceiling is not None:
         values.add(params.ceiling)
     return tuple(sorted(values))
+
+
+def expected_welfare(analysis: Analysis, params: AuctionParams) -> Fraction:
+    """Probability-weighted welfare under truthful bidding: every scenario
+    of `enumerate_scenarios` cleared with `run_auction`."""
+    cost = analysis.instance.cost
+    total = ZERO
+    for row in enumerate_scenarios(analysis.instance, analysis.scenario_limit):
+        total += row.probability * run_auction(params, row.valuations, cost).welfare
+    return total
+
+
+class SingleBuyerOutcome(NamedTuple):
+    """Result of the truthful sell-to-one-firm mechanism.
+
+    The winner is the firm whose standalone surplus max_x {V(x) - Q(x)} is
+    highest; it buys its own optimal quantity and additionally pays the
+    runner-up surplus for the right to buy (a second-price rule, which is
+    what makes the mechanism truthful).
+    """
+
+    winner: int
+    quantity: int
+    allocation: tuple[int, ...]
+    welfare: Fraction
+    right_payment: Fraction
+    scores: tuple[Fraction, ...]
+
+
+def single_buyer_mechanism(
+    true_values: Sequence[MarginalVector], cost: CostCurve
+) -> SingleBuyerOutcome:
+    """Run the sell-to-one-firm mechanism under truthful reporting."""
+    truths = tuple(true_values)
+    if not truths:
+        raise ValidationError("at least one firm is required")
+    plans = [best_own_quantity(v, cost) for v in truths]
+    scores = tuple(score for _, score in plans)
+    winner = max(range(len(truths)), key=lambda i: (scores[i], -i))
+    quantity = plans[winner][0]
+    allocation = tuple(quantity if i == winner else 0 for i in range(len(truths)))
+    runner_up = max(
+        (scores[i] for i in range(len(truths)) if i != winner), default=ZERO
+    )
+    return SingleBuyerOutcome(
+        winner=winner,
+        quantity=quantity,
+        allocation=allocation,
+        welfare=scores[winner],
+        right_payment=runner_up,
+        scores=scores,
+    )
+
+
+def satisfies_no_overbidding(
+    report: MarginalVector, truth: MarginalVector, strict: bool = False
+) -> bool:
+    """Aggregate mode caps reported prefix sums by true values; strict mode
+    additionally dominates marginal by marginal."""
+    if strict:
+        for j, b in enumerate(report.marginals, start=1):
+            if b > truth.gain(1, j - 1):
+                return False
+        return True
+    running = ZERO
+    for j, b in enumerate(report.marginals, start=1):
+        running += b
+        if running > truth.value(j):
+            return False
+    return True
+
+
+def candidate_reports(
+    instance: MarketInstance,
+    params: AuctionParams,
+    firm: int,
+    type_index: int,
+    strict: bool = False,
+) -> tuple[MarginalVector, ...]:
+    """All grid strategies available to one firm type, canonically sorted:
+    that slot of the game a search with these parameters walks."""
+    game = _GridGame(Analysis(instance), params, strict)
+    return game.vectors(game.candidates(firm, type_index))

@@ -15,11 +15,9 @@ from capauction import (
     MarketInstance,
     TooLargeError,
     ValidationError,
-    cost_table,
     demand_quantile_cap,
     demand_reduction,
     enumerate_scenarios,
-    expected_welfare,
     first_best,
     generate,
     logscale,
@@ -27,7 +25,6 @@ from capauction import (
     optimize_cap_and_price,
     optimize_safe,
     price_candidates,
-    quadratic,
     run_auction,
     scale_weight,
     sell_out_probability,
@@ -35,7 +32,7 @@ from capauction import (
     verify_ceiling_removal,
 )
 from capauction.analysis import Candidate
-from oracles import make_safe_auction, scenario_product
+from oracles import cost_table, expected_welfare, make_safe_auction, quadratic, scenario_product
 
 mv = MarginalVector.of
 BETA5 = scale_weight(5)

@@ -17,16 +17,19 @@ from capauction import (
     ValidationError,
     best_own_quantity,
     clear,
-    cost_table,
     demand_reduction,
     logscale,
     price_candidates,
-    quadratic,
     run_auction,
-    single_buyer_mechanism,
     welfare_of,
 )
-from oracles import combined_valuation, make_safe_auction
+from oracles import (
+    combined_valuation,
+    cost_table,
+    make_safe_auction,
+    quadratic,
+    single_buyer_mechanism,
+)
 
 mv = MarginalVector.of
 COST_9X = cost_table(9, 9)

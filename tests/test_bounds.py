@@ -14,21 +14,17 @@ from capauction import (
     MarginalVector,
     MarketInstance,
     ValidationError,
-    cost_table,
     decompose_welfare,
     demand_quantile_cap,
     demand_reduction,
     enumerate_scenarios,
-    expected_welfare,
     generate,
     logscale,
     one_minus_inv_e,
     price_candidates,
-    quadratic,
     run_auction,
     safe_price,
     single_buyer_expected,
-    single_buyer_mechanism,
     verify_ceiling_removal,
     verify_decomposition_bounds,
     verify_price_gap,
@@ -38,6 +34,7 @@ from capauction import (
     worst_price_gap,
 )
 from capauction.model import ERROR_BEYOND, MarginalCostTable
+from oracles import cost_table, expected_welfare, quadratic, single_buyer_mechanism
 
 mv = MarginalVector.of
 

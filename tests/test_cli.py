@@ -77,6 +77,16 @@ def test_short_cost_table_with_ceilings_fails(tmp_path, capsys):
     assert err.startswith("error: quantity ") and "beyond cost table" in err
 
 
+def test_short_cost_table_fails_before_the_equilibrium_search(tmp_path, capsys, monkeypatch):
+    # A search may sell up to the cap, 3, which the table does not cover.
+    path = write(tmp_path, SHORT_COST_TABLE)
+    monkeypatch.setattr(equilibrium._GridGame, "candidates", None)  # must not be reached
+    assert main(["equilibrium", path, "--cap", "3", "--floor", "100"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: quantity 3 beyond cost table of length 2")
+
+
 @pytest.fixture
 def demand_reduction_file(tmp_path):
     path = tmp_path / "demand-reduction.json"

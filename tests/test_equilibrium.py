@@ -7,6 +7,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capauction import (
     Analysis,
@@ -21,23 +22,28 @@ from capauction import (
     StrategyProfile,
     TooLargeError,
     ValidationError,
-    bid_grid,
-    candidate_reports,
     check_poa_bound,
-    cost_table,
     demand_reduction,
-    expected_welfare,
     find_grid_equilibria,
     first_best,
     generate,
     logscale,
-    quadratic,
+    price_candidates,
     run_auction,
-    satisfies_no_overbidding,
 )
-from capauction import equilibrium
+from capauction import analysis, equilibrium
 from capauction.model import ERROR_BEYOND
-from oracles import bid_levels, make_safe_auction, scenario_product
+from oracles import (
+    bid_levels,
+    candidate_reports,
+    cost_table,
+    expected_welfare,
+    make_safe_auction,
+    quadratic,
+    satisfies_no_overbidding,
+    scenario_product,
+)
+from test_analysis import markets
 
 mv = MarginalVector.of
 
@@ -64,6 +70,11 @@ class TestNoOverbidding:
     def test_longer_than_truth(self):
         assert satisfies_no_overbidding(mv(6, 6, 6), mv(10, 10))
         assert not satisfies_no_overbidding(mv(7, 7, 7), mv(10, 10))
+
+
+def bid_grid(instance, params):
+    """The bid grid of a search on this instance with these parameters."""
+    return equilibrium._GridGame(Analysis(instance), params).grid
 
 
 class TestBidGrid:
@@ -101,22 +112,30 @@ class TestBidGrid:
 
 class TestDraws:
     """A search's type draws are the scenario product, weighted by their
-    probabilities: the weights over their total are the probabilities."""
+    probabilities: the weights over their total are the probabilities. Each
+    firm's opponent draws are the product with its own factor left out."""
 
-    def test_match_the_product(self):
-        rng = random.Random(5)
-        for firms in range(4):
-            for _ in range(10):
-                m = _mixed_instance(rng, firms)
-                draws = equilibrium._GridGame(m, AuctionParams(1, 0)).draws
-                total = sum(w for w, _ in draws)
-                assert [(F(w, total), types) for w, types in draws] == [
-                    (p, types) for p, types, _ in scenario_product(m)
-                ]
+    @given(m=st.one_of(
+        st.builds(lambda rng, firms: _mixed_instance(rng, firms), st.randoms(), st.integers(0, 3)),
+        markets().filter(lambda m: m.product_form),  # with zero-probability types
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_match_the_product(self, m):
+        def normalized(draws):
+            total = sum(w for w, _ in draws)
+            return [(F(w, total), types) for w, types in draws]
+
+        game = equilibrium._GridGame(Analysis(m), AuctionParams(1, 0))
+        assert normalized(game.draws) == [(p, types) for p, types, _ in scenario_product(m)]
+        for i in range(len(m.firms)):
+            others = m._replace(firms=m.firms[:i] + m.firms[i + 1 :])
+            assert normalized(game.opponents[i]) == [
+                (p, types) for p, types, _ in scenario_product(others)
+            ]
 
     def test_no_firms_draw_once(self):
         m = MarketInstance(firms=(), cost=quadratic(1))
-        assert equilibrium._GridGame(m, AuctionParams(1, 0)).draws == ((1, ()),)
+        assert equilibrium._GridGame(Analysis(m), AuctionParams(1, 0)).draws == ((1, ()),)
 
 
 class TestCandidateReports:
@@ -196,30 +215,33 @@ class TestUtility:
 
 
 class TestReportValidation:
-    """A search builds its bid grid once, and its walk emits only valid
-    vectors, which the search clears without validating them again."""
+    """A search and its analysis scan the valuations for the price grid
+    once, and its walk emits only valid vectors, which the search clears
+    without validating them again."""
 
     def test_search_walks_valid_vectors_on_one_grid(self, monkeypatch):
-        grids, walked = [], set()
+        scans, walked = [], set()
         candidates = equilibrium._GridGame.candidates
 
-        def counted(*args):
-            grids.append(args)
-            return bid_grid(*args)
+        def counted(instance):
+            scans.append(instance)
+            return price_candidates(instance)
 
         def recorded(self, firm, type_index):
             got = candidates(self, firm, type_index)
             walked.update(self.vectors(got))
             return got
 
-        monkeypatch.setattr(equilibrium, "bid_grid", counted)
+        for module in (analysis, equilibrium):
+            if hasattr(module, "price_candidates"):
+                monkeypatch.setattr(module, "price_candidates", counted)
         monkeypatch.setattr(equilibrium._GridGame, "candidates", recorded)
         m = generate(3, firms=2, scenarios_per_firm=2, max_units=2, value_high=8)
         for instance, params in ((MARKET, OPEN_FLOOR), (m, make_safe_auction(2, m.cost))):
             for strict in (False, True):
-                grids.clear()
-                assert find_grid_equilibria(instance, params, strict=strict).profiles
-                assert len(grids) == 1
+                scans.clear()
+                assert find_grid_equilibria(Analysis(instance), params, strict=strict).profiles
+                assert len(scans) == 1
         assert len(walked) > 20
         assert all(v.violations() == [] for v in walked)
 
@@ -351,7 +373,7 @@ def _filtered_candidates(instance, params, firm, type_index, strict):
     length = max(v.positive_units for _, v in instance.firms[firm].scenarios)
     if length == 0:
         return (MarginalVector(()),)
-    grid = sorted(bid_grid(instance, params), reverse=True)
+    grid = sorted(bid_levels(instance, params), reverse=True)
     combos = itertools.combinations_with_replacement(grid, length)
     return tuple(sorted(
         MarginalVector(c) for c in combos if satisfies_no_overbidding(MarginalVector(c), truth, strict)
@@ -531,6 +553,29 @@ class TestAgainstDirectOracle:
         assert report.utilities == tuple(utilities)
         assert report.searched == searched
 
+    def test_zero_probability_type(self):
+        # Firm 0's first type has probability 0; its interim utilities are
+        # still its expectations over the rival's types.
+        m = MarketInstance(
+            firms=(
+                FirmDistribution.of((0, mv(3, 2)), (1, mv(2))),
+                FirmDistribution.point_mass(mv(4)),
+            ),
+            cost=quadratic(1),
+        )
+        params = AuctionParams(1, 1, None)
+        report = find_grid_equilibria(m, params)
+        profiles, welfares, utilities, searched = _oracle_search(m, params, F(0), False)
+        assert report.profiles and report.profiles == tuple(profiles)
+        assert (report.welfares, report.utilities) == (tuple(welfares), tuple(utilities))
+        assert report.searched == searched
+        for profile, per_firm in zip(report.profiles, report.utilities):
+            for firm, per_type in enumerate(profile.reports):
+                for t, bid in enumerate(per_type):
+                    got = per_firm[firm][t]
+                    assert got == _direct_utility(m, params, profile.reports, firm, t, bid)
+                assert max(_oracle_gains(m, params, profile, firm, False)) <= 0
+
 
 class TestPerScenarioSafety:
     def test_safe_floor_no_overbid_profiles_never_negative(self):
@@ -549,7 +594,7 @@ class TestPerScenarioSafety:
             )
             cap = rng.randint(1, 3)
             params = make_safe_auction(cap, m.cost, HIGHEST_LOSING)
-            grid = bid_grid(m, params)
+            grid = bid_levels(m, params)
             for _ in range(30):
                 bids = []
                 ok = True

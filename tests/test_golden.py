@@ -6,8 +6,9 @@ the result must equal tests/golden/<instance>.json byte for byte. The
 own instance and options, recorded in tests/golden/equilibrium.json.
 COMMAND_CASES (`examples` and `generate` with the instance file each writes)
 and LIMIT_CASES (exit 2 over --scenario-limit) are recorded in
-tests/golden/commands.json, and SHORT_TABLE_CASES (`verify` and `evaluate`
-on a cost table shorter than the demand) in tests/golden/short-cost-table.json.
+tests/golden/commands.json, and SHORT_TABLE_CASES (`verify`, `evaluate` and
+`equilibrium` on a cost table shorter than the demand) in
+tests/golden/short-cost-table.json.
 After a change that is meant to alter output, re-record with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -28,15 +29,14 @@ from capauction import (
     FirmDistribution,
     MarginalVector,
     MarketInstance,
-    cost_table,
     demand_reduction,
     first_best,
     generate,
     logscale,
-    quadratic,
     save_instance,
 )
 from capauction.cli import main
+from oracles import cost_table, quadratic
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -145,6 +145,9 @@ SHORT_TABLE_CASES = {
     "verify-decomp-cap-3-floor-0": ["verify", "--which", "decomp", "--cap", "3", "--floor", "0"],
     "verify-main": ["verify", "--which", "main"],
     "evaluate-cap-2-floor-5": ["evaluate", "--cap", "2", "--floor", "5"],
+    # No bid reaches the floor, but a search may sell up to the cap: the
+    # table fails before any profile is searched or printed.
+    "equilibrium-cap-3-floor-100": ["equilibrium", "--cap", "3", "--floor", "100"],
 }
 
 

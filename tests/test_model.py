@@ -13,15 +13,13 @@ from capauction import (
     MarketInstance,
     ValidationError,
     average_cost,
-    cost_table,
     interpolated_cost,
-    quadratic,
     rat,
     validate,
     welfare_of,
 )
 from capauction.model import ERROR_BEYOND
-from oracles import combined_valuation
+from oracles import combined_valuation, cost_table, quadratic
 
 mv = MarginalVector.of
 

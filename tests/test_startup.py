@@ -1,7 +1,9 @@
 """What a CLI process loads before it parses its arguments and while it runs
-one subcommand, and the records that replaced dataclasses."""
+one subcommand, the records that replaced dataclasses, and a lint of the
+names each module imports and defines."""
 
 import argparse
+import ast
 import os
 import subprocess
 import sys
@@ -17,7 +19,6 @@ from capauction import (
     ValidationError,
     demand_reduction,
     generate,
-    quadratic,
 )
 from capauction.analysis import Analysis, enumerate_scenarios, optimize_cap_and_price
 from capauction.bounds import verify_sellout_factor
@@ -25,6 +26,7 @@ from capauction.cli import build_parser
 from capauction.equilibrium import find_grid_equilibria
 from capauction.instances import NAMED_INSTANCES
 from capauction.io import save_instance
+from oracles import quadratic
 
 SRC = str(Path(capauction.__file__).resolve().parent.parent)
 
@@ -156,3 +158,56 @@ def test_marginal_vectors_order_as_their_tuples():
 def test_generated_instances_hash_and_compare_by_value():
     assert generate(4) == generate(4) and hash(generate(4)) == hash(generate(4))
     assert generate(4) != generate(5)
+
+
+PACKAGE = Path(capauction.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+
+
+def _parsed(directory: Path) -> dict[str, ast.Module]:
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(directory.glob("*.py"))
+    }
+
+
+def _loads(node: ast.AST) -> set[str]:
+    """Every name `node` reads: bare names and attribute names."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if (isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store))
+        or isinstance(sub, ast.Attribute)
+    }
+
+
+def test_every_module_level_import_is_read():
+    unused = []
+    for directory in (PACKAGE, TESTS):
+        for name, tree in _parsed(directory).items():
+            read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+            for statement in tree.body:
+                if isinstance(statement, ast.ImportFrom) and statement.module == "__future__":
+                    continue
+                if isinstance(statement, (ast.Import, ast.ImportFrom)):
+                    for alias in statement.names:
+                        bound = alias.asname or alias.name.split(".")[0]
+                        if bound not in read:
+                            unused.append(f"{directory.name}/{name}: {bound}")
+    assert unused == []
+
+
+def test_every_package_definition_is_read_by_package_code():
+    """A top-level function or class that only tests call belongs in the
+    tests (`oracles.py`); `__init__`'s module hooks are called by Python."""
+    statements = [s for tree in _parsed(PACKAGE).values() for s in tree.body]
+    unread = []
+    for name, tree in _parsed(PACKAGE).items():
+        for statement in tree.body:
+            if not isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if name == "__init__.py" and statement.name in ("__getattr__", "__dir__"):
+                continue
+            if not any(statement.name in _loads(s) for s in statements if s is not statement):
+                unread.append(f"{name}: {statement.name}")
+    assert unread == []

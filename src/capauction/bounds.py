@@ -475,6 +475,8 @@ def cmd_verify(args) -> int:
         )
     if which not in ("priceceil", "all") and args.ceiling is not None:
         raise ValidationError(f"--which {which} checks no ceiling; it takes no --ceiling")
+    if which == "unsafe" and (args.cap is not None or args.floor is not None):
+        raise ValidationError("--which unsafe checks no cap or floor; it takes no --cap or --floor")
     instance = load_instance(args.instance)
     analysis = Analysis(instance, args.scenario_limit, args.cap_limit)
     ceiling = parse_ceiling(args.ceiling)

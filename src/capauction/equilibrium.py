@@ -19,15 +19,14 @@ exceeds its current utility by more than epsilon. The worst equilibrium
 the search finds is what `check_poa_bound` compares with the safe-price
 baseline.
 
-The game computes in exact scaled integers. With L the lcm of the bid
-levels' denominators, values and prices are integers over L. Each firm j
-has P_j, the lcm of its type probabilities' denominators, so a slot of
-firm i weights its draws by integers over prod_{j != i} P_j and its
-utilities are integers over S_i = L * prod_{j != i} P_j; the epsilon test
-is then `best - current <= floor(epsilon * S_i)`. Draw welfare is an
-integer over M = lcm(L, the analysis's cost scale), and a profile's
-welfare an integer over M * prod_j P_j. Fractions are built only for the
-report.
+The game computes in exact scaled integers over one scale L, the lcm of
+the analysis's cost scale and the bid levels' denominators: values, bid
+levels, prices and costs are integers over L. Each firm j has P_j, the
+lcm of its type probabilities' denominators, so a slot of firm i weights
+its draws by integers over prod_{j != i} P_j and its utilities are
+integers over S_i = L * prod_{j != i} P_j; the epsilon test is then
+`best - current <= floor(epsilon * S_i)`. A profile's welfare is an
+integer over L * prod_j P_j. Fractions are built only for the report.
 
 The search is factored by the firm i* with the largest strategy space
 (the last such firm on ties): for each strategy profile of the other
@@ -78,17 +77,18 @@ class EquilibriumReport(NamedTuple):
 
 class _GridGame:
     """The state of one search, built once: the bid grid (the analysis's
-    price grid without its sentinel, plus the floor and a finite ceiling),
-    its levels over L and, per firm type, the true values over L of 0, 1,
-    ... units. A firm bids vectors of one length, its longest positive
-    demand, and wins no more units than it bids, so each value table is
-    cut or zero-padded to that length. Bid vectors are interned as small
-    integers: a strategy is a tuple of vector ids per type, a profile a
-    tuple of strategies per firm. Draws pair the analysis's scenario
-    weights with the firms' type indices, in scenario order; each firm's
-    opponent draws fold only the other firms' type weights and indices.
-    Utilities, best values and welfares are the scaled integers of the
-    module docstring."""
+    price grid without its sentinel, plus the floor and a finite ceiling)
+    and, over the one scale L, its levels, the cost list and every firm
+    type's true values of 0, 1, ... units. A firm bids vectors of one
+    length, its longest positive demand, and wins no more units than it
+    bids, so each value table is cut or zero-padded to that length. Bid
+    vectors are interned as small integers: a strategy is a tuple of
+    vector ids per type, a profile a tuple of strategies per firm. Draws
+    pair the analysis's scenario weights with the firms' type indices, in
+    scenario order; each firm's opponent draws fold only the other firms'
+    type weights and indices. A market with no firms has one empty draw;
+    the search, not the game, rejects it. Utilities, best values and
+    welfares are the scaled integers of the module docstring."""
 
     def __init__(self, analysis: Analysis, params: AuctionParams, strict: bool = False):
         instance = analysis.instance
@@ -103,15 +103,14 @@ class _GridGame:
         if params.ceiling is not None:
             levels.add(params.ceiling)
         self.grid = tuple(sorted(levels))
-        self.scale, self.levels = _integers(self.grid)
         # A profile sells at most the cap, unless a ceiling binds, and at
         # most the bids' total length, the largest demand: the cost list
         # covers every draw. `_tabulate` replaces the list when it grows,
         # so the game keeps this one.
         analysis._tabulate(params.cap if params.ceiling is None else None)
         cost_scale = analysis._den // analysis._weight
-        self.welfare_scale = math.lcm(self.scale, cost_scale)
-        self.costs = [c * (self.welfare_scale // cost_scale) for c in analysis._cost]
+        self.scale, self.levels = _integers(self.grid, cost_scale)
+        self.costs = [c * (self.scale // cost_scale) for c in analysis._cost]
         self.values = []
         for scenarios in self.types:
             length = max(truth.positive_units for _, truth in scenarios)
@@ -132,7 +131,7 @@ class _GridGame:
             ))
             for i in range(len(self.types))
         ]
-        self.draw_scale = self.welfare_scale * analysis._weight
+        self.draw_scale = self.scale * analysis._weight
         self.slot_scale = [self.scale * (analysis._weight // d) for d, _ in analysis._weights]
         self._vectors: list[MarginalVector] = []
         self._ids: dict[tuple[int, ...], int] = {}
@@ -222,9 +221,8 @@ class _GridGame:
 
     def welfare(self, profile: _Profile) -> int:
         """Expected welfare of the profile, valued at true curves, over
-        M * prod_j P_j."""
+        L * prod_j P_j."""
         total = 0
-        lift = self.welfare_scale // self.scale
         for weight, types in self.draws:
             bids = tuple(profile[j][t] for j, t in enumerate(types))
             key = (bids, types)
@@ -232,7 +230,7 @@ class _GridGame:
             if got is None:
                 allocation, _ = self.outcome(bids)
                 value = sum(self.values[j][t][x] for j, (t, x) in enumerate(zip(types, allocation)))
-                got = self._welfares[key] = lift * value - self.costs[sum(allocation)]
+                got = self._welfares[key] = value - self.costs[sum(allocation)]
             total += weight * got
         return total
 
@@ -265,16 +263,19 @@ def find_grid_equilibria(
     if isinstance(analysis, MarketInstance):  # callers holding only an instance get the defaults
         analysis = Analysis(analysis)
     game = _GridGame(analysis, params, strict)
-    total = 1
+    if not game.types:
+        raise ValidationError("at least one firm is required")
+    slots, total = [], 1
     for i, scenarios in enumerate(game.types):
+        slots.append([])
         for t in range(len(scenarios)):
-            total *= len(game.candidates(i, t))
+            slots[i].append(game.candidates(i, t))
+            total *= len(slots[i][t])
             if total > profile_limit:
                 raise TooLargeError(
                     f"profile space has at least {total} profiles, limit {profile_limit}"
                 )
-    slots = [[game.candidates(i, t) for t in range(len(s))] for i, s in enumerate(game.types)]
-    sizes = [math.prod(len(c) for c in per_type) for per_type in slots]
+    sizes = [math.prod(map(len, per_type)) for per_type in slots]
     star = max(reversed(range(len(slots))), key=sizes.__getitem__)
     slack = [math.floor(epsilon * scale) for scale in game.slot_scale]
     others = [list(itertools.product(*per_type)) for i, per_type in enumerate(slots) if i != star]
@@ -343,41 +344,30 @@ class PoACheck(NamedTuple):
     status: str
 
 
-def check_poa_bound(
-    analysis: Analysis,
-    cap: int,
-    report: EquilibriumReport,
-) -> PoACheck:
-    """Check every found equilibrium of the safe-price auction for the cap
-    clears the imported 1/3.15 welfare floor. A failure is a reported
-    finding, not an exception. The baseline is the truthful welfare of
-    that auction, which the pricing rule does not change."""
-    if report.params.cap != cap or report.params.floor != analysis.safe_price(cap):
+def check_poa_bound(analysis: Analysis, report: EquilibriumReport) -> PoACheck:
+    """Check every equilibrium the report found clears the imported 1/3.15
+    welfare floor. The report must be of the safe-price auction for its
+    own cap. A failure is a reported finding, not an exception. The
+    baseline is the truthful welfare of that auction, which the pricing
+    rule does not change; with no equilibrium found the check holds
+    vacuously."""
+    cap = report.params.cap
+    if report.params.floor != analysis.safe_price(cap):
         raise ValidationError(
             "report params do not match the safe-price auction for this cap"
         )
     baseline = analysis.safe_welfare(cap)
     bound = baseline * POA_FACTOR
-    if report.worst_welfare is None:
-        return PoACheck(
-            holds=True,
-            baseline=baseline,
-            bound=bound,
-            worst=None,
-            ratio=None,
-            margin=None,
-            status="no-equilibria",
-        )
     worst = report.worst_welfare
-    ratio = worst / baseline if baseline != 0 else None
+    found = worst is not None
     return PoACheck(
-        holds=worst >= bound,
+        holds=not found or worst >= bound,
         baseline=baseline,
         bound=bound,
         worst=worst,
-        ratio=ratio,
-        margin=worst - bound,
-        status="checked",
+        ratio=worst / baseline if found and baseline != 0 else None,
+        margin=worst - bound if found else None,
+        status="checked" if found else "no-equilibria",
     )
 
 
@@ -404,7 +394,7 @@ def cmd_equilibrium(args) -> int:
     if report.worst_welfare is not None:
         print(f"worst equilibrium welfare: {display(report.worst_welfare)}")
     if params.floor == analysis.safe_price(cap):
-        poa = check_poa_bound(analysis, cap, report)
+        poa = check_poa_bound(analysis, report)
         print(f"safe-price baseline welfare: {display(poa.baseline)}")
         print(f"welfare floor (baseline/3.15): {display(poa.bound)}")
         if poa.ratio is not None:

@@ -103,6 +103,8 @@ NAMED_INSTANCES = ("demand-reduction", "logscale", "first-best")
 
 
 def named_instance(name: str, n: int = 5, horizon: int | None = None) -> MarketInstance:
+    if horizon is not None and name != "first-best":
+        raise ValidationError(f"{name} takes no horizon; only first-best does")
     if name == "demand-reduction":
         return demand_reduction()
     if name == "logscale":

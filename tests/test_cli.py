@@ -10,7 +10,7 @@ from capauction.cli import main
 from capauction.instances import demand_reduction, generate, logscale
 from capauction.io import display, save_instance
 
-from test_io import BOOLEAN, LABEL, MALFORMED
+from test_io import BOOLEAN, LABEL, MALFORMED, malformed_file
 
 
 def write(tmp_path, obj):
@@ -21,10 +21,11 @@ def write(tmp_path, obj):
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_evaluate_rejects_malformed_instance(tmp_path, capsys, name):
-    obj, message = MALFORMED[name]
-    path = write(tmp_path, obj)
+    path = malformed_file(tmp_path, name)
     assert main(["evaluate", path, "--cap", "1", "--floor", "0"]) == 1
-    assert message in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and MALFORMED[name][1] in err
 
 
 @pytest.mark.parametrize("name, message", [
@@ -118,10 +119,29 @@ def test_cap_limit_below_one_is_rejected(demand_reduction_file, capsys, argv):
         (["--which", which, "--ceiling", "1/2"], f"--which {which} checks no ceiling")
         for which in ("optcond", "unsafe", "decomp", "thmq", "main")
     ),
+    *(
+        (["--which", "unsafe", flag, "1"], "--which unsafe checks no cap or floor")
+        for flag in ("--cap", "--floor")
+    ),
 ])
 def test_verify_rejects_unusable_parameters(demand_reduction_file, capsys, options, message):
     assert main(["verify", demand_reduction_file, *options]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_verify_strict_exits_1_on_a_failed_certificate(demand_reduction_file, capsys):
+    argv = ["verify", demand_reduction_file, "--which", "optcond", "--cap", "3", "--floor", "0"]
+    assert main(argv) == 0
+    assert "[FAIL] sell-out-conditional-nonnegative (checked)" in capsys.readouterr().out
+    assert main([*argv, "--strict"]) == 1
+    assert "[FAIL] sell-out-conditional-nonnegative (checked)" in capsys.readouterr().out
+
+
+def test_examples_rejects_horizon_except_for_first_best(tmp_path, capsys):
+    out = tmp_path / "logscale-3.json"
+    assert main(["examples", "logscale", "-n", "3", "--horizon", "10", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: logscale takes no horizon; only first-best does\n"
+    assert not out.exists()
 
 
 def test_verify_ceiling_none_means_no_ceiling(tmp_path, capsys, monkeypatch):
@@ -167,6 +187,16 @@ def test_limit_below_one_is_malformed(tmp_path, capsys, argv, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_equilibrium_rejects_an_unbounded_cap(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "instance.json"
+    save_instance(generate(0), path)
+    monkeypatch.setattr(equilibrium, "find_grid_equilibria", None)  # must not be reached
+    assert main(["equilibrium", str(path), "--cap", "unbounded", "--floor", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: equilibrium search needs a bounded cap\n"
 
 
 @pytest.mark.parametrize("options, message", [

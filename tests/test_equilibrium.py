@@ -317,6 +317,11 @@ class TestFindEquilibria:
             find_grid_equilibria(m, AuctionParams(2, 2, None, HIGHEST_LOSING))
         assert walked == [(0, 0), (0, 1), (1, 0)]
 
+    def test_rejects_a_market_without_firms(self):
+        m = MarketInstance(firms=(), cost=quadratic(1))
+        with pytest.raises(ValidationError, match="at least one firm is required"):
+            find_grid_equilibria(Analysis(m), AuctionParams(1, 1))
+
     def test_rejects_negative_epsilon_and_joint(self):
         with pytest.raises(ValidationError):
             find_grid_equilibria(MARKET, OPEN_FLOOR, epsilon=-1)
@@ -615,7 +620,7 @@ class TestPoACheck:
     def test_safe_auction_keeps_full_welfare_here(self):
         safe = make_safe_auction(2, MARKET.cost, HIGHEST_LOSING)
         report = find_grid_equilibria(MARKET, safe)
-        poa = check_poa_bound(Analysis(MARKET), 2, report)
+        poa = check_poa_bound(Analysis(MARKET), report)
         assert poa.holds
         assert poa.baseline == 2
         assert poa.worst == 2
@@ -628,13 +633,13 @@ class TestPoACheck:
         )
         safe = make_safe_auction(1, m.cost)
         report = find_grid_equilibria(m, safe)
-        poa = check_poa_bound(Analysis(m), 1, report)
+        poa = check_poa_bound(Analysis(m), report)
         assert poa.holds
 
     def test_params_must_match_safe_price(self):
         report = find_grid_equilibria(MARKET, OPEN_FLOOR)
         with pytest.raises(ValidationError):
-            check_poa_bound(Analysis(MARKET), 2, report)
+            check_poa_bound(Analysis(MARKET), report)
 
     def test_random_tiny_instances_hold(self):
         # marginals exactly at the safe price make firms indifferent and are
@@ -658,7 +663,7 @@ class TestPoACheck:
                 report = find_grid_equilibria(
                     m, make_safe_auction(cap, m.cost, HIGHEST_LOSING)
                 )
-                assert check_poa_bound(Analysis(m), cap, report).holds
+                assert check_poa_bound(Analysis(m), report).holds
             done += 1
 
     @staticmethod
@@ -680,7 +685,7 @@ class TestPoACheck:
         for seed, cap in searches + [(seed, 5) for seed in range(3)]:
             m = generate(seed, firms=2, scenarios_per_firm=2, max_units=2, value_high=8)
             report = find_grid_equilibria(m, make_safe_auction(cap, m.cost, pricing))
-            got = check_poa_bound(Analysis(m), cap, report)
+            got = check_poa_bound(Analysis(m), report)
             assert got == self.oracle(Analysis(m), report), (seed, cap)
 
     def test_exact_indifference_breaks_ratio_bound(self):
@@ -697,7 +702,7 @@ class TestPoACheck:
             cost=quadratic(1),
         )
         report = find_grid_equilibria(m, make_safe_auction(2, m.cost, HIGHEST_LOSING))
-        poa = check_poa_bound(Analysis(m), 2, report)
+        poa = check_poa_bound(Analysis(m), report)
         assert poa.baseline == 1  # truthful sale at the floor is counted
         assert poa.worst == 0  # the walk-away equilibrium discards it
         assert not poa.holds

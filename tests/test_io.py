@@ -15,6 +15,7 @@ from capauction import (
     dumps_instance,
     enumerate_scenarios,
     generate,
+    load_instance,
     loads_instance,
 )
 from capauction.model import ERROR_BEYOND, MarginalCostTable
@@ -24,8 +25,10 @@ FIRM = {"scenarios": [{"prob": "1", "marginals": ["9", "1"]}]}
 
 ARRAY = "expected a JSON array"
 
-# Each is a well-formed instance with one field given the wrong JSON type,
-# and the message that names the mistake.
+# Each is an instance file that loading rejects, and the message that names
+# the mistake. Most are well-formed instances with one field given the
+# wrong JSON type or left out. A dict or list is written as JSON, a string
+# verbatim, and None leaves the path unwritten.
 MALFORMED = {
     "marginals-string": ({"cost": QUADRATIC,
                           "firms": [{"scenarios": [{"prob": "1", "marginals": "91"}]}]}, ARRAY),
@@ -41,15 +44,40 @@ MALFORMED = {
     "prob-object": ({"cost": QUADRATIC,
                      "firms": [{"scenarios": [{"prob": {"p": 1}, "marginals": ["9"]}]}]},
                     "not a rational: {'p': 1} (got dict)"),
+    "not-json": ('{"cost": ', "instance file is not valid JSON"),
+    "unreadable": (None, "cannot read instance file"),
+    "top-level-array": ([FIRM], "instance: expected a JSON object"),
+    "cost-without-kind": ({"cost": {"a": "1"}, "firms": [FIRM]},
+                          "cost: expected an object with a 'kind' field"),
+    "cost-kind-unknown": ({"cost": {"kind": "cubic"}, "firms": [FIRM]},
+                          "cost.kind: expected 'quadratic' or 'marginals', got 'cubic'"),
+    "no-firms-or-joint": ({"cost": QUADRATIC},
+                          "instance: needs either 'firms' or 'joint_scenarios'"),
+    "firm-without-scenarios": ({"cost": QUADRATIC, "firms": [{}]}, "firms[0]: 'scenarios'"),
+    "joint-row-without-prob": ({"cost": QUADRATIC, "joint_scenarios": [{"marginals": [["9"]]}]},
+                               "joint_scenarios[0]: 'prob'"),
+    # Parses, then fails `validate`.
+    "probabilities-sum-to-half": ({"cost": QUADRATIC,
+                                   "firms": [{"scenarios": [{"prob": "1/2", "marginals": ["9"]}]}]},
+                                  "probabilities sum to 1/2, not 1"),
 }
 
 
+def malformed_file(tmp_path, name: str) -> str:
+    """The path of the file for `MALFORMED[name]`, written under `tmp_path`."""
+    content = MALFORMED[name][0]
+    path = tmp_path / "instance.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content),
+                        encoding="utf-8")
+    return str(path)
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_wrong_json_type_is_a_validation_error(name):
-    obj, message = MALFORMED[name]
+def test_wrong_json_type_is_a_validation_error(tmp_path, name):
     with pytest.raises(ValidationError) as raised:
-        loads_instance(json.dumps(obj))
-    assert message in str(raised.value)
+        load_instance(malformed_file(tmp_path, name))
+    assert MALFORMED[name][1] in str(raised.value)
 
 
 def test_unknown_cost_extension_is_a_validation_error():

@@ -43,7 +43,7 @@ _EXPORTS = {
     "model": (
         "CostCurve", "FirmDistribution", "MarginalCostTable", "MarginalVector",
         "MarketError", "MarketInstance", "QuadraticCost", "TooLargeError",
-        "ValidationError", "average_cost", "interpolated_cost", "rat", "validate", "welfare_of",
+        "ValidationError", "rat", "validate", "welfare_of",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -21,7 +21,6 @@ from .model import (
     MarginalVector,
     MarketInstance,
     ValidationError,
-    average_cost,
     rat,
     welfare_of,
 )
@@ -76,10 +75,6 @@ class Outcome(NamedTuple):
     case: str
     welfare: Fraction
     revenue: Fraction
-
-    @property
-    def quantity(self) -> int:
-        return sum(self.allocation)
 
 
 def clear(
@@ -163,7 +158,7 @@ def safe_price(cost: CostCurve, cap: int) -> Fraction:
     """Average social cost per license when the full cap is sold."""
     if cap < 1:
         raise ValidationError(f"safe price needs cap >= 1, got {cap}")
-    return average_cost(cost, Fraction(cap))
+    return cost.cost(cap) / cap
 
 
 def price_candidates(instance: MarketInstance) -> tuple[Fraction, ...]:

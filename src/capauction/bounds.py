@@ -35,7 +35,7 @@ from .auction import AuctionParams, best_own_quantity, safe_price
 from .io import (
     display, format_rational, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
 )
-from .model import ZERO, CostCurve, ValidationError, average_cost, rat
+from .model import ZERO, CostCurve, ValidationError, rat
 
 CHECKED = "checked"
 VACUOUS = "vacuous"
@@ -203,14 +203,18 @@ def verify_price_gap(cost: CostCurve, quantity: int, units: int) -> BoundCertifi
     """Welfare of `units` licenses valued at the safe price is capped by the
     quantity times the safe-price drop from the half quantity.
 
-    Fractional half-quantities use the piecewise-linear cost extension.
+    With C the cost and k the quantity, the half price is
+    (C(floor(k/2)) + C(ceil(k/2))) / k. That is the average cost at k/2 of
+    the piecewise-linear extension of C: for even k both terms are C(k/2),
+    and for odd k the extension at k/2 is the midpoint (C(floor(k/2)) +
+    C(ceil(k/2))) / 2, divided by k/2.
     """
     if quantity < 1:
         raise ValidationError(f"quantity must be at least 1, got {quantity}")
     if not 0 <= units <= quantity:
         raise ValidationError(f"units must lie in [0, {quantity}], got {units}")
     full_price = safe_price(cost, quantity)
-    half_price = average_cost(cost, Fraction(quantity, 2))
+    half_price = (cost.cost(quantity // 2) + cost.cost((quantity + 1) // 2)) / quantity
     lhs = quantity * (full_price - half_price)
     rhs = full_price * units - cost.cost(units)
     return _certify(

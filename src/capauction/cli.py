@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("examples", help="emit a built-in instance file")
     p.add_argument("name", choices=EXAMPLES)
-    p.add_argument("-n", type=int, default=5, help="scenario count for the scaled families")
+    p.add_argument("-n", type=int, help="scenario count for the scaled families (default 5)")
     p.add_argument("--horizon", type=int, help="marginal-list truncation for first-best")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_examples)

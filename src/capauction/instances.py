@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Callable
 
 from .model import (
     FirmDistribution,
@@ -49,26 +50,24 @@ def scale_weight(n: int) -> Fraction:
     return sum((Fraction(1, 4**i) for i in range(1, n + 1)), Fraction(0))
 
 
-def logscale(n: int) -> MarketInstance:
-    """Single firm, n geometric scenarios, quadratic cost.
-
-    Scenario i has 2^i marginals of value 2^(i+1) with probability
-    proportional to 4^-i: demand doubles while probability quarters, so no
-    single cap fits more than a constant slice of the welfare.
-    """
+def _doubling(n: int, units: Callable[[int], int], label: str) -> MarketInstance:
+    """Single firm, n scenarios, quadratic cost: scenario i has units(i)
+    marginals of value 2^(i+1) with probability proportional to 4^-i."""
     beta = scale_weight(n)
     scenarios = tuple(
-        (
-            Fraction(1, 4**i) / beta,
-            MarginalVector(tuple(Fraction(2 ** (i + 1)) for _ in range(2**i))),
-        )
+        (Fraction(1, 4**i) / beta, MarginalVector((Fraction(2 ** (i + 1)),) * units(i)))
         for i in range(1, n + 1)
     )
     return MarketInstance(
-        firms=(FirmDistribution(scenarios),),
-        cost=QuadraticCost(Fraction(1)),
-        label=f"logscale-{n}",
+        firms=(FirmDistribution(scenarios),), cost=QuadraticCost(Fraction(1)), label=label
     )
+
+
+def logscale(n: int) -> MarketInstance:
+    """Log-scale market: scenario i has 2^i marginals, so demand doubles
+    while probability quarters and no single cap fits more than a constant
+    slice of the welfare."""
+    return _doubling(n, lambda i: 2**i, f"logscale-{n}")
 
 
 def first_best(n: int, horizon: int | None = None) -> MarketInstance:
@@ -78,35 +77,27 @@ def first_best(n: int, horizon: int | None = None) -> MarketInstance:
     past the largest scenario's cost intercept (default 2^(n+1)) so the
     marginal list stays finite without changing any welfare figure.
     """
-    beta = scale_weight(n)
     if horizon is None:
         horizon = 2 ** (n + 1)
-    if horizon < 2 ** (n + 1):
+    elif n >= 1 and horizon < 2 ** (n + 1):  # n < 1 is scale_weight's error
         raise ValidationError(
             f"horizon {horizon} cuts into the largest scenario's surplus range"
         )
-    scenarios = tuple(
-        (
-            Fraction(1, 4**i) / beta,
-            MarginalVector(tuple(Fraction(2 ** (i + 1)) for _ in range(horizon))),
-        )
-        for i in range(1, n + 1)
-    )
-    return MarketInstance(
-        firms=(FirmDistribution(scenarios),),
-        cost=QuadraticCost(Fraction(1)),
-        label=f"first-best-{n}",
-    )
+    return _doubling(n, lambda i: horizon, f"first-best-{n}")
 
 
 NAMED_INSTANCES = ("demand-reduction", "logscale", "first-best")
 
 
-def named_instance(name: str, n: int = 5, horizon: int | None = None) -> MarketInstance:
+def named_instance(name: str, n: int | None = None, horizon: int | None = None) -> MarketInstance:
     if horizon is not None and name != "first-best":
         raise ValidationError(f"{name} takes no horizon; only first-best does")
     if name == "demand-reduction":
+        if n is not None:
+            raise ValidationError(f"{name} takes no -n; only logscale and first-best do")
         return demand_reduction()
+    if n is None:
+        n = 5
     if name == "logscale":
         return logscale(n)
     if name == "first-best":

@@ -9,7 +9,6 @@ rational statements and must not be blurred by floating point.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence, Union
 
@@ -99,10 +98,6 @@ class MarginalVector(NamedTuple):
             return ZERO
         return sum(self.marginals[: min(x, len(self.marginals))], ZERO)
 
-    def gain(self, extra: int, held: int = 0) -> Fraction:
-        """Value of `extra` additional licenses given `held` already owned."""
-        return self.value(held + extra) - self.value(held)
-
     def demand(self, price: Fraction | None) -> int:
         """Largest j whose marginal is at least `price`.
 
@@ -179,31 +174,6 @@ class MarginalCostTable(NamedTuple):
 
 
 CostCurve = Union[QuadraticCost, MarginalCostTable]
-
-
-def interpolated_cost(cost: CostCurve, x: Fraction) -> Fraction:
-    """Cost extended to fractional quantities by linear interpolation.
-
-    The extension is piecewise linear between integer points (so for the
-    quadratic curve, the interpolated value at 3/2 is (Q(1)+Q(2))/2, not
-    9/4 times the coefficient). Convexity is preserved.
-    """
-    x = rat(x)
-    if x < 0:
-        raise ValidationError(f"cost undefined for negative quantity {x}")
-    lo = math.floor(x)
-    if x == lo:
-        return cost.cost(lo)
-    frac = x - lo
-    return cost.cost(lo) * (1 - frac) + cost.cost(lo + 1) * frac
-
-
-def average_cost(cost: CostCurve, quantity: Fraction) -> Fraction:
-    """Per-license social cost at the given (possibly fractional) quantity."""
-    quantity = rat(quantity)
-    if quantity <= 0:
-        raise ValidationError(f"average cost needs a positive quantity, got {quantity}")
-    return interpolated_cost(cost, quantity) / quantity
 
 
 class FirmDistribution(NamedTuple):

@@ -143,7 +143,7 @@ def satisfies_no_overbidding(
     additionally dominates marginal by marginal."""
     if strict:
         for j, b in enumerate(report.marginals, start=1):
-            if b > truth.gain(1, j - 1):
+            if b > truth.value(j) - truth.value(j - 1):
                 return False
         return True
     running = ZERO

@@ -291,6 +291,10 @@ class TestFirstBest:
         assert Analysis(first_best(5)).max_demand == 64
         assert Analysis(demand_reduction()).max_demand == 4
 
+    def test_rejects_n_before_the_horizon(self):
+        with pytest.raises(ValidationError, match="n must be at least 1, got 0"):
+            first_best(0, horizon=1)
+
 
 class TestBruteForceOracle:
     def test_expected_welfare_matches_hand_evaluator(self):

@@ -179,7 +179,7 @@ class TestCasePartition:
             assert out.case == FLOOR_BINDS and out.unit_price == params.floor
         else:
             assert out.case == CAP_BINDS
-            assert out.quantity == cap
+            assert sum(out.allocation) == cap
             assert out.unit_price >= params.floor
 
     @given(st.lists(marginal_vectors(), min_size=1, max_size=3), st.integers(1, 8))

@@ -1,5 +1,6 @@
 """Certificates that read `Analysis` against the slow paths they replace."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -166,6 +167,13 @@ def price_gap_loop(cost, limit):
     return worst
 
 
+def piecewise_linear_average(cost, x):
+    """C(x)/x for the cost C extended linearly between integer quantities."""
+    lo = math.floor(x)
+    f = x - lo
+    return (cost.cost(lo) * (1 - f) + cost.cost(lo + 1) * f) / x
+
+
 COSTS = st.one_of(
     st.builds(quadratic, st.fractions(F(1, 10), 5)),
     st.builds(
@@ -185,6 +193,24 @@ class TestWorstPriceGap:
         assert result(lambda: worst_price_gap(cost, limit)) == result(
             lambda: price_gap_loop(cost, limit)
         )
+
+    @given(cost=COSTS, limit=st.integers(1, 22))
+    @settings(max_examples=200, deadline=None)
+    def test_half_price_is_the_average_cost_at_half_the_quantity(self, cost, limit):
+        for quantity in range(1, limit + 1):
+            try:
+                cert = verify_price_gap(cost, quantity, 0)
+            except ValidationError:  # only where an "error" table stops short of C(quantity)
+                with pytest.raises(ValidationError):
+                    cost.cost(quantity)
+                break
+            assert cert.witness["half_price"] == piecewise_linear_average(cost, F(quantity, 2))
+
+    def test_half_price_at_odd_and_even_quantities(self):
+        # (C(1) + C(2)) / 2 per 3/2 licenses, not C(3/2) / (3/2) = 3/2
+        assert verify_price_gap(quadratic(1), 3, 0).witness["half_price"] == F(5, 3)
+        cert = verify_price_gap(quadratic(1), 8, 0)
+        assert (cert.witness["full_price"], cert.witness["half_price"]) == (8, 4)
 
     def test_ties_keep_the_first_pair(self):
         # Linear cost: every margin is 0, so the first pair is kept.
@@ -272,7 +298,9 @@ class TestDecomposeWelfare:
             below = [x - a for x, a in zip(outcome.allocation, above)]
             above_value = sum((v.value(a) for v, a in zip(row.valuations, above)), F(0))
             below_value = sum(
-                (v.gain(b, theta) for v, b, theta in zip(row.valuations, below, thresholds)), F(0)
+                (v.value(theta + b) - v.value(theta)
+                 for v, b, theta in zip(row.valuations, below, thresholds)),
+                F(0),
             )
             above_term += row.probability * (above_value - cost.cost(sum(above)))
             below_term += row.probability * (below_value - cost.cost(sum(below)))

@@ -144,6 +144,17 @@ def test_examples_rejects_horizon_except_for_first_best(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_examples_rejects_n_for_demand_reduction(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["examples", "demand-reduction", "-n", "3", "--out", "dr3.json"]) == 1
+    assert capsys.readouterr().err == (
+        "error: demand-reduction takes no -n; only logscale and first-best do\n"
+    )
+    assert not (tmp_path / "dr3.json").exists()
+    assert main(["examples", "logscale", "--out", "logscale.json"]) == 0
+    assert capsys.readouterr().out == "wrote logscale-5 to logscale.json\n"
+
+
 def test_verify_ceiling_none_means_no_ceiling(tmp_path, capsys, monkeypatch):
     save_instance(logscale(3), tmp_path / "logscale-3.json")
     monkeypatch.chdir(tmp_path)

@@ -12,8 +12,6 @@ from capauction import (
     MarginalVector,
     MarketInstance,
     ValidationError,
-    average_cost,
-    interpolated_cost,
     rat,
     validate,
     welfare_of,
@@ -67,17 +65,6 @@ class TestValueAt:
 
     def test_beyond_list_is_flat(self):
         assert mv(6, 1).value(5) == 7
-
-
-class TestMarginalGain:
-    def test_constant_marginals(self):
-        assert mv(10, 10).gain(1, 1) == 10
-
-    def test_second_unit(self):
-        assert mv(6, 1).gain(1, 1) == 1
-
-    def test_two_more_after_one(self):
-        assert mv(6, 1).gain(2, 1) == 1
 
 
 class TestDemand:
@@ -163,14 +150,6 @@ class TestCost:
         assert q.cost(2) == 18
         with pytest.raises(ValidationError):
             q.cost(3)
-
-    def test_interpolation_is_piecewise_linear(self):
-        # quadratic interpolated between integers, not evaluated fractionally
-        assert interpolated_cost(quadratic(1), F(3, 2)) == F(5, 2)
-        assert average_cost(quadratic(1), F(3, 2)) == F(5, 3)
-
-    def test_average_cost_at_integers(self):
-        assert average_cost(quadratic(1), F(4)) == 4
 
 
 class TestWelfare:

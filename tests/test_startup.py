@@ -211,3 +211,22 @@ def test_every_package_definition_is_read_by_package_code():
             if not any(statement.name in _loads(s) for s in statements if s is not statement):
                 unread.append(f"{name}: {statement.name}")
     assert unread == []
+
+
+def test_every_package_method_is_read_by_package_code():
+    """A method or property that only tests read belongs in the tests too;
+    Python calls the dunder methods itself."""
+    trees = _parsed(PACKAGE)
+    attributes = [
+        sub for tree in trees.values() for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)
+    ]
+    unread = []
+    for tree in trees.values():
+        for cls in (sub for sub in ast.walk(tree) if isinstance(sub, ast.ClassDef)):
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("__"):
+                    continue
+                own = {id(sub) for sub in ast.walk(method)}
+                if not any(a.attr == method.name and id(a) not in own for a in attributes):
+                    unread.append(f"{cls.name}.{method.name}")
+    assert unread == []

@@ -14,7 +14,7 @@ from importlib import import_module
 # loads only what its subcommand needs.
 _EXPORTS = {
     "analysis": (
-        "Analysis", "Candidate", "OptResult", "ScenarioRow", "enumerate_scenarios",
+        "Candidate", "OptResult", "ScenarioRow", "enumerate_scenarios",
         "optimize_cap_and_price", "optimize_safe", "sell_out_probability",
     ),
     "auction": (
@@ -45,6 +45,7 @@ _EXPORTS = {
         "MarketError", "MarketInstance", "QuadraticCost", "TooLargeError",
         "ValidationError", "rat", "validate", "welfare_of",
     ),
+    "tables": ("Analysis",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -7,8 +7,8 @@ is recomputable from the recorded sides. Every certificate is built by
 not-applicable or degenerate check. Checks never raise on a failed
 inequality; a failure is a finding.
 
-Every certificate reads `Analysis` (its integer welfare rows, cost list,
-demand memo, probability weights, safe prices and cached no-ceiling
+Every certificate reads `tables.Analysis` (its integer welfare rows, cost
+list, demand memo, probability weights, safe prices and cached no-ceiling
 optimum), never a scenario cleared again or the Fraction scenario rows of
 `enumerate_scenarios`, which serve only `evaluate`. The price-gap certificates (`verify_price_gap`,
 `worst_price_gap`) read only the cost curve.
@@ -28,14 +28,13 @@ from functools import lru_cache
 from operator import attrgetter, mul
 from typing import NamedTuple
 
-from .analysis import (
-    DEFAULT_GAP_LIMIT, Analysis, _integers, _per_scenario, optimize_safe, sell_out_probability
-)
+from .analysis import optimize_safe, sell_out_probability
 from .auction import AuctionParams, best_own_quantity, safe_price
 from .io import (
     display, format_rational, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
 )
 from .model import ZERO, CostCurve, ValidationError, rat
+from .tables import DEFAULT_GAP_LIMIT, Analysis, _integers, _per_scenario
 
 CHECKED = "checked"
 VACUOUS = "vacuous"

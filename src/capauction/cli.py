@@ -8,36 +8,28 @@ exit code at 0 unless --strict is given.
 Where each subcommand's code lives: run without cached bytecode
 (`PYTHONDONTWRITEBYTECODE`), each process compiles every module it imports
 from source, so a process should import only its own subcommand's code.
-This module holds the parser, `main`, and the `evaluate` and `optimize`
-handlers, which read only `analysis`, `auction`, `io` and `model`. Each
-other subcommand's handler lives in the module that only that subcommand
-loads (`verify` in `bounds`, `equilibrium` in `equilibrium`, `examples`
-and `generate` in `instances`), and its `cmd_<name>` here imports it on
-call. The helpers the handlers share are in `io`, not here: `python -m
-capauction.cli` runs this module as `__main__`, and importing it again
-would compile it twice. Of the subcommands, only `evaluate` reads the
-Fraction scenario rows of `enumerate_scenarios`, to print each scenario's
-auction; the others read the integer tables of `analysis.Analysis`.
+This module holds the parser and `main`, and reads only the parser's
+defaults (from `tables`), the pricing rules and the error types. Each
+subcommand's handler lives in a module that the other subcommands' code
+does not need (`evaluate` and `optimize` in `analysis`, `verify` in
+`bounds`, `equilibrium` in `equilibrium`, `examples` and `generate` in
+`instances`), and its `cmd_<name>` here imports it on call; so an
+`equilibrium` process compiles no sweep. The helpers the handlers share
+are in `io`, not here: `python -m capauction.cli` runs this module as
+`__main__`, and importing it again would compile it twice. Of the
+subcommands, only `evaluate` reads the Fraction scenario rows of
+`enumerate_scenarios`, to print each scenario's auction; the others read
+the integer tables of `tables.Analysis`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from .analysis import (
-    DEFAULT_GAP_LIMIT,
-    DEFAULT_PROFILE_LIMIT,
-    DEFAULT_SCENARIO_LIMIT,
-    Analysis,
-    enumerate_scenarios,
-    optimize_cap_and_price,
-    optimize_safe,
-)
-from .auction import FLOOR_BINDS, HIGHEST_LOSING, LOWEST_WINNING, AuctionParams, run_auction
-from .io import display, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
-from .model import MarketError, TooLargeError, ValidationError, rat
+from .auction import HIGHEST_LOSING, LOWEST_WINNING
+from .model import MarketError, TooLargeError, ValidationError
+from .tables import DEFAULT_GAP_LIMIT, DEFAULT_PROFILE_LIMIT, DEFAULT_SCENARIO_LIMIT
 
 VERIFY_CHECKS = ("priceceil", "optcond", "unsafe", "decomp", "thmq", "main", "all")
 # `instances.NAMED_INSTANCES`, spelled out so the parser need not import it.
@@ -45,81 +37,15 @@ EXAMPLES = ("demand-reduction", "logscale", "first-best")
 
 
 def cmd_evaluate(args) -> int:
-    instance = load_instance(args.instance)
-    params = AuctionParams(
-        cap=parse_cap(args.cap),
-        floor=rat(args.floor),
-        ceiling=parse_ceiling(args.ceiling),
-        pricing=args.pricing,
-    )
-    scenarios = enumerate_scenarios(instance, args.scenario_limit)
-    outcomes = [run_auction(params, row.valuations, instance.cost) for row in scenarios]
-    welfare_total = Fraction(0)
-    revenue_total = Fraction(0)
-    sold_out = Fraction(0)  # demand at the floor reaches the cap
-    for row, outcome in zip(scenarios, outcomes):
-        welfare_total += row.probability * outcome.welfare
-        revenue_total += row.probability * outcome.revenue
-        if outcome.case != FLOOR_BINDS:
-            sold_out += row.probability
+    from .analysis import cmd_evaluate
 
-    print(f"instance: {instance.label or args.instance}")
-    print(f"scenarios: {len(scenarios)}")
-    print(f"expected welfare: {display(welfare_total)}")
-    print(f"expected revenue: {display(revenue_total)}")
-    if params.cap is not None:
-        print(f"sell-out probability: {display(sold_out)}")
-    header = [
-        "scenario", "probability", "probability_dec", "allocation", "unit_price",
-        "unit_price_dec", "case", "welfare", "welfare_dec", "revenue", "revenue_dec",
-    ]
-    rows = (
-        [str(idx), *rational_cells(row.probability), "|".join(map(str, outcome.allocation)),
-         *rational_cells(outcome.unit_price), outcome.case, *rational_cells(outcome.welfare),
-         *rational_cells(outcome.revenue)]
-        for idx, (row, outcome) in enumerate(zip(scenarios, outcomes))
-    )
-    write_report(args.out, header, rows)
-    return 0
+    return cmd_evaluate(args)
 
 
 def cmd_optimize(args) -> int:
-    instance = load_instance(args.instance)
-    analysis = Analysis(instance, args.scenario_limit, args.cap_limit)
-    if args.safe_only:
-        result = optimize_safe(analysis)
-        kind = "best safe-price auction"
-    else:
-        result = optimize_cap_and_price(analysis, allow_ceiling=not args.no_ceiling)
-        kind = "best cap-and-price auction"
-    p = result.params
-    print(f"instance: {instance.label or args.instance}")
-    print(f"{kind} over {result.searched} candidates:")
-    print(f"  cap: {p.cap}")
-    print(f"  floor: {display(p.floor)}")
-    print(f"  ceiling: {display(p.ceiling)}")
-    print(f"  expected welfare: {display(result.expected_welfare)}")
-    header = ["cap", "floor", "floor_dec", "ceiling", "ceiling_dec", "welfare", "welfare_dec"]
-    # A table has few distinct floors, ceilings and welfares: each is
-    # formatted once, keyed by its value (not its grid position, since
-    # --safe-only floors are off the grid).
-    formatted: dict[tuple[int, int], list[str]] = {}
+    from .analysis import cmd_optimize
 
-    def cells(value: Fraction | None) -> list[str]:
-        if value is None:
-            return rational_cells(None)
-        key = value.numerator, value.denominator
-        got = formatted.get(key)
-        if got is None:
-            got = formatted[key] = rational_cells(value)
-        return got
-
-    rows = (
-        [str(cand.cap), *cells(cand.floor), *cells(cand.ceiling), *cells(cand.expected_welfare)]
-        for cand in result.table
-    )
-    write_report(args.out, header, rows)
-    return 0
+    return cmd_optimize(args)
 
 
 def cmd_equilibrium(args) -> int:

@@ -13,20 +13,25 @@ its own report and the other firms' strategies. One `_GridGame` per search
 reads the instance's `Analysis` for its price grid, type weights and cost
 list, builds every type's value table once, walks each (firm, type)
 slot's candidates from them on first use, and caches outcomes and, per
-slot and opponent strategies, every candidate's interim utility and their
-best value; a profile is an epsilon-equilibrium iff no slot's best value
-exceeds its current utility by more than epsilon. The worst equilibrium
-the search finds is what `check_poa_bound` compares with the safe-price
-baseline.
+slot and opponent strategies, every candidate's interim utility. The
+search keeps, per firm and opponent strategies, each type's candidates
+within epsilon of its best utility; a profile is an epsilon-equilibrium
+iff every slot's report is among them. The worst equilibrium the search
+finds is what `check_poa_bound` compares with the safe-price baseline.
 
 The game computes in exact scaled integers over one scale L, the lcm of
 the analysis's cost scale and the bid levels' denominators: values, bid
-levels, prices and costs are integers over L. Each firm j has P_j, the
-lcm of its type probabilities' denominators, so a slot of firm i weights
-its draws by integers over prod_{j != i} P_j and its utilities are
-integers over S_i = L * prod_{j != i} P_j; the epsilon test is then
+levels, prices and costs are integers over L. Each candidate is interned
+twice, over the grid's Fractions for the report and over L for clearing:
+`auction.clear_valid` clears the integer vectors at the floor and ceiling
+over L, so the price it returns is an integer over L. Each firm j has
+P_j, the lcm of its type probabilities' denominators, so a slot of firm i
+weights its draws by integers over prod_{j != i} P_j and its utilities
+are integers over S_i = L * prod_{j != i} P_j; the epsilon test is then
 `best - current <= floor(epsilon * S_i)`. A profile's welfare is an
-integer over L * prod_j P_j. Fractions are built only for the report.
+integer over L * prod_j P_j. The search builds one Fraction, the worst
+welfare; the report builds its profiles, welfares and utilities on first
+read, which only `--out` does.
 
 The search is factored by the firm i* with the largest strategy space
 (the last such firm on ties): for each strategy profile of the other
@@ -36,7 +41,8 @@ other firms' slots. When i* is not the last firm the equilibria are
 sorted back into canonical order.
 
 The `equilibrium` subcommand's handler, `cmd_equilibrium`, lives here,
-since only that subcommand loads this module.
+since only that subcommand loads this module. It reads the per-instance
+tables of `tables`, never the sweeps of `analysis`.
 """
 
 from __future__ import annotations
@@ -44,13 +50,14 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add, mul
+from functools import cached_property
+from operator import add, contains, getitem, mul
 from typing import NamedTuple
 
-from .analysis import DEFAULT_PROFILE_LIMIT, Analysis, _integers, _per_scenario, _scaled
 from .auction import AuctionParams, clear_valid
 from .io import display, format_rational, load_instance, parse_cap, rational_cells, write_report
 from .model import MarginalVector, MarketInstance, TooLargeError, ValidationError, rat
+from .tables import DEFAULT_PROFILE_LIMIT, Analysis, _integers, _per_scenario, _scaled
 
 # Imported constant-factor guarantee for uniform-price equilibria: worst
 # equilibrium welfare of a safe-price auction is at least baseline/3.15.
@@ -65,29 +72,89 @@ class StrategyProfile(NamedTuple):
     reports: tuple[tuple[MarginalVector, ...], ...]
 
 
-class EquilibriumReport(NamedTuple):
-    params: AuctionParams
-    epsilon: Fraction
-    profiles: tuple[StrategyProfile, ...]
-    welfares: tuple[Fraction, ...]
-    utilities: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    worst_welfare: Fraction | None
-    searched: int
+class EquilibriumReport:
+    """What one search found: read-only, equal to another report with equal
+    fields, and listing its fields in `_fields`. `worst_welfare` and
+    `searched` are set by the search. `profiles`, `welfares` and
+    `utilities` (per profile, firm and type, the interim utility of its
+    report) are built from the search's integers on first read and kept."""
+
+    _fields = ("params", "epsilon", "profiles", "welfares", "utilities", "worst_welfare", "searched")
+
+    def __init__(
+        self,
+        params: AuctionParams,
+        epsilon: Fraction,
+        game: _GridGame,
+        found: list[_Profile],
+        welfares: list[int],
+        searched: int,
+    ):
+        self.__dict__.update(
+            params=params,
+            epsilon=epsilon,
+            worst_welfare=Fraction(min(welfares), game.draw_scale) if welfares else None,
+            searched=searched,
+            _game=game,
+            _found=found,
+            _welfares=welfares,
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot set {name!r}: an EquilibriumReport is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: an EquilibriumReport is read-only")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EquilibriumReport):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"EquilibriumReport({fields})"
+
+    @cached_property
+    def profiles(self) -> tuple[StrategyProfile, ...]:
+        vectors = self._game.vectors
+        return tuple(
+            StrategyProfile(tuple(vectors(strategy) for strategy in profile))
+            for profile in self._found
+        )
+
+    @cached_property
+    def welfares(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(w, self._game.draw_scale) for w in self._welfares)
+
+    @cached_property
+    def utilities(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        game = self._game
+        return tuple(
+            tuple(
+                tuple(
+                    Fraction(game.utilities(i, t, profile[:i] + profile[i + 1 :])[report], scale)
+                    for t, report in enumerate(strategy)
+                )
+                for i, (strategy, scale) in enumerate(zip(profile, game.slot_scale))
+            )
+            for profile in self._found
+        )
 
 
 class _GridGame:
     """The state of one search, built once: the bid grid (the analysis's
     price grid without its sentinel, plus the floor and a finite ceiling)
-    and, over the one scale L, its levels, the cost list and every firm
-    type's true values of 0, 1, ... units. A firm bids vectors of one
-    length, its longest positive demand, and wins no more units than it
-    bids, so each value table is cut or zero-padded to that length. Bid
-    vectors are interned as small integers: a strategy is a tuple of
-    vector ids per type, a profile a tuple of strategies per firm. Draws
-    pair the analysis's scenario weights with the firms' type indices, in
-    scenario order; each firm's opponent draws fold only the other firms'
-    type weights and indices. A market with no firms has one empty draw;
-    the search, not the game, rejects it. Utilities, best values and
+    and, over the one scale L, its levels, the auction's floor and ceiling,
+    the cost list and every firm type's true values of 0, 1, ... units. A
+    firm bids vectors of one length, its longest positive demand, and wins
+    no more units than it bids, so each value table is cut or zero-padded
+    to that length. Bid vectors are interned as small integers: a strategy
+    is a tuple of vector ids per type, a profile a tuple of strategies per
+    firm. Draws pair the analysis's scenario weights with the firms' type
+    indices, in scenario order; each firm's opponent draws fold only the
+    other firms' type weights and indices. A market with no firms has one
+    empty draw; the search, not the game, rejects it. Utilities and
     welfares are the scaled integers of the module docstring."""
 
     def __init__(self, analysis: Analysis, params: AuctionParams, strict: bool = False):
@@ -96,7 +163,6 @@ class _GridGame:
             raise ValidationError(
                 "strategic analysis needs per-firm independent types (product form)"
             )
-        self.params = params
         self.strict = strict
         self.types = [firm.scenarios for firm in instance.firms]
         levels = {*analysis.grid[:-1], params.floor}  # zero and the marginals; no sentinel
@@ -110,6 +176,12 @@ class _GridGame:
         analysis._tabulate(params.cap if params.ceiling is None else None)
         cost_scale = analysis._den // analysis._weight
         self.scale, self.levels = _integers(self.grid, cost_scale)
+        over_scale = dict(zip(self.grid, self.levels))
+        # `_replace` skips `AuctionParams`' coercion to Fractions.
+        self.scaled_params = params._replace(
+            floor=over_scale[params.floor],
+            ceiling=None if params.ceiling is None else over_scale[params.ceiling],
+        )
         self.costs = [c * (self.scale // cost_scale) for c in analysis._cost]
         self.values = []
         for scenarios in self.types:
@@ -133,12 +205,13 @@ class _GridGame:
         ]
         self.draw_scale = self.scale * analysis._weight
         self.slot_scale = [self.scale * (analysis._weight // d) for d, _ in analysis._weights]
-        self._vectors: list[MarginalVector] = []
+        self._vectors: list[MarginalVector] = []  # over the grid's Fractions
+        self._bids: list[MarginalVector] = []  # the same vectors over L
         self._ids: dict[tuple[int, ...], int] = {}
         self._candidates: dict[tuple[int, int], tuple[int, ...]] = {}
         self._outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        self._best: dict[tuple, tuple[int, dict[int, int]]] = {}
-        self._welfares: dict[tuple, int] = {}
+        self._utilities: dict[tuple, dict[int, int]] = {}
+        self._welfares: list[dict[tuple[int, ...], int]] = [{} for _ in self.draws]
 
     def vectors(self, ids: tuple[int, ...]) -> tuple[MarginalVector, ...]:
         return tuple(self._vectors[r] for r in ids)
@@ -181,6 +254,7 @@ class _GridGame:
             if indices not in self._ids:
                 self._ids[indices] = len(self._vectors)
                 self._vectors.append(MarginalVector(tuple(self.grid[k] for k in indices)))
+                self._bids.append(MarginalVector(tuple(levels[k] for k in indices)))
         got = self._candidates[key] = tuple(map(self._ids.__getitem__, walked))
         return got
 
@@ -188,49 +262,43 @@ class _GridGame:
         """Allocation and price times L of the auction on these bids."""
         got = self._outcomes.get(bids)
         if got is None:
-            allocation, price, _ = clear_valid(self.params, self.vectors(bids))
-            got = (allocation, price.numerator * (self.scale // price.denominator))
-            self._outcomes[bids] = got
+            allocation, price, _ = clear_valid(self.scaled_params, [self._bids[r] for r in bids])
+            got = self._outcomes[bids] = (allocation, price)
         return got
 
-    def best(self, firm: int, type_index: int, profile: _Profile) -> tuple[int, dict[int, int]]:
-        """Against the others' strategies: every candidate's utility over
-        S_firm, and the largest of them."""
-        key = (firm, type_index, profile[:firm] + profile[firm + 1 :])
-        got = self._best.get(key)
+    def utilities(self, firm: int, type_index: int, others: _Profile) -> dict[int, int]:
+        """Every candidate's utility over S_firm against the other firms'
+        strategies `others` (the profile without the firm's own), in
+        canonical order."""
+        key = (firm, type_index, others)
+        got = self._utilities.get(key)
         if got is None:
             values = self.values[firm][type_index]
-            opponents = [
-                (
-                    weight,
-                    tuple(profile[j][s] for j, s in enumerate(types[:firm])),
-                    tuple(profile[j][s] for j, s in enumerate(types[firm:], firm + 1)),
-                )
-                for weight, types in self.opponents[firm]
-            ]
-            utilities = {}
-            for report in self.candidates(firm, type_index):
-                total = 0
-                for weight, before, after in opponents:
-                    allocation, price = self.outcome(before + (report,) + after)
+            candidates = self.candidates(firm, type_index)
+            totals = [0] * len(candidates)
+            outcomes = self._outcomes
+            for weight, types in self.opponents[firm]:
+                bids = tuple(map(getitem, others, types))
+                before, after = bids[:firm], bids[firm:]
+                for k, report in enumerate(candidates):
+                    draw = before + (report,) + after
+                    allocation, price = outcomes.get(draw) or self.outcome(draw)
                     won = allocation[firm]
-                    total += weight * (values[won] - price * won)
-                utilities[report] = total
-            got = self._best[key] = (max(utilities.values()), utilities)
+                    totals[k] += weight * (values[won] - price * won)
+            got = self._utilities[key] = dict(zip(candidates, totals))
         return got
 
     def welfare(self, profile: _Profile) -> int:
         """Expected welfare of the profile, valued at true curves, over
-        L * prod_j P_j."""
+        L * prod_j P_j; each draw's welfare is cached by its bids."""
         total = 0
-        for weight, types in self.draws:
-            bids = tuple(profile[j][t] for j, t in enumerate(types))
-            key = (bids, types)
-            got = self._welfares.get(key)
+        for (weight, types), cached in zip(self.draws, self._welfares):
+            bids = tuple(map(getitem, profile, types))
+            got = cached.get(bids)
             if got is None:
                 allocation, _ = self.outcome(bids)
                 value = sum(self.values[j][t][x] for j, (t, x) in enumerate(zip(types, allocation)))
-                got = self._welfares[key] = value - self.costs[sum(allocation)]
+                got = cached[bids] = value - self.costs[sum(allocation)]
             total += weight * got
         return total
 
@@ -278,27 +346,30 @@ def find_grid_equilibria(
     sizes = [math.prod(map(len, per_type)) for per_type in slots]
     star = max(reversed(range(len(slots))), key=sizes.__getitem__)
     slack = [math.floor(epsilon * scale) for scale in game.slot_scale]
-    others = [list(itertools.product(*per_type)) for i, per_type in enumerate(slots) if i != star]
+    near_best = [{} for _ in slots]
 
-    def stable(profile: _Profile) -> bool:
-        for i, strategy in enumerate(profile):
-            if i != star:
-                for t, report in enumerate(strategy):
-                    value, utilities = game.best(i, t, profile)
-                    if value - utilities[report] > slack[i]:
-                        return False
-        return True
+    def near(i: int, others: _Profile) -> list[dict[int, None]]:
+        """Per type of firm i, against `others`, the candidates within
+        slack of its best utility: an ordered set (a dict's keys), in
+        canonical order."""
+        got = near_best[i].get(others)
+        if got is None:
+            got = near_best[i][others] = []
+            for t in range(len(slots[i])):
+                utilities = game.utilities(i, t, others)
+                least = max(utilities.values()) - slack[i]
+                got.append(dict.fromkeys(r for r, u in utilities.items() if u >= least))
+        return got
 
+    checked = [i for i in range(len(slots)) if i != star]
     found = []
-    for rest in itertools.product(*others):
-        frame = rest[:star] + ((),) + rest[star:]
-        near = []
-        for t in range(len(slots[star])):
-            value, utilities = game.best(star, t, frame)
-            near.append([r for r, u in utilities.items() if u >= value - slack[star]])
-        for own in itertools.product(*near):
+    for rest in itertools.product(*(itertools.product(*slots[i]) for i in checked)):
+        for own in itertools.product(*near(star, rest)):
             profile = rest[:star] + (own,) + rest[star:]
-            if stable(profile):
+            for i in checked:
+                if not all(map(contains, near(i, profile[:i] + profile[i + 1 :]), profile[i])):
+                    break
+            else:
                 found.append(profile)
     if star != len(slots) - 1:
         position = [[{r: k for k, r in enumerate(c)} for c in per_type] for per_type in slots]
@@ -307,28 +378,8 @@ def find_grid_equilibria(
                 position[i][t][r] for i, strategy in enumerate(profile) for t, r in enumerate(strategy)
             )
         )
-
-    welfares = [game.welfare(profile) for profile in found]
     return EquilibriumReport(
-        params=params,
-        epsilon=epsilon,
-        profiles=tuple(
-            StrategyProfile(tuple(game.vectors(strategy) for strategy in profile))
-            for profile in found
-        ),
-        welfares=tuple(Fraction(w, game.draw_scale) for w in welfares),
-        utilities=tuple(
-            tuple(
-                tuple(
-                    Fraction(game.best(i, t, profile)[1][report], game.slot_scale[i])
-                    for t, report in enumerate(strategy)
-                )
-                for i, strategy in enumerate(profile)
-            )
-            for profile in found
-        ),
-        worst_welfare=Fraction(min(welfares), game.draw_scale) if welfares else None,
-        searched=total,
+        params, epsilon, game, found, [game.welfare(profile) for profile in found], total
     )
 
 
@@ -390,7 +441,7 @@ def cmd_equilibrium(args) -> int:
     )
     print(f"instance: {instance.label or args.instance}")
     print(f"profiles searched: {report.searched}")
-    print(f"equilibria found: {len(report.profiles)}")
+    print(f"equilibria found: {len(report._found)}")
     if report.worst_welfare is not None:
         print(f"worst equilibrium welfare: {display(report.worst_welfare)}")
     if params.floor == analysis.safe_price(cap):

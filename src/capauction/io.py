@@ -169,7 +169,10 @@ def loads_instance(text: str) -> MarketInstance:
 
 
 def save_instance(instance: MarketInstance, path: str | Path) -> None:
-    Path(path).write_text(dumps_instance(instance), encoding="utf-8")
+    try:
+        Path(path).write_text(dumps_instance(instance), encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write instance file {path}: {exc}") from None
 
 
 def load_instance(path: str | Path) -> MarketInstance:
@@ -216,10 +219,13 @@ def rational_cells(value: Fraction | None) -> list[str]:
 def write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) -> None:
     import csv  # only commands that write a report need it
 
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise ValidationError(f"cannot write report file {path}: {exc}") from None
 
 
 def write_report(out: str | None, header: list[str], rows: Iterable[list[str]]) -> None:

@@ -19,6 +19,7 @@ from capauction import (
     MarginalVector,
     MarketInstance,
     QuadraticCost,
+    StrategyProfile,
     ValidationError,
     best_own_quantity,
     enumerate_scenarios,
@@ -152,6 +153,74 @@ def satisfies_no_overbidding(
         if running > truth.value(j):
             return False
     return True
+
+
+class EagerReport(NamedTuple):
+    """An `EquilibriumReport` with every field built at once."""
+
+    params: AuctionParams
+    epsilon: Fraction
+    profiles: tuple[StrategyProfile, ...]
+    welfares: tuple[Fraction, ...]
+    utilities: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    worst_welfare: Fraction | None
+    searched: int
+
+
+def eager_report(
+    instance: MarketInstance, params: AuctionParams, epsilon=0, strict: bool = False
+) -> EagerReport:
+    """The grid-equilibrium search in Fractions, building every report field
+    as it goes: each profile of the candidate product, in canonical order,
+    is kept when no slot's best candidate beats its report by more than
+    epsilon. Interim utilities are expectations of `run_auction` outcomes
+    over the opponents' types, memoized per slot and opponent strategies;
+    welfares clear every type draw with `run_auction` at true values."""
+    epsilon = rat(epsilon)
+    firms = instance.firms
+    slots = [
+        [candidate_reports(instance, params, i, t, strict) for t in range(len(f.scenarios))]
+        for i, f in enumerate(firms)
+    ]
+    memo = {}
+
+    def utilities(i, t, others):
+        key = (i, t, others)
+        if key not in memo:
+            truth = firms[i].scenarios[t][1]
+            rivals = instance._replace(firms=firms[:i] + firms[i + 1 :])
+            draws = [(p, types) for p, types, _ in scenario_product(rivals)]
+            memo[key] = got = {}
+            for report in slots[i][t]:
+                got[report] = ZERO
+                for prob, types in draws:
+                    bids = [strategy[k] for strategy, k in zip(others, types)]
+                    out = run_auction(params, bids[:i] + [report] + bids[i:], instance.cost)
+                    won = out.allocation[i]
+                    got[report] += prob * (truth.value(won) - out.unit_price * won)
+        return memo[key]
+
+    profiles, welfares, rows = [], [], []
+    strategies = [list(itertools.product(*per_type)) for per_type in slots]
+    for profile in itertools.product(*strategies):
+        row = []
+        for i, strategy in enumerate(profile):
+            per_type = [utilities(i, t, profile[:i] + profile[i + 1 :]) for t in range(len(strategy))]
+            if any(max(u.values()) - u[r] > epsilon for u, r in zip(per_type, strategy)):
+                break
+            row.append(tuple(u[r] for u, r in zip(per_type, strategy)))
+        else:
+            welfare = ZERO
+            for prob, types, truths in scenario_product(instance):
+                bids = [strategy[t] for strategy, t in zip(profile, types)]
+                welfare += prob * run_auction(params, bids, instance.cost, truths).welfare
+            profiles.append(StrategyProfile(profile))
+            welfares.append(welfare)
+            rows.append(tuple(row))
+    return EagerReport(
+        params, epsilon, tuple(profiles), tuple(welfares), tuple(rows),
+        min(welfares) if welfares else None, math.prod(map(len, strategies)),
+    )
 
 
 def candidate_reports(

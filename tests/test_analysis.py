@@ -537,7 +537,7 @@ class TestIntegerTables:
         assert got == want
 
     def test_limit_is_checked_before_any_other_work(self, monkeypatch):
-        from capauction import analysis as module
+        from capauction import tables as module
 
         def no_work(*args):
             raise AssertionError("work before the scenario limit check")
@@ -548,7 +548,7 @@ class TestIntegerTables:
 
     @pytest.mark.parametrize("limit", (0, -1))
     def test_limit_below_one_is_malformed(self, monkeypatch, limit):
-        from capauction import analysis as module
+        from capauction import tables as module
 
         def no_work(*args):
             raise AssertionError("work before the scenario limit check")

@@ -248,7 +248,7 @@ def test_evaluate_reads_sell_out_from_its_outcomes(tmp_path, capsys, monkeypatch
     def no_analysis(*args):
         raise AssertionError("evaluate built an Analysis")
 
-    monkeypatch.setattr(cli, "Analysis", no_analysis)
+    monkeypatch.setattr(analysis, "Analysis", no_analysis)
     for (seed, cap, floor, ceiling, pricing), want in expected.items():
         path = tmp_path / f"random-{seed}.json"
         save_instance(generate(seed), path)
@@ -348,3 +348,25 @@ def test_verify_priceceil_keeps_an_explicit_floor(seed3_file, capsys):
     assert main(argv) == 0  # the optimum's floor yields to the ceiling
     assert main([*argv, "--floor", "3"]) == 1
     assert "error: price ceiling 1/2 must exceed floor 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["optimize", "INSTANCE"], "report"),
+    (["evaluate", "INSTANCE", "--cap", "2", "--floor", "1"], "report"),
+    (["verify", "INSTANCE", "--which", "unsafe"], "report"),
+    (["equilibrium", "INSTANCE", "--cap", "2", "--floor", "9"], "report"),
+    (["generate", "--seed", "5"], "instance"),
+    (["examples", "demand-reduction"], "instance"),
+])
+@pytest.mark.parametrize("target", ["missing/out", "."])
+def test_unwritable_out_is_one_error_line(demand_reduction_file, tmp_path, capsys, monkeypatch,
+                                          argv, kind, target):
+    # A path under a missing directory, and a directory: each exits 1 with
+    # one `error:` line, writes nothing and says no report was written.
+    monkeypatch.chdir(tmp_path)
+    argv = [demand_reduction_file if a == "INSTANCE" else a for a in argv]
+    assert main([*argv, "--out", target]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: cannot write {kind} file {target}: ") and err.count("\n") == 1
+    assert "written" not in out and "wrote" not in out
+    assert not (tmp_path / "missing").exists()

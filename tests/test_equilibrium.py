@@ -4,6 +4,7 @@ against brute-force oracles that clear every auction with run_auction."""
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from capauction import (
     Analysis,
     AuctionParams,
+    EquilibriumReport,
     FirmDistribution,
     HIGHEST_LOSING,
     LOWEST_WINNING,
@@ -30,13 +32,16 @@ from capauction import (
     logscale,
     price_candidates,
     run_auction,
+    save_instance,
 )
-from capauction import analysis, equilibrium
+from capauction import equilibrium, tables
+from capauction.cli import build_parser, main
 from capauction.model import ERROR_BEYOND
 from oracles import (
     bid_levels,
     candidate_reports,
     cost_table,
+    eager_report,
     expected_welfare,
     make_safe_auction,
     quadratic,
@@ -44,6 +49,7 @@ from oracles import (
     scenario_product,
 )
 from test_analysis import markets
+from test_golden import EQUILIBRIUM_CASES
 
 mv = MarginalVector.of
 
@@ -232,7 +238,7 @@ class TestReportValidation:
             walked.update(self.vectors(got))
             return got
 
-        for module in (analysis, equilibrium):
+        for module in (tables, equilibrium):
             if hasattr(module, "price_candidates"):
                 monkeypatch.setattr(module, "price_candidates", counted)
         monkeypatch.setattr(equilibrium._GridGame, "candidates", recorded)
@@ -410,38 +416,11 @@ def _direct_utility(instance, params, reports, firm, type_index, report):
     return total
 
 
-def _direct_welfare(instance, params, reports):
-    total = F(0)
-    for prob, types in _type_draws(instance):
-        bids = [reports[j][t] for j, t in enumerate(types)]
-        truths = [instance.firms[j].scenarios[t][1] for j, t in enumerate(types)]
-        total += prob * run_auction(params, bids, instance.cost, truths).welfare
-    return total
-
-
-def _oracle_search(instance, params, epsilon, strict):
-    """Every profile and slot, every alternative, by direct expectation."""
-    slots = [(i, t) for i, f in enumerate(instance.firms) for t in range(len(f.scenarios))]
-    options = [candidate_reports(instance, params, i, t, strict) for i, t in slots]
-    profiles, welfares, utilities = [], [], []
-    for combo in itertools.product(*options):
-        reports = [[] for _ in instance.firms]
-        for (i, _), report in zip(slots, combo):
-            reports[i].append(report)
-        current = [
-            [_direct_utility(instance, params, reports, i, t, r) for t, r in enumerate(per_type)]
-            for i, per_type in enumerate(reports)
-        ]
-        if any(
-            _direct_utility(instance, params, reports, i, t, alternative) > current[i][t] + epsilon
-            for (i, t), alternatives in zip(slots, options)
-            for alternative in alternatives
-        ):
-            continue
-        profiles.append(StrategyProfile(tuple(tuple(r) for r in reports)))
-        welfares.append(_direct_welfare(instance, params, reports))
-        utilities.append(tuple(tuple(u) for u in current))
-    return profiles, welfares, utilities, math.prod(len(o) for o in options)
+def _assert_same_report(report, want):
+    """Every field of the search's report equals the eager oracle's."""
+    assert EquilibriumReport._fields == want._fields
+    for field in want._fields:
+        assert getattr(report, field) == getattr(want, field), field
 
 
 def _oracle_gains(instance, params, profile, firm, strict):
@@ -457,8 +436,10 @@ def _oracle_gains(instance, params, profile, firm, strict):
 
 
 class TestAgainstDirectOracle:
-    """The cached search against a brute force that clears every auction
-    it needs with run_auction and keeps nothing between profiles."""
+    """The cached search against `oracles.eager_report`, which checks every
+    profile of the candidate product, clears every auction it needs with
+    run_auction and keeps only each slot's utilities per opponent
+    strategies."""
 
     def _instances(self):
         rng = random.Random(5)
@@ -489,13 +470,8 @@ class TestAgainstDirectOracle:
             ):
                 params = AuctionParams(cap, floor, None, pricing)
                 report = find_grid_equilibria(m, params, epsilon, strict)
-                profiles, welfares, utilities, searched = _oracle_search(m, params, epsilon, strict)
                 assert report.params == params and report.epsilon == epsilon
-                assert report.profiles == tuple(profiles)
-                assert report.welfares == tuple(welfares)
-                assert report.utilities == tuple(utilities)
-                assert report.worst_welfare == (min(welfares) if welfares else None)
-                assert report.searched == searched
+                _assert_same_report(report, eager_report(m, params, epsilon, strict))
 
     def test_three_firms_and_mixed_denominators_match(self):
         # Slot scales differ by firm and epsilon * S_i is rarely an integer,
@@ -520,13 +496,8 @@ class TestAgainstDirectOracle:
             not_last += len(m.firms) == 3 and max(sizes) > sizes[-1]
             for epsilon in (F(1, 3), F(1, 7)):
                 report = find_grid_equilibria(m, params, epsilon, strict)
-                profiles, welfares, utilities, searched = _oracle_search(m, params, epsilon, strict)
-                assert report.profiles == tuple(profiles)
-                assert report.welfares == tuple(welfares)
-                assert report.utilities == tuple(utilities)
-                assert report.worst_welfare == (min(welfares) if welfares else None)
-                assert report.searched == searched
-                for profile in profiles:
+                _assert_same_report(report, eager_report(m, params, epsilon, strict))
+                for profile in report.profiles:
                     for firm in range(len(m.firms)):
                         exact += epsilon in _oracle_gains(m, params, profile, firm, strict)
         assert not_last > 0  # three firms, the largest strategy space not last
@@ -551,12 +522,8 @@ class TestAgainstDirectOracle:
             m.cost.cost(4)
         params = AuctionParams(2, 0, None, HIGHEST_LOSING)
         report = find_grid_equilibria(m, params, F(1, 3))
-        profiles, welfares, utilities, searched = _oracle_search(m, params, F(1, 3), False)
         assert (report.searched, len(report.profiles), report.worst_welfare) == (252, 32, F(13, 2))
-        assert report.profiles == tuple(profiles)
-        assert report.welfares == tuple(welfares)
-        assert report.utilities == tuple(utilities)
-        assert report.searched == searched
+        _assert_same_report(report, eager_report(m, params, F(1, 3)))
 
     def test_zero_probability_type(self):
         # Firm 0's first type has probability 0; its interim utilities are
@@ -570,16 +537,109 @@ class TestAgainstDirectOracle:
         )
         params = AuctionParams(1, 1, None)
         report = find_grid_equilibria(m, params)
-        profiles, welfares, utilities, searched = _oracle_search(m, params, F(0), False)
-        assert report.profiles and report.profiles == tuple(profiles)
-        assert (report.welfares, report.utilities) == (tuple(welfares), tuple(utilities))
-        assert report.searched == searched
+        assert report.profiles
+        _assert_same_report(report, eager_report(m, params))
         for profile, per_firm in zip(report.profiles, report.utilities):
             for firm, per_type in enumerate(profile.reports):
                 for t, bid in enumerate(per_type):
                     got = per_firm[firm][t]
                     assert got == _direct_utility(m, params, profile.reports, firm, t, bid)
                 assert max(_oracle_gains(m, params, profile, firm, False)) <= 0
+
+    def test_cached_outcomes_match_run_auction(self):
+        # The game clears integer vectors at the floor and ceiling over L;
+        # each outcome it cached must be `run_auction`'s on the Fraction
+        # vectors, with the price times L.
+        rng = random.Random(13)
+        seen = Counter()
+        for _ in range(120):
+            m = _mixed_instance(rng, rng.choice((1, 2, 2)))
+            marginals = sorted({v for f in m.firms for _, t in f.scenarios for v in t.marginals})
+            on_grid = rng.random() < 0.5
+            floor = rng.choice(marginals) if on_grid else rng.choice((F(0), F(5, 4), F(7, 3), F(11, 2)))
+            ceiling = rng.choice((None, floor + rng.choice((F(1, 2), F(1), F(5, 3)))))
+            pricing = rng.choice((HIGHEST_LOSING, LOWEST_WINNING))
+            params = AuctionParams(rng.choice((1, 2, 3)), floor, ceiling, pricing)
+            report = find_grid_equilibria(m, params, F(1, 3), profile_limit=10**6)
+            game = report._game
+            assert game._outcomes
+            for bids, (allocation, price) in game._outcomes.items():
+                out = run_auction(params, game.vectors(bids), m.cost)
+                assert (out.allocation, out.unit_price * game.scale) == (allocation, price)
+                assert isinstance(price, int)
+                seen[out.case, pricing, ceiling is None, on_grid and floor in marginals] += 1
+        cases = {"floor-binds", "cap-binds", "ceiling-binds"}
+        assert {case for case, *_ in seen} == cases
+        for pricing in (HIGHEST_LOSING, LOWEST_WINNING):
+            for no_ceiling in (False, True):
+                for on_grid in (False, True):
+                    assert any(key[1:] == (pricing, no_ceiling, on_grid) for key in seen)
+
+
+def _golden_searches():
+    """(case, instance, params, epsilon, strict) of every recorded
+    equilibrium case that exits 0, parsed as the command line parses them."""
+    for case, (instance, options) in sorted(EQUILIBRIUM_CASES.items()):
+        if case in ("joint-3", "random-1-marginals"):  # exit 1 and 2
+            continue
+        args = build_parser().parse_args(["equilibrium", "instance.json", *options])
+        params = AuctionParams(int(args.cap), args.floor, None, args.pricing)
+        yield case, instance, params, args.epsilon, args.strict_overbidding
+
+
+class TestLazyReport:
+    """The report builds `profiles`, `welfares` and `utilities` on first
+    read; each equals the field the eager oracle builds as it searches."""
+
+    SEARCHES = [
+        *_golden_searches(),
+        *(
+            (f"demand-reduction-cap-{cap}-floor-{floor}-{pricing}-epsilon-{epsilon}", MARKET,
+             AuctionParams(cap, floor, None, pricing), epsilon, strict)
+            for cap, floor in ((1, 0), (2, 0), (2, 9), (3, 1))
+            for pricing in (HIGHEST_LOSING, LOWEST_WINNING)
+            for epsilon, strict in ((F(0), False), (F(1, 2), True))
+        ),
+    ]
+
+    @pytest.mark.parametrize("case, instance, params, epsilon, strict", SEARCHES,
+                             ids=[case for case, *_ in SEARCHES])
+    def test_every_field_matches_the_eager_oracle(self, case, instance, params, epsilon, strict):
+        report = find_grid_equilibria(instance, params, epsilon, strict)
+        _assert_same_report(report, eager_report(instance, params, epsilon, strict))
+        assert report == find_grid_equilibria(instance, params, epsilon, strict)
+
+    def test_records_the_search_and_builds_each_field_once(self):
+        report = find_grid_equilibria(MARKET, OPEN_FLOOR)
+        assert set(vars(report)) == {
+            "params", "epsilon", "worst_welfare", "searched", "_game", "_found", "_welfares",
+        }
+        assert report.utilities is report.utilities
+        assert "utilities" in vars(report) and "profiles" not in vars(report)
+        with pytest.raises(AttributeError, match="read-only"):
+            report.welfares = ()
+        with pytest.raises(AttributeError, match="read-only"):
+            del report.utilities
+        assert "welfares" not in vars(report)
+
+    @pytest.mark.parametrize("case", ["random-5-small-safe", "demand-reduction-epsilon"])
+    def test_only_out_builds_the_lazy_fields(self, tmp_path, monkeypatch, capsys, case):
+        instance, options = EQUILIBRIUM_CASES[case]
+        save_instance(instance, tmp_path / "instance.json")
+        monkeypatch.chdir(tmp_path)
+        built = []
+        for name in ("profiles", "welfares", "utilities"):
+            lazy = vars(EquilibriumReport)[name]
+            monkeypatch.setattr(EquilibriumReport, name, property(
+                lambda self, lazy=lazy: built.append(lazy.attrname) or lazy.func(self)
+            ))
+        argv = ["equilibrium", "instance.json", *options]
+        assert main(argv) == 0
+        assert built == []
+        printed = capsys.readouterr().out
+        assert main([*argv, "--out", "report.csv"]) == 0
+        assert set(built) == {"profiles", "welfares", "utilities"}
+        assert capsys.readouterr().out == printed + "report written to report.csv\n"
 
 
 class TestPerScenarioSafety:

@@ -58,17 +58,17 @@ def test_cli_import_loads_no_subcommand_module():
 NOT_LOADED_BY = {
     "optimize": ("bounds", "equilibrium", "instances", "cli"),
     "verify": ("equilibrium", "instances", "cli"),
-    "equilibrium": ("bounds", "instances", "cli"),
+    "equilibrium": ("analysis", "bounds", "instances", "cli"),
 }
+# Definitions an `equilibrium` process must not compile: the sweeps and the
+# `optimize` and `evaluate` handlers. (`cli`, run as `__main__`, only
+# imports each handler on call.)
+SWEEP_CODE = {"optimize_cap_and_price", "optimize_safe", "cmd_optimize", "cmd_evaluate"}
 
 
-@pytest.mark.parametrize("argv", [
-    ["optimize", "--out", "report.csv"],
-    ["optimize", "--no-ceiling"],
-    ["verify", "--which", "all"],
-    ["equilibrium", "--cap", "2", "--floor", "9"],
-])
-def test_subcommand_process_loads_only_its_own_modules(tmp_path, argv):
+def _loaded_by(tmp_path, argv) -> list[str]:
+    """The modules a `python -m capauction.cli` process running `argv` on
+    demand_reduction has loaded when it exits."""
     save_instance(demand_reduction(), tmp_path / "instance.json")
     command, *options = argv
     probe = (
@@ -82,9 +82,33 @@ def test_subcommand_process_loads_only_its_own_modules(tmp_path, argv):
         env=ENV, cwd=tmp_path, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
-    loaded = done.stderr.split()
-    assert "capauction.analysis" in loaded
-    assert [m for m in NOT_LOADED_BY[command] if f"capauction.{m}" in loaded] == []
+    return done.stderr.split()
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--out", "report.csv"],
+    ["optimize", "--no-ceiling"],
+    ["verify", "--which", "all"],
+    ["equilibrium", "--cap", "2", "--floor", "9"],
+])
+def test_subcommand_process_loads_only_its_own_modules(tmp_path, argv):
+    loaded = _loaded_by(tmp_path, argv)
+    assert "capauction.tables" in loaded
+    assert [m for m in NOT_LOADED_BY[argv[0]] if f"capauction.{m}" in loaded] == []
+
+
+@pytest.mark.parametrize("options", [[], ["--out", "report.csv"]])
+def test_equilibrium_process_compiles_no_sweep(tmp_path, options):
+    loaded = _loaded_by(tmp_path, ["equilibrium", "--cap", "2", "--floor", "9", *options])
+    package = {f"capauction.{name[:-3]}": tree for name, tree in _parsed(PACKAGE).items()}
+    defined = {
+        (module, statement.name)
+        for module in loaded if module in package
+        for statement in package[module].body
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert {name for _, name in defined} & SWEEP_CODE == set()
+    assert ("capauction.equilibrium", "cmd_equilibrium") in defined
 
 
 def test_examples_choices_are_the_named_instances():

@@ -14,13 +14,12 @@ from importlib import import_module
 # loads only what its subcommand needs.
 _EXPORTS = {
     "analysis": (
-        "Candidate", "OptResult", "ScenarioRow", "enumerate_scenarios",
-        "optimize_cap_and_price", "optimize_safe", "sell_out_probability",
+        "Candidate", "OptResult", "optimize_cap_and_price", "optimize_safe",
+        "sell_out_probability",
     ),
     "auction": (
         "CAP_BINDS", "CEILING_BINDS", "FLOOR_BINDS", "HIGHEST_LOSING", "LOWEST_WINNING",
-        "AuctionParams", "Outcome", "best_own_quantity", "clear", "price_candidates",
-        "run_auction", "safe_price",
+        "AuctionParams", "price_candidates", "safe_price",
     ),
     "bounds": (
         "BoundCertificate", "DecompositionReport", "decompose_welfare",
@@ -43,7 +42,7 @@ _EXPORTS = {
     "model": (
         "CostCurve", "FirmDistribution", "MarginalCostTable", "MarginalVector",
         "MarketError", "MarketInstance", "QuadraticCost", "TooLargeError",
-        "ValidationError", "rat", "validate", "welfare_of",
+        "ValidationError", "rat", "validate",
     ),
     "tables": ("Analysis",),
 }

@@ -3,11 +3,12 @@
 Expectations are full enumerations of the (product or explicit joint)
 scenario space; parameter search is exhaustive over the finite price grid
 and cap range, so optimization results are exact rather than approximate.
-The sweeps (`optimize_cap_and_price`, `optimize_safe`) and sell-out
-probabilities are lookups on the integer tables of `tables.Analysis`,
-whose docstring derives the quantity each auction sells. The Fraction
-scenario rows of `enumerate_scenarios` serve only `evaluate`, which prints
-each scenario's auction.
+The sweeps (`optimize_cap_and_price`, `optimize_safe`), sell-out
+probabilities and `evaluate`'s expectations are lookups on the integer
+tables of `tables.Analysis`, whose docstring derives the quantity each
+auction sells. `evaluate` clears each scenario's truthful bids with
+`auction.clear_valid` for its allocation, price and case; its welfare is
+the table's entry at the quantity sold.
 
 Where code lives: run without cached bytecode (`PYTHONDONTWRITEBYTECODE`),
 each process compiles every module it imports from source. This module
@@ -15,38 +16,20 @@ holds the sweeps and the `optimize` and `evaluate` handlers, which `cli`
 imports on call; `verify` loads it for its optima, and an `equilibrium`
 process never does. The per-instance tables that every subcommand reads
 are in `tables`. The helpers that only certificates call
-(`one_minus_inv_e`, `demand_quantile_cap`, `single_buyer_expected`) live
-in `bounds`, which only `verify` loads.
+(`one_minus_inv_e`, `demand_quantile_cap`, `best_own_quantity`,
+`single_buyer_expected`) live in `bounds`, which only `verify` loads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, attrgetter, getitem, mul
+from operator import add, attrgetter, getitem
 from typing import NamedTuple
 
-from .auction import FLOOR_BINDS, LOWEST_WINNING, AuctionParams, run_auction
+from .auction import LOWEST_WINNING, AuctionParams, clear_valid
 from .io import display, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
-from .model import MarginalVector, MarketInstance, ValidationError, rat
-from .tables import DEFAULT_SCENARIO_LIMIT, Analysis, _check_scenario_limit, _per_scenario
-
-
-class ScenarioRow(NamedTuple):
-    probability: Fraction
-    valuations: tuple[MarginalVector, ...]
-
-
-def enumerate_scenarios(
-    instance: MarketInstance, limit: int = DEFAULT_SCENARIO_LIMIT
-) -> tuple[ScenarioRow, ...]:
-    """Materialize the scenario space with exact probabilities. Raises
-    TooLargeError before materializing anything bigger than `limit`."""
-    factors = _check_scenario_limit(instance, limit)
-    return tuple(map(
-        ScenarioRow,
-        _per_scenario(([p for p, _ in types] for types in factors), Fraction(1), mul),
-        _per_scenario(([vs for _, vs in types] for types in factors), (), add),
-    ))
+from .model import ZERO, MarketInstance, ValidationError, rat
+from .tables import Analysis, _per_scenario
 
 
 class Candidate(NamedTuple):
@@ -157,7 +140,12 @@ def sell_out_probability(analysis: Analysis, params: AuctionParams) -> Fraction:
 
 def cmd_evaluate(args) -> int:
     """`capauction evaluate`: clear every scenario's auction with fixed
-    parameters and print the expectations."""
+    parameters and print the expectations.
+
+    Each scenario's truthful bids are cleared by `clear_valid`; its welfare
+    is the `Analysis` row entry at the quantity sold, since every case
+    sells the top reported units.
+    """
     instance = load_instance(args.instance)
     params = AuctionParams(
         cap=parse_cap(args.cap),
@@ -165,32 +153,33 @@ def cmd_evaluate(args) -> int:
         ceiling=parse_ceiling(args.ceiling),
         pricing=args.pricing,
     )
-    scenarios = enumerate_scenarios(instance, args.scenario_limit)
-    outcomes = [run_auction(params, row.valuations, instance.cost) for row in scenarios]
-    welfare_total = Fraction(0)
-    revenue_total = Fraction(0)
-    sold_out = Fraction(0)  # demand at the floor reaches the cap
-    for row, outcome in zip(scenarios, outcomes):
-        welfare_total += row.probability * outcome.welfare
-        revenue_total += row.probability * outcome.revenue
-        if outcome.case != FLOOR_BINDS:
-            sold_out += row.probability
+    if params.cap is None and params.ceiling is not None:
+        raise ValidationError("an unbounded cap never reaches a ceiling; it takes no --ceiling")
+    analysis = Analysis(instance, args.scenario_limit)
+    scenarios = _per_scenario(([vs for _, vs in types] for types in analysis._factors), (), add)
+    outcomes = [clear_valid(params, bids) for bids in scenarios]
+    sold = [sum(allocation) for allocation, _, _ in outcomes]
+    analysis._tabulate(max(sold))
+    probs, weight = analysis._probs, analysis._weight
+    unit = analysis._den // weight  # _nums[s][q] is W_s(q) * _probs[s] * unit
+    revenue = sum((p * price * q for p, (_, price, _), q in zip(probs, outcomes, sold)), ZERO)
 
     print(f"instance: {instance.label or args.instance}")
-    print(f"scenarios: {len(scenarios)}")
-    print(f"expected welfare: {display(welfare_total)}")
-    print(f"expected revenue: {display(revenue_total)}")
+    print(f"scenarios: {len(outcomes)}")
+    print(f"expected welfare: {display(analysis.welfare(params.cap, params.floor, params.ceiling))}")
+    print(f"expected revenue: {display(revenue / weight)}")
     if params.cap is not None:
-        print(f"sell-out probability: {display(sold_out)}")
+        print(f"sell-out probability: {display(sell_out_probability(analysis, params))}")
     header = [
         "scenario", "probability", "probability_dec", "allocation", "unit_price",
         "unit_price_dec", "case", "welfare", "welfare_dec", "revenue", "revenue_dec",
     ]
     rows = (
-        [str(idx), *rational_cells(row.probability), "|".join(map(str, outcome.allocation)),
-         *rational_cells(outcome.unit_price), outcome.case, *rational_cells(outcome.welfare),
-         *rational_cells(outcome.revenue)]
-        for idx, (row, outcome) in enumerate(zip(scenarios, outcomes))
+        [str(idx), *rational_cells(Fraction(p, weight)), "|".join(map(str, allocation)),
+         *rational_cells(price), case, *rational_cells(Fraction(nums[q], p * unit)),
+         *rational_cells(price * q)]
+        for idx, (p, nums, q, (allocation, price, case))
+        in enumerate(zip(probs, analysis._nums, sold, outcomes))
     )
     write_report(args.out, header, rows)
     return 0

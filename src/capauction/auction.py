@@ -4,26 +4,18 @@ The capped auction sells up to `cap` licenses between a price floor and a
 price ceiling: if demand at the ceiling covers the cap, everyone buys at the
 ceiling; if demand at the floor falls short of the cap, everyone buys at the
 floor; otherwise exactly `cap` licenses go to the highest reported marginals.
-Also provides the safe-price variant (floor = average social cost at the
-cap) and each firm's stand-alone optimum, which the truthful
-sell-to-one-firm mechanism sells.
+`clear_valid` is the one clearing routine: `evaluate` clears truthful bids
+with it, and the equilibrium search clears its integer bid vectors. Also
+provides the safe price (average social cost at the cap) and the price
+grid that the sweeps search.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
-from .model import (
-    ZERO,
-    CostCurve,
-    MarginalVector,
-    MarketInstance,
-    ValidationError,
-    rat,
-    welfare_of,
-)
+from .model import ZERO, CostCurve, MarginalVector, MarketInstance, ValidationError, rat
 
 LOWEST_WINNING = "lowest-winning"
 HIGHEST_LOSING = "highest-losing"
@@ -67,31 +59,15 @@ class AuctionParams(namedtuple("AuctionParams", "cap floor ceiling pricing")):
         return super().__new__(cls, cap, floor, ceiling, pricing)
 
 
-class Outcome(NamedTuple):
-    """Realized allocation, uniform price, and which constraint bound."""
-
-    allocation: tuple[int, ...]
-    unit_price: Fraction
-    case: str
-    welfare: Fraction
-    revenue: Fraction
-
-
-def clear(
-    params: AuctionParams,
-    bids: list[MarginalVector] | tuple[MarginalVector, ...],
-) -> tuple[tuple[int, ...], Fraction, str]:
-    """Allocation, uniform unit price and binding case on reported bids."""
-    for i, b in enumerate(bids):
-        b.require_valid(f"bids[{i}]")
-    return clear_valid(params, bids)
-
-
 def clear_valid(
     params: AuctionParams,
     bids: list[MarginalVector] | tuple[MarginalVector, ...],
 ) -> tuple[tuple[int, ...], Fraction, str]:
-    """`clear` on bids the caller has already validated."""
+    """Allocation, uniform unit price and binding case on reported bids,
+    which the caller has already validated (non-negative, non-increasing).
+
+    With no cap the floor always binds, whatever the ceiling.
+    """
     cap = params.cap
     ceiling_demand = [b.demand(params.ceiling) for b in bids]
     if cap is not None and sum(ceiling_demand) >= cap:
@@ -126,34 +102,6 @@ def clear_valid(
     return allocation, price, case
 
 
-def run_auction(
-    params: AuctionParams,
-    bids: list[MarginalVector] | tuple[MarginalVector, ...],
-    cost: CostCurve,
-    true_values: list[MarginalVector] | tuple[MarginalVector, ...] | None = None,
-) -> Outcome:
-    """Clear the auction on reported bids; value welfare at true curves.
-
-    Allocation and price depend only on the bids (see `clear`); welfare is
-    evaluated at `true_values` (defaults to the bids, i.e. truthful
-    reporting).
-    """
-    bids = tuple(bids)
-    allocation, price, case = clear(params, bids)
-    truths = bids if true_values is None else tuple(true_values)
-    if len(truths) != len(bids):
-        raise ValidationError(
-            f"{len(truths)} true valuations for {len(bids)} bid vectors"
-        )
-    return Outcome(
-        allocation=allocation,
-        unit_price=price,
-        case=case,
-        welfare=welfare_of(truths, allocation, cost),
-        revenue=price * sum(allocation),
-    )
-
-
 def safe_price(cost: CostCurve, cap: int) -> Fraction:
     """Average social cost per license when the full cap is sold."""
     if cap < 1:
@@ -174,26 +122,3 @@ def price_candidates(instance: MarketInstance) -> tuple[Fraction, ...]:
     values.add(ZERO)
     values.add(max(values) + 1)
     return tuple(sorted(values))
-
-
-def best_own_quantity(valuation: MarginalVector, cost: CostCurve) -> tuple[int, Fraction]:
-    """Smallest maximizer and maximum of V(x) - Q(x) for one firm.
-
-    Increments v(x) - (Q(x) - Q(x-1)) are non-increasing by concavity and
-    convexity, so the scan stops at the first non-positive increment.
-    """
-    best = ZERO
-    x = 0
-    running = ZERO
-    below = cost.cost(0)
-    for j, v in enumerate(valuation.marginals, start=1):
-        here = cost.cost(j)
-        step = v - (here - below)
-        if step <= 0:
-            break
-        running += step
-        best = running
-        x = j
-        below = here
-    return x, best
-

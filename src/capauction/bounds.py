@@ -9,15 +9,15 @@ inequality; a failure is a finding.
 
 Every certificate reads `tables.Analysis` (its integer welfare rows, cost
 list, demand memo, probability weights, safe prices and cached no-ceiling
-optimum), never a scenario cleared again or the Fraction scenario rows of
-`enumerate_scenarios`, which serve only `evaluate`. The price-gap certificates (`verify_price_gap`,
-`worst_price_gap`) read only the cost curve.
+optimum), never a scenario cleared again. The price-gap certificates
+(`verify_price_gap`, `worst_price_gap`) read only the cost curve.
 
 Only `verify` loads this module, so it also holds the helpers that only
 certificates read (`one_minus_inv_e`, `demand_quantile_cap`,
-`single_buyer_expected`) and the `verify` subcommand's handler,
-`cmd_verify`: a process compiles every module it imports, and `optimize`
-and `equilibrium` processes need none of this.
+`best_own_quantity`, `single_buyer_expected`) and the `verify`
+subcommand's handler, `cmd_verify`: a process compiles every module it
+imports, and `evaluate`, `optimize` and `equilibrium` processes need none
+of this.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from operator import attrgetter, mul
 from typing import NamedTuple
 
 from .analysis import optimize_safe, sell_out_probability
-from .auction import AuctionParams, best_own_quantity, safe_price
+from .auction import AuctionParams, safe_price
 from .io import (
     display, format_rational, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
 )
-from .model import ZERO, CostCurve, ValidationError, rat
+from .model import ZERO, CostCurve, MarginalVector, ValidationError, rat
 from .tables import DEFAULT_GAP_LIMIT, Analysis, _integers, _per_scenario
 
 CHECKED = "checked"
@@ -119,6 +119,28 @@ def demand_quantile_cap(
             # with Pr[d >= c] >= threshold.
             break
     return best
+
+
+def best_own_quantity(valuation: MarginalVector, cost: CostCurve) -> tuple[int, Fraction]:
+    """Smallest maximizer and maximum of V(x) - C(x) for one firm.
+
+    Increments v(x) - (C(x) - C(x-1)) are non-increasing by concavity and
+    convexity, so the scan stops at the first non-positive increment.
+    """
+    best = ZERO
+    x = 0
+    running = ZERO
+    below = cost.cost(0)
+    for j, v in enumerate(valuation.marginals, start=1):
+        here = cost.cost(j)
+        step = v - (here - below)
+        if step <= 0:
+            break
+        running += step
+        best = running
+        x = j
+        below = here
+    return x, best
 
 
 def single_buyer_expected(analysis: Analysis) -> Fraction:

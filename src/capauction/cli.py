@@ -16,10 +16,9 @@ does not need (`evaluate` and `optimize` in `analysis`, `verify` in
 `instances`), and its `cmd_<name>` here imports it on call; so an
 `equilibrium` process compiles no sweep. The helpers the handlers share
 are in `io`, not here: `python -m capauction.cli` runs this module as
-`__main__`, and importing it again would compile it twice. Of the
-subcommands, only `evaluate` reads the Fraction scenario rows of
-`enumerate_scenarios`, to print each scenario's auction; the others read
-the integer tables of `tables.Analysis`.
+`__main__`, and importing it again would compile it twice. Every
+subcommand but `examples` and `generate` reads the integer tables of
+`tables.Analysis`.
 """
 
 from __future__ import annotations

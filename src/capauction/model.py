@@ -10,7 +10,7 @@ rational statements and must not be blurred by floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Union
 
 
 class MarketError(Exception):
@@ -86,17 +86,6 @@ class MarginalVector(NamedTuple):
             if j > 0 and v > self.marginals[j - 1]:
                 out.append(f"{where}: not non-increasing at index {j}")
         return out
-
-    def require_valid(self, where: str = "marginals") -> None:
-        problems = self.violations(where)
-        if problems:
-            raise ValidationError("; ".join(problems))
-
-    def value(self, x: int) -> Fraction:
-        """Total value of x licenses (prefix sum; zero beyond the list)."""
-        if x <= 0:
-            return ZERO
-        return sum(self.marginals[: min(x, len(self.marginals))], ZERO)
 
     def demand(self, price: Fraction | None) -> int:
         """Largest j whose marginal is at least `price`.
@@ -269,21 +258,3 @@ def require_valid(instance: MarketInstance) -> None:
     problems = validate(instance)
     if problems:
         raise ValidationError("; ".join(problems))
-
-
-def welfare_of(
-    valuations: Sequence[MarginalVector],
-    allocation: Sequence[int],
-    cost: CostCurve,
-) -> Fraction:
-    """Aggregate firm value minus social cost for a concrete allocation."""
-    if len(valuations) != len(allocation):
-        raise ValidationError(
-            f"allocation covers {len(allocation)} firms, market has {len(valuations)}"
-        )
-    for i, x in enumerate(allocation):
-        if x < 0:
-            raise ValidationError(f"allocation[{i}] is negative")
-    total = sum(allocation)
-    value = sum((v.value(x) for v, x in zip(valuations, allocation)), ZERO)
-    return value - cost.cost(total)

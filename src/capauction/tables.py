@@ -18,9 +18,9 @@ checks the scenario count against the limit before any other work, then
 builds its integer tables straight from the firm types (or the joint
 rows): D_s, p_s * W_s(q) and each cap's safe price. The sweeps, single
 auctions (`Analysis.welfare`, `Analysis.safe_welfare`), sell-out
-probabilities and the certificates are lookups on those arrays, and the
-equilibrium search reads its price grid, type weights and cost list from
-them.
+probabilities, `evaluate`'s per-scenario welfares and the certificates are
+lookups on those arrays, and the equilibrium search reads its price grid,
+type weights and cost list from them.
 
 Where code lives: run without cached bytecode (`PYTHONDONTWRITEBYTECODE`),
 each process compiles every module it imports from source. Every

@@ -1,6 +1,10 @@
 """Slow reference constructions that the tests check the package against,
 and the small builders only tests use.
 
+`run_auction` clears one scenario's Fraction bids and values its welfare
+unit by unit (`welfare_of`); it is the reference that the package's
+integer tables and integer clearing are checked against.
+
 Not a test module (pytest collects only `test_*.py`); the test modules
 import it by name, since pytest puts this directory on `sys.path`.
 """
@@ -8,6 +12,7 @@ import it by name, since pytest puts this directory on `sys.path`.
 import itertools
 import math
 from fractions import Fraction
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from capauction import (
@@ -21,14 +26,14 @@ from capauction import (
     QuadraticCost,
     StrategyProfile,
     ValidationError,
-    best_own_quantity,
-    enumerate_scenarios,
     rat,
-    run_auction,
     safe_price,
 )
+from capauction.auction import clear_valid
+from capauction.bounds import best_own_quantity
 from capauction.equilibrium import _GridGame
 from capauction.model import REPEAT_LAST, ZERO
+from capauction.tables import DEFAULT_SCENARIO_LIMIT, _check_scenario_limit, _per_scenario
 
 
 def quadratic(a) -> QuadraticCost:
@@ -37,6 +42,100 @@ def quadratic(a) -> QuadraticCost:
 
 def cost_table(*values, extension: str = REPEAT_LAST) -> MarginalCostTable:
     return MarginalCostTable(tuple(rat(v) for v in values), extension)
+
+
+def value_of(valuation: MarginalVector, x: int) -> Fraction:
+    """Total value of x licenses (prefix sum; zero beyond the list)."""
+    if x <= 0:
+        return ZERO
+    return sum(valuation.marginals[: min(x, len(valuation.marginals))], ZERO)
+
+
+def welfare_of(
+    valuations: Sequence[MarginalVector],
+    allocation: Sequence[int],
+    cost: CostCurve,
+) -> Fraction:
+    """Aggregate firm value minus social cost for a concrete allocation."""
+    if len(valuations) != len(allocation):
+        raise ValidationError(
+            f"allocation covers {len(allocation)} firms, market has {len(valuations)}"
+        )
+    for i, x in enumerate(allocation):
+        if x < 0:
+            raise ValidationError(f"allocation[{i}] is negative")
+    total = sum(allocation)
+    value = sum((value_of(v, x) for v, x in zip(valuations, allocation)), ZERO)
+    return value - cost.cost(total)
+
+
+class Outcome(NamedTuple):
+    """Realized allocation, uniform price, and which constraint bound."""
+
+    allocation: tuple[int, ...]
+    unit_price: Fraction
+    case: str
+    welfare: Fraction
+    revenue: Fraction
+
+
+def clear(
+    params: AuctionParams,
+    bids: list[MarginalVector] | tuple[MarginalVector, ...],
+) -> tuple[tuple[int, ...], Fraction, str]:
+    """`auction.clear_valid` on bids it first checks."""
+    for i, b in enumerate(bids):
+        problems = b.violations(f"bids[{i}]")
+        if problems:
+            raise ValidationError("; ".join(problems))
+    return clear_valid(params, bids)
+
+
+def run_auction(
+    params: AuctionParams,
+    bids: list[MarginalVector] | tuple[MarginalVector, ...],
+    cost: CostCurve,
+    true_values: list[MarginalVector] | tuple[MarginalVector, ...] | None = None,
+) -> Outcome:
+    """Clear the auction on reported bids; value welfare at true curves.
+
+    Allocation and price depend only on the bids (see `clear`); welfare is
+    evaluated at `true_values` (defaults to the bids, i.e. truthful
+    reporting) by `welfare_of`, unit by unit, not from the package's tables.
+    """
+    bids = tuple(bids)
+    allocation, price, case = clear(params, bids)
+    truths = bids if true_values is None else tuple(true_values)
+    if len(truths) != len(bids):
+        raise ValidationError(
+            f"{len(truths)} true valuations for {len(bids)} bid vectors"
+        )
+    return Outcome(
+        allocation=allocation,
+        unit_price=price,
+        case=case,
+        welfare=welfare_of(truths, allocation, cost),
+        revenue=price * sum(allocation),
+    )
+
+
+class ScenarioRow(NamedTuple):
+    probability: Fraction
+    valuations: tuple[MarginalVector, ...]
+
+
+def enumerate_scenarios(
+    instance: MarketInstance, limit: int = DEFAULT_SCENARIO_LIMIT
+) -> tuple[ScenarioRow, ...]:
+    """Materialize the scenario space with exact probabilities, in the
+    package's scenario order. Raises TooLargeError before materializing
+    anything bigger than `limit`."""
+    factors = _check_scenario_limit(instance, limit)
+    return tuple(map(
+        ScenarioRow,
+        _per_scenario(([p for p, _ in types] for types in factors), Fraction(1), mul),
+        _per_scenario(([vs for _, vs in types] for types in factors), (), add),
+    ))
 
 
 def combined_valuation(valuations: Sequence[MarginalVector], x: int) -> Fraction:
@@ -144,13 +243,13 @@ def satisfies_no_overbidding(
     additionally dominates marginal by marginal."""
     if strict:
         for j, b in enumerate(report.marginals, start=1):
-            if b > truth.value(j) - truth.value(j - 1):
+            if b > value_of(truth, j) - value_of(truth, j - 1):
                 return False
         return True
     running = ZERO
     for j, b in enumerate(report.marginals, start=1):
         running += b
-        if running > truth.value(j):
+        if running > value_of(truth, j):
             return False
     return True
 
@@ -197,7 +296,7 @@ def eager_report(
                     bids = [strategy[k] for strategy, k in zip(others, types)]
                     out = run_auction(params, bids[:i] + [report] + bids[i:], instance.cost)
                     won = out.allocation[i]
-                    got[report] += prob * (truth.value(won) - out.unit_price * won)
+                    got[report] += prob * (value_of(truth, won) - out.unit_price * won)
         return memo[key]
 
     profiles, welfares, rows = [], [], []

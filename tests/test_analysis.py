@@ -17,7 +17,6 @@ from capauction import (
     ValidationError,
     demand_quantile_cap,
     demand_reduction,
-    enumerate_scenarios,
     first_best,
     generate,
     logscale,
@@ -25,14 +24,22 @@ from capauction import (
     optimize_cap_and_price,
     optimize_safe,
     price_candidates,
-    run_auction,
     scale_weight,
     sell_out_probability,
     single_buyer_expected,
     verify_ceiling_removal,
 )
 from capauction.analysis import Candidate
-from oracles import cost_table, expected_welfare, make_safe_auction, quadratic, scenario_product
+from oracles import (
+    cost_table,
+    enumerate_scenarios,
+    expected_welfare,
+    make_safe_auction,
+    quadratic,
+    run_auction,
+    scenario_product,
+    value_of,
+)
 
 mv = MarginalVector.of
 BETA5 = scale_weight(5)
@@ -267,7 +274,7 @@ class TestSingleBuyerExpected:
         assert single_buyer_expected(Analysis(m)) == 0
 
     def test_dominates_each_fixed_firm(self):
-        from capauction import best_own_quantity
+        from capauction.bounds import best_own_quantity
 
         for seed in range(10):
             m = generate(seed, firms=3, scenarios_per_firm=2, max_units=3)
@@ -323,7 +330,7 @@ class TestBruteForceOracle:
                     for _, firm in pool[:cap]:
                         alloc[firm] += 1
                 value = sum(
-                    (v.value(x) for v, x in zip(row.valuations, alloc)), F(0)
+                    (value_of(v, x) for v, x in zip(row.valuations, alloc)), F(0)
                 )
                 total += row.probability * (value - m.cost.cost(sum(alloc)))
             return total

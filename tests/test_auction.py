@@ -15,20 +15,21 @@ from capauction import (
     AuctionParams,
     MarginalVector,
     ValidationError,
-    best_own_quantity,
-    clear,
     demand_reduction,
     logscale,
     price_candidates,
-    run_auction,
-    welfare_of,
 )
+from capauction.bounds import best_own_quantity
 from oracles import (
+    clear,
     combined_valuation,
     cost_table,
     make_safe_auction,
     quadratic,
+    run_auction,
     single_buyer_mechanism,
+    value_of,
+    welfare_of,
 )
 
 mv = MarginalVector.of
@@ -292,7 +293,7 @@ class TestSingleBuyer:
     def test_matches_bruteforce(self, truths, a):
         cost = quadratic(a)
         out = single_buyer_mechanism(truths, cost)
-        brute = max(v.value(x) - cost.cost(x) for v in truths for x in range(0, 6))
+        brute = max(value_of(v, x) - cost.cost(x) for v in truths for x in range(0, 6))
         assert out.welfare == brute  # x = 0 is in the brute range, so brute >= 0
 
     def test_best_own_quantity_scans_increments(self):

@@ -18,12 +18,10 @@ from capauction import (
     decompose_welfare,
     demand_quantile_cap,
     demand_reduction,
-    enumerate_scenarios,
     generate,
     logscale,
     one_minus_inv_e,
     price_candidates,
-    run_auction,
     safe_price,
     single_buyer_expected,
     verify_ceiling_removal,
@@ -35,7 +33,15 @@ from capauction import (
     worst_price_gap,
 )
 from capauction.model import ERROR_BEYOND, MarginalCostTable
-from oracles import cost_table, expected_welfare, quadratic, single_buyer_mechanism
+from oracles import (
+    cost_table,
+    enumerate_scenarios,
+    expected_welfare,
+    quadratic,
+    run_auction,
+    single_buyer_mechanism,
+    value_of,
+)
 
 mv = MarginalVector.of
 
@@ -296,9 +302,9 @@ class TestDecomposeWelfare:
             thresholds = [v.demand(reference) for v in row.valuations]
             above = [min(x, theta) for x, theta in zip(outcome.allocation, thresholds)]
             below = [x - a for x, a in zip(outcome.allocation, above)]
-            above_value = sum((v.value(a) for v, a in zip(row.valuations, above)), F(0))
+            above_value = sum((value_of(v, a) for v, a in zip(row.valuations, above)), F(0))
             below_value = sum(
-                (v.value(theta + b) - v.value(theta)
+                (value_of(v, theta + b) - value_of(v, theta)
                  for v, b, theta in zip(row.valuations, below, thresholds)),
                 F(0),
             )

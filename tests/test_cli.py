@@ -1,15 +1,26 @@
 """Exit codes and printed results of the command-line surface."""
 
+import contextlib
+import csv
+import io
 import json
+import tempfile
 from collections import Counter
+from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capauction import analysis, auction, bounds, cli, equilibrium
+from capauction.auction import FLOOR_BINDS, HIGHEST_LOSING, LOWEST_WINNING, price_candidates
 from capauction.cli import main
 from capauction.instances import demand_reduction, generate, logscale
 from capauction.io import display, save_instance
+from capauction.model import validate
 
+from oracles import enumerate_scenarios, run_auction
+from test_analysis import markets
 from test_io import BOOLEAN, LABEL, MALFORMED, malformed_file
 
 
@@ -50,6 +61,18 @@ def test_evaluate_rejects_firms_beside_a_joint_table(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: instance: give either 'firms' or 'joint_scenarios', not both\n"
+
+
+def test_evaluate_rejects_a_ceiling_an_unbounded_cap_ignores(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    save_instance(demand_reduction(), path)
+    argv = ["evaluate", str(path), "--cap", "unbounded", "--floor", "0", "--ceiling", "5"]
+    assert main([*argv, "--out", str(tmp_path / "report.csv")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: an unbounded cap never reaches a ceiling; it takes no --ceiling\n"
+    assert not (tmp_path / "report.csv").exists()
+    assert main([*argv[:-1], "inf"]) == 0  # no ceiling is still fine
 
 
 # An "error"-extension cost table covers quantities 0..2 only, while
@@ -227,7 +250,7 @@ def test_equilibrium_reports_malformed_arguments_before_the_scenario_limit(
     assert err == f"error: {message}\n"
 
 
-def test_evaluate_reads_sell_out_from_its_outcomes(tmp_path, capsys, monkeypatch):
+def test_evaluate_reads_sell_out_from_its_outcomes(tmp_path, capsys):
     cases = [
         (seed, cap, floor, ceiling, pricing)
         for seed in range(3)
@@ -245,10 +268,6 @@ def test_evaluate_reads_sell_out_from_its_outcomes(tmp_path, capsys, monkeypatch
             analysis.sell_out_probability(analysis.Analysis(m), params)
         )
 
-    def no_analysis(*args):
-        raise AssertionError("evaluate built an Analysis")
-
-    monkeypatch.setattr(analysis, "Analysis", no_analysis)
     for (seed, cap, floor, ceiling, pricing), want in expected.items():
         path = tmp_path / f"random-{seed}.json"
         save_instance(generate(seed), path)
@@ -256,6 +275,55 @@ def test_evaluate_reads_sell_out_from_its_outcomes(tmp_path, capsys, monkeypatch
                 "--pricing", pricing]
         assert main(argv) == 0
         assert f"\nsell-out probability: {want}\n" in capsys.readouterr().out
+
+
+@given(
+    m=markets().filter(lambda m: not validate(m)),  # a file holds no zero-probability type
+    cap=st.none() | st.integers(1, 6),
+    floor_index=st.integers(0, 30),
+    off_grid=st.sampled_from((F(0), F(1, 2))),
+    ceiling_gap=st.none() | st.sampled_from((F(1, 2), F(1), F(3))),
+    pricing=st.sampled_from((LOWEST_WINNING, HIGHEST_LOSING)),
+)
+@settings(max_examples=120, deadline=None)
+def test_evaluate_matches_the_oracle(m, cap, floor_index, off_grid, ceiling_gap, pricing):
+    """Every CSV row and printed expectation of `evaluate`, read from the
+    integer tables, equals `run_auction` on the Fraction scenario rows."""
+    grid = price_candidates(m)
+    floor = grid[floor_index % len(grid)] + off_grid
+    ceiling = None if ceiling_gap is None or cap is None else floor + ceiling_gap
+    with tempfile.TemporaryDirectory() as scratch:
+        path, report = Path(scratch) / "instance.json", Path(scratch) / "report.csv"
+        save_instance(m, path)
+        argv = ["evaluate", str(path), "--cap", "unbounded" if cap is None else str(cap),
+                "--floor", str(floor), "--ceiling", "inf" if ceiling is None else str(ceiling),
+                "--pricing", pricing, "--out", str(report)]
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert main(argv) == 0
+        rows = list(csv.DictReader(report.open(encoding="utf-8")))
+    params = auction.AuctionParams(cap, floor, ceiling, pricing)
+    scenarios = enumerate_scenarios(m)
+    outcomes = [run_auction(params, row.valuations, m.cost) for row in scenarios]
+    assert [
+        (F(r["probability"]), r["allocation"], F(r["unit_price"]), r["case"], F(r["welfare"]),
+         F(r["revenue"]))
+        for r in rows
+    ] == [
+        (row.probability, "|".join(map(str, o.allocation)), o.unit_price, o.case, o.welfare,
+         o.revenue)
+        for row, o in zip(scenarios, outcomes)
+    ]
+    pairs = list(zip(scenarios, outcomes))
+    welfare = sum((row.probability * o.welfare for row, o in pairs), F(0))
+    revenue = sum((row.probability * o.revenue for row, o in pairs), F(0))
+    sold_out = sum((row.probability for row, o in pairs if o.case != FLOOR_BINDS), F(0))
+    lines = printed.getvalue().splitlines()
+    assert lines[2:4] == [f"expected welfare: {display(welfare)}",
+                          f"expected revenue: {display(revenue)}"]
+    assert [line for line in lines if line.startswith("sell-out")] == (
+        [] if cap is None else [f"sell-out probability: {display(sold_out)}"]
+    )
 
 
 def test_verify_all_enumerates_once(tmp_path, capsys, monkeypatch):
@@ -269,35 +337,17 @@ def test_verify_all_enumerates_once(tmp_path, capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    names = ("enumerate_scenarios", "run_auction", "optimize_safe", "optimize_cap_and_price")
-    for name in names:
+    for name in ("optimize_safe", "optimize_cap_and_price"):
         for module in (analysis, auction, bounds, cli, equilibrium):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert main(["verify", str(path), "--which", "all"]) == 0
-    # Every certificate reads the integer tables: no scenario is enumerated
-    # as Fractions or cleared by the auction oracle. thmq and main each
+    # The no-ceiling optimum is searched once and cached; thmq and main each
     # search the safe auctions.
     assert calls == {
         ("optimize_safe", None): 2,
         ("optimize_cap_and_price", False): 1,
     }
-
-
-@pytest.mark.parametrize("options", [
-    [], ["--no-ceiling"], ["--safe-only"], ["--cap-limit", "2"], ["--out", "report.csv"],
-])
-def test_optimize_enumerates_no_scenarios(tmp_path, monkeypatch, capsys, options):
-    path = tmp_path / "g.json"
-    save_instance(generate(3), path)
-
-    def enumerate_scenarios(*args):
-        raise AssertionError("optimize enumerated the scenario table")
-
-    monkeypatch.setattr(analysis, "enumerate_scenarios", enumerate_scenarios)
-    monkeypatch.chdir(tmp_path)
-    assert main(["optimize", str(path), *options]) == 0
-    assert "expected welfare: " in capsys.readouterr().out
 
 
 @pytest.fixture

@@ -31,7 +31,6 @@ from capauction import (
     generate,
     logscale,
     price_candidates,
-    run_auction,
     save_instance,
 )
 from capauction import equilibrium, tables
@@ -45,8 +44,10 @@ from oracles import (
     expected_welfare,
     make_safe_auction,
     quadratic,
+    run_auction,
     satisfies_no_overbidding,
     scenario_product,
+    value_of,
 )
 from test_analysis import markets
 from test_golden import EQUILIBRIUM_CASES
@@ -412,7 +413,7 @@ def _direct_utility(instance, params, reports, firm, type_index, report):
         bids = [report if j == firm else reports[j][t] for j, t in enumerate(types)]
         out = run_auction(params, bids, instance.cost)
         won = out.allocation[firm]
-        total += prob * (truth.value(won) - out.unit_price * won)
+        total += prob * (value_of(truth, won) - out.unit_price * won)
     return total
 
 

@@ -127,9 +127,9 @@ LIMIT_CASES = {
 }
 
 # An "error"-extension cost table of two marginals, while total demand
-# reaches 5: each path that reads further names the quantity at which it
-# found the table short, and a path that sells and prices at most two
-# units succeeds.
+# reaches 5: each path that reads further tabulates the cost before it
+# prints anything and names quantity 3, the first the table lacks, and a
+# path that sells and prices at most two units succeeds.
 SHORT_TABLE = MarketInstance(
     firms=(
         FirmDistribution.point_mass(mv(9, 8, 7)),
@@ -145,6 +145,8 @@ SHORT_TABLE_CASES = {
     "verify-decomp-cap-3-floor-0": ["verify", "--which", "decomp", "--cap", "3", "--floor", "0"],
     "verify-main": ["verify", "--which", "main"],
     "evaluate-cap-2-floor-5": ["evaluate", "--cap", "2", "--floor", "5"],
+    # Sells five units in one scenario.
+    "evaluate-cap-5-floor-0": ["evaluate", "--cap", "5", "--floor", "0"],
     # No bid reaches the floor, but a search may sell up to the cap: the
     # table fails before any profile is searched or printed.
     "equilibrium-cap-3-floor-100": ["equilibrium", "--cap", "3", "--floor", "100"],
@@ -247,7 +249,7 @@ def test_recorded_short_cost_table_errors():
             assert result["rc"] == 0 and result["stderr"] == "" and result["csv"], case
             continue
         assert result["rc"] == 1 and result["stdout"] == "" and result["csv"] is None, case
-        assert "beyond cost table of length 2" in result["stderr"], case
+        assert "quantity 3 beyond cost table of length 2" in result["stderr"], case
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))

@@ -13,12 +13,12 @@ from capauction import (
     ValidationError,
     demand_reduction,
     dumps_instance,
-    enumerate_scenarios,
     generate,
     load_instance,
     loads_instance,
 )
 from capauction.model import ERROR_BEYOND, MarginalCostTable
+from oracles import enumerate_scenarios
 
 QUADRATIC = {"kind": "quadratic", "a": "1"}
 FIRM = {"scenarios": [{"prob": "1", "marginals": ["9", "1"]}]}

@@ -14,10 +14,9 @@ from capauction import (
     ValidationError,
     rat,
     validate,
-    welfare_of,
 )
 from capauction.model import ERROR_BEYOND
-from oracles import combined_valuation, cost_table, quadratic
+from oracles import combined_valuation, cost_table, quadratic, value_of, welfare_of
 
 mv = MarginalVector.of
 
@@ -57,14 +56,14 @@ class TestRat:
 
 class TestValueAt:
     def test_flat_marginals(self):
-        assert mv(10, 10).value(2) == 20
+        assert value_of(mv(10, 10), 2) == 20
 
     def test_zero_units_is_zero(self):
-        assert mv(10, 10).value(0) == 0
-        assert MarginalVector(()).value(0) == 0
+        assert value_of(mv(10, 10), 0) == 0
+        assert value_of(MarginalVector(()), 0) == 0
 
     def test_beyond_list_is_flat(self):
-        assert mv(6, 1).value(5) == 7
+        assert value_of(mv(6, 1), 5) == 7
 
 
 class TestDemand:
@@ -99,7 +98,7 @@ class TestDemand:
 class TestConcavityConvexity:
     @given(marginal_vectors(), st.integers(1, 8))
     def test_values_concave(self, v, x):
-        assert v.value(x + 1) - v.value(x) <= v.value(x) - v.value(x - 1)
+        assert value_of(v, x + 1) - value_of(v, x) <= value_of(v, x) - value_of(v, x - 1)
 
     @given(convex_tables(), st.integers(1, 10))
     def test_costs_convex(self, q, x):
@@ -127,7 +126,7 @@ class TestCombinedValuation:
     )
     def test_greedy_matches_partition_maximum(self, vs, x):
         best = max(
-            sum((v.value(y) for v, y in zip(vs, split)), F(0))
+            sum((value_of(v, y) for v, y in zip(vs, split)), F(0))
             for split in itertools.product(range(x + 1), repeat=len(vs))
             if sum(split) == x
         )

@@ -20,13 +20,13 @@ from capauction import (
     demand_reduction,
     generate,
 )
-from capauction.analysis import Analysis, enumerate_scenarios, optimize_cap_and_price
+from capauction.analysis import Analysis, optimize_cap_and_price
 from capauction.bounds import verify_sellout_factor
 from capauction.cli import build_parser
 from capauction.equilibrium import find_grid_equilibria
 from capauction.instances import NAMED_INSTANCES
 from capauction.io import save_instance
-from oracles import quadratic
+from oracles import enumerate_scenarios, quadratic
 
 SRC = str(Path(capauction.__file__).resolve().parent.parent)
 
@@ -56,6 +56,7 @@ def test_cli_import_loads_no_subcommand_module():
 # loads `capauction.cli` as a module: `python -m` runs it as `__main__`, so
 # importing it again would compile it a second time.
 NOT_LOADED_BY = {
+    "evaluate": ("bounds", "equilibrium", "instances", "cli"),
     "optimize": ("bounds", "equilibrium", "instances", "cli"),
     "verify": ("equilibrium", "instances", "cli"),
     "equilibrium": ("analysis", "bounds", "instances", "cli"),
@@ -86,6 +87,7 @@ def _loaded_by(tmp_path, argv) -> list[str]:
 
 
 @pytest.mark.parametrize("argv", [
+    ["evaluate", "--cap", "2", "--floor", "9"],
     ["optimize", "--out", "report.csv"],
     ["optimize", "--no-ceiling"],
     ["verify", "--which", "all"],
@@ -235,6 +237,26 @@ def test_every_package_definition_is_read_by_package_code():
             if not any(statement.name in _loads(s) for s in statements if s is not statement):
                 unread.append(f"{name}: {statement.name}")
     assert unread == []
+
+
+# The Fraction clearing oracle and the scenario rows it clears, which live
+# in the tests (`oracles.py`): the package clears through
+# `auction.clear_valid` alone and reads welfare from the integer tables.
+ORACLE_ONLY = {
+    "run_auction", "clear", "Outcome", "welfare_of", "enumerate_scenarios", "ScenarioRow",
+}
+
+
+def test_no_package_module_defines_the_clearing_oracle():
+    defined = {
+        (name, statement.name)
+        for name, tree in _parsed(PACKAGE).items()
+        for statement in ast.walk(tree)
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert {(name, d) for name, d in defined if d in ORACLE_ONLY} == set()
+    assert not hasattr(MarginalVector, "value") and not hasattr(MarginalVector, "require_valid")
+    assert set(capauction.__all__) & (ORACLE_ONLY | {"best_own_quantity"}) == set()
 
 
 def test_every_package_method_is_read_by_package_code():

@@ -19,12 +19,24 @@ are in `io`, not here: `python -m capauction.cli` runs this module as
 `__main__`, and importing it again would compile it twice. Every
 subcommand but `examples` and `generate` reads the integer tables of
 `tables.Analysis`.
+
+What a process builds and tears down: `build_parser(argv)` registers all
+six subcommands by name and help line, so usage, --help and error text are
+those of the whole parser, but adds arguments only to the subcommand that
+`argv[0]` names (to all six when it names none). The `__main__` block runs
+`main` with the cyclic garbage collector off and then freezes every
+object: the process exits next, and the full collections at interpreter
+shutdown skip frozen objects. atexit handlers, stream flushes and module
+teardown still run. `main` called from Python leaves the collector as it
+was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
+from collections.abc import Sequence
 
 from .auction import HIGHEST_LOSING, LOWEST_WINNING
 from .model import MarketError, TooLargeError, ValidationError
@@ -71,38 +83,34 @@ def cmd_generate(args) -> int:
     return cmd_generate(args)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="capauction",
-        description="Capped uniform-price license auctions: simulate, optimize, verify.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, profile=False):
+    p.add_argument("--out", help="write the CSV report here")
+    p.add_argument("--scenario-limit", type=int, default=DEFAULT_SCENARIO_LIMIT)
+    if profile:
+        p.add_argument("--profile-limit", type=int, default=DEFAULT_PROFILE_LIMIT)
 
-    def common(p, profile=False):
-        p.add_argument("--out", help="write the CSV report here")
-        p.add_argument("--scenario-limit", type=int, default=DEFAULT_SCENARIO_LIMIT)
-        if profile:
-            p.add_argument("--profile-limit", type=int, default=DEFAULT_PROFILE_LIMIT)
 
-    p = sub.add_parser("evaluate", help="expected welfare of fixed parameters")
+def _evaluate_arguments(p):
     p.add_argument("instance")
     p.add_argument("--cap", required=True, help="positive integer or 'unbounded'")
     p.add_argument("--floor", required=True)
     p.add_argument("--ceiling", default="inf")
     p.add_argument("--pricing", choices=(LOWEST_WINNING, HIGHEST_LOSING),
                    default=LOWEST_WINNING)
-    common(p)
+    _common(p)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("optimize", help="exhaustive search for the best parameters")
+
+def _optimize_arguments(p):
     p.add_argument("instance")
     p.add_argument("--no-ceiling", action="store_true")
     p.add_argument("--safe-only", action="store_true")
     p.add_argument("--cap-limit", type=int)
-    common(p)
+    _common(p)
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("equilibrium", help="enumerate grid equilibria")
+
+def _equilibrium_arguments(p):
     p.add_argument("instance")
     p.add_argument("--cap", required=True)
     p.add_argument("--floor", required=True)
@@ -111,10 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default="0")
     p.add_argument("--strict-overbidding", action="store_true",
                    help="dominate marginal by marginal instead of prefix sums")
-    common(p, profile=True)
+    _common(p, profile=True)
     p.set_defaults(func=cmd_equilibrium)
 
-    p = sub.add_parser("verify", help="check the welfare guarantees")
+
+def _verify_arguments(p):
     p.add_argument("instance")
     p.add_argument("--which", choices=VERIFY_CHECKS, default="all")
     p.add_argument("--cap")
@@ -125,17 +134,19 @@ def build_parser() -> argparse.ArgumentParser:
                         f"also the largest quantity of the unsafe scan (default {DEFAULT_GAP_LIMIT})")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when a certificate fails")
-    common(p)
+    _common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("examples", help="emit a built-in instance file")
+
+def _examples_arguments(p):
     p.add_argument("name", choices=EXAMPLES)
     p.add_argument("-n", type=int, help="scenario count for the scaled families (default 5)")
     p.add_argument("--horizon", type=int, help="marginal-list truncation for first-best")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_examples)
 
-    p = sub.add_parser("generate", help="seeded random instance")
+
+def _generate_arguments(p):
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--firms", type=int, default=2)
     p.add_argument("--scenarios", type=int, default=2)
@@ -145,11 +156,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
+
+# Each subcommand's name, help line and arguments, in the order --help lists them.
+SUBCOMMANDS = {
+    "evaluate": ("expected welfare of fixed parameters", _evaluate_arguments),
+    "optimize": ("exhaustive search for the best parameters", _optimize_arguments),
+    "equilibrium": ("enumerate grid equilibria", _equilibrium_arguments),
+    "verify": ("check the welfare guarantees", _verify_arguments),
+    "examples": ("emit a built-in instance file", _examples_arguments),
+    "generate": ("seeded random instance", _generate_arguments),
+}
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for `argv`. Every subcommand is registered by name and
+    help, but only the one `argv[0]` names gets its arguments, or all of
+    them when it names none; the other subparsers are never read."""
+    parser = argparse.ArgumentParser(
+        prog="capauction",
+        description="Capped uniform-price license auctions: simulate, optimize, verify.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    for name, (summary, add_arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if named in (None, name):
+            add_arguments(p)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except TooLargeError as exc:
@@ -161,4 +200,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # The process ends when `main` returns: run it without the cyclic
+    # collector, then freeze every object, so that the full collections at
+    # interpreter shutdown find nothing to walk.
+    gc.disable()
+    try:
+        status = main()
+    finally:
+        gc.freeze()
+    sys.exit(status)

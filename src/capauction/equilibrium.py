@@ -231,25 +231,9 @@ class _GridGame:
         got = self._candidates.get(key)
         if got is not None:
             return got
-        values = self.values[firm][type_index]
-        length = len(values) - 1
-        levels, strict = self.levels, self.strict
+        levels = self.levels
         walked = []
-        chosen = []
-
-        def walk(position: int, top: int, spent: int) -> None:
-            if position == length:
-                walked.append(tuple(chosen))
-                return
-            bound = values[position + 1] - (values[position] if strict else spent)
-            for k in range(top + 1):
-                if levels[k] > bound:
-                    break
-                chosen.append(k)
-                walk(position + 1, k, spent + levels[k])
-                chosen.pop()
-
-        walk(0, len(levels) - 1, 0)
+        _walk(self.values[firm][type_index], levels, self.strict, walked, [], len(levels) - 1, 0)
         for indices in walked:
             if indices not in self._ids:
                 self._ids[indices] = len(self._vectors)
@@ -301,6 +285,25 @@ class _GridGame:
                 got = cached[bids] = value - self.costs[sum(allocation)]
             total += weight * got
         return total
+
+
+def _walk(values, levels, strict, walked, chosen, top, spent) -> None:
+    """Append to `walked`, depth first with ascending levels, every
+    non-increasing extension of `chosen` (grid indices, at most `top`)
+    to the bid length that keeps no-overbidding against the true values;
+    `spent` is the sum of the chosen levels. A module function, so the
+    recursion leaves no reference cycle behind for the collector."""
+    position = len(chosen)
+    if position == len(values) - 1:
+        walked.append(tuple(chosen))
+        return
+    bound = values[position + 1] - (values[position] if strict else spent)
+    for k in range(top + 1):
+        if levels[k] > bound:
+            break
+        chosen.append(k)
+        _walk(values, levels, strict, walked, chosen, k, spent + levels[k])
+        chosen.pop()
 
 
 def _checked_epsilon(epsilon: Fraction | int | str, profile_limit: int) -> Fraction:

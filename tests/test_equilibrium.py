@@ -1,6 +1,7 @@
 """Grid strategies, interim utilities and equilibrium enumeration, checked
 against brute-force oracles that clear every auction with run_auction."""
 
+import gc
 import itertools
 import math
 import random
@@ -588,12 +589,15 @@ def _golden_searches():
         yield case, instance, params, args.epsilon, args.strict_overbidding
 
 
+GOLDEN_SEARCHES = list(_golden_searches())
+
+
 class TestLazyReport:
     """The report builds `profiles`, `welfares` and `utilities` on first
     read; each equals the field the eager oracle builds as it searches."""
 
     SEARCHES = [
-        *_golden_searches(),
+        *GOLDEN_SEARCHES,
         *(
             (f"demand-reduction-cap-{cap}-floor-{floor}-{pricing}-epsilon-{epsilon}", MARKET,
              AuctionParams(cap, floor, None, pricing), epsilon, strict)
@@ -641,6 +645,25 @@ class TestLazyReport:
         assert main([*argv, "--out", "report.csv"]) == 0
         assert set(built) == {"profiles", "welfares", "utilities"}
         assert capsys.readouterr().out == printed + "report written to report.csv\n"
+
+
+@pytest.mark.parametrize("case, instance, params, epsilon, strict", GOLDEN_SEARCHES,
+                         ids=[case for case, *_ in GOLDEN_SEARCHES])
+def test_a_search_leaves_no_cyclic_garbage(case, instance, params, epsilon, strict):
+    """A CLI process searches with the collector off, so everything a
+    search drops must be freed by reference counts alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        analysis = Analysis(instance)
+        report = find_grid_equilibria(analysis, params, epsilon, strict)
+        report.profiles, report.welfares, report.utilities
+        if params.floor == analysis.safe_price(params.cap):
+            check_poa_bound(analysis, report)
+        del analysis, report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestPerScenarioSafety:

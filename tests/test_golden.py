@@ -8,7 +8,11 @@ COMMAND_CASES (`examples` and `generate` with the instance file each writes)
 and LIMIT_CASES (exit 2 over --scenario-limit) are recorded in
 tests/golden/commands.json, and SHORT_TABLE_CASES (`verify`, `evaluate` and
 `equilibrium` on a cost table shorter than the demand) in
-tests/golden/short-cost-table.json.
+tests/golden/short-cost-table.json. PARSER_CASES (help, usage and argument
+errors, which the parser prints before any subcommand runs) are recorded in
+tests/golden/parser-py<major>.<minor>.json, since argparse's wording and
+layout vary with the Python version. PROCESS_CASES replay some of these
+recordings in `python -m capauction.cli` processes.
 After a change that is meant to alter output, re-record with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -19,6 +23,7 @@ import csv
 import io
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -35,10 +40,12 @@ from capauction import (
     logscale,
     save_instance,
 )
+from capauction import cli
 from capauction.cli import main
 from oracles import cost_table, quadratic
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = str(Path(cli.__file__).resolve().parent.parent)
 
 mv = MarginalVector.of
 
@@ -153,7 +160,50 @@ SHORT_TABLE_CASES = {
 }
 
 
-def run_in(directory: Path, argv: list[str], written: str) -> dict:
+# What the parser prints and exits with before any handler runs; --help
+# text wraps at the terminal width, so these run with COLUMNS fixed.
+PARSER_CASES = {
+    "help": ["--help"],
+    **{
+        f"{command}-help": [command, "--help"]
+        for command in ("evaluate", "optimize", "equilibrium", "verify", "examples", "generate")
+    },
+    "unknown-command": ["bogus", "x.json"],
+    "equilibrium-missing-floor": ["equilibrium", "x.json", "--cap", "2"],
+    "equilibrium-bad-pricing": [
+        "equilibrium", "x.json", "--cap", "2", "--floor", "1", "--pricing", "cheapest",
+    ],
+}
+PARSER_COLUMNS = "80"
+PARSER_GOLDEN = f"parser-py{sys.version_info[0]}.{sys.version_info[1]}"
+
+
+def in_process(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `main(argv)`; the parser's own exits
+    (help, usage errors) raise SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as stop:
+            rc = stop.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def in_a_process(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of a `python -m capauction.cli` process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "capauction.cli", *argv],
+                          env=env, capture_output=True)
+    return done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")
+
+
+def run_parser(argv: list[str]) -> dict:
+    """Exit code, stdout and stderr of a command the parser ends."""
+    return dict(zip(("rc", "stdout", "stderr"), in_process(argv)))
+
+
+def run_in(directory: Path, argv: list[str], written: str, run=in_process) -> dict:
     """Run one command in `directory` with relative paths, so no path varies.
     `written` is the --out file; its text is recorded under its suffix."""
     previous = Path.cwd()
@@ -161,20 +211,18 @@ def run_in(directory: Path, argv: list[str], written: str) -> dict:
     try:
         path = Path(written)
         path.unlink(missing_ok=True)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main([*argv, "--out", written])
+        rc, out, err = run([*argv, "--out", written])
         text = path.read_text(encoding="utf-8") if path.exists() else None
     finally:
         os.chdir(previous)
-    return {"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue(), path.suffix[1:]: text}
+    return {"rc": rc, "stdout": out, "stderr": err, path.suffix[1:]: text}
 
 
-def run_case(directory: Path, instance: MarketInstance, argv: list[str]) -> dict:
+def run_case(directory: Path, instance: MarketInstance, argv: list[str], run=in_process) -> dict:
     """Run one command on `instance`, saved as instance.json, with its CSV report."""
     command, *options = argv
     save_instance(instance, directory / "instance.json")
-    return run_in(directory, [command, "instance.json", *options], "report.csv")
+    return run_in(directory, [command, "instance.json", *options], "report.csv", run)
 
 
 def recorded(name: str) -> dict:
@@ -268,6 +316,73 @@ def test_certificate_verdicts_follow_their_sides(tmp_path, name):
                 assert (cert["holds"] == "pass") == (F(cert["lhs"]) >= F(cert["rhs"])), cert
 
 
+# Recorded cases replayed in a `python -m capauction.cli` process, whose
+# `__main__` block must print, write and exit as `main` does: one exit-0
+# case with --out per subcommand, then one exit 1 and one exit 2.
+PROCESS_CASES = {
+    "evaluate": ("random-0", "evaluate"),
+    "optimize": ("random-0", "optimize"),
+    "equilibrium": ("equilibrium", "random-5-small-safe"),
+    "verify": ("demand-reduction", "verify-all"),
+    "examples": ("commands", "examples-logscale"),
+    "generate": ("commands", "generate-quadratic"),
+    "exit-1": ("joint-3", "verify-all"),
+    "exit-2": ("commands", "optimize-scenario-limit"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROCESS_CASES))
+def test_cli_process_output_matches_recording(tmp_path, name):
+    golden, case = PROCESS_CASES[name]
+    if golden == "equilibrium":
+        instance, options = EQUILIBRIUM_CASES[case]
+        got = run_case(tmp_path, instance, ["equilibrium", *options], in_a_process)
+    elif case in COMMAND_CASES:
+        got = run_in(tmp_path, COMMAND_CASES[case], "instance.json", in_a_process)
+    elif case in LIMIT_CASES:
+        got = run_case(tmp_path, *LIMIT_CASES[case], in_a_process)
+    else:
+        got = run_case(tmp_path, INSTANCES[golden], CASES[case], in_a_process)
+    expected = recorded(golden)[case]
+    assert got == expected
+    assert expected["rc"] == {"exit-1": 1, "exit-2": 2}.get(name, 0)
+
+
+@pytest.fixture
+def parser_columns(monkeypatch):
+    monkeypatch.setenv("COLUMNS", PARSER_COLUMNS)
+
+
+@pytest.mark.parametrize("case", sorted(PARSER_CASES))
+def test_parser_output_matches_recording(parser_columns, case):
+    if not (GOLDEN / f"{PARSER_GOLDEN}.json").exists():
+        pytest.skip(f"no {PARSER_GOLDEN} recording; run this file to record one")
+    assert run_parser(PARSER_CASES[case]) == recorded(PARSER_GOLDEN)[case]
+
+
+@pytest.mark.parametrize("case", sorted(PARSER_CASES))
+def test_parser_for_one_subcommand_prints_as_the_whole_parser(parser_columns, monkeypatch, case):
+    """`main` builds the arguments of the named subcommand only; what the
+    parser prints must not tell."""
+    one = run_parser(PARSER_CASES[case])
+    whole = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: whole())
+    assert run_parser(PARSER_CASES[case]) == one
+
+
+def test_recorded_parser_exit_codes():
+    golden = recorded("parser-py3.11")
+    assert sorted(golden) == sorted(PARSER_CASES)
+    for case, result in golden.items():
+        if case.endswith("help"):
+            assert result["rc"] == 0 and result["stderr"] == "", case
+            assert result["stdout"].startswith("usage: capauction "), case
+        else:
+            assert result["rc"] == 2 and result["stdout"] == "", case
+            assert "capauction" in result["stderr"] and ": error: " in result["stderr"], case
+    assert "invalid choice: 'bogus'" in golden["unknown-command"]["stderr"]
+
+
 def test_joint_instance_has_no_single_buyer_cover():
     result = recorded("joint-3")["verify-all"]
     assert result["rc"] == 1 and result["stdout"] == "" and result["csv"] is None
@@ -301,6 +416,8 @@ if __name__ == "__main__":
             case: run_case(Path(scratch), SHORT_TABLE, argv)
             for case, argv in SHORT_TABLE_CASES.items()
         }
+    os.environ["COLUMNS"] = PARSER_COLUMNS
+    recordings[PARSER_GOLDEN] = {case: run_parser(argv) for case, argv in PARSER_CASES.items()}
     for name, results in recordings.items():
         text = json.dumps(results, indent=1, sort_keys=True) + "\n"
         (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")

@@ -4,6 +4,7 @@ names each module imports and defines."""
 
 import argparse
 import ast
+import gc
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from capauction import (
 )
 from capauction.analysis import Analysis, optimize_cap_and_price
 from capauction.bounds import verify_sellout_factor
-from capauction.cli import build_parser
+from capauction.cli import build_parser, main
 from capauction.equilibrium import find_grid_equilibria
 from capauction.instances import NAMED_INSTANCES
 from capauction.io import save_instance
@@ -67,14 +68,14 @@ NOT_LOADED_BY = {
 SWEEP_CODE = {"optimize_cap_and_price", "optimize_safe", "cmd_optimize", "cmd_evaluate"}
 
 
-def _loaded_by(tmp_path, argv) -> list[str]:
-    """The modules a `python -m capauction.cli` process running `argv` on
-    demand_reduction has loaded when it exits."""
+def _at_exit(tmp_path, argv, expression: str) -> str:
+    """What `expression` reads at exit, by an atexit hook, in a
+    `python -m capauction.cli` process that runs `argv` on demand_reduction."""
     save_instance(demand_reduction(), tmp_path / "instance.json")
     command, *options = argv
     probe = (
-        "import atexit, runpy, sys\n"
-        "atexit.register(lambda: print(' '.join(sorted(sys.modules)), file=sys.stderr))\n"
+        "import atexit, gc, runpy, sys\n"
+        f"atexit.register(lambda: print({expression}, file=sys.stderr))\n"
         "sys.argv = ['capauction', *sys.argv[1:]]\n"
         "runpy.run_module('capauction.cli', run_name='__main__', alter_sys=True)\n"
     )
@@ -83,7 +84,31 @@ def _loaded_by(tmp_path, argv) -> list[str]:
         env=ENV, cwd=tmp_path, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
-    return done.stderr.split()
+    return done.stderr
+
+
+def _loaded_by(tmp_path, argv) -> list[str]:
+    """The modules a CLI process running `argv` has loaded when it exits."""
+    return _at_exit(tmp_path, argv, "' '.join(sorted(sys.modules))").split()
+
+
+def test_cli_process_exits_with_the_collector_off_and_its_objects_frozen(tmp_path):
+    state = _at_exit(tmp_path, ["equilibrium", "--cap", "2", "--floor", "9"],
+                     "gc.isenabled(), gc.get_freeze_count() > 0")
+    assert state == "False True\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_was(tmp_path, capsys, enabled):
+    save_instance(demand_reduction(), tmp_path / "instance.json")
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert main(["equilibrium", str(tmp_path / "instance.json"), "--cap", "2",
+                     "--floor", "9"]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,15 +20,15 @@ are in `io`, not here: `python -m capauction.cli` runs this module as
 subcommand but `examples` and `generate` reads the integer tables of
 `tables.Analysis`.
 
-What a process builds and tears down: `build_parser(argv)` registers all
-six subcommands by name and help line, so usage, --help and error text are
-those of the whole parser, but adds arguments only to the subcommand that
-`argv[0]` names (to all six when it names none). The `__main__` block runs
-`main` with the cyclic garbage collector off and then freezes every
-object: the process exits next, and the full collections at interpreter
-shutdown skip frozen objects. atexit handlers, stream flushes and module
-teardown still run. `main` called from Python leaves the collector as it
-was.
+How a process exits: the `capauction` console script and
+`python -m capauction.cli` both call `run`, which runs `main` with the
+cyclic garbage collector off and then freezes every object. The process
+exits next, and the full collections at interpreter shutdown skip frozen
+objects; atexit handlers, stream flushes and module teardown still run.
+Garbage in reference cycles then lives until the process exits, so a
+command must leave no more of it than its parser and, where it writes an
+instance file, the JSON encoder do, whatever the input size. `main`
+called from Python leaves the collector as it was.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from collections.abc import Sequence
 
 from .auction import HIGHEST_LOSING, LOWEST_WINNING
 from .model import MarketError, TooLargeError, ValidationError
@@ -83,34 +82,38 @@ def cmd_generate(args) -> int:
     return cmd_generate(args)
 
 
-def _common(p, profile=False):
-    p.add_argument("--out", help="write the CSV report here")
-    p.add_argument("--scenario-limit", type=int, default=DEFAULT_SCENARIO_LIMIT)
-    if profile:
-        p.add_argument("--profile-limit", type=int, default=DEFAULT_PROFILE_LIMIT)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="capauction",
+        description="Capped uniform-price license auctions: simulate, optimize, verify.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
 
+    def common(p, profile=False):
+        p.add_argument("--out", help="write the CSV report here")
+        p.add_argument("--scenario-limit", type=int, default=DEFAULT_SCENARIO_LIMIT)
+        if profile:
+            p.add_argument("--profile-limit", type=int, default=DEFAULT_PROFILE_LIMIT)
 
-def _evaluate_arguments(p):
+    p = sub.add_parser("evaluate", help="expected welfare of fixed parameters")
     p.add_argument("instance")
     p.add_argument("--cap", required=True, help="positive integer or 'unbounded'")
     p.add_argument("--floor", required=True)
     p.add_argument("--ceiling", default="inf")
     p.add_argument("--pricing", choices=(LOWEST_WINNING, HIGHEST_LOSING),
                    default=LOWEST_WINNING)
-    _common(p)
+    common(p)
     p.set_defaults(func=cmd_evaluate)
 
-
-def _optimize_arguments(p):
+    p = sub.add_parser("optimize", help="exhaustive search for the best parameters")
     p.add_argument("instance")
     p.add_argument("--no-ceiling", action="store_true")
     p.add_argument("--safe-only", action="store_true")
     p.add_argument("--cap-limit", type=int)
-    _common(p)
+    common(p)
     p.set_defaults(func=cmd_optimize)
 
-
-def _equilibrium_arguments(p):
+    p = sub.add_parser("equilibrium", help="enumerate grid equilibria")
     p.add_argument("instance")
     p.add_argument("--cap", required=True)
     p.add_argument("--floor", required=True)
@@ -119,11 +122,10 @@ def _equilibrium_arguments(p):
     p.add_argument("--epsilon", default="0")
     p.add_argument("--strict-overbidding", action="store_true",
                    help="dominate marginal by marginal instead of prefix sums")
-    _common(p, profile=True)
+    common(p, profile=True)
     p.set_defaults(func=cmd_equilibrium)
 
-
-def _verify_arguments(p):
+    p = sub.add_parser("verify", help="check the welfare guarantees")
     p.add_argument("instance")
     p.add_argument("--which", choices=VERIFY_CHECKS, default="all")
     p.add_argument("--cap")
@@ -134,19 +136,17 @@ def _verify_arguments(p):
                         f"also the largest quantity of the unsafe scan (default {DEFAULT_GAP_LIMIT})")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when a certificate fails")
-    _common(p)
+    common(p)
     p.set_defaults(func=cmd_verify)
 
-
-def _examples_arguments(p):
+    p = sub.add_parser("examples", help="emit a built-in instance file")
     p.add_argument("name", choices=EXAMPLES)
     p.add_argument("-n", type=int, help="scenario count for the scaled families (default 5)")
     p.add_argument("--horizon", type=int, help="marginal-list truncation for first-best")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_examples)
 
-
-def _generate_arguments(p):
+    p = sub.add_parser("generate", help="seeded random instance")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--firms", type=int, default=2)
     p.add_argument("--scenarios", type=int, default=2)
@@ -156,39 +156,11 @@ def _generate_arguments(p):
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-
-# Each subcommand's name, help line and arguments, in the order --help lists them.
-SUBCOMMANDS = {
-    "evaluate": ("expected welfare of fixed parameters", _evaluate_arguments),
-    "optimize": ("exhaustive search for the best parameters", _optimize_arguments),
-    "equilibrium": ("enumerate grid equilibria", _equilibrium_arguments),
-    "verify": ("check the welfare guarantees", _verify_arguments),
-    "examples": ("emit a built-in instance file", _examples_arguments),
-    "generate": ("seeded random instance", _generate_arguments),
-}
-
-
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser for `argv`. Every subcommand is registered by name and
-    help, but only the one `argv[0]` names gets its arguments, or all of
-    them when it names none; the other subparsers are never read."""
-    parser = argparse.ArgumentParser(
-        prog="capauction",
-        description="Capped uniform-price license auctions: simulate, optimize, verify.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    named = argv[0] if argv and argv[0] in SUBCOMMANDS else None
-    for name, (summary, add_arguments) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=summary)
-        if named in (None, name):
-            add_arguments(p)
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except TooLargeError as exc:
@@ -199,13 +171,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
-    # The process ends when `main` returns: run it without the cyclic
-    # collector, then freeze every object, so that the full collections at
-    # interpreter shutdown find nothing to walk.
+def run() -> int:
+    """Entry point of a CLI process: `main` on `sys.argv`, then the exit
+    status. It leaves the collector off and every object frozen, so call
+    it only where the process exits next."""
     gc.disable()
     try:
-        status = main()
+        return main()
     finally:
         gc.freeze()
-    sys.exit(status)
+
+
+if __name__ == "__main__":
+    sys.exit(run())

@@ -6,6 +6,7 @@ import argparse
 import ast
 import gc
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -36,7 +37,8 @@ NOT_AT_STARTUP = (
     "dataclasses", "inspect", "csv",
     "capauction.bounds", "capauction.equilibrium", "capauction.instances",
 )
-ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def test_cli_import_loads_no_subcommand_module():
@@ -68,16 +70,28 @@ NOT_LOADED_BY = {
 SWEEP_CODE = {"optimize_cap_and_price", "optimize_safe", "cmd_optimize", "cmd_evaluate"}
 
 
-def _at_exit(tmp_path, argv, expression: str) -> str:
-    """What `expression` reads at exit, by an atexit hook, in a
-    `python -m capauction.cli` process that runs `argv` on demand_reduction."""
+# How `python -m capauction.cli` starts the CLI.
+AS_MAIN = "runpy.run_module('capauction.cli', run_name='__main__', alter_sys=True)\n"
+
+
+def _console_script() -> str:
+    """How the installed `capauction` script starts the CLI: it calls the
+    entry point that pyproject.toml's [project.scripts] names."""
+    text = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+    module, function = re.search(r'^capauction = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return f"from {module} import {function}\nsys.exit({function}())\n"
+
+
+def _at_exit(tmp_path, argv, expression: str, start: str = AS_MAIN) -> str:
+    """What `expression` reads at exit, by an atexit hook, in a CLI process
+    that `start` begins and that runs `argv` on demand_reduction."""
     save_instance(demand_reduction(), tmp_path / "instance.json")
     command, *options = argv
     probe = (
         "import atexit, gc, runpy, sys\n"
         f"atexit.register(lambda: print({expression}, file=sys.stderr))\n"
         "sys.argv = ['capauction', *sys.argv[1:]]\n"
-        "runpy.run_module('capauction.cli', run_name='__main__', alter_sys=True)\n"
+        + start
     )
     done = subprocess.run(
         [sys.executable, "-c", probe, command, "instance.json", *options],
@@ -92,9 +106,11 @@ def _loaded_by(tmp_path, argv) -> list[str]:
     return _at_exit(tmp_path, argv, "' '.join(sorted(sys.modules))").split()
 
 
-def test_cli_process_exits_with_the_collector_off_and_its_objects_frozen(tmp_path):
+@pytest.mark.parametrize("start", ["python -m", "console script"])
+def test_cli_process_exits_with_the_collector_off_and_its_objects_frozen(tmp_path, start):
     state = _at_exit(tmp_path, ["equilibrium", "--cap", "2", "--floor", "9"],
-                     "gc.isenabled(), gc.get_freeze_count() > 0")
+                     "gc.isenabled(), gc.get_freeze_count() > 0",
+                     AS_MAIN if start == "python -m" else _console_script())
     assert state == "False True\n"
 
 

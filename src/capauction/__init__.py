@@ -13,17 +13,13 @@ from importlib import import_module
 # imported on first use of one of its names, so `python -m capauction.cli`
 # loads only what its subcommand needs.
 _EXPORTS = {
-    "analysis": (
-        "Candidate", "OptResult", "optimize_cap_and_price", "optimize_safe",
-        "sell_out_probability",
-    ),
+    "analysis": ("Candidate", "OptResult", "optimize_cap_and_price", "optimize_safe"),
     "auction": (
         "CAP_BINDS", "CEILING_BINDS", "FLOOR_BINDS", "HIGHEST_LOSING", "LOWEST_WINNING",
         "AuctionParams", "price_candidates", "safe_price",
     ),
     "bounds": (
-        "BoundCertificate", "DecompositionReport", "decompose_welfare",
-        "demand_quantile_cap", "one_minus_inv_e", "single_buyer_expected",
+        "BoundCertificate", "demand_quantile_cap", "one_minus_inv_e", "single_buyer_expected",
         "verify_ceiling_removal", "verify_decomposition_bounds",
         "verify_price_gap", "verify_sellout_conditional", "verify_sellout_factor",
         "verify_single_buyer_cover", "worst_price_gap",

@@ -3,10 +3,10 @@
 Expectations are full enumerations of the (product or explicit joint)
 scenario space; parameter search is exhaustive over the finite price grid
 and cap range, so optimization results are exact rather than approximate.
-The sweeps (`optimize_cap_and_price`, `optimize_safe`), sell-out
-probabilities and `evaluate`'s expectations are lookups on the integer
-tables of `tables.Analysis`, whose docstring derives the quantity each
-auction sells. `evaluate` clears each scenario's truthful bids with
+The sweeps (`optimize_cap_and_price`, `optimize_safe`) and `evaluate`'s
+expectations, its sell-out probability included, are lookups on the
+integer tables of `tables.Analysis`, whose docstring derives the quantity
+each auction sells. `evaluate` clears each scenario's truthful bids with
 `auction.clear_valid` for its allocation, price and case; its welfare is
 the table's entry at the quantity sold.
 
@@ -127,17 +127,6 @@ def optimize_safe(analysis: Analysis) -> OptResult:
     )
 
 
-def sell_out_probability(analysis: Analysis, params: AuctionParams) -> Fraction:
-    """Probability that demand at the floor reaches the cap."""
-    if params.cap is None:
-        raise ValidationError("sell-out probability needs a bounded cap")
-    cap = params.cap
-    return Fraction(
-        sum(p for p, d in zip(analysis._probs, analysis.demand(params.floor)) if d >= cap),
-        analysis._weight,
-    )
-
-
 def cmd_evaluate(args) -> int:
     """`capauction evaluate`: clear every scenario's auction with fixed
     parameters and print the expectations.
@@ -169,7 +158,8 @@ def cmd_evaluate(args) -> int:
     print(f"expected welfare: {display(analysis.welfare(params.cap, params.floor, params.ceiling))}")
     print(f"expected revenue: {display(revenue / weight)}")
     if params.cap is not None:
-        print(f"sell-out probability: {display(sell_out_probability(analysis, params))}")
+        sell_out = analysis.sell_out_probability(params.cap, params.floor)
+        print(f"sell-out probability: {display(sell_out)}")
     header = [
         "scenario", "probability", "probability_dec", "allocation", "unit_price",
         "unit_price_dec", "case", "welfare", "welfare_dec", "revenue", "revenue_dec",

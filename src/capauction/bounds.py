@@ -8,9 +8,11 @@ not-applicable or degenerate check. Checks never raise on a failed
 inequality; a failure is a finding.
 
 Every certificate reads `tables.Analysis` (its integer welfare rows, cost
-list, demand memo, probability weights, safe prices and cached no-ceiling
-optimum), never a scenario cleared again. The price-gap certificates
-(`verify_price_gap`, `worst_price_gap`) read only the cost curve.
+list, demand memo, probability weights, sell-out probabilities, safe
+prices and cached no-ceiling optimum), never a scenario cleared again;
+`verify_decomposition_bounds` splits the welfare into its three terms on
+those rows. The price-gap certificates (`verify_price_gap`,
+`worst_price_gap`) read only the cost curve.
 
 Only `verify` loads this module, so it also holds the helpers that only
 certificates read (`one_minus_inv_e`, `demand_quantile_cap`,
@@ -28,7 +30,7 @@ from functools import lru_cache
 from operator import attrgetter, mul
 from typing import NamedTuple
 
-from .analysis import optimize_safe, sell_out_probability
+from .analysis import optimize_safe
 from .auction import AuctionParams, safe_price
 from .io import (
     display, format_rational, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
@@ -90,24 +92,12 @@ def one_minus_inv_e() -> Fraction:
     return Fraction(math.ceil(upper * scale), scale)
 
 
-def demand_quantile_cap(
-    analysis: Analysis,
-    floor: Fraction,
-    threshold: Fraction | None = None,
-) -> int:
-    """Largest cap demanded with probability at least `threshold`.
-
-    Demand is measured at the given floor; the default threshold is the
-    1 - 1/e over-approximation. Returns 0 when even one license is too
-    rarely demanded.
+def demand_quantile_cap(analysis: Analysis, floor: Fraction) -> int:
+    """Largest cap demanded with probability at least 1 - 1/e (its
+    `one_minus_inv_e` over-approximation), demand measured at the given
+    floor. Returns 0 when even one license is too rarely demanded.
     """
-    floor = rat(floor)
-    if threshold is None:
-        threshold = one_minus_inv_e()
-    else:
-        threshold = rat(threshold)
-        if not 0 < threshold < 1:
-            raise ValidationError(f"threshold must be in (0,1), got {threshold}")
+    threshold = one_minus_inv_e()
     # tail = Pr[d >= c] * _weight, scanning demands from the top down.
     best = 0
     tail = 0
@@ -205,7 +195,7 @@ def verify_sellout_conditional(analysis: Analysis, params: AuctionParams) -> Bou
     """
     if params.cap is None or params.ceiling is not None:
         raise ValidationError("conditional check needs a bounded cap and no ceiling")
-    q = sell_out_probability(analysis, params)
+    q = analysis.sell_out_probability(params.cap, params.floor)
     if q == 0:
         return _certify(
             "sell-out-conditional-nonnegative", ZERO, ZERO, status=VACUOUS, sell_out_probability=q
@@ -270,15 +260,19 @@ def worst_price_gap(cost: CostCurve, limit: int) -> BoundCertificate:
     return verify_price_gap(cost, worst[1], worst[2])
 
 
-class DecompositionReport(NamedTuple):
-    """Welfare of a no-ceiling auction split into three exact terms.
+def verify_decomposition_bounds(
+    analysis: Analysis, cap: int, floor: Fraction
+) -> tuple[BoundCertificate, BoundCertificate, BoundCertificate]:
+    """The three-term decomposition and the two covering bounds behind the
+    sell-out-factor guarantee.
 
-    `sell_out_term` collects scenarios whose demand reaches the cap;
-    elsewhere each firm's allocation is split at its threshold (largest
-    unit whose marginal clears the safe price r for the cap) into units
-    valued above the safe price (`above_term`) and the rest
-    (`below_term`). The total is bounded above by the three-term sum via
-    cost superadditivity.
+    The welfare of the no-ceiling auction (cap, floor) splits into three
+    exact terms. The sell-out term collects scenarios whose demand reaches
+    the cap; elsewhere each firm's allocation is split at its threshold
+    (largest unit whose marginal clears the safe price r for the cap) into
+    units valued above the safe price (the above term) and the rest (the
+    below term). The total is bounded above by the three-term sum via cost
+    superadditivity.
 
     Where D_s(floor) = x < cap the floor binds, so firm i buys its whole
     demand D_i(floor), and its threshold is D_i(r). As demand falls with
@@ -287,26 +281,20 @@ class DecompositionReport(NamedTuple):
     firms they are the a = D_s(max(floor, r)) largest pooled marginals, and
     the below units are the next x - a. So the scenario's above term is
     W_s(a) and its below term is W_s(x) - W_s(a) + C(x) - C(a) - C(x - a).
+
+    First: the three terms sum to at least the total welfare. Second: the
+    safe-price auction at the same cap covers the sell-out term plus the
+    above term. Third: the safe-price auction at half the cap covers half
+    the sell-out probability times the below term (at least one half works
+    when the cap is odd). The third bound relies on (cap, floor) being
+    welfare-optimal.
     """
-
-    cap: int
-    floor: Fraction
-    reference_price: Fraction
-    sell_out_term: Fraction
-    above_term: Fraction
-    below_term: Fraction
-    total_welfare: Fraction
-
-    @property
-    def term_sum(self) -> Fraction:
-        return self.sell_out_term + self.above_term + self.below_term
-
-
-def decompose_welfare(analysis: Analysis, cap: int, floor: Fraction) -> DecompositionReport:
     if cap is None:
         raise ValidationError("welfare decomposition needs a bounded cap")
-    floor = rat(floor)
     reference = analysis.safe_price(cap)  # a cost table short of the cap fails here
+    floor = rat(floor)
+    if floor < 0:  # no AuctionParams validates the floor here; reject it before any welfare
+        raise ValidationError(f"price floor must be non-negative, got {floor}")
     analysis._tabulate(cap)  # no scenario short of the cap sells more than it
     cost = analysis._cost
     above = below = 0
@@ -316,55 +304,26 @@ def decompose_welfare(analysis: Analysis, cap: int, floor: Fraction) -> Decompos
         if x < cap:
             above += row[a]
             below += row[x] - row[a] + p * (cost[x] - cost[a] - cost[x - a])
-    den = analysis._den
-    return DecompositionReport(
-        cap=cap,
-        floor=floor,
-        reference_price=reference,
-        sell_out_term=analysis.sold_out_welfare(cap, floor),
-        above_term=Fraction(above, den),
-        below_term=Fraction(below, den),
-        total_welfare=analysis.welfare(cap, floor),
-    )
-
-
-def verify_decomposition_bounds(
-    analysis: Analysis, cap: int, floor: Fraction
-) -> tuple[BoundCertificate, BoundCertificate, BoundCertificate]:
-    """The three-term decomposition and the two covering bounds behind the
-    sell-out-factor guarantee.
-
-    First: the three terms of `decompose_welfare` sum to at least the
-    total welfare. Second: the safe-price auction at the same cap covers
-    the sell-out term plus the above-price term. Third: the safe-price
-    auction at half the cap covers half the sell-out probability times the
-    below-price term (at least one half works when the cap is odd). The
-    third bound relies on (cap, floor) being welfare-optimal.
-    """
-    report = decompose_welfare(analysis, cap, floor)
-    q = sell_out_probability(analysis, AuctionParams(cap, report.floor, None))
+    above, below = Fraction(above, analysis._den), Fraction(below, analysis._den)
+    sell_out = analysis.sold_out_welfare(cap, floor)
+    q = analysis.sell_out_probability(cap, floor)
     half = _best_half(analysis, cap)
     return (
         _certify(
             "three-term-decomposition",
-            report.term_sum,
-            report.total_welfare,
+            sell_out + above + below,
+            analysis.welfare(cap, floor),
             cap=cap,
-            floor=report.floor,
-            sell_out_term=report.sell_out_term,
-            above_term=report.above_term,
-            below_term=report.below_term,
+            floor=floor,
+            sell_out_term=sell_out,
+            above_term=above,
+            below_term=below,
         ),
-        _certify(
-            "safe-covers-above",
-            analysis.safe_welfare(cap),
-            report.sell_out_term + report.above_term,
-            cap=cap,
-        ),
+        _certify("safe-covers-above", analysis.safe_welfare(cap), sell_out + above, cap=cap),
         _certify(
             "half-cap-covers-below",
             analysis.safe_welfare(half),
-            q * report.below_term / 2,
+            q * below / 2,
             cap=cap,
             half_cap=half,
             sell_out_probability=q,
@@ -380,7 +339,7 @@ def verify_sellout_factor(analysis: Analysis) -> BoundCertificate:
     """
     opt = analysis.no_ceiling_optimum
     base = opt.expected_welfare
-    q = sell_out_probability(analysis, opt.params)
+    q = analysis.sell_out_probability(opt.params.cap, opt.params.floor)
     if q == 0:
         return _certify(
             "safe-within-sellout-factor", ZERO, base, status=NOT_APPLICABLE, sell_out_probability=q
@@ -432,10 +391,9 @@ def verify_single_buyer_cover(analysis: Analysis) -> tuple[BoundCertificate, Bou
         optimum_floor=opt.params.floor,
     )
 
-    q = sell_out_probability(analysis, opt.params)
-    threshold = one_minus_inv_e()
+    q = analysis.sell_out_probability(opt.params.cap, opt.params.floor)
     quantile_cap = demand_quantile_cap(analysis, opt.params.floor)
-    route = "sellout-factor" if q >= threshold else "quantile-cap"
+    route = "sellout-factor" if q >= one_minus_inv_e() else "quantile-cap"
     if quantile_cap == 0:
         four_term = _certify(
             "four-term-cover", ZERO, base, status=DEGENERATE, quantile_cap=0, route=route

@@ -17,10 +17,12 @@ only through them. `Analysis` is the one truthful path per instance. It
 checks the scenario count against the limit before any other work, then
 builds its integer tables straight from the firm types (or the joint
 rows): D_s, p_s * W_s(q) and each cap's safe price. The sweeps, single
-auctions (`Analysis.welfare`, `Analysis.safe_welfare`), sell-out
-probabilities, `evaluate`'s per-scenario welfares and the certificates are
-lookups on those arrays, and the equilibrium search reads its price grid,
-type weights and cost list from them.
+auctions (`Analysis.welfare`, `Analysis.safe_welfare`), the sell-out
+probability and welfare (`Analysis.sell_out_probability`,
+`Analysis.sold_out_welfare`, both over the scenarios with D_s(floor) >=
+cap), `evaluate`'s per-scenario welfares and the certificates are lookups
+on those arrays, and the equilibrium search reads its price grid, type
+weights and cost list from them.
 
 Where code lives: run without cached bytecode (`PYTHONDONTWRITEBYTECODE`),
 each process compiles every module it imports from source. Every
@@ -117,7 +119,6 @@ class Analysis:
     ):
         self._factors = factors = _check_scenario_limit(instance, scenario_limit)
         self.instance = instance
-        self.scenario_limit = scenario_limit
         self.grid = price_candidates(instance)
         self._scale = scale = math.lcm(*(g.denominator for g in self.grid))
         self._weights = weights = [_integers(p for p, _ in types) for types in factors]
@@ -202,6 +203,13 @@ class Analysis:
         return Fraction(
             sum(nums[cap] for nums, d in zip(self._nums, self.demand(floor)) if d >= cap),
             self._den,
+        )
+
+    def sell_out_probability(self, cap: int, floor: Fraction) -> Fraction:
+        """Probability that demand at the floor reaches the cap, the same
+        scenarios `sold_out_welfare` sums."""
+        return Fraction(
+            sum(p for p, d in zip(self._probs, self.demand(floor)) if d >= cap), self._weight
         )
 
     def safe_price(self, cap: int) -> Fraction:

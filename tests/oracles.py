@@ -184,12 +184,14 @@ def bid_levels(instance: MarketInstance, params: AuctionParams) -> tuple[Fractio
     return tuple(sorted(values))
 
 
-def expected_welfare(analysis: Analysis, params: AuctionParams) -> Fraction:
+def expected_welfare(
+    analysis: Analysis, params: AuctionParams, limit: int = DEFAULT_SCENARIO_LIMIT
+) -> Fraction:
     """Probability-weighted welfare under truthful bidding: every scenario
-    of `enumerate_scenarios` cleared with `run_auction`."""
+    of `enumerate_scenarios` (at most `limit`) cleared with `run_auction`."""
     cost = analysis.instance.cost
     total = ZERO
-    for row in enumerate_scenarios(analysis.instance, analysis.scenario_limit):
+    for row in enumerate_scenarios(analysis.instance, limit):
         total += row.probability * run_auction(params, row.valuations, cost).welfare
     return total
 

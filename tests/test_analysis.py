@@ -25,7 +25,6 @@ from capauction import (
     optimize_safe,
     price_candidates,
     scale_weight,
-    sell_out_probability,
     single_buyer_expected,
     verify_ceiling_removal,
 )
@@ -200,27 +199,19 @@ class TestOptimizeSafe:
 
 class TestSellOut:
     def test_deterministic_demand(self):
-        assert sell_out_probability(Analysis(demand_reduction()), AuctionParams(2, 0, None)) == 1
+        assert Analysis(demand_reduction()).sell_out_probability(2, F(0)) == 1
 
     def test_cap_above_everything(self):
-        assert sell_out_probability(Analysis(demand_reduction()), AuctionParams(5, 0, None)) == 0
+        assert Analysis(demand_reduction()).sell_out_probability(5, F(0)) == 0
 
     def test_two_scenario_half(self):
-        assert sell_out_probability(Analysis(two_scenario_firm()), AuctionParams(2, 1, None)) == F(1, 2)
-
-    def test_needs_bounded_cap(self):
-        with pytest.raises(ValidationError):
-            sell_out_probability(Analysis(demand_reduction()), AuctionParams(None, 0, None))
+        assert Analysis(two_scenario_firm()).sell_out_probability(2, F(1)) == F(1, 2)
 
     def test_monotone_in_cap_and_floor(self):
         m = Analysis(two_scenario_firm())
-        probs = [
-            sell_out_probability(m, AuctionParams(c, 1, None)) for c in range(1, 5)
-        ]
+        probs = [m.sell_out_probability(c, F(1)) for c in range(1, 5)]
         assert probs == sorted(probs, reverse=True)
-        by_floor = [
-            sell_out_probability(m, AuctionParams(2, f, None)) for f in (0, 1, 4, 5)
-        ]
+        by_floor = [m.sell_out_probability(2, F(f)) for f in (0, 1, 4, 5)]
         assert by_floor == sorted(by_floor, reverse=True)
 
 
@@ -232,22 +223,11 @@ class TestDemandQuantileCap:
         # Pr[d >= 2] = 1/2 < 1 - 1/e, Pr[d >= 1] = 1
         assert demand_quantile_cap(Analysis(two_scenario_firm()), F(1)) == 1
 
-    def test_threshold_boundary_inclusive(self):
-        assert demand_quantile_cap(Analysis(two_scenario_firm()), F(1), threshold=F(1, 2)) == 3
-
     def test_zero_when_nothing_demanded(self):
         m = MarketInstance(
             firms=(FirmDistribution.point_mass(mv(0,)),), cost=quadratic(1)
         )
         assert demand_quantile_cap(Analysis(m), F(0)) == 0
-
-    def test_monotone_in_threshold(self):
-        m = Analysis(two_scenario_firm())
-        caps = [
-            demand_quantile_cap(m, F(1), threshold=t)
-            for t in (F(1, 4), F(1, 2), F(3, 4), F(99, 100))
-        ]
-        assert caps == sorted(caps, reverse=True)
 
     def test_default_threshold_over_approximates(self):
         # independent oracle: high-precision decimal exponential

@@ -10,12 +10,10 @@ from capauction import (
     Analysis,
     AuctionParams,
     BoundCertificate,
-    DecompositionReport,
     FirmDistribution,
     MarginalVector,
     MarketInstance,
     ValidationError,
-    decompose_welfare,
     demand_quantile_cap,
     demand_reduction,
     generate,
@@ -282,22 +280,28 @@ def scenario_demands(instance, floor):
     ]
 
 
+def described(certs):
+    return [(cert.name, cert.lhs, cert.rhs, cert.witness) for cert in certs]
+
+
 class TestDecomposeWelfare:
-    """`decompose_welfare` reads the integer tables; the oracle clears every
-    scenario with `run_auction` and splits each firm's allocation at its
-    threshold, summing Fractions firm by firm."""
+    """`verify_decomposition_bounds` splits the welfare on the integer
+    tables; the oracle clears every scenario with `run_auction`, splits
+    each firm's allocation at its threshold, summing Fractions firm by
+    firm, and clears the safe-price auctions the same way."""
 
     @staticmethod
-    def oracle(analysis: Analysis, cap: int, floor: F) -> DecompositionReport:
+    def oracle(analysis: Analysis, cap: int, floor: F) -> list:
         params = AuctionParams(cap, floor, None)
         cost = analysis.instance.cost
         reference = safe_price(cost, cap)
-        sell_out_term = above_term = below_term = total = F(0)
+        sell_out_term = above_term = below_term = total = q = F(0)
         for row in enumerate_scenarios(analysis.instance):
             outcome = run_auction(params, row.valuations, cost)
             total += row.probability * outcome.welfare
             if sum(v.demand(floor) for v in row.valuations) >= cap:
                 sell_out_term += row.probability * outcome.welfare
+                q += row.probability
                 continue
             thresholds = [v.demand(reference) for v in row.valuations]
             above = [min(x, theta) for x, theta in zip(outcome.allocation, thresholds)]
@@ -310,15 +314,21 @@ class TestDecomposeWelfare:
             )
             above_term += row.probability * (above_value - cost.cost(sum(above)))
             below_term += row.probability * (below_value - cost.cost(sum(below)))
-        return DecompositionReport(
-            cap=cap,
-            floor=floor,
-            reference_price=reference,
-            sell_out_term=sell_out_term,
-            above_term=above_term,
-            below_term=below_term,
-            total_welfare=total,
-        )
+
+        def safe(c):
+            if c == 0:
+                return F(0)
+            return expected_welfare(analysis, AuctionParams(c, safe_price(cost, c), None))
+
+        half = max((cap // 2, (cap + 1) // 2), key=safe)
+        return [
+            ("three-term-decomposition", sell_out_term + above_term + below_term, total,
+             {"cap": cap, "floor": floor, "sell_out_term": sell_out_term,
+              "above_term": above_term, "below_term": below_term}),
+            ("safe-covers-above", safe(cap), sell_out_term + above_term, {"cap": cap}),
+            ("half-cap-covers-below", safe(half), q * below_term / 2,
+             {"cap": cap, "half_cap": half, "sell_out_probability": q}),
+        ]
 
     @given(
         **MARKETS,
@@ -341,10 +351,11 @@ class TestDecomposeWelfare:
                 step = {"below-safe": F(-1, 7), "safe": 0, "above-safe": F(1, 7)}[floor_kind]
                 floor = max(F(0), reference + step)
         want = result(lambda: self.oracle(Analysis(m), cap, floor))
-        got = result(lambda: decompose_welfare(Analysis(m), cap, floor))
+        got = result(lambda: described(verify_decomposition_bounds(Analysis(m), cap, floor)))
         assert got == want
         if not isinstance(got, str):
-            assert got.total_welfare <= got.term_sum
+            _, term_sum, total, _ = got[0]
+            assert total <= term_sum
 
     def test_short_table_names_the_cap(self):
         # The safe price for cap 3 reads C(3), one past the two-entry table,
@@ -362,40 +373,42 @@ class TestDecomposeWelfare:
                 "ValidationError: quantity 3 beyond cost table of length 2 "
                 "(extension policy 'error')"
             )
-            assert result(lambda: decompose_welfare(Analysis(m), cap, floor)) == want
-        report = decompose_welfare(Analysis(m), 2, F(5))  # sells out everywhere
-        assert report == self.oracle(Analysis(m), 2, F(5))
-        assert (report.sell_out_term, report.above_term, report.below_term) == (14, 0, 0)
+            assert result(lambda: verify_decomposition_bounds(Analysis(m), cap, floor)) == want
+        certs = verify_decomposition_bounds(Analysis(m), 2, F(5))  # sells out everywhere
+        assert described(certs) == self.oracle(Analysis(m), 2, F(5))
+        terms = certs[0].witness
+        assert (terms["sell_out_term"], terms["above_term"], terms["below_term"]) == (14, 0, 0)
 
     def test_unbounded_cap(self):
         with pytest.raises(ValidationError, match="needs a bounded cap"):
-            decompose_welfare(Analysis(logscale(3)), None, F(0))
+            verify_decomposition_bounds(Analysis(logscale(3)), None, F(0))
 
 
 class TestDecompositionBounds:
-    """`verify_decomposition_bounds` against `decompose_welfare` and the
-    safe-price welfares it reads."""
+    """`verify_decomposition_bounds` against the welfares and sell-out
+    probability its witnesses name."""
 
     def test_three_certificates_in_order(self):
         analysis = Analysis(generate(3))
         cap, floor = 2, F(3)
-        report = decompose_welfare(analysis, cap, floor)
         q = sum(p for d, p in scenario_demands(analysis.instance, floor) if d >= cap)
         terms, above, below = verify_decomposition_bounds(analysis, cap, floor)
         assert (terms.name, above.name, below.name) == (
             "three-term-decomposition", "safe-covers-above", "half-cap-covers-below"
         )
-        assert (terms.lhs, terms.rhs) == (report.term_sum, report.total_welfare)
-        assert terms.witness == {
-            "cap": cap, "floor": floor, "sell_out_term": report.sell_out_term,
-            "above_term": report.above_term, "below_term": report.below_term,
-        }
-        assert (above.lhs, above.rhs) == (
-            analysis.safe_welfare(cap), report.sell_out_term + report.above_term
+        split = terms.witness
+        assert split.keys() == {"cap", "floor", "sell_out_term", "above_term", "below_term"}
+        assert (split["cap"], split["floor"]) == (cap, floor)
+        assert (terms.lhs, terms.rhs) == (
+            split["sell_out_term"] + split["above_term"] + split["below_term"],
+            analysis.welfare(cap, floor),
         )
-        assert (below.lhs, below.rhs) == (analysis.safe_welfare(1), q * report.below_term / 2)
+        assert (above.lhs, above.rhs) == (
+            analysis.safe_welfare(cap), split["sell_out_term"] + split["above_term"]
+        )
+        assert above.witness == {"cap": cap}
+        assert (below.lhs, below.rhs) == (analysis.safe_welfare(1), q * split["below_term"] / 2)
         assert below.witness == {"cap": cap, "half_cap": 1, "sell_out_probability": q}
-
     @pytest.mark.parametrize("marginals, half_cap", [
         ((10, 10, 10), 2),  # safe welfare 9 at cap 1, 16 at cap 2
         ((3, 1), 1),  # 2 at both caps: the tie keeps the smaller half
@@ -457,56 +470,32 @@ class TestDemandQuantileCap:
     Fraction probabilities of the scenario rows."""
 
     @staticmethod
-    def oracle(instance, floor, threshold):
+    def oracle(instance, floor):
         tail = F(0)
         for demand, probability in sorted(scenario_demands(instance, floor), reverse=True):
             tail += probability
-            if tail >= threshold:
+            if tail >= one_minus_inv_e():
                 return demand
         return 0
 
-    @given(
-        **MARKETS,
-        floor_index=st.integers(0, 40),
-        off_grid=st.booleans(),
-        threshold_kind=st.sampled_from(("default", "any", "tail", "above-tail")),
-        pick=st.integers(0, 20),
-        any_threshold=st.fractions(F(1, 1000), F(999, 1000)),
-    )
+    @given(**MARKETS, floor_index=st.integers(0, 40), off_grid=st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_matches_tail_scan(self, seed, firms, cost_kind, joint, error_length, floor_index,
-                               off_grid, threshold_kind, pick, any_threshold):
+                               off_grid):
         m = market(seed, firms, cost_kind, joint, error_length)
         grid = price_candidates(m)
         floor = grid[floor_index % len(grid)] + (F(1, 5) if off_grid else 0)
-        threshold = {"default": None, "any": any_threshold}.get(threshold_kind)
-        if threshold_kind in ("tail", "above-tail"):
-            # A threshold on the boundary: some Pr[D_s(floor) >= c] exactly,
-            # or just above it.
-            demands = scenario_demands(m, floor)
-            tails = sorted({
-                sum(p for d, p in demands if d >= c) for c, _ in demands
-            } - {0, 1})
-            if not tails:
-                return
-            threshold = tails[pick % len(tails)]
-            if threshold_kind == "above-tail":
-                threshold = min(threshold + F(1, 10**9), (threshold + 1) / 2)
-        want = self.oracle(m, floor, one_minus_inv_e() if threshold is None else threshold)
-        assert demand_quantile_cap(Analysis(m), floor, threshold) == want
+        assert demand_quantile_cap(Analysis(m), floor) == self.oracle(m, floor)
 
-    def test_threshold_boundary(self):
-        # Demand 3 w.p. 1/2 and 1 w.p. 1/2: Pr[D >= 3] = 1/2 exactly.
+    @pytest.mark.parametrize("step, want", [(0, 3), (F(-1, 10**60), 1)])
+    def test_threshold_boundary(self, step, want):
+        # Demand 3 with probability t + step and 1 otherwise, t being the
+        # threshold: Pr[D >= 3] = t exactly is enough.
+        t = one_minus_inv_e() + step
         m = MarketInstance(
-            firms=(FirmDistribution.of((F(1, 2), mv(4, 4, 4)), (F(1, 2), mv(4))),),
+            firms=(FirmDistribution.of((t, mv(4, 4, 4)), (1 - t, mv(4))),),
             cost=quadratic(1),
         )
         analysis = Analysis(m)
-        assert demand_quantile_cap(analysis, 1, F(1, 2)) == 3
-        assert demand_quantile_cap(analysis, 1, F(1, 2) + F(1, 10**30)) == 1
-        assert demand_quantile_cap(analysis, 5, F(1, 2)) == 0
-
-    @pytest.mark.parametrize("threshold", [0, 1, F(3, 2)])
-    def test_threshold_outside_unit_interval(self, threshold):
-        with pytest.raises(ValidationError, match="threshold must be in"):
-            demand_quantile_cap(Analysis(logscale(3)), 0, threshold)
+        assert demand_quantile_cap(analysis, F(1)) == want
+        assert demand_quantile_cap(analysis, F(5)) == 0

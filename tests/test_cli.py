@@ -18,6 +18,7 @@ from capauction.cli import main
 from capauction.instances import demand_reduction, generate, logscale
 from capauction.io import display, save_instance
 from capauction.model import validate
+from capauction.tables import Analysis
 
 from oracles import enumerate_scenarios, run_auction
 from test_analysis import markets
@@ -138,6 +139,16 @@ def test_cap_limit_below_one_is_rejected(demand_reduction_file, capsys, argv):
     (["--which", "decomp", "--cap", "unbounded"], "needs a bounded cap"),
     (["--which", "priceceil", "--ceiling", "0"], "price ceiling 0 must exceed floor 0"),
     (["--which", "optcond", "--cap="], "cap must be an integer or 'unbounded', got ''"),
+    *(
+        (["--which", which, "--floor", "-1"], "price floor must be non-negative, got -1")
+        for which in ("decomp", "optcond")
+    ),
+    (["--which", "decomp", "--cap", "2", "--floor", "-1"],
+     "price floor must be non-negative, got -1"),
+    (["--which", "decomp", "--cap", "0"], "safe price needs cap >= 1, got 0"),
+    (["--which", "optcond", "--cap", "0"], "cap must be at least 1, got 0"),
+    (["--which", "optcond", "--cap", "unbounded"],
+     "conditional check needs a bounded cap and no ceiling"),
     *(
         (["--which", which, "--ceiling", "1/2"], f"--which {which} checks no ceiling")
         for which in ("optcond", "unsafe", "decomp", "thmq", "main")
@@ -260,12 +271,8 @@ def test_evaluate_reads_sell_out_from_its_outcomes(tmp_path, capsys):
     ]
     expected = {}
     for seed, cap, floor, ceiling, pricing in cases:
-        m = generate(seed)
-        params = auction.AuctionParams(
-            int(cap), floor, None if ceiling == "inf" else ceiling, pricing
-        )
         expected[seed, cap, floor, ceiling, pricing] = display(
-            analysis.sell_out_probability(analysis.Analysis(m), params)
+            Analysis(generate(seed)).sell_out_probability(int(cap), F(floor))
         )
 
     for (seed, cap, floor, ceiling, pricing), want in expected.items():

@@ -25,8 +25,7 @@ _EXPORTS = {
         "verify_single_buyer_cover", "worst_price_gap",
     ),
     "equilibrium": (
-        "POA_FACTOR", "EquilibriumReport", "PoACheck", "StrategyProfile", "check_poa_bound",
-        "find_grid_equilibria",
+        "POA_FACTOR", "EquilibriumReport", "PoACheck", "check_poa_bound", "find_grid_equilibria",
     ),
     "instances": (
         "demand_reduction", "first_best", "generate", "logscale", "scale_weight",

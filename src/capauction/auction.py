@@ -104,7 +104,7 @@ def clear_valid(
 
 def safe_price(cost: CostCurve, cap: int) -> Fraction:
     """Average social cost per license when the full cap is sold."""
-    if cap < 1:
+    if cap is None or cap < 1:
         raise ValidationError(f"safe price needs cap >= 1, got {cap}")
     return cost.cost(cap) / cap
 

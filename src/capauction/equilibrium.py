@@ -22,16 +22,17 @@ finds is what `check_poa_bound` compares with the safe-price baseline.
 The game computes in exact scaled integers over one scale L, the lcm of
 the analysis's cost scale and the bid levels' denominators: values, bid
 levels, prices and costs are integers over L. Each candidate is interned
-twice, over the grid's Fractions for the report and over L for clearing:
-`auction.clear_valid` clears the integer vectors at the floor and ceiling
-over L, so the price it returns is an integer over L. Each firm j has
-P_j, the lcm of its type probabilities' denominators, so a slot of firm i
-weights its draws by integers over prod_{j != i} P_j and its utilities
-are integers over S_i = L * prod_{j != i} P_j; the epsilon test is then
+once, as its tuple of bid levels over L: `auction.clear_valid` clears
+those integer vectors at the floor and ceiling over L, so the price it
+returns is an integer over L. Each firm j has P_j, the lcm of its type
+probabilities' denominators, so a slot of firm i weights its draws by
+integers over prod_{j != i} P_j and its utilities are integers over
+S_i = L * prod_{j != i} P_j; the epsilon test is then
 `best - current <= floor(epsilon * S_i)`. A profile's welfare is an
 integer over L * prod_j P_j. The search builds one Fraction, the worst
-welfare; the report builds its profiles, welfares and utilities on first
-read, which only `--out` does.
+welfare; the report builds its profiles (the bids over the grid's
+Fractions), welfares and utilities on first read, which only `--out`
+does.
 
 The search is factored by the firm i* with the largest strategy space
 (the last such firm on ties): for each strategy profile of the other
@@ -66,18 +67,13 @@ POA_FACTOR = Fraction(20, 63)  # exactly 1/3.15
 _Profile = tuple[tuple[int, ...], ...]  # bid vector ids per firm per type
 
 
-class StrategyProfile(NamedTuple):
-    """Reported vector per firm per type index."""
-
-    reports: tuple[tuple[MarginalVector, ...], ...]
-
-
 class EquilibriumReport:
     """What one search found: read-only, equal to another report with equal
     fields, and listing its fields in `_fields`. `worst_welfare` and
     `searched` are set by the search. `profiles`, `welfares` and
     `utilities` (per profile, firm and type, the interim utility of its
-    report) are built from the search's integers on first read and kept."""
+    report) are built from the search's integers on first read and kept;
+    `profiles` builds each distinct bid vector once."""
 
     _fields = ("params", "epsilon", "profiles", "welfares", "utilities", "worst_welfare", "searched")
 
@@ -116,10 +112,11 @@ class EquilibriumReport:
         return f"EquilibriumReport({fields})"
 
     @cached_property
-    def profiles(self) -> tuple[StrategyProfile, ...]:
-        vectors = self._game.vectors
+    def profiles(self) -> tuple[tuple[tuple[MarginalVector, ...], ...], ...]:
+        ids = dict.fromkeys(r for profile in self._found for strategy in profile for r in strategy)
+        vectors = dict(zip(ids, self._game.vectors(tuple(ids))))
         return tuple(
-            StrategyProfile(tuple(vectors(strategy) for strategy in profile))
+            tuple(tuple(map(vectors.__getitem__, strategy)) for strategy in profile)
             for profile in self._found
         )
 
@@ -149,9 +146,10 @@ class _GridGame:
     the cost list and every firm type's true values of 0, 1, ... units. A
     firm bids vectors of one length, its longest positive demand, and wins
     no more units than it bids, so each value table is cut or zero-padded
-    to that length. Bid vectors are interned as small integers: a strategy
-    is a tuple of vector ids per type, a profile a tuple of strategies per
-    firm. Draws pair the analysis's scenario weights with the firms' type
+    to that length. Each bid vector is interned once, as its tuple of
+    levels over L, and named by a small integer id: a strategy is a tuple
+    of vector ids per type, a profile a tuple of strategies per firm.
+    Draws pair the analysis's scenario weights with the firms' type
     indices, in scenario order; each firm's opponent draws fold only the
     other firms' type weights and indices. A market with no firms has one
     empty draw; the search, not the game, rejects it. Utilities and
@@ -205,16 +203,17 @@ class _GridGame:
         ]
         self.draw_scale = self.scale * analysis._weight
         self.slot_scale = [self.scale * (analysis._weight // d) for d, _ in analysis._weights]
-        self._vectors: list[MarginalVector] = []  # over the grid's Fractions
-        self._bids: list[MarginalVector] = []  # the same vectors over L
-        self._ids: dict[tuple[int, ...], int] = {}
+        self._bids: list[MarginalVector] = []  # per id, its levels over L
+        self._ids: dict[tuple[int, ...], int] = {}  # keyed by those levels
         self._candidates: dict[tuple[int, int], tuple[int, ...]] = {}
         self._outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
         self._utilities: dict[tuple, dict[int, int]] = {}
         self._welfares: list[dict[tuple[int, ...], int]] = [{} for _ in self.draws]
 
     def vectors(self, ids: tuple[int, ...]) -> tuple[MarginalVector, ...]:
-        return tuple(self._vectors[r] for r in ids)
+        """The ids' bid vectors over the grid's Fractions, each built anew."""
+        on_grid = dict(zip(self.levels, self.grid)).__getitem__
+        return tuple(MarginalVector(tuple(map(on_grid, self._bids[r].marginals))) for r in ids)
 
     def candidates(self, firm: int, type_index: int) -> tuple[int, ...]:
         """The slot's grid strategies as vector ids, in canonical order.
@@ -224,7 +223,8 @@ class _GridGame:
         values. On first use they are walked depth first with ascending
         levels, which is canonical order; a level that breaks the bound at
         its position is pruned with every higher one. Each vector is
-        interned by its grid indices; the walk emits only valid vectors, so
+        interned by its tuple of levels over L, which is also the
+        `.marginals` of its bid; the walk emits only valid vectors, so
         outcomes clear them unchecked.
         """
         key = (firm, type_index)
@@ -234,11 +234,10 @@ class _GridGame:
         levels = self.levels
         walked = []
         _walk(self.values[firm][type_index], levels, self.strict, walked, [], len(levels) - 1, 0)
-        for indices in walked:
-            if indices not in self._ids:
-                self._ids[indices] = len(self._vectors)
-                self._vectors.append(MarginalVector(tuple(self.grid[k] for k in indices)))
-                self._bids.append(MarginalVector(tuple(levels[k] for k in indices)))
+        for bid in walked:
+            if bid not in self._ids:
+                self._ids[bid] = len(self._bids)
+                self._bids.append(MarginalVector(bid))
         got = self._candidates[key] = tuple(map(self._ids.__getitem__, walked))
         return got
 
@@ -289,10 +288,11 @@ class _GridGame:
 
 def _walk(values, levels, strict, walked, chosen, top, spent) -> None:
     """Append to `walked`, depth first with ascending levels, every
-    non-increasing extension of `chosen` (grid indices, at most `top`)
-    to the bid length that keeps no-overbidding against the true values;
-    `spent` is the sum of the chosen levels. A module function, so the
-    recursion leaves no reference cycle behind for the collector."""
+    non-increasing extension of `chosen` (levels, each at most
+    `levels[top]`) to the bid length that keeps no-overbidding against
+    the true values, as a tuple of levels; `spent` is their sum. A module
+    function, so the recursion leaves no reference cycle behind for the
+    collector."""
     position = len(chosen)
     if position == len(values) - 1:
         walked.append(tuple(chosen))
@@ -301,7 +301,7 @@ def _walk(values, levels, strict, walked, chosen, top, spent) -> None:
     for k in range(top + 1):
         if levels[k] > bound:
             break
-        chosen.append(k)
+        chosen.append(levels[k])
         _walk(values, levels, strict, walked, chosen, k, spent + levels[k])
         chosen.pop()
 
@@ -459,7 +459,7 @@ def cmd_equilibrium(args) -> int:
     def rows():
         for k, (profile, w) in enumerate(zip(report.profiles, report.welfares)):
             welfare = rational_cells(w)
-            for i, per_type in enumerate(profile.reports):
+            for i, per_type in enumerate(profile):
                 for t, report_vec in enumerate(per_type):
                     bid = "|".join(format_rational(v) for v in report_vec.marginals)
                     u = report.utilities[k][i][t]

@@ -23,7 +23,7 @@ from .model import (
     QuadraticCost,
     REPEAT_LAST,
     ValidationError,
-    validate,
+    require_valid,
 )
 
 
@@ -181,9 +181,7 @@ def cmd_generate(args) -> int:
         value_high=args.value_range[1],
         cost_kind=args.cost_kind,
     )
-    problems = validate(instance)
-    if problems:  # generator contract: never happens
-        raise ValidationError("; ".join(problems))
+    require_valid(instance)  # generator contract: never fails
     save_instance(instance, args.out)
     print(f"wrote {instance.label} to {args.out}")
     return 0

@@ -24,7 +24,6 @@ from capauction import (
     MarginalVector,
     MarketInstance,
     QuadraticCost,
-    StrategyProfile,
     ValidationError,
     rat,
     safe_price,
@@ -261,7 +260,7 @@ class EagerReport(NamedTuple):
 
     params: AuctionParams
     epsilon: Fraction
-    profiles: tuple[StrategyProfile, ...]
+    profiles: tuple[tuple[tuple[MarginalVector, ...], ...], ...]
     welfares: tuple[Fraction, ...]
     utilities: tuple[tuple[tuple[Fraction, ...], ...], ...]
     worst_welfare: Fraction | None
@@ -315,7 +314,7 @@ def eager_report(
             for prob, types, truths in scenario_product(instance):
                 bids = [strategy[t] for strategy, t in zip(profile, types)]
                 welfare += prob * run_auction(params, bids, instance.cost, truths).welfare
-            profiles.append(StrategyProfile(profile))
+            profiles.append(profile)
             welfares.append(welfare)
             rows.append(tuple(row))
     return EagerReport(

@@ -196,6 +196,10 @@ class TestOptimizeSafe:
         assert analysis.safe_welfare(0) == 0
         assert analysis.safe_welfare(2) == 2
 
+    def test_safe_table_rejects_an_unbounded_cap(self):
+        with pytest.raises(ValidationError, match="safe price needs cap >= 1, got None"):
+            Analysis(demand_reduction()).safe_welfare(None)
+
 
 class TestSellOut:
     def test_deterministic_demand(self):

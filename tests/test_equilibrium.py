@@ -22,7 +22,6 @@ from capauction import (
     MarketInstance,
     POA_FACTOR,
     PoACheck,
-    StrategyProfile,
     TooLargeError,
     ValidationError,
     check_poa_bound,
@@ -57,8 +56,8 @@ mv = MarginalVector.of
 
 MARKET = demand_reduction()
 OPEN_FLOOR = AuctionParams(2, 0, None, HIGHEST_LOSING)
-TRUTHFUL = StrategyProfile(((mv(10, 10),), (mv(6, 1),)))
-SHADED = StrategyProfile(((mv(10, 1),), (mv(6, 1),)))
+TRUTHFUL = ((mv(10, 10),), (mv(6, 1),))
+SHADED = ((mv(10, 1),), (mv(6, 1),))
 
 
 class TestNoOverbidding:
@@ -198,14 +197,14 @@ class TestUtility:
     search is compared with below."""
 
     def test_truthful_firm_one(self):
-        assert _direct_utility(MARKET, OPEN_FLOOR, TRUTHFUL.reports, 0, 0, mv(10, 10)) == 8
+        assert _direct_utility(MARKET, OPEN_FLOOR, TRUTHFUL, 0, 0, mv(10, 10)) == 8
 
     def test_shaded_firm_one(self):
-        assert _direct_utility(MARKET, OPEN_FLOOR, SHADED.reports, 0, 0, mv(10, 1)) == 9
+        assert _direct_utility(MARKET, OPEN_FLOOR, SHADED, 0, 0, mv(10, 1)) == 9
 
     def test_unallocated_firm(self):
         floor9 = AuctionParams(2, 9, None, HIGHEST_LOSING)
-        assert _direct_utility(MARKET, floor9, TRUTHFUL.reports, 1, 0, mv(6, 1)) == 0
+        assert _direct_utility(MARKET, floor9, TRUTHFUL, 1, 0, mv(6, 1)) == 0
 
     def test_expectation_over_opponent_types(self):
         m = MarketInstance(
@@ -280,7 +279,7 @@ class TestFindEquilibria:
         )
         params = AuctionParams(5, 0, None, HIGHEST_LOSING)
         report = find_grid_equilibria(m, params)
-        assert StrategyProfile(((mv(4, 3),),)) in report.profiles
+        assert ((mv(4, 3),),) in report.profiles
 
     def test_all_below_floor_zero_welfare(self):
         m = MarketInstance(
@@ -429,11 +428,11 @@ def _oracle_gains(instance, params, profile, firm, strict):
     """Per type of `firm`, what its best grid deviation gains over its report."""
     return tuple(
         max(
-            _direct_utility(instance, params, profile.reports, firm, t, report)
+            _direct_utility(instance, params, profile, firm, t, report)
             for report in candidate_reports(instance, params, firm, t, strict)
         )
-        - _direct_utility(instance, params, profile.reports, firm, t, current)
-        for t, current in enumerate(profile.reports[firm])
+        - _direct_utility(instance, params, profile, firm, t, current)
+        for t, current in enumerate(profile[firm])
     )
 
 
@@ -542,10 +541,10 @@ class TestAgainstDirectOracle:
         assert report.profiles
         _assert_same_report(report, eager_report(m, params))
         for profile, per_firm in zip(report.profiles, report.utilities):
-            for firm, per_type in enumerate(profile.reports):
+            for firm, per_type in enumerate(profile):
                 for t, bid in enumerate(per_type):
                     got = per_firm[firm][t]
-                    assert got == _direct_utility(m, params, profile.reports, firm, t, bid)
+                    assert got == _direct_utility(m, params, profile, firm, t, bid)
                 assert max(_oracle_gains(m, params, profile, firm, False)) <= 0
 
     def test_cached_outcomes_match_run_auction(self):
@@ -626,6 +625,34 @@ class TestLazyReport:
         with pytest.raises(AttributeError, match="read-only"):
             del report.utilities
         assert "welfares" not in vars(report)
+
+    @pytest.mark.parametrize("instance, cap, floor, found", [
+        (EQUILIBRIUM_CASES["random-20-small-safe-tie"][0], 3, 6, 96),
+        (logscale(3), 1, 1, 9984),  # of 853,875 profiles
+    ])
+    def test_each_bid_is_one_integer_tuple_until_profiles_are_read(
+        self, monkeypatch, instance, cap, floor, found
+    ):
+        """The game interns each bid once, as the integer tuple that keys
+        its id; the report builds Fraction vectors only for `profiles`, one
+        object per distinct vector."""
+        built = []
+        vectors = equilibrium._GridGame.vectors
+        monkeypatch.setattr(equilibrium._GridGame, "vectors",
+                            lambda game, ids: built.append(ids) or vectors(game, ids))
+        params = AuctionParams(cap, floor, None, HIGHEST_LOSING)
+        report = find_grid_equilibria(instance, params, profile_limit=10**6)
+        assert len(report._found) == found
+        game = report._game
+        assert len(game._bids) == len(game._ids) > 1
+        for bid, r in game._ids.items():
+            assert game._bids[r].marginals is bid
+            assert all(type(level) is int for level in bid)
+        report.welfares, report.utilities
+        assert built == []
+        every = [v for profile in report.profiles for strategy in profile for v in strategy]
+        assert len(built) == 1
+        assert len(every) > len({id(v) for v in every}) == len(set(every))
 
     @pytest.mark.parametrize("case", ["random-5-small-safe", "demand-reduction-epsilon"])
     def test_only_out_builds_the_lazy_fields(self, tmp_path, monkeypatch, capsys, case):
@@ -725,6 +752,11 @@ class TestPoACheck:
         with pytest.raises(ValidationError):
             check_poa_bound(Analysis(MARKET), report)
 
+    def test_an_unbounded_cap_has_no_safe_price(self):
+        report = find_grid_equilibria(MARKET, AuctionParams(None, 0, None))
+        with pytest.raises(ValidationError, match="safe price needs cap >= 1, got None"):
+            check_poa_bound(Analysis(MARKET), report)
+
     def test_random_tiny_instances_hold(self):
         # marginals exactly at the safe price make firms indifferent and are
         # excluded here; see test_exact_indifference_breaks_ratio_bound
@@ -802,5 +834,5 @@ class TestDeterminism:
 
     def test_profiles_in_canonical_order(self):
         report = find_grid_equilibria(MARKET, OPEN_FLOOR)
-        keys = [tuple(p.reports) for p in report.profiles]
+        keys = list(report.profiles)
         assert keys == sorted(keys)

@@ -204,7 +204,6 @@ def _records():
         optimize_cap_and_price(analysis, allow_ceiling=False),
         verify_sellout_factor(analysis),
         report,
-        report.profiles[0],
     ]
 
 

@@ -6,16 +6,19 @@ and cap range, so optimization results are exact rather than approximate.
 The sweeps (`optimize_cap_and_price`, `optimize_safe`) and `evaluate`'s
 expectations, its sell-out probability included, are lookups on the
 integer tables of `tables.Analysis`, whose docstring derives the quantity
-each auction sells. `evaluate` clears each scenario's truthful bids with
-`auction.clear_valid` for its allocation, price and case; its welfare is
-the table's entry at the quantity sold.
+each auction sells. A sweep's `OptResult` holds its winning `Candidate`,
+which has no pricing rule since truthful welfare does not depend on one,
+and every candidate it searched. `evaluate` clears each scenario's
+truthful marginals with `auction.clear_valid`; its welfare is the
+table's entry at the quantity sold.
 
 Where code lives: run without cached bytecode (`PYTHONDONTWRITEBYTECODE`),
 each process compiles every module it imports from source. This module
 holds the sweeps and the `optimize` and `evaluate` handlers, which `cli`
-imports on call; `verify` loads it for its optima, and an `equilibrium`
-process never does. The per-instance tables that every subcommand reads
-are in `tables`. The helpers that only certificates call
+imports on call; `verify` loads it when it first reads an optimum
+(`Analysis.no_ceiling_optimum`, `Analysis.safe_optimum`), and an
+`equilibrium` process never does. The per-instance tables that every
+subcommand reads are in `tables`. The helpers that only certificates call
 (`one_minus_inv_e`, `demand_quantile_cap`, `best_own_quantity`,
 `single_buyer_expected`) live in `bounds`, which only `verify` loads.
 """
@@ -26,7 +29,7 @@ from fractions import Fraction
 from operator import add, attrgetter, getitem
 from typing import NamedTuple
 
-from .auction import LOWEST_WINNING, AuctionParams, clear_valid
+from .auction import AuctionParams, clear_valid
 from .io import display, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
 from .model import ZERO, MarketInstance, ValidationError, rat
 from .tables import Analysis, _per_scenario
@@ -40,10 +43,14 @@ class Candidate(NamedTuple):
 
 
 class OptResult(NamedTuple):
-    params: AuctionParams
-    expected_welfare: Fraction
-    searched: int
+    """A sweep's best candidate and every candidate it searched, in order."""
+
+    winner: Candidate
     table: tuple[Candidate, ...]
+
+    @property
+    def searched(self) -> int:
+        return len(self.table)
 
 
 def optimize_cap_and_price(analysis: Analysis, allow_ceiling: bool = True) -> OptResult:
@@ -101,13 +108,7 @@ def optimize_cap_and_price(analysis: Analysis, allow_ceiling: bool = True) -> Op
         Candidate(-cap, grid[i], None if j == top else grid[j], welfare[num])
         for num, cap, i, j in found
     )
-    best = table[found.index(max(found))]
-    return OptResult(
-        params=AuctionParams(best.cap, best.floor, best.ceiling, LOWEST_WINNING),
-        expected_welfare=best.expected_welfare,
-        searched=len(table),
-        table=table,
-    )
+    return OptResult(table[found.index(max(found))], table)
 
 
 def optimize_safe(analysis: Analysis) -> OptResult:
@@ -119,12 +120,7 @@ def optimize_safe(analysis: Analysis) -> OptResult:
         for cap in range(1, analysis.cap_limit + 1)
     )
     best = max(table, key=attrgetter("expected_welfare"))  # ties keep the smaller cap
-    return OptResult(
-        params=AuctionParams(best.cap, best.floor, None, LOWEST_WINNING),
-        expected_welfare=best.expected_welfare,
-        searched=len(table),
-        table=table,
-    )
+    return OptResult(best, table)
 
 
 def cmd_evaluate(args) -> int:
@@ -146,7 +142,7 @@ def cmd_evaluate(args) -> int:
         raise ValidationError("an unbounded cap never reaches a ceiling; it takes no --ceiling")
     analysis = Analysis(instance, args.scenario_limit)
     scenarios = _per_scenario(([vs for _, vs in types] for types in analysis._factors), (), add)
-    outcomes = [clear_valid(params, bids) for bids in scenarios]
+    outcomes = [clear_valid([b.marginals for b in bids], *params) for bids in scenarios]
     sold = [sum(allocation) for allocation, _, _ in outcomes]
     analysis._tabulate(max(sold))
     probs, weight = analysis._probs, analysis._weight
@@ -186,13 +182,13 @@ def cmd_optimize(args) -> int:
     else:
         result = optimize_cap_and_price(analysis, allow_ceiling=not args.no_ceiling)
         kind = "best cap-and-price auction"
-    p = result.params
+    best = result.winner
     print(f"instance: {instance.label or args.instance}")
     print(f"{kind} over {result.searched} candidates:")
-    print(f"  cap: {p.cap}")
-    print(f"  floor: {display(p.floor)}")
-    print(f"  ceiling: {display(p.ceiling)}")
-    print(f"  expected welfare: {display(result.expected_welfare)}")
+    print(f"  cap: {best.cap}")
+    print(f"  floor: {display(best.floor)}")
+    print(f"  ceiling: {display(best.ceiling)}")
+    print(f"  expected welfare: {display(best.expected_welfare)}")
     header = ["cap", "floor", "floor_dec", "ceiling", "ceiling_dec", "welfare", "welfare_dec"]
     # A table has few distinct floors, ceilings and welfares: each is
     # formatted once, keyed by its value (not its grid position, since

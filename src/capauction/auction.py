@@ -4,10 +4,11 @@ The capped auction sells up to `cap` licenses between a price floor and a
 price ceiling: if demand at the ceiling covers the cap, everyone buys at the
 ceiling; if demand at the floor falls short of the cap, everyone buys at the
 floor; otherwise exactly `cap` licenses go to the highest reported marginals.
-`clear_valid` is the one clearing routine: `evaluate` clears truthful bids
-with it, and the equilibrium search clears its integer bid vectors. Also
-provides the safe price (average social cost at the cap) and the price
-grid that the sweeps search.
+`clear_valid` is the one clearing routine, on plain tuples of marginals:
+`evaluate` clears truthful Fraction bids with it, and the equilibrium
+search its integer bid levels over its scale L. Also provides the safe
+price (average social cost at the cap) and the price grid that the
+sweeps search.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .model import ZERO, CostCurve, MarginalVector, MarketInstance, ValidationError, rat
+from .model import ZERO, CostCurve, MarketInstance, ValidationError, rat
 
 LOWEST_WINNING = "lowest-winning"
 HIGHEST_LOSING = "highest-losing"
@@ -59,26 +60,40 @@ class AuctionParams(namedtuple("AuctionParams", "cap floor ceiling pricing")):
         return super().__new__(cls, cap, floor, ceiling, pricing)
 
 
+def _demand(marginals, price) -> int:
+    """Largest j whose marginal is at least `price`, for non-increasing
+    marginals. `None` means an infinite price (demand 0). Only strictly
+    positive marginals count, so demand at a price <= 0 is finite."""
+    if price is None:
+        return 0
+    n = 0
+    for v in marginals:
+        if v < price or v <= 0:
+            break
+        n += 1
+    return n
+
+
 def clear_valid(
-    params: AuctionParams,
-    bids: list[MarginalVector] | tuple[MarginalVector, ...],
-) -> tuple[tuple[int, ...], Fraction, str]:
+    bids, cap: int | None, floor, ceiling, pricing: str
+) -> tuple[tuple[int, ...], Fraction | int, str]:
     """Allocation, uniform unit price and binding case on reported bids,
     which the caller has already validated (non-negative, non-increasing).
 
-    With no cap the floor always binds, whatever the ceiling.
+    Each bid is a tuple of marginals; they, the floor, the ceiling (None
+    for none) and the price share one exact number type. With no cap the
+    floor always binds, whatever the ceiling.
     """
-    cap = params.cap
-    ceiling_demand = [b.demand(params.ceiling) for b in bids]
+    ceiling_demand = [_demand(b, ceiling) for b in bids]
     if cap is not None and sum(ceiling_demand) >= cap:
         allocation = tuple(ceiling_demand)
-        price = params.ceiling
+        price = ceiling
         case = CEILING_BINDS
     else:
-        floor_demand = [b.demand(params.floor) for b in bids]
+        floor_demand = [_demand(b, floor) for b in bids]
         if cap is None or sum(floor_demand) < cap:
             allocation = tuple(floor_demand)
-            price = params.floor
+            price = floor
             case = FLOOR_BINDS
         else:
             # Exactly `cap` units go to the highest reported marginals.
@@ -86,18 +101,18 @@ def clear_valid(
             units = [
                 (value, firm, unit)
                 for firm, b in enumerate(bids)
-                for unit, value in enumerate(b.marginals)
+                for unit, value in enumerate(b)
             ]
             units.sort(key=lambda t: (-t[0], t[1], t[2]))
             counts = [0] * len(bids)
             for _, firm, _ in units[:cap]:
                 counts[firm] += 1
             allocation = tuple(counts)
-            if params.pricing == LOWEST_WINNING:
+            if pricing == LOWEST_WINNING:
                 price = units[cap - 1][0]
             else:
                 losing = units[cap][0] if len(units) > cap else ZERO
-                price = max(params.floor, losing)
+                price = max(floor, losing)
             case = CAP_BINDS
     return allocation, price, case
 

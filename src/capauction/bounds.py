@@ -9,9 +9,9 @@ inequality; a failure is a finding.
 
 Every certificate reads `tables.Analysis` (its integer welfare rows, cost
 list, demand memo, probability weights, sell-out probabilities, safe
-prices and cached no-ceiling optimum), never a scenario cleared again;
-`verify_decomposition_bounds` splits the welfare into its three terms on
-those rows. The price-gap certificates (`verify_price_gap`,
+prices and cached no-ceiling and safe-price optima), never a scenario
+cleared again; `verify_decomposition_bounds` splits the welfare into its
+three terms on those rows. The price-gap certificates (`verify_price_gap`,
 `worst_price_gap`) read only the cost curve.
 
 Only `verify` loads this module, so it also holds the helpers that only
@@ -30,7 +30,6 @@ from functools import lru_cache
 from operator import attrgetter, mul
 from typing import NamedTuple
 
-from .analysis import optimize_safe
 from .auction import AuctionParams, safe_price
 from .io import (
     display, format_rational, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
@@ -337,15 +336,15 @@ def verify_sellout_factor(analysis: Analysis) -> BoundCertificate:
 
     Not applicable when the optimum never sells out (q = 0).
     """
-    opt = analysis.no_ceiling_optimum
+    opt = analysis.no_ceiling_optimum.winner
     base = opt.expected_welfare
-    q = analysis.sell_out_probability(opt.params.cap, opt.params.floor)
+    q = analysis.sell_out_probability(opt.cap, opt.floor)
     if q == 0:
         return _certify(
             "safe-within-sellout-factor", ZERO, base, status=NOT_APPLICABLE, sell_out_probability=q
         )
     factor = 1 + Fraction(2) / q
-    best_safe = optimize_safe(analysis)
+    best_safe = analysis.safe_optimum.winner
     best_w = best_safe.expected_welfare
     needed = None
     if base > 0 and best_w > 0:
@@ -356,11 +355,11 @@ def verify_sellout_factor(analysis: Analysis) -> BoundCertificate:
         base,
         sell_out_probability=q,
         factor=factor,
-        witness_cap=best_safe.params.cap,
+        witness_cap=best_safe.cap,
         witness_welfare=best_w,
         multiplier_needed=needed,
-        optimum_cap=opt.params.cap,
-        optimum_floor=opt.params.floor,
+        optimum_cap=opt.cap,
+        optimum_floor=opt.floor,
     )
 
 
@@ -376,23 +375,23 @@ def verify_single_buyer_cover(analysis: Analysis) -> tuple[BoundCertificate, Bou
     """
     if not analysis.instance.product_form:
         raise ValidationError("single-buyer cover needs independent firms (product form)")
-    opt = analysis.no_ceiling_optimum
+    opt = analysis.no_ceiling_optimum.winner
     base = opt.expected_welfare
     single = single_buyer_expected(analysis)
-    best_safe = optimize_safe(analysis)
+    best_safe = analysis.safe_optimum.winner
     headline = _certify(
         "safe-plus-single-buyer-cover",
         SINGLE_BUYER_COVER_CONSTANT * best_safe.expected_welfare + single,
         base,
         constant=SINGLE_BUYER_COVER_CONSTANT,
-        witness_cap=best_safe.params.cap,
+        witness_cap=best_safe.cap,
         single_buyer_welfare=single,
-        optimum_cap=opt.params.cap,
-        optimum_floor=opt.params.floor,
+        optimum_cap=opt.cap,
+        optimum_floor=opt.floor,
     )
 
-    q = analysis.sell_out_probability(opt.params.cap, opt.params.floor)
-    quantile_cap = demand_quantile_cap(analysis, opt.params.floor)
+    q = analysis.sell_out_probability(opt.cap, opt.floor)
+    quantile_cap = demand_quantile_cap(analysis, opt.floor)
     route = "sellout-factor" if q >= one_minus_inv_e() else "quantile-cap"
     if quantile_cap == 0:
         four_term = _certify(
@@ -402,7 +401,7 @@ def verify_single_buyer_cover(analysis: Analysis) -> tuple[BoundCertificate, Bou
 
     safe_at = analysis.safe_welfare
     best_half = _best_half(analysis, quantile_cap)
-    lhs = safe_at(opt.params.cap) + single + 4 * safe_at(quantile_cap) + 21 * safe_at(best_half)
+    lhs = safe_at(opt.cap) + single + 4 * safe_at(quantile_cap) + 21 * safe_at(best_half)
     four_term = _certify(
         "four-term-cover",
         lhs,
@@ -412,8 +411,8 @@ def verify_single_buyer_cover(analysis: Analysis) -> tuple[BoundCertificate, Bou
         route=route,
         sell_out_probability=q,
         single_buyer_welfare=single,
-        optimum_cap=opt.params.cap,
-        optimum_floor=opt.params.floor,
+        optimum_cap=opt.cap,
+        optimum_floor=opt.floor,
     )
     return headline, four_term
 
@@ -422,9 +421,9 @@ def verify_single_buyer_cover(analysis: Analysis) -> tuple[BoundCertificate, Bou
 
 def _cap_and_floor(args, analysis: Analysis) -> tuple[int | None, Fraction]:
     """--cap and --floor, each defaulting to the best no-ceiling auction's."""
-    cap = parse_cap(args.cap) if args.cap is not None else analysis.no_ceiling_optimum.params.cap
+    cap = parse_cap(args.cap) if args.cap is not None else analysis.no_ceiling_optimum.winner.cap
     if args.floor is None:
-        return cap, analysis.no_ceiling_optimum.params.floor
+        return cap, analysis.no_ceiling_optimum.winner.floor
     return cap, rat(args.floor)
 
 

@@ -22,12 +22,12 @@ finds is what `check_poa_bound` compares with the safe-price baseline.
 The game computes in exact scaled integers over one scale L, the lcm of
 the analysis's cost scale and the bid levels' denominators: values, bid
 levels, prices and costs are integers over L. Each candidate is interned
-once, as its tuple of bid levels over L: `auction.clear_valid` clears
-those integer vectors at the floor and ceiling over L, so the price it
-returns is an integer over L. Each firm j has P_j, the lcm of its type
-probabilities' denominators, so a slot of firm i weights its draws by
-integers over prod_{j != i} P_j and its utilities are integers over
-S_i = L * prod_{j != i} P_j; the epsilon test is then
+once, as its tuple of bid levels over L, and `auction.clear_valid`
+clears those tuples as they are, at the floor and ceiling over L, so the
+price it returns is an integer over L. Each firm j has P_j, the lcm of
+its type probabilities' denominators, so a slot of firm i weights its
+draws by integers over prod_{j != i} P_j and its utilities are integers
+over S_i = L * prod_{j != i} P_j; the epsilon test is then
 `best - current <= floor(epsilon * S_i)`. A profile's welfare is an
 integer over L * prod_j P_j. The search builds one Fraction, the worst
 welfare; the report builds its profiles (the bids over the grid's
@@ -175,11 +175,9 @@ class _GridGame:
         cost_scale = analysis._den // analysis._weight
         self.scale, self.levels = _integers(self.grid, cost_scale)
         over_scale = dict(zip(self.grid, self.levels))
-        # `_replace` skips `AuctionParams`' coercion to Fractions.
-        self.scaled_params = params._replace(
-            floor=over_scale[params.floor],
-            ceiling=None if params.ceiling is None else over_scale[params.ceiling],
-        )
+        self.cap, self.pricing = params.cap, params.pricing
+        self.floor = over_scale[params.floor]  # over L, like the ceiling
+        self.ceiling = None if params.ceiling is None else over_scale[params.ceiling]
         self.costs = [c * (self.scale // cost_scale) for c in analysis._cost]
         self.values = []
         for scenarios in self.types:
@@ -203,7 +201,7 @@ class _GridGame:
         ]
         self.draw_scale = self.scale * analysis._weight
         self.slot_scale = [self.scale * (analysis._weight // d) for d, _ in analysis._weights]
-        self._bids: list[MarginalVector] = []  # per id, its levels over L
+        self._bids: list[tuple[int, ...]] = []  # per id, its levels over L
         self._ids: dict[tuple[int, ...], int] = {}  # keyed by those levels
         self._candidates: dict[tuple[int, int], tuple[int, ...]] = {}
         self._outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
@@ -213,7 +211,7 @@ class _GridGame:
     def vectors(self, ids: tuple[int, ...]) -> tuple[MarginalVector, ...]:
         """The ids' bid vectors over the grid's Fractions, each built anew."""
         on_grid = dict(zip(self.levels, self.grid)).__getitem__
-        return tuple(MarginalVector(tuple(map(on_grid, self._bids[r].marginals))) for r in ids)
+        return tuple(MarginalVector(tuple(map(on_grid, self._bids[r]))) for r in ids)
 
     def candidates(self, firm: int, type_index: int) -> tuple[int, ...]:
         """The slot's grid strategies as vector ids, in canonical order.
@@ -223,9 +221,9 @@ class _GridGame:
         values. On first use they are walked depth first with ascending
         levels, which is canonical order; a level that breaks the bound at
         its position is pruned with every higher one. Each vector is
-        interned by its tuple of levels over L, which is also the
-        `.marginals` of its bid; the walk emits only valid vectors, so
-        outcomes clear them unchecked.
+        interned as its tuple of levels over L, one object that is both
+        its `_ids` key and its `_bids` entry; the walk emits only valid
+        vectors, so outcomes clear them unchecked.
         """
         key = (firm, type_index)
         got = self._candidates.get(key)
@@ -237,7 +235,7 @@ class _GridGame:
         for bid in walked:
             if bid not in self._ids:
                 self._ids[bid] = len(self._bids)
-                self._bids.append(MarginalVector(bid))
+                self._bids.append(bid)
         got = self._candidates[key] = tuple(map(self._ids.__getitem__, walked))
         return got
 
@@ -245,7 +243,9 @@ class _GridGame:
         """Allocation and price times L of the auction on these bids."""
         got = self._outcomes.get(bids)
         if got is None:
-            allocation, price, _ = clear_valid(self.scaled_params, [self._bids[r] for r in bids])
+            allocation, price, _ = clear_valid(
+                [self._bids[r] for r in bids], self.cap, self.floor, self.ceiling, self.pricing
+            )
             got = self._outcomes[bids] = (allocation, price)
         return got
 

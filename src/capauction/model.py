@@ -87,24 +87,6 @@ class MarginalVector(NamedTuple):
                 out.append(f"{where}: not non-increasing at index {j}")
         return out
 
-    def demand(self, price: Fraction | None) -> int:
-        """Largest j whose marginal is at least `price`.
-
-        `None` means an infinite price (demand 0). At price 0 only strictly
-        positive marginals count, so demand is always finite.
-        """
-        if price is None:
-            return 0
-        if price <= 0:
-            return self.positive_units
-        n = 0
-        for v in self.marginals:
-            if v >= price:
-                n += 1
-            else:
-                break
-        return n
-
 
 REPEAT_LAST = "repeat-last"
 ERROR_BEYOND = "error"

@@ -106,9 +106,9 @@ class Analysis:
     once a sweep asks for them, p_s * W_s(q) for every quantity q the sweep
     can sell, so a candidate costs one demand lookup and one integer sum
     per scenario.
-    The no-ceiling optimum is computed on first read and kept. The
-    equilibrium search reads the price grid, the type weights and the cost
-    list from here too.
+    The no-ceiling and safe-price optima are computed on first read and
+    kept. The equilibrium search reads the price grid, the type weights
+    and the cost list from here too.
     """
 
     def __init__(
@@ -224,8 +224,9 @@ class Analysis:
         cap 0, the convention used when a bound halves an odd cap."""
         if cap == 0:
             return ZERO
+        price = self.safe_price(cap)  # rejects a cap below 1 before any table is built
         self._tabulate(cap)
-        return self.welfare(cap, self.safe_price(cap))
+        return self.welfare(cap, price)
 
     @cached_property
     def no_ceiling_optimum(self) -> OptResult:
@@ -234,3 +235,9 @@ class Analysis:
         from .analysis import optimize_cap_and_price
 
         return optimize_cap_and_price(self, allow_ceiling=False)
+
+    @cached_property
+    def safe_optimum(self) -> OptResult:
+        from .analysis import optimize_safe  # on first read, as above
+
+        return optimize_safe(self)

@@ -87,7 +87,7 @@ def clear(
         problems = b.violations(f"bids[{i}]")
         if problems:
             raise ValidationError("; ".join(problems))
-    return clear_valid(params, bids)
+    return clear_valid([b.marginals for b in bids], *params)
 
 
 def run_auction(

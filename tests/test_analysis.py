@@ -29,6 +29,7 @@ from capauction import (
     verify_ceiling_removal,
 )
 from capauction.analysis import Candidate
+from capauction.auction import _demand
 from oracles import (
     cost_table,
     enumerate_scenarios,
@@ -138,33 +139,33 @@ class TestExpectedWelfare:
 class TestOptimize:
     def test_demand_reduction_opt_is_two(self):
         opt = optimize_cap_and_price(Analysis(demand_reduction()), allow_ceiling=False)
-        assert opt.expected_welfare == 2
-        assert opt.params.cap == 2
+        assert opt.winner.expected_welfare == 2
+        assert opt.winner.cap == 2
 
     def test_worthless_market_opts_to_zero(self):
         m = MarketInstance(
             firms=(FirmDistribution.point_mass(mv(3, 2)),), cost=cost_table(5, 5)
         )
         opt = optimize_cap_and_price(Analysis(m))
-        assert opt.expected_welfare == 0
+        assert opt.winner.expected_welfare == 0
 
     def test_logscale_opt_exact(self):
         opt = optimize_cap_and_price(Analysis(logscale(5)), allow_ceiling=False)
-        assert opt.expected_welfare == 5 / BETA5
+        assert opt.winner.expected_welfare == 5 / BETA5
 
     def test_opt_at_least_best_safe_and_nonnegative(self):
         for seed in range(12):
             m = Analysis(generate(seed, firms=2, scenarios_per_firm=2, max_units=3))
             opt = optimize_cap_and_price(m, allow_ceiling=False)
             safe = optimize_safe(m)
-            assert opt.expected_welfare >= safe.expected_welfare
-            assert opt.expected_welfare >= 0
+            assert opt.winner.expected_welfare >= safe.winner.expected_welfare
+            assert opt.winner.expected_welfare >= 0
 
     def test_table_covers_search(self):
         opt = optimize_cap_and_price(Analysis(demand_reduction()), allow_ceiling=False)
         assert len(opt.table) == opt.searched
         assert all(
-            opt.expected_welfare >= cand.expected_welfare for cand in opt.table
+            opt.winner.expected_welfare >= cand.expected_welfare for cand in opt.table
         )
 
 
@@ -172,24 +173,24 @@ class TestOptimizeSafe:
     def test_logscale_best_safe_frozen_value(self):
         # independent closed-form oracle over cap brackets froze 3504/341
         result = optimize_safe(Analysis(logscale(5), cap_limit=32))
-        assert result.expected_welfare == F(3504, 341)
-        assert result.expected_welfare <= 4 / BETA5
-        assert result.params.cap == 4
+        assert result.winner.expected_welfare == F(3504, 341)
+        assert result.winner.expected_welfare <= 4 / BETA5
+        assert result.winner.cap == 4
 
     def test_single_firm_flat_curve(self):
         m = MarketInstance(
             firms=(FirmDistribution.point_mass(mv(10, 10)),), cost=cost_table(9, 9)
         )
         result = optimize_safe(Analysis(m))
-        assert result.params.cap == 2
-        assert result.expected_welfare == 2
+        assert result.winner.cap == 2
+        assert result.winner.expected_welfare == 2
 
     def test_empty_demand(self):
         m = MarketInstance(
             firms=(FirmDistribution.point_mass(mv(0, 0)),), cost=quadratic(1)
         )
         result = optimize_safe(Analysis(m))
-        assert result.expected_welfare == 0
+        assert result.winner.expected_welfare == 0
 
     def test_safe_table_has_zero_cap_convention(self):
         analysis = Analysis(demand_reduction())
@@ -199,6 +200,12 @@ class TestOptimizeSafe:
     def test_safe_table_rejects_an_unbounded_cap(self):
         with pytest.raises(ValidationError, match="safe price needs cap >= 1, got None"):
             Analysis(demand_reduction()).safe_welfare(None)
+
+    def test_safe_table_rejects_an_unbounded_cap_before_tabulating(self):
+        analysis = Analysis(logscale(4))
+        with pytest.raises(ValidationError, match="safe price needs cap >= 1, got None"):
+            analysis.safe_welfare(None)
+        assert (analysis._reach, analysis._cost) == (-1, [])
 
 
 class TestSellOut:
@@ -398,8 +405,7 @@ class TestWelfareKernel:
             ))
             opt = optimize_cap_and_price(analysis, allow_ceiling=allow_ceiling)
             assert opt.table == tuple(rows), m.label
-            assert opt.params == AuctionParams(best.cap, best.floor, best.ceiling)
-            assert opt.expected_welfare == best.expected_welfare
+            assert opt.winner == best
 
     def test_safe_sweeps_match_oracle(self):
         for m in self.INSTANCES:
@@ -412,8 +418,7 @@ class TestWelfareKernel:
                 (p.cap, p.floor, w) for p, w in zip(safe, welfares)
             ]
             best = welfares.index(max(welfares))  # ties keep the smaller cap
-            assert result.params == safe[best]
-            assert result.expected_welfare == welfares[best]
+            assert result.winner == Candidate(safe[best].cap, safe[best].floor, None, welfares[best])
 
     def test_ceiling_removal_search_matches_oracle(self):
         for m in self.INSTANCES:
@@ -438,7 +443,7 @@ class TestWelfareKernel:
                         (
                             row.probability * run_auction(params, row.valuations, m.cost).welfare
                             for row in enumerate_scenarios(m)
-                            if sum(v.demand(floor) for v in row.valuations) >= cap
+                            if sum(_demand(v.marginals, floor) for v in row.valuations) >= cap
                         ),
                         F(0),
                     )
@@ -558,7 +563,7 @@ class TestIntegerTables:
         oracle = Analysis(m, cap_limit=cap_limit)
         for cand in opt.table:
             assert cand.expected_welfare == oracle.welfare(cand.cap, cand.floor, cand.ceiling)
-        assert opt.expected_welfare == max(c.expected_welfare for c in opt.table)
+        assert opt.winner.expected_welfare == max(c.expected_welfare for c in opt.table)
 
     def test_sweep_reuses_rows_where_nothing_binds(self):
         # generate(3): the sentinel cap and the high ceilings bind nowhere,

@@ -1,10 +1,11 @@
 """The capped uniform-price rule, safe-price construction, single buyer."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from capauction import (
     CAP_BINDS,
@@ -19,6 +20,7 @@ from capauction import (
     logscale,
     price_candidates,
 )
+from capauction.auction import _demand, clear_valid
 from capauction.bounds import best_own_quantity
 from oracles import (
     clear,
@@ -41,6 +43,35 @@ def marginal_vectors(max_units=4, max_value=12):
     return st.lists(
         st.integers(min_value=0, max_value=max_value), max_size=max_units
     ).map(lambda vs: MarginalVector(tuple(F(v) for v in sorted(vs, reverse=True))))
+
+
+class TestDemand:
+    def test_both_units_clear(self):
+        assert _demand(mv(10, 10).marginals, F(6)) == 2
+
+    def test_only_first_clears(self):
+        assert _demand(mv(6, 1).marginals, F(6)) == 1
+
+    def test_all_below(self):
+        assert _demand(mv(6, 1).marginals, F(7)) == 0
+
+    def test_price_zero_counts_positives_only(self):
+        assert _demand(mv(6, 1, 0, 0).marginals, F(0)) == 2
+
+    def test_infinite_price(self):
+        assert _demand(mv(6, 1).marginals, None) == 0
+
+    @given(marginal_vectors(5, 20), st.integers(0, 25), st.integers(0, 25))
+    def test_non_increasing_in_price(self, v, p1, p2):
+        lo, hi = sorted((F(p1), F(p2)))
+        assert _demand(v.marginals, lo) >= _demand(v.marginals, hi)
+
+    @given(marginal_vectors(5, 20))
+    def test_demand_at_min_positive_counts_weakly_above(self, v):
+        positives = [x for x in v.marginals if x > 0]
+        if positives:
+            p = min(positives)
+            assert _demand(v.marginals, p) == sum(1 for x in v.marginals if x >= p)
 
 
 class TestParams:
@@ -172,8 +203,8 @@ class TestCasePartition:
     def test_exactly_one_case_applies(self, bids, cap, floor, gap):
         params = AuctionParams(cap, floor, floor + gap)
         out = run_auction(params, bids, quadratic(1))
-        d_ceiling = sum(b.demand(params.ceiling) for b in bids)
-        d_floor = sum(b.demand(params.floor) for b in bids)
+        d_ceiling = sum(_demand(b.marginals, params.ceiling) for b in bids)
+        d_floor = sum(_demand(b.marginals, params.floor) for b in bids)
         if d_ceiling >= cap:
             assert out.case == CEILING_BINDS and out.unit_price == params.ceiling
         elif d_floor < cap:
@@ -207,7 +238,7 @@ class TestCasePartition:
         else:
             threshold = params.ceiling if out.case == CEILING_BINDS else params.floor
             for b, x in zip(bids, out.allocation):
-                assert b.demand(threshold) == x
+                assert _demand(b.marginals, threshold) == x
 
     def test_deterministic(self):
         bids = (mv(5, 5, 2), mv(5, 3), mv(5,))
@@ -248,6 +279,40 @@ class TestClear:
             cases.add((case, params.pricing, cap is None, ceiling is None))
         assert {case for case, *_ in cases} == {CAP_BINDS, CEILING_BINDS, FLOOR_BINDS}
         assert len(cases) >= 12
+
+    @given(
+        st.lists(
+            st.lists(st.fractions(0, 12, max_denominator=3), max_size=4)
+            .map(lambda vs: tuple(sorted(vs, reverse=True))),
+            min_size=1, max_size=3,
+        ),
+        st.none() | st.integers(1, 8),
+        st.sampled_from((LOWEST_WINNING, HIGHEST_LOSING)),
+        st.integers(1, 3),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_integer_levels_clear_like_their_fractions(self, bids, cap, pricing, extra, data):
+        """The equilibrium search clears its bids as integers over a scale
+        L, with the floor and ceiling over L: that gives the allocation and
+        case of the Fraction bids and exactly L times their price, an int.
+        Floors and ceilings are drawn on the bid values and off them."""
+        values = sorted({v for b in bids for v in b} | {F(0)})
+        off_values = st.fractions(0, 8, max_denominator=4)
+        floor = data.draw(st.sampled_from(values) | off_values, label="floor")
+        above = st.sampled_from([v for v in values if v > floor] or [floor + 1])
+        gap = st.fractions(0, 6, max_denominator=4).filter(bool)
+        ceiling = data.draw(st.none() | above | gap.map(floor.__add__), label="ceiling")
+        want = clear_valid(bids, cap, floor, ceiling, pricing)
+        numbers = [*values, floor] + ([] if ceiling is None else [ceiling])
+        scale = math.lcm(*(v.denominator for v in numbers)) * extra
+        levels = [tuple(int(v * scale) for v in b) for b in bids]
+        allocation, price, case = clear_valid(
+            levels, cap, int(floor * scale), None if ceiling is None else int(ceiling * scale),
+            pricing,
+        )
+        assert (allocation, case) == (want[0], want[2])
+        assert type(price) is int and price == want[1] * scale
 
     def test_rejects_the_bids_run_auction_rejects(self):
         bids = (mv(3, 1), MarginalVector((F(1), F(2))))

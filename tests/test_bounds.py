@@ -30,6 +30,7 @@ from capauction import (
     verify_single_buyer_cover,
     worst_price_gap,
 )
+from capauction.auction import _demand
 from capauction.model import ERROR_BEYOND, MarginalCostTable
 from oracles import (
     cost_table,
@@ -275,7 +276,7 @@ class TestSingleBuyerExpected:
 def scenario_demands(instance, floor):
     """(D_s(floor), p_s) per scenario, from the Fraction scenario rows."""
     return [
-        (sum(v.demand(floor) for v in row.valuations), row.probability)
+        (sum(_demand(v.marginals, floor) for v in row.valuations), row.probability)
         for row in enumerate_scenarios(instance)
     ]
 
@@ -299,11 +300,11 @@ class TestDecomposeWelfare:
         for row in enumerate_scenarios(analysis.instance):
             outcome = run_auction(params, row.valuations, cost)
             total += row.probability * outcome.welfare
-            if sum(v.demand(floor) for v in row.valuations) >= cap:
+            if sum(_demand(v.marginals, floor) for v in row.valuations) >= cap:
                 sell_out_term += row.probability * outcome.welfare
                 q += row.probability
                 continue
-            thresholds = [v.demand(reference) for v in row.valuations]
+            thresholds = [_demand(v.marginals, reference) for v in row.valuations]
             above = [min(x, theta) for x, theta in zip(outcome.allocation, thresholds)]
             below = [x - a for x, a in zip(outcome.allocation, above)]
             above_value = sum((value_of(v, a) for v, a in zip(row.valuations, above)), F(0))
@@ -430,11 +431,11 @@ NO_TRADE = MarketInstance(firms=(FirmDistribution.point_mass(mv(1)),), cost=quad
 
 def every_certificate(m: MarketInstance) -> list[BoundCertificate]:
     analysis = Analysis(m)
-    opt = analysis.no_ceiling_optimum.params
+    opt = analysis.no_ceiling_optimum.winner
     ceiled = AuctionParams(opt.cap, analysis.grid[0], analysis.grid[-1])
     return [
         verify_ceiling_removal(analysis, ceiled),
-        verify_sellout_conditional(analysis, opt),
+        verify_sellout_conditional(analysis, AuctionParams(opt.cap, opt.floor)),
         worst_price_gap(m.cost, 6),
         *verify_decomposition_bounds(analysis, opt.cap, opt.floor),
         verify_sellout_factor(analysis),

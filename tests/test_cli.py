@@ -349,10 +349,9 @@ def test_verify_all_enumerates_once(tmp_path, capsys, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert main(["verify", str(path), "--which", "all"]) == 0
-    # The no-ceiling optimum is searched once and cached; thmq and main each
-    # search the safe auctions.
+    # The no-ceiling and safe-price optima are each searched once and cached.
     assert calls == {
-        ("optimize_safe", None): 2,
+        ("optimize_safe", None): 1,
         ("optimize_cap_and_price", False): 1,
     }
 

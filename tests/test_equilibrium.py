@@ -646,7 +646,7 @@ class TestLazyReport:
         game = report._game
         assert len(game._bids) == len(game._ids) > 1
         for bid, r in game._ids.items():
-            assert game._bids[r].marginals is bid
+            assert game._bids[r] is bid
             assert all(type(level) is int for level in bid)
         report.welfares, report.utilities
         assert built == []

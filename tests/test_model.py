@@ -66,35 +66,6 @@ class TestValueAt:
         assert value_of(mv(6, 1), 5) == 7
 
 
-class TestDemand:
-    def test_both_units_clear(self):
-        assert mv(10, 10).demand(F(6)) == 2
-
-    def test_only_first_clears(self):
-        assert mv(6, 1).demand(F(6)) == 1
-
-    def test_all_below(self):
-        assert mv(6, 1).demand(F(7)) == 0
-
-    def test_price_zero_counts_positives_only(self):
-        assert mv(6, 1, 0, 0).demand(F(0)) == 2
-
-    def test_infinite_price(self):
-        assert mv(6, 1).demand(None) == 0
-
-    @given(marginal_vectors(), st.integers(0, 25), st.integers(0, 25))
-    def test_non_increasing_in_price(self, v, p1, p2):
-        lo, hi = sorted((F(p1), F(p2)))
-        assert v.demand(lo) >= v.demand(hi)
-
-    @given(marginal_vectors())
-    def test_demand_at_min_positive_counts_weakly_above(self, v):
-        positives = [x for x in v.marginals if x > 0]
-        if positives:
-            p = min(positives)
-            assert v.demand(p) == sum(1 for x in v.marginals if x >= p)
-
-
 class TestConcavityConvexity:
     @given(marginal_vectors(), st.integers(1, 8))
     def test_values_concave(self, v, x):

@@ -16,7 +16,7 @@ _EXPORTS = {
     "analysis": ("Candidate", "OptResult", "optimize_cap_and_price", "optimize_safe"),
     "auction": (
         "CAP_BINDS", "CEILING_BINDS", "FLOOR_BINDS", "HIGHEST_LOSING", "LOWEST_WINNING",
-        "AuctionParams", "price_candidates", "safe_price",
+        "Analysis", "AuctionParams", "price_candidates", "safe_price",
     ),
     "bounds": (
         "BoundCertificate", "demand_quantile_cap", "one_minus_inv_e", "single_buyer_expected",
@@ -39,7 +39,6 @@ _EXPORTS = {
         "MarketError", "MarketInstance", "QuadraticCost", "TooLargeError",
         "ValidationError", "rat", "validate",
     ),
-    "tables": ("Analysis",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

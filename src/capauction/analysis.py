@@ -5,10 +5,10 @@ scenario space; parameter search is exhaustive over the finite price grid
 and cap range, so optimization results are exact rather than approximate.
 The sweeps (`optimize_cap_and_price`, `optimize_safe`) and `evaluate`'s
 expectations, its sell-out probability included, are lookups on the
-integer tables of `tables.Analysis`, whose docstring derives the quantity
-each auction sells. A sweep's `OptResult` holds its winning `Candidate`,
-which has no pricing rule since truthful welfare does not depend on one,
-and every candidate it searched. `evaluate` clears each scenario's
+integer tables of `auction.Analysis`; the `auction` docstring derives
+the quantity each auction sells. A sweep's `OptResult` holds its winning
+`Candidate`, which has no pricing rule since truthful welfare does not
+depend on one, and every candidate it searched. `evaluate` clears each scenario's
 truthful marginals with `auction.clear_valid`; its welfare is the
 table's entry at the quantity sold.
 
@@ -17,10 +17,11 @@ each process compiles every module it imports from source. This module
 holds the sweeps and the `optimize` and `evaluate` handlers, which `cli`
 imports on call; `verify` loads it when it first reads an optimum
 (`Analysis.no_ceiling_optimum`, `Analysis.safe_optimum`), and an
-`equilibrium` process never does. The per-instance tables that every
-subcommand reads are in `tables`. The helpers that only certificates call
-(`one_minus_inv_e`, `demand_quantile_cap`, `best_own_quantity`,
-`single_buyer_expected`) live in `bounds`, which only `verify` loads.
+`equilibrium` process never does. The clearing rule and the
+per-instance tables that every subcommand reads are in `auction`. The
+helpers that only certificates call (`one_minus_inv_e`,
+`demand_quantile_cap`, `best_own_quantity`, `single_buyer_expected`)
+live in `bounds`, which only `verify` loads.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from fractions import Fraction
 from operator import add, attrgetter, getitem
 from typing import NamedTuple
 
-from .auction import AuctionParams, clear_valid
+from .auction import Analysis, AuctionParams, _per_scenario, clear_valid
 from .io import display, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
 from .model import ZERO, MarketInstance, ValidationError, rat
-from .tables import Analysis, _per_scenario
 
 
 class Candidate(NamedTuple):

@@ -7,7 +7,7 @@ is recomputable from the recorded sides. Every certificate is built by
 not-applicable or degenerate check. Checks never raise on a failed
 inequality; a failure is a finding.
 
-Every certificate reads `tables.Analysis` (its integer welfare rows, cost
+Every certificate reads `auction.Analysis` (its integer welfare rows, cost
 list, demand memo, probability weights, sell-out probabilities, safe
 prices and cached no-ceiling and safe-price optima), never a scenario
 cleared again; `verify_decomposition_bounds` splits the welfare into its
@@ -27,15 +27,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter, mul
+from operator import mul
 from typing import NamedTuple
 
-from .auction import AuctionParams, safe_price
+from .auction import (
+    DEFAULT_GAP_LIMIT, Analysis, AuctionParams, _integers, _per_scenario, safe_price
+)
 from .io import (
     display, format_rational, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
 )
 from .model import ZERO, CostCurve, MarginalVector, ValidationError, rat
-from .tables import DEFAULT_GAP_LIMIT, Analysis, _integers, _per_scenario
 
 CHECKED = "checked"
 VACUOUS = "vacuous"
@@ -155,8 +156,9 @@ def single_buyer_expected(analysis: Analysis) -> Fraction:
 def verify_ceiling_removal(analysis: Analysis, params: AuctionParams) -> BoundCertificate:
     """Some no-ceiling auction recovers half the welfare of a ceiled one.
 
-    Exhaustively searches caps and floors with no ceiling; also records the
-    two construction candidates (same cap and floor without the ceiling,
+    The witness is the no-ceiling optimum, the exhaustive search of caps
+    and floors that every other check names; also records the two
+    construction candidates (same cap and floor without the ceiling,
     and an uncapped auction whose floor is the old ceiling) whose better
     half is the guaranteed witness whenever the base welfare is positive.
     """
@@ -167,8 +169,7 @@ def verify_ceiling_removal(analysis: Analysis, params: AuctionParams) -> BoundCe
     base = analysis.welfare(params.cap, params.floor, params.ceiling)
     w_same = analysis.welfare(params.cap, params.floor)
     w_uncapped = analysis.welfare(None, params.ceiling)
-    # The search's candidates run cap by cap, floors ascending; ties keep the first.
-    best = max(analysis.no_ceiling_optimum.table, key=attrgetter("expected_welfare"))
+    best = analysis.no_ceiling_optimum.winner  # the optimum every other check names
     status = CHECKED if base > 0 else VACUOUS
     return _certify(
         "ceiling-removal-half",

@@ -9,7 +9,7 @@ Where each subcommand's code lives: run without cached bytecode
 (`PYTHONDONTWRITEBYTECODE`), each process compiles every module it imports
 from source, so a process should import only its own subcommand's code.
 This module holds the parser and `main`, and reads only the parser's
-defaults (from `tables`), the pricing rules and the error types. Each
+defaults and the pricing rules (from `auction`) and the error types. Each
 subcommand's handler lives in a module that the other subcommands' code
 does not need (`evaluate` and `optimize` in `analysis`, `verify` in
 `bounds`, `equilibrium` in `equilibrium`, `examples` and `generate` in
@@ -18,7 +18,7 @@ does not need (`evaluate` and `optimize` in `analysis`, `verify` in
 are in `io`, not here: `python -m capauction.cli` runs this module as
 `__main__`, and importing it again would compile it twice. Every
 subcommand but `examples` and `generate` reads the integer tables of
-`tables.Analysis`.
+`auction.Analysis`.
 
 How a process exits: the `capauction` console script and
 `python -m capauction.cli` both call `run`, which runs `main` with the
@@ -37,9 +37,10 @@ import argparse
 import gc
 import sys
 
-from .auction import HIGHEST_LOSING, LOWEST_WINNING
+from .auction import (
+    DEFAULT_GAP_LIMIT, DEFAULT_PROFILE_LIMIT, DEFAULT_SCENARIO_LIMIT, HIGHEST_LOSING, LOWEST_WINNING
+)
 from .model import MarketError, TooLargeError, ValidationError
-from .tables import DEFAULT_GAP_LIMIT, DEFAULT_PROFILE_LIMIT, DEFAULT_SCENARIO_LIMIT
 
 VERIFY_CHECKS = ("priceceil", "optcond", "unsafe", "decomp", "thmq", "main", "all")
 # `instances.NAMED_INSTANCES`, spelled out so the parser need not import it.

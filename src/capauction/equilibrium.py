@@ -12,12 +12,13 @@ Types are independent, so a firm type's interim utility depends only on
 its own report and the other firms' strategies. One `_GridGame` per search
 reads the instance's `Analysis` for its price grid, type weights and cost
 list, builds every type's value table once, walks each (firm, type)
-slot's candidates from them on first use, and caches outcomes and, per
-slot and opponent strategies, every candidate's interim utility. The
+slot's candidates from them on first use, and caches outcomes. The
 search keeps, per firm and opponent strategies, each type's candidates
-within epsilon of its best utility; a profile is an epsilon-equilibrium
-iff every slot's report is among them. The worst equilibrium the search
-finds is what `check_poa_bound` compares with the safe-price baseline.
+within epsilon of its best utility, with their utilities
+(`_GridGame.near_best`); a profile is an epsilon-equilibrium iff every
+slot's report is among them, and the report reads its utilities there.
+The worst equilibrium the search finds is what `check_poa_bound`
+compares with the safe-price baseline.
 
 The game computes in exact scaled integers over one scale L, the lcm of
 the analysis's cost scale and the bid levels' denominators: values, bid
@@ -43,7 +44,7 @@ sorted back into canonical order.
 
 The `equilibrium` subcommand's handler, `cmd_equilibrium`, lives here,
 since only that subcommand loads this module. It reads the per-instance
-tables of `tables`, never the sweeps of `analysis`.
+tables of `auction`, never the sweeps of `analysis`.
 """
 
 from __future__ import annotations
@@ -55,10 +56,11 @@ from functools import cached_property
 from operator import add, contains, getitem, mul
 from typing import NamedTuple
 
-from .auction import AuctionParams, clear_valid
+from .auction import (
+    DEFAULT_PROFILE_LIMIT, Analysis, AuctionParams, _integers, _per_scenario, _scaled, clear_valid
+)
 from .io import display, format_rational, load_instance, parse_cap, rational_cells, write_report
 from .model import MarginalVector, MarketInstance, TooLargeError, ValidationError, rat
-from .tables import DEFAULT_PROFILE_LIMIT, Analysis, _integers, _per_scenario, _scaled
 
 # Imported constant-factor guarantee for uniform-price equilibria: worst
 # equilibrium welfare of a safe-price auction is at least baseline/3.15.
@@ -126,14 +128,18 @@ class EquilibriumReport:
 
     @cached_property
     def utilities(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        # An equilibrium's reports are near-best against its other firms'
+        # strategies, so the search kept each one's utility.
         game = self._game
         return tuple(
             tuple(
                 tuple(
-                    Fraction(game.utilities(i, t, profile[:i] + profile[i + 1 :])[report], scale)
-                    for t, report in enumerate(strategy)
+                    Fraction(kept[report], scale)
+                    for kept, report in zip(near[profile[:i] + profile[i + 1 :]], strategy)
                 )
-                for i, (strategy, scale) in enumerate(zip(profile, game.slot_scale))
+                for i, (strategy, near, scale) in enumerate(
+                    zip(profile, game.near_best, game.slot_scale)
+                )
             )
             for profile in self._found
         )
@@ -205,7 +211,9 @@ class _GridGame:
         self._ids: dict[tuple[int, ...], int] = {}  # keyed by those levels
         self._candidates: dict[tuple[int, int], tuple[int, ...]] = {}
         self._outcomes: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-        self._utilities: dict[tuple, dict[int, int]] = {}
+        # Per firm and opponent strategies, per type, each candidate within
+        # the search's slack of its best utility, mapped to that utility.
+        self.near_best: list[dict[_Profile, list[dict[int, int]]]] = [{} for _ in self.types]
         self._welfares: list[dict[tuple[int, ...], int]] = [{} for _ in self.draws]
 
     def vectors(self, ids: tuple[int, ...]) -> tuple[MarginalVector, ...]:
@@ -252,24 +260,20 @@ class _GridGame:
     def utilities(self, firm: int, type_index: int, others: _Profile) -> dict[int, int]:
         """Every candidate's utility over S_firm against the other firms'
         strategies `others` (the profile without the firm's own), in
-        canonical order."""
-        key = (firm, type_index, others)
-        got = self._utilities.get(key)
-        if got is None:
-            values = self.values[firm][type_index]
-            candidates = self.candidates(firm, type_index)
-            totals = [0] * len(candidates)
-            outcomes = self._outcomes
-            for weight, types in self.opponents[firm]:
-                bids = tuple(map(getitem, others, types))
-                before, after = bids[:firm], bids[firm:]
-                for k, report in enumerate(candidates):
-                    draw = before + (report,) + after
-                    allocation, price = outcomes.get(draw) or self.outcome(draw)
-                    won = allocation[firm]
-                    totals[k] += weight * (values[won] - price * won)
-            got = self._utilities[key] = dict(zip(candidates, totals))
-        return got
+        canonical order. Not memoized: the search asks once per key."""
+        values = self.values[firm][type_index]
+        candidates = self.candidates(firm, type_index)
+        totals = [0] * len(candidates)
+        outcomes = self._outcomes
+        for weight, types in self.opponents[firm]:
+            bids = tuple(map(getitem, others, types))
+            before, after = bids[:firm], bids[firm:]
+            for k, report in enumerate(candidates):
+                draw = before + (report,) + after
+                allocation, price = outcomes.get(draw) or self.outcome(draw)
+                won = allocation[firm]
+                totals[k] += weight * (values[won] - price * won)
+        return dict(zip(candidates, totals))
 
     def welfare(self, profile: _Profile) -> int:
         """Expected welfare of the profile, valued at true curves, over
@@ -349,11 +353,11 @@ def find_grid_equilibria(
     sizes = [math.prod(map(len, per_type)) for per_type in slots]
     star = max(reversed(range(len(slots))), key=sizes.__getitem__)
     slack = [math.floor(epsilon * scale) for scale in game.slot_scale]
-    near_best = [{} for _ in slots]
+    near_best = game.near_best
 
-    def near(i: int, others: _Profile) -> list[dict[int, None]]:
+    def near(i: int, others: _Profile) -> list[dict[int, int]]:
         """Per type of firm i, against `others`, the candidates within
-        slack of its best utility: an ordered set (a dict's keys), in
+        slack of its best utility, each mapped to that utility, in
         canonical order."""
         got = near_best[i].get(others)
         if got is None:
@@ -361,7 +365,7 @@ def find_grid_equilibria(
             for t in range(len(slots[i])):
                 utilities = game.utilities(i, t, others)
                 least = max(utilities.values()) - slack[i]
-                got.append(dict.fromkeys(r for r, u in utilities.items() if u >= least))
+                got.append({r: u for r, u in utilities.items() if u >= least})
         return got
 
     checked = [i for i in range(len(slots)) if i != star]

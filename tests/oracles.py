@@ -28,11 +28,12 @@ from capauction import (
     rat,
     safe_price,
 )
-from capauction.auction import clear_valid
+from capauction.auction import (
+    DEFAULT_SCENARIO_LIMIT, _check_scenario_limit, _per_scenario, clear_valid
+)
 from capauction.bounds import best_own_quantity
 from capauction.equilibrium import _GridGame
 from capauction.model import REPEAT_LAST, ZERO
-from capauction.tables import DEFAULT_SCENARIO_LIMIT, _check_scenario_limit, _per_scenario
 
 
 def quadratic(a) -> QuadraticCost:

@@ -424,14 +424,16 @@ class TestWelfareKernel:
         for m in self.INSTANCES:
             grid = price_candidates(m)
             analysis = Analysis(m)
-            best = None
-            for cap in range(1, max(1, analysis.max_demand) + 2):
-                for floor in grid:
-                    w = expected_welfare(analysis, AuctionParams(cap, floor, None))
-                    if best is None or w > best[0]:  # ties keep the first
-                        best = (w, cap, floor)
+            # The no-ceiling optimum's tie-break: the smaller cap, then the larger floor.
+            w, cap, floor = max(
+                (expected_welfare(analysis, AuctionParams(cap, floor, None)), -cap, floor)
+                for cap in range(1, max(1, analysis.max_demand) + 2)
+                for floor in grid
+            )
             cert = verify_ceiling_removal(analysis, AuctionParams(1, grid[0], grid[-1]))
-            assert (cert.lhs, cert.witness["witness_cap"], cert.witness["witness_floor"]) == best
+            assert (cert.lhs, cert.witness["witness_cap"], cert.witness["witness_floor"]) == (
+                w, -cap, floor
+            )
 
     def test_sold_out_welfare_matches_oracle(self):
         for m in self.INSTANCES:
@@ -533,7 +535,7 @@ class TestIntegerTables:
         assert got == want
 
     def test_limit_is_checked_before_any_other_work(self, monkeypatch):
-        from capauction import tables as module
+        from capauction import auction as module
 
         def no_work(*args):
             raise AssertionError("work before the scenario limit check")
@@ -544,7 +546,7 @@ class TestIntegerTables:
 
     @pytest.mark.parametrize("limit", (0, -1))
     def test_limit_below_one_is_malformed(self, monkeypatch, limit):
-        from capauction import tables as module
+        from capauction import auction as module
 
         def no_work(*args):
             raise AssertionError("work before the scenario limit check")

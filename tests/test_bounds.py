@@ -16,6 +16,7 @@ from capauction import (
     ValidationError,
     demand_quantile_cap,
     demand_reduction,
+    first_best,
     generate,
     logscale,
     one_minus_inv_e,
@@ -94,22 +95,22 @@ class TestCeilingRemoval:
         base = expected_welfare(analysis, params)
         w_same = expected_welfare(analysis, AuctionParams(params.cap, params.floor, None))
         w_uncapped = expected_welfare(analysis, AuctionParams(None, params.ceiling, None))
-        best = None
-        for cap in range(1, analysis.cap_limit + 2):
-            for floor in analysis.grid:
-                w = expected_welfare(analysis, AuctionParams(cap, floor, None))
-                if best is None or w > best[0]:  # ties keep the first
-                    best = (w, cap, floor)
+        # The no-ceiling optimum's tie-break: the smaller cap, then the larger floor.
+        best, cap, floor = max(
+            (expected_welfare(analysis, AuctionParams(cap, floor, None)), -cap, floor)
+            for cap in range(1, analysis.cap_limit + 2)
+            for floor in analysis.grid
+        )
         return BoundCertificate(
             name="ceiling-removal-half",
-            lhs=best[0],
+            lhs=best,
             rhs=base / 2,
-            holds=best[0] >= base / 2,
+            holds=best >= base / 2,
             status="checked" if base > 0 else "vacuous",
             witness=dict(
                 base_welfare=base,
-                witness_cap=best[1],
-                witness_floor=best[2],
+                witness_cap=-cap,
+                witness_floor=floor,
                 same_cap_welfare=w_same,
                 uncapped_welfare=w_uncapped,
                 shortcut_holds=max(w_same, w_uncapped) >= base / 2,
@@ -159,6 +160,18 @@ class TestCeilingRemoval:
         assert cert.witness["base_welfare"] == 14
         with pytest.raises(ValidationError, match="quantity 3 beyond cost table"):
             analysis.welfare(3, 0)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_witness_is_the_optimum_the_other_checks_name(self, seed):
+        # One report names one best no-ceiling auction: on `generate(0)` the
+        # optimum has floor 5, and floor 0 ties it at welfare 77/13.
+        analysis = Analysis(generate(seed))
+        removal = verify_ceiling_removal(analysis, AuctionParams(1, analysis.grid[0],
+                                                                 analysis.grid[-1]))
+        factor = verify_sellout_factor(analysis)
+        assert (removal.witness["witness_cap"], removal.witness["witness_floor"]) == (
+            factor.witness["optimum_cap"], factor.witness["optimum_floor"]
+        )
 
 
 def price_gap_loop(cost, limit):
@@ -500,3 +513,38 @@ class TestDemandQuantileCap:
         analysis = Analysis(m)
         assert demand_quantile_cap(analysis, F(1)) == want
         assert demand_quantile_cap(analysis, F(5)) == 0
+
+
+class TestSeparations:
+    """The paper's separations, exact: on `logscale(n)` safe-price auctions
+    lose a factor that grows with n and the single-buyer mechanism
+    recovers all of it; on `first_best(n)` the safe-price auction is
+    optimal and the single-buyer mechanism does better still."""
+
+    @staticmethod
+    def ratios(family, n):
+        """Best no-ceiling welfare over the best safe-price welfare and over
+        the single-buyer welfare; for n <= 4 both optima are also cleared
+        scenario by scenario."""
+        analysis = Analysis(family(n))
+        opt = analysis.no_ceiling_optimum.winner
+        safe = analysis.safe_optimum.winner
+        if n <= 4:
+            for best in (opt, safe):
+                assert expected_welfare(analysis, AuctionParams(best.cap, best.floor)) == (
+                    best.expected_welfare
+                )
+        opt = opt.expected_welfare
+        return opt / safe.expected_welfare, opt / single_buyer_expected(analysis)
+
+    @pytest.mark.parametrize("n, over_safe", [
+        (2, F(1)), (3, F(12, 11)), (4, F(64, 51)), (5, F(320, 219)), (6, F(1536, 907)),
+    ])
+    def test_logscale_safe_price_loses_what_single_buyer_recovers(self, n, over_safe):
+        assert self.ratios(logscale, n) == (over_safe, 1)
+
+    @pytest.mark.parametrize("n, over_single", [
+        (2, F(7, 8)), (3, F(49, 64)), (4, F(675, 1024)), (5, F(2883, 5120)),
+    ])
+    def test_first_best_safe_price_is_optimal_and_single_buyer_beats_it(self, n, over_single):
+        assert self.ratios(first_best, n) == (1, over_single)

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capauction import analysis, auction, bounds, cli, equilibrium
-from capauction.auction import FLOOR_BINDS, HIGHEST_LOSING, LOWEST_WINNING, price_candidates
+from capauction.auction import (
+    FLOOR_BINDS, HIGHEST_LOSING, LOWEST_WINNING, Analysis, price_candidates
+)
 from capauction.cli import main
 from capauction.instances import demand_reduction, generate, logscale
 from capauction.io import display, save_instance
 from capauction.model import validate
-from capauction.tables import Analysis
 
 from oracles import enumerate_scenarios, run_auction
 from test_analysis import markets

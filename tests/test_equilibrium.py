@@ -33,7 +33,7 @@ from capauction import (
     price_candidates,
     save_instance,
 )
-from capauction import equilibrium, tables
+from capauction import auction, equilibrium
 from capauction.cli import build_parser, main
 from capauction.model import ERROR_BEYOND
 from oracles import (
@@ -239,9 +239,7 @@ class TestReportValidation:
             walked.update(self.vectors(got))
             return got
 
-        for module in (tables, equilibrium):
-            if hasattr(module, "price_candidates"):
-                monkeypatch.setattr(module, "price_candidates", counted)
+        monkeypatch.setattr(auction, "price_candidates", counted)
         monkeypatch.setattr(equilibrium._GridGame, "candidates", recorded)
         m = generate(3, firms=2, scenarios_per_firm=2, max_units=2, value_high=8)
         for instance, params in ((MARKET, OPEN_FLOOR), (m, make_safe_auction(2, m.cost))):

@@ -33,10 +33,7 @@ from oracles import enumerate_scenarios, quadratic
 SRC = str(Path(capauction.__file__).resolve().parent.parent)
 
 # Each of these is imported only by the subcommands that use it.
-NOT_AT_STARTUP = (
-    "dataclasses", "inspect", "csv",
-    "capauction.bounds", "capauction.equilibrium", "capauction.instances",
-)
+NOT_AT_STARTUP = ("dataclasses", "inspect", "csv")
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
@@ -51,7 +48,11 @@ def test_cli_import_loads_no_subcommand_module():
     loaded = subprocess.run(
         [sys.executable, "-c", probe], env=ENV, capture_output=True, text=True, check=True
     ).stdout.split()
-    assert "capauction.cli" in loaded
+    # The allocation rule, its truthful tables and the parser's default
+    # limits are one module, `auction`, so the parser needs no other.
+    assert [name for name in loaded if name.split(".")[0] == "capauction"] == [
+        "capauction", "capauction.auction", "capauction.cli", "capauction.model",
+    ]
     assert [name for name in NOT_AT_STARTUP if name in loaded] == []
 
 
@@ -136,7 +137,7 @@ def test_main_leaves_the_collector_as_it_was(tmp_path, capsys, enabled):
 ])
 def test_subcommand_process_loads_only_its_own_modules(tmp_path, argv):
     loaded = _loaded_by(tmp_path, argv)
-    assert "capauction.tables" in loaded
+    assert "capauction.auction" in loaded
     assert [m for m in NOT_LOADED_BY[argv[0]] if f"capauction.{m}" in loaded] == []
 
 

@@ -31,8 +31,7 @@ _EXPORTS = {
         "demand_reduction", "first_best", "generate", "logscale", "scale_weight",
     ),
     "io": (
-        "dumps_instance", "format_decimal", "format_rational", "load_instance",
-        "loads_instance", "save_instance",
+        "dumps_instance", "format_decimal", "load_instance", "loads_instance", "save_instance",
     ),
     "model": (
         "CostCurve", "FirmDistribution", "MarginalCostTable", "MarginalVector",

@@ -25,6 +25,7 @@ of this.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -33,9 +34,7 @@ from typing import NamedTuple
 from .auction import (
     DEFAULT_GAP_LIMIT, Analysis, AuctionParams, _integers, _per_scenario, safe_price
 )
-from .io import (
-    display, format_rational, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
-)
+from .io import display, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
 from .model import ZERO, CostCurve, MarginalVector, ValidationError, rat
 
 CHECKED = "checked"
@@ -247,14 +246,19 @@ def worst_price_gap(cost: CostCurve, limit: int) -> BoundCertificate:
     With C the cost, q the quantity and u the units, the certificate's
     margin is C(q) - C(floor(q/2)) - C(ceil(q/2)) - u * C(q)/q + C(u), so
     one table of C(0..limit) over a common denominator ranks every pair.
+
+    Needs C convex with C(0) = 0, which `validate` enforces. Then
+    q * C(u) - C(q) * u is convex in u, so its first minimizer is the
+    first u with q * (C(u + 1) - C(u)) >= C(q), found by bisection;
+    u = q - 1 always qualifies, as C(q) - C(q - 1) >= C(q)/q.
     """
     if limit < 1:
         raise ValidationError(f"quantity limit must be at least 1, got {limit}")
     _, c = _integers(cost.cost(x) for x in range(limit + 1))
     worst = None  # (margin * quantity * common denominator, quantity, units)
     for q in range(1, limit + 1):
-        gap, u = min((q * c[u] - c[q] * u, u) for u in range(q + 1))
-        gap += q * (c[q] - c[q // 2] - c[(q + 1) // 2])
+        u = bisect_left(range(q), True, key=lambda u: q * (c[u + 1] - c[u]) >= c[q])
+        gap = q * c[u] - c[q] * u + q * (c[q] - c[q // 2] - c[(q + 1) // 2])
         if worst is None or gap * worst[1] < worst[0] * q:
             worst = (gap, q, u)
     return verify_price_gap(cost, worst[1], worst[2])
@@ -374,7 +378,7 @@ def verify_single_buyer_cover(analysis: Analysis) -> tuple[BoundCertificate, Bou
     quantile cap, covers the same. Needs product form (independence);
     degenerate when the quantile cap is 0.
     """
-    if not analysis.instance.product_form:
+    if analysis.instance.joint is not None:
         raise ValidationError("single-buyer cover needs independent firms (product form)")
     opt = analysis.no_ceiling_optimum.winner
     base = opt.expected_welfare
@@ -440,7 +444,7 @@ def _certificate_rows(certs) -> list[list[str]]:
             cert.status,
             *rational_cells(cert.lhs),
             *rational_cells(cert.rhs),
-            format_rational(cert.margin),
+            str(cert.margin),
             "; ".join(f"{k}={v}" for k, v in sorted(cert.witness.items())),
         ]
         for cert in certs

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: evaluate, optimize, equilibrium, verify, examples, generate.
-Exit codes: 0 ok, 1 validation or parse error, 2 resource limit exceeded.
+Exit codes: 0 ok, 1 validation or parse error, 2 resource limit exceeded,
+141 (128 + SIGPIPE) when the reader of stdout closed it first.
 Certificate failures from `verify` are findings, not errors, and leave the
 exit code at 0 unless --strict is given.
 
@@ -35,10 +36,12 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 
 from .auction import (
-    DEFAULT_GAP_LIMIT, DEFAULT_PROFILE_LIMIT, DEFAULT_SCENARIO_LIMIT, HIGHEST_LOSING, LOWEST_WINNING
+    DEFAULT_GAP_LIMIT, DEFAULT_PROFILE_LIMIT, DEFAULT_SCENARIO_LIMIT,
+    HIGHEST_LOSING, LOWEST_WINNING, PRICING_RULES,
 )
 from .model import MarketError, TooLargeError, ValidationError
 
@@ -101,8 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", required=True, help="positive integer or 'unbounded'")
     p.add_argument("--floor", required=True)
     p.add_argument("--ceiling", default="inf")
-    p.add_argument("--pricing", choices=(LOWEST_WINNING, HIGHEST_LOSING),
-                   default=LOWEST_WINNING)
+    p.add_argument("--pricing", choices=PRICING_RULES, default=LOWEST_WINNING)
     common(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -118,8 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--cap", required=True)
     p.add_argument("--floor", required=True)
-    p.add_argument("--pricing", choices=(LOWEST_WINNING, HIGHEST_LOSING),
-                   default=HIGHEST_LOSING)
+    p.add_argument("--pricing", choices=PRICING_RULES, default=HIGHEST_LOSING)
     p.add_argument("--epsilon", default="0")
     p.add_argument("--strict-overbidding", action="store_true",
                    help="dominate marginal by marginal instead of prefix sums")
@@ -175,10 +176,17 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> int:
     """Entry point of a CLI process: `main` on `sys.argv`, then the exit
     status. It leaves the collector off and every object frozen, so call
-    it only where the process exits next."""
+    it only where the process exits next. When the reader of stdout has
+    closed it, the process exits 141 with nothing on stderr, and stdout
+    points at the null device so the flush at exit has nowhere to fail."""
     gc.disable()
     try:
-        return main()
+        status = main()
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     finally:
         gc.freeze()
 

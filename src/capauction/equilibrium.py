@@ -59,7 +59,7 @@ from typing import NamedTuple
 from .auction import (
     DEFAULT_PROFILE_LIMIT, Analysis, AuctionParams, _integers, _per_scenario, _scaled, clear_valid
 )
-from .io import display, format_rational, load_instance, parse_cap, rational_cells, write_report
+from .io import display, load_instance, parse_cap, rational_cells, write_report
 from .model import MarginalVector, MarketInstance, TooLargeError, ValidationError, rat
 
 # Imported constant-factor guarantee for uniform-price equilibria: worst
@@ -163,7 +163,7 @@ class _GridGame:
 
     def __init__(self, analysis: Analysis, params: AuctionParams, strict: bool = False):
         instance = analysis.instance
-        if not instance.product_form:
+        if instance.joint is not None:
             raise ValidationError(
                 "strategic analysis needs per-firm independent types (product form)"
             )
@@ -190,7 +190,8 @@ class _GridGame:
             length = max(truth.positive_units for _, truth in scenarios)
             self.values.append([
                 list(itertools.accumulate(
-                    _scaled(truth.marginals[:length], self.scale) + [0] * (length - truth.units),
+                    _scaled(truth.marginals[:length], self.scale)
+                    + [0] * (length - len(truth.marginals)),
                     initial=0,
                 ))
                 for _, truth in scenarios
@@ -398,7 +399,6 @@ class PoACheck(NamedTuple):
     bound: Fraction
     worst: Fraction | None
     ratio: Fraction | None
-    margin: Fraction | None
     status: str
 
 
@@ -424,7 +424,6 @@ def check_poa_bound(analysis: Analysis, report: EquilibriumReport) -> PoACheck:
         bound=bound,
         worst=worst,
         ratio=worst / baseline if found and baseline != 0 else None,
-        margin=worst - bound if found else None,
         status="checked" if found else "no-equilibria",
     )
 
@@ -465,7 +464,7 @@ def cmd_equilibrium(args) -> int:
             welfare = rational_cells(w)
             for i, per_type in enumerate(profile):
                 for t, report_vec in enumerate(per_type):
-                    bid = "|".join(format_rational(v) for v in report_vec.marginals)
+                    bid = "|".join(str(v) for v in report_vec.marginals)
                     u = report.utilities[k][i][t]
                     yield [str(k), str(i), str(t), bid, *rational_cells(u), *welfare]
 

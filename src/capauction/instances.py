@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable
+from itertools import accumulate, repeat
+from typing import Callable, Iterable
 
 from .model import (
     FirmDistribution,
@@ -22,9 +23,22 @@ from .model import (
     MarketInstance,
     QuadraticCost,
     REPEAT_LAST,
+    TooLargeError,
     ValidationError,
     require_valid,
 )
+
+# The most marginal values a built instance may hold, about a 10 MB
+# instance file: `logscale(18)` and `first_best(15)` fit.
+MARGINAL_LIMIT = 10**6
+
+
+def _check_marginal_count(label: str, counts: Iterable[int]) -> None:
+    """Raise TooLargeError, before anything is built, when the per-scenario
+    marginal counts `counts` sum past MARGINAL_LIMIT; the sum stops there,
+    so `counts` may be as long as the arguments ask."""
+    if any(total > MARGINAL_LIMIT for total in accumulate(counts)):
+        raise TooLargeError(f"{label} would hold more than {MARGINAL_LIMIT} marginal values")
 
 
 def demand_reduction() -> MarketInstance:
@@ -53,6 +67,7 @@ def scale_weight(n: int) -> Fraction:
 def _doubling(n: int, units: Callable[[int], int], label: str) -> MarketInstance:
     """Single firm, n scenarios, quadratic cost: scenario i has units(i)
     marginals of value 2^(i+1) with probability proportional to 4^-i."""
+    _check_marginal_count(label, map(units, range(1, n + 1)))
     beta = scale_weight(n)
     scenarios = tuple(
         (Fraction(1, 4**i) / beta, MarginalVector((Fraction(2 ** (i + 1)),) * units(i)))
@@ -124,6 +139,9 @@ def generate(
         raise ValidationError("sizes must be positive")
     if value_low < 0 or value_high < value_low:
         raise ValidationError(f"bad value range [{value_low}, {value_high}]")
+    # Each scenario holds at most max_units marginals, and a marginal cost
+    # table firms * max_units, no more than the scenarios hold together.
+    _check_marginal_count(f"random-{seed}", repeat(max_units, firms * scenarios_per_firm))
     rng = random.Random(seed)
     firm_list = []
     for _ in range(firms):

@@ -34,12 +34,6 @@ from .model import (
 DECIMAL_PLACES = 12
 
 
-def format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def format_decimal(value: Fraction) -> str:
     """Round-half-up decimal rendering; display only, never compared."""
     numerator, denominator = value.numerator, value.denominator
@@ -52,10 +46,10 @@ def format_decimal(value: Fraction) -> str:
 
 def _cost_to_obj(cost: CostCurve) -> dict:
     if isinstance(cost, QuadraticCost):
-        return {"kind": "quadratic", "a": format_rational(cost.a)}
+        return {"kind": "quadratic", "a": str(cost.a)}
     return {
         "kind": "marginals",
-        "values": [format_rational(v) for v in cost.marginals],
+        "values": [str(v) for v in cost.marginals],
         "extension": cost.extension,
     }
 
@@ -92,8 +86,8 @@ def instance_to_obj(instance: MarketInstance) -> dict:
     if instance.joint is not None:
         obj["joint_scenarios"] = [
             {
-                "prob": format_rational(p),
-                "marginals": [[format_rational(v) for v in mv.marginals] for mv in vs],
+                "prob": str(p),
+                "marginals": [[str(v) for v in mv.marginals] for mv in vs],
             }
             for p, vs in instance.joint
         ]
@@ -102,8 +96,8 @@ def instance_to_obj(instance: MarketInstance) -> dict:
             {
                 "scenarios": [
                     {
-                        "prob": format_rational(p),
-                        "marginals": [format_rational(v) for v in mv.marginals],
+                        "prob": str(p),
+                        "marginals": [str(v) for v in mv.marginals],
                     }
                     for p, mv in firm.scenarios
                 ]
@@ -178,7 +172,7 @@ def save_instance(instance: MarketInstance, path: str | Path) -> None:
 def load_instance(path: str | Path) -> MarketInstance:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read instance file {path}: {exc}") from None
     instance = loads_instance(text)
     require_valid(instance)
@@ -206,14 +200,14 @@ def display(value: Fraction | None) -> str:
     """One rational as stdout prints it: exact and decimal; "inf" for None."""
     if value is None:
         return "inf"
-    return f"{format_rational(value)} ({format_decimal(value)})"
+    return str(value) + f" ({format_decimal(value)})"
 
 
 def rational_cells(value: Fraction | None) -> list[str]:
     """Exact and decimal rendering of one rational; "inf" twice for None."""
     if value is None:
         return ["inf", "inf"]
-    return [format_rational(value), format_decimal(value)]
+    return [str(value), format_decimal(value)]
 
 
 def write_csv(path: str | Path, header: list[str], rows: Iterable[list[str]]) -> None:

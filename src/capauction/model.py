@@ -70,10 +70,6 @@ class MarginalVector(NamedTuple):
         return MarginalVector(tuple(rat(v) for v in values))
 
     @property
-    def units(self) -> int:
-        return len(self.marginals)
-
-    @property
     def positive_units(self) -> int:
         """Number of strictly positive marginals (finite demand at price 0)."""
         return sum(1 for v in self.marginals if v > 0)
@@ -153,10 +149,6 @@ class FirmDistribution(NamedTuple):
     scenarios: tuple[tuple[Fraction, MarginalVector], ...]
 
     @staticmethod
-    def of(*scenarios: tuple[Rational, MarginalVector]) -> "FirmDistribution":
-        return FirmDistribution(tuple((rat(p), v) for p, v in scenarios))
-
-    @staticmethod
     def point_mass(valuation: MarginalVector) -> "FirmDistribution":
         return FirmDistribution(((ONE, valuation),))
 
@@ -191,10 +183,6 @@ class MarketInstance(NamedTuple):
     cost: CostCurve
     label: str = ""
     joint: tuple[JointRow, ...] | None = None
-
-    @property
-    def product_form(self) -> bool:
-        return self.joint is None
 
     def all_valuations(self) -> Iterator[MarginalVector]:
         """Every valuation appearing in any scenario of any firm."""

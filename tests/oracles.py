@@ -20,6 +20,7 @@ from capauction import (
     Analysis,
     AuctionParams,
     CostCurve,
+    FirmDistribution,
     MarginalCostTable,
     MarginalVector,
     MarketInstance,
@@ -27,11 +28,12 @@ from capauction import (
     ValidationError,
     rat,
     safe_price,
+    scale_weight,
 )
 from capauction.auction import (
-    DEFAULT_SCENARIO_LIMIT, _check_scenario_limit, _per_scenario, clear_valid
+    DEFAULT_SCENARIO_LIMIT, _check_scenario_limit, _integers, _per_scenario, clear_valid
 )
-from capauction.bounds import best_own_quantity
+from capauction.bounds import BoundCertificate, best_own_quantity, verify_price_gap
 from capauction.equilibrium import _GridGame
 from capauction.model import REPEAT_LAST, ZERO
 
@@ -42,6 +44,29 @@ def quadratic(a) -> QuadraticCost:
 
 def cost_table(*values, extension: str = REPEAT_LAST) -> MarginalCostTable:
     return MarginalCostTable(tuple(rat(v) for v in values), extension)
+
+
+def firm_distribution(*scenarios) -> FirmDistribution:
+    """A firm's types from (probability, valuation) pairs, each probability
+    coerced by `rat`."""
+    return FirmDistribution(tuple((rat(p), v) for p, v in scenarios))
+
+
+def split_logscale(n: int, m: int, joint: bool = False) -> MarketInstance:
+    """`logscale(n)` split across m firms: in type i each firm holds
+    max(1, floor(2^i / m)) units of value 2^(i+1), and type i has
+    `logscale`'s probability 4^-i / scale_weight(n). The firms draw their
+    types independently, or with `joint` all draw the same type, as one
+    joint table."""
+    beta = scale_weight(n)
+    types = tuple(
+        (Fraction(1, 4**i) / beta, MarginalVector((Fraction(2 ** (i + 1)),) * max(1, 2**i // m)))
+        for i in range(1, n + 1)
+    )
+    if joint:
+        rows = tuple((p, (v,) * m) for p, v in types)
+        return MarketInstance((), QuadraticCost(Fraction(1)), joint=rows)
+    return MarketInstance((FirmDistribution(types),) * m, QuadraticCost(Fraction(1)))
 
 
 def value_of(valuation: MarginalVector, x: int) -> Fraction:
@@ -335,3 +360,19 @@ def candidate_reports(
     that slot of the game a search with these parameters walks."""
     game = _GridGame(Analysis(instance), params, strict)
     return game.vectors(game.candidates(firm, type_index))
+
+
+def scanned_price_gap(cost: CostCurve, limit: int) -> BoundCertificate:
+    """`bounds.worst_price_gap` with every units count of each quantity
+    scanned, about limit^2 / 2 pairs, on the same integer table of
+    C(0..limit); ties keep the smaller quantity, then the fewer units."""
+    if limit < 1:
+        raise ValidationError(f"quantity limit must be at least 1, got {limit}")
+    _, c = _integers(cost.cost(x) for x in range(limit + 1))
+    worst = None  # (margin * quantity * common denominator, quantity, units)
+    for q in range(1, limit + 1):
+        gap, u = min((q * c[u] - c[q] * u, u) for u in range(q + 1))
+        gap += q * (c[q] - c[q // 2] - c[(q + 1) // 2])
+        if worst is None or gap * worst[1] < worst[0] * q:
+            worst = (gap, q, u)
+    return verify_price_gap(cost, worst[1], worst[2])

@@ -34,6 +34,7 @@ from oracles import (
     cost_table,
     enumerate_scenarios,
     expected_welfare,
+    firm_distribution,
     make_safe_auction,
     quadratic,
     run_auction,
@@ -49,7 +50,7 @@ def two_scenario_firm():
     """Demand 3 w.p. 1/2, demand 1 w.p. 1/2 at any price up to 4."""
     return MarketInstance(
         firms=(
-            FirmDistribution.of((F(1, 2), mv(4, 4, 4)), (F(1, 2), mv(4))),
+            firm_distribution((F(1, 2), mv(4, 4, 4)), (F(1, 2), mv(4))),
         ),
         cost=quadratic(1),
     )
@@ -64,8 +65,8 @@ class TestEnumerate:
     def test_product_of_two_by_two(self):
         m = MarketInstance(
             firms=(
-                FirmDistribution.of((F(1, 2), mv(3)), (F(1, 2), mv(2))),
-                FirmDistribution.of((F(1, 2), mv(5)), (F(1, 2), mv(1))),
+                firm_distribution((F(1, 2), mv(3)), (F(1, 2), mv(2))),
+                firm_distribution((F(1, 2), mv(5)), (F(1, 2), mv(1))),
             ),
             cost=quadratic(1),
         )
@@ -83,7 +84,7 @@ class TestEnumerate:
     def test_limit_names_size(self):
         m = MarketInstance(
             firms=tuple(
-                FirmDistribution.of((F(1, 2), mv(3)), (F(1, 2), mv(2)))
+                firm_distribution((F(1, 2), mv(3)), (F(1, 2), mv(2)))
                 for _ in range(4)
             ),
             cost=quadratic(1),
@@ -455,7 +456,7 @@ class TestWelfareKernel:
         m = MarketInstance(
             firms=(
                 FirmDistribution.point_mass(mv(9, 8, 7)),
-                FirmDistribution.of((F(1, 2), mv(6, 5)), (F(1, 2), mv(3))),
+                firm_distribution((F(1, 2), mv(6, 5)), (F(1, 2), mv(3))),
             ),
             cost=cost_table(1, 2, extension="error"),
         )

@@ -1,7 +1,9 @@
 """Certificates that read `Analysis` against the slow paths they replace."""
 
 import math
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,15 +33,18 @@ from capauction import (
     verify_single_buyer_cover,
     worst_price_gap,
 )
-from capauction.auction import _demand
+from capauction.auction import DEFAULT_GAP_LIMIT, _demand
 from capauction.model import ERROR_BEYOND, MarginalCostTable
 from oracles import (
     cost_table,
     enumerate_scenarios,
     expected_welfare,
+    firm_distribution,
     quadratic,
     run_auction,
+    scanned_price_gap,
     single_buyer_mechanism,
+    split_logscale,
     value_of,
 )
 
@@ -149,7 +154,7 @@ class TestCeilingRemoval:
         m = MarketInstance(
             firms=(
                 FirmDistribution.point_mass(mv(9, 8, 7)),
-                FirmDistribution.of((F(1, 2), mv(6, 5)), (F(1, 2), mv(3))),
+                firm_distribution((F(1, 2), mv(6, 5)), (F(1, 2), mv(3))),
             ),
             cost=cost_table(1, 2, extension="error"),
         )
@@ -229,6 +234,15 @@ class TestWorstPriceGap:
         assert verify_price_gap(quadratic(1), 3, 0).witness["half_price"] == F(5, 3)
         cert = verify_price_gap(quadratic(1), 8, 0)
         assert (cert.witness["full_price"], cert.witness["half_price"]) == (8, 4)
+
+    @given(cost=COSTS, limit=st.integers(1, 120))
+    @settings(max_examples=200, deadline=None)
+    def test_bisection_matches_the_quadratic_scan(self, cost, limit):
+        # Random convex tables (repeated marginals among them), quadratic
+        # costs and short "error" tables, past where the loop above runs.
+        assert result(lambda: worst_price_gap(cost, limit)) == result(
+            lambda: scanned_price_gap(cost, limit)
+        )
 
     def test_ties_keep_the_first_pair(self):
         # Linear cost: every margin is 0, so the first pair is kept.
@@ -377,7 +391,7 @@ class TestDecomposeWelfare:
         m = MarketInstance(
             firms=(
                 FirmDistribution.point_mass(mv(9, 8, 7)),
-                FirmDistribution.of((F(1, 2), mv(6, 5)), (F(1, 2), mv(3))),
+                firm_distribution((F(1, 2), mv(6, 5)), (F(1, 2), mv(3))),
             ),
             cost=cost_table(1, 2, extension="error"),
         )
@@ -479,6 +493,75 @@ class TestVerdicts:
             verify_single_buyer_cover(Analysis(as_joint(generate(0))))
 
 
+def two_firm_slice() -> list[MarketInstance]:
+    """Every unordered pair of firms, each with one type or two equally
+    likely types, each type a non-increasing vector of one or two units
+    in {1, 2, 3}, at cost x^2/2: 54 firms, 1,485 markets."""
+    vectors = [mv(*vs) for vs in combinations_with_replacement((3, 2, 1), 2)] + [
+        mv(v) for v in (3, 2, 1)
+    ]
+    firms = [FirmDistribution.point_mass(v) for v in vectors] + [
+        firm_distribution((F(1, 2), v), (F(1, 2), w))
+        for v, w in combinations_with_replacement(vectors, 2)
+    ]
+    return [
+        MarketInstance(pair, quadratic(F(1, 2))) for pair in combinations_with_replacement(firms, 2)
+    ]
+
+
+def verify_all(analysis: Analysis, unsafe: BoundCertificate) -> list[BoundCertificate]:
+    """The certificates of `verify --which all` at its default parameters,
+    the no-ceiling optimum, with the unsafe scan `unsafe` of the cost."""
+    opt = analysis.no_ceiling_optimum.winner
+    ceiling = analysis.grid[-1]
+    low = analysis.grid[0] if ceiling <= opt.floor else opt.floor
+    return [
+        verify_ceiling_removal(analysis, AuctionParams(opt.cap, low, ceiling)),
+        verify_sellout_conditional(analysis, AuctionParams(opt.cap, opt.floor)),
+        unsafe,
+        *verify_decomposition_bounds(analysis, opt.cap, opt.floor),
+        verify_sellout_factor(analysis),
+        *verify_single_buyer_cover(analysis),
+    ]
+
+
+def safe_covers_charged_above(analysis: Analysis) -> bool:
+    """The corrected `safe-covers-above` at the no-ceiling optimum (cap k,
+    floor f): safe(k) >= the sell-out term plus, over the scenarios that
+    do not sell out, p_s times the sum of v - C(k)/k over their above
+    units, the D_s(max(f, C(k)/k)) largest pooled marginals."""
+    opt = analysis.no_ceiling_optimum.winner
+    k, r = opt.cap, analysis.safe_price(opt.cap)
+    above = F(0)
+    for p, pool, x, a in zip(analysis._probs, analysis._pools, analysis.demand(opt.floor),
+                             analysis.demand(max(opt.floor, r))):
+        if x < k:
+            charged = F(sum(pool[len(pool) - a:]), analysis._scale) - a * r
+            above += F(p, analysis._weight) * charged
+    return analysis.safe_welfare(k) >= analysis.sold_out_welfare(k, opt.floor) + above
+
+
+class TestTwoFirmSlice:
+    """A slice of the exhaustive small universe of ROADMAP item 1, checked
+    at the default parameters of `verify --which all`."""
+
+    def test_certificates_and_the_corrected_above_bound(self):
+        markets = two_firm_slice()
+        assert len(markets) == 1485
+        unsafe = worst_price_gap(quadratic(F(1, 2)), DEFAULT_GAP_LIMIT)
+        verdicts = Counter()
+        for m in markets:
+            analysis = Analysis(m)
+            for cert in verify_all(analysis, unsafe):
+                if cert.holds is not None:
+                    assert cert.holds == (cert.lhs >= cert.rhs), (m, cert)
+                if cert.name != "safe-covers-above":
+                    assert cert.holds is not False, (m, cert)
+                verdicts[cert.name, cert.status] += 1
+            assert safe_covers_charged_above(analysis), m
+        assert verdicts["four-term-cover", "degenerate"] == 10
+
+
 class TestDemandQuantileCap:
     """`demand_quantile_cap` scans integer weights; the oracle scans the
     Fraction probabilities of the scenario rows."""
@@ -507,7 +590,7 @@ class TestDemandQuantileCap:
         # threshold: Pr[D >= 3] = t exactly is enough.
         t = one_minus_inv_e() + step
         m = MarketInstance(
-            firms=(FirmDistribution.of((t, mv(4, 4, 4)), (1 - t, mv(4))),),
+            firms=(firm_distribution((t, mv(4, 4, 4)), (1 - t, mv(4))),),
             cost=quadratic(1),
         )
         analysis = Analysis(m)
@@ -548,3 +631,43 @@ class TestSeparations:
     ])
     def test_first_best_safe_price_is_optimal_and_single_buyer_beats_it(self, n, over_single):
         assert self.ratios(first_best, n) == (1, over_single)
+
+    # ROADMAP item 10's split family: independent draws stay within about
+    # 1.014 of the better of the two, while one joint draw loses a factor
+    # that grows with n.
+    @pytest.mark.parametrize("joint, n, m, ratio", [
+        (False, 4, 2, F(1627, 1623)),
+        (False, 4, 3, F(7794427, 7686971)),
+        (False, 6, 3, F(54705459003, 56057327483)),
+        (False, 8, 2, F(919483, 939351)),
+        (True, 6, 3, F(23007, 13504)),
+        (True, 8, 4, F(112, 61)),
+        (True, 12, 8, F(655360, 239787)),
+    ])
+    def test_split_logscale_best_over_safe_or_single_buyer(self, joint, n, m, ratio):
+        analysis = Analysis(split_logscale(n, m, joint))
+        opt = analysis.no_ceiling_optimum.winner
+        safe = analysis.safe_optimum.winner
+        single = single_buyer_expected(analysis)
+        if n <= 4:  # both optima cleared and the mechanism run scenario by scenario
+            for best in (opt, safe):
+                assert expected_welfare(analysis, AuctionParams(best.cap, best.floor)) == (
+                    best.expected_welfare
+                )
+            cost = analysis.instance.cost
+            assert single == sum(
+                row.probability * single_buyer_mechanism(row.valuations, cost).welfare
+                for row in enumerate_scenarios(analysis.instance)
+            )
+        assert opt.expected_welfare / max(safe.expected_welfare, single) == ratio
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (4, 1), (4, 2), (4, 3), (6, 3), (8, 4), (12, 8)])
+    def test_split_logscale_splits_each_logscale_type(self, n, m):
+        # Type i of logscale(n) has 2^i units; split, each firm keeps
+        # max(1, floor(2^i / m)) of them at logscale's probability.
+        types = tuple(
+            (p, MarginalVector(v.marginals[: max(1, len(v.marginals) // m)]))
+            for p, v in logscale(n).firms[0].scenarios
+        )
+        assert split_logscale(n, m).firms == (FirmDistribution(types),) * m
+        assert split_logscale(n, m, joint=True).joint == tuple((p, (v,) * m) for p, v in types)

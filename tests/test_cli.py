@@ -4,6 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from fractions import Fraction as F
@@ -12,18 +15,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capauction import analysis, auction, bounds, cli, equilibrium
+from capauction import analysis, auction, bounds, cli, equilibrium, instances
 from capauction.auction import (
     FLOOR_BINDS, HIGHEST_LOSING, LOWEST_WINNING, Analysis, price_candidates
 )
 from capauction.cli import main
-from capauction.instances import demand_reduction, generate, logscale
+from capauction.instances import demand_reduction, first_best, generate, logscale
 from capauction.io import display, save_instance
-from capauction.model import validate
+from capauction.model import TooLargeError, validate
 
 from oracles import enumerate_scenarios, run_auction
 from test_analysis import markets
 from test_io import BOOLEAN, LABEL, MALFORMED, malformed_file
+from test_startup import ENV
 
 
 def write(tmp_path, obj):
@@ -51,6 +55,16 @@ def test_evaluate_rejects_misparsable_instance(tmp_path, capsys, name, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_evaluate_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["evaluate", str(path), "--cap", "1", "--floor", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read instance file {path}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
 
 
 def test_evaluate_rejects_firms_beside_a_joint_table(tmp_path, capsys):
@@ -177,6 +191,39 @@ def test_examples_rejects_horizon_except_for_first_best(tmp_path, capsys):
     assert main(["examples", "logscale", "-n", "3", "--horizon", "10", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: logscale takes no horizon; only first-best does\n"
     assert not out.exists()
+
+
+def test_instances_past_the_marginal_limit_are_refused_before_they_are_built():
+    # logscale(21) would hold 4,194,302 marginal values, logscale(19)
+    # 1,048,574 and first_best(16) 2,097,152; the sizes below them fit.
+    limit = instances.MARGINAL_LIMIT
+    for build in (lambda: logscale(21), lambda: logscale(19), lambda: first_best(16)):
+        with pytest.raises(TooLargeError, match=f"would hold more than {limit} marginal values"):
+            build()
+    for instance in (logscale(18), first_best(15)):
+        assert sum(len(v.marginals) for v in instance.all_valuations()) <= limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["examples", "logscale", "-n", "3"],  # 14 marginal values
+    ["examples", "first-best", "-n", "2"],  # 16
+    ["examples", "first-best", "-n", "1", "--horizon", "11"],  # 11
+    ["generate", "--seed", "0", "--firms", "2", "--scenarios", "2", "--max-units", "3"],  # 12
+    ["generate", "--seed", "0", "--firms", "1", "--scenarios", "11", "--max-units", "1"],
+])
+def test_examples_and_generate_past_the_marginal_limit_exit_2(tmp_path, capsys, monkeypatch,
+                                                              argv):
+    # With a limit of 10 marginal values: exit 2 and no file; at the limit,
+    # the file is written.
+    monkeypatch.setattr(instances, "MARGINAL_LIMIT", 10)
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.startswith("resource limit: ")
+    assert got.err.endswith(" would hold more than 10 marginal values\n")
+    assert not out.exists()
+    monkeypatch.setattr(instances, "MARGINAL_LIMIT", 16)
+    assert main([*argv, "--out", str(out)]) == 0 and out.exists()
 
 
 def test_examples_rejects_n_for_demand_reduction(tmp_path, capsys, monkeypatch):
@@ -427,3 +474,29 @@ def test_unwritable_out_is_one_error_line(demand_reduction_file, tmp_path, capsy
     assert err.startswith(f"error: cannot write {kind} file {target}: ") and err.count("\n") == 1
     assert "written" not in out and "wrote" not in out
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("instance, options", [
+    (logscale(3), ["verify", "--which", "all"]),
+    (demand_reduction(), ["equilibrium", "--cap", "2", "--floor", "9"]),
+], ids=["verify", "equilibrium"])
+def test_a_closed_stdout_ends_a_command_quietly(tmp_path, instance, options, unbuffered):
+    # The reader of stdout is gone before the command starts: the process
+    # exits 141, as one that SIGPIPE ends, with nothing on stderr, whether
+    # its first failed write is a print (unbuffered) or the flush at its end.
+    save_instance(instance, tmp_path / "instance.json")
+    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command, *rest = options
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "capauction.cli", command, "instance.json", *rest],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")

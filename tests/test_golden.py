@@ -43,7 +43,7 @@ from capauction import (
 )
 from capauction import cli
 from capauction.cli import main
-from oracles import cost_table, quadratic
+from oracles import cost_table, firm_distribution, quadratic
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = str(Path(cli.__file__).resolve().parent.parent)
@@ -141,7 +141,7 @@ LIMIT_CASES = {
 SHORT_TABLE = MarketInstance(
     firms=(
         FirmDistribution.point_mass(mv(9, 8, 7)),
-        FirmDistribution.of((F(1, 2), mv(6, 5)), (F(1, 2), mv(3))),
+        firm_distribution((F(1, 2), mv(6, 5)), (F(1, 2), mv(3))),
     ),
     cost=cost_table(1, 2, extension="error"),
     label="short-cost-table",
@@ -308,7 +308,7 @@ def test_certificate_verdicts_follow_their_sides(tmp_path, name):
     instance = INSTANCES[name]
     # `main`, and so `all`, needs product form; joint-3 runs the other checks.
     checks = ["all"]
-    if not instance.product_form:
+    if instance.joint is not None:
         checks = ["priceceil", "optcond", "unsafe", "decomp", "thmq"]
     for which in checks:
         got = run_case(tmp_path, instance, ["verify", "--which", which])

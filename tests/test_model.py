@@ -16,7 +16,9 @@ from capauction import (
     validate,
 )
 from capauction.model import ERROR_BEYOND
-from oracles import combined_valuation, cost_table, quadratic, value_of, welfare_of
+from oracles import (
+    combined_valuation, cost_table, firm_distribution, quadratic, value_of, welfare_of
+)
 
 mv = MarginalVector.of
 
@@ -176,7 +178,7 @@ class TestValidate:
     def test_probabilities_must_sum_to_one(self):
         bad = MarketInstance(
             firms=(
-                FirmDistribution.of((F(1, 2), mv(3)), (F(1, 3), mv(2))),
+                firm_distribution((F(1, 2), mv(3)), (F(1, 3), mv(2))),
             ),
             cost=quadratic(1),
         )

@@ -34,9 +34,8 @@ _EXPORTS = {
         "dumps_instance", "format_decimal", "load_instance", "loads_instance", "save_instance",
     ),
     "model": (
-        "CostCurve", "FirmDistribution", "MarginalCostTable", "MarginalVector",
-        "MarketError", "MarketInstance", "QuadraticCost", "TooLargeError",
-        "ValidationError", "rat", "validate",
+        "CostCurve", "MarginalCostTable", "MarketError", "MarketInstance", "QuadraticCost",
+        "TooLargeError", "ValidationError", "rat", "validate",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -142,7 +142,7 @@ def cmd_evaluate(args) -> int:
         raise ValidationError("an unbounded cap never reaches a ceiling; it takes no --ceiling")
     analysis = Analysis(instance, args.scenario_limit)
     scenarios = _per_scenario(([vs for _, vs in types] for types in analysis._factors), (), add)
-    outcomes = [clear_valid([b.marginals for b in bids], *params) for bids in scenarios]
+    outcomes = [clear_valid(bids, *params) for bids in scenarios]
     sold = [sum(allocation) for allocation, _, _ in outcomes]
     analysis._tabulate(max(sold))
     probs, weight = analysis._probs, analysis._weight

@@ -173,7 +173,7 @@ def price_candidates(instance: MarketInstance) -> tuple[Fraction, ...]:
     all scenarios of all firms, plus 0 and a sentinel above the maximum
     (which shuts every firm out).
     """
-    values = {v for mv in instance.all_valuations() for v in mv.marginals}
+    values = {v for types in _factors(instance) for _, vs in types for vec in vs for v in vec}
     values.add(ZERO)
     values.add(max(values) + 1)
     return tuple(sorted(values))
@@ -189,7 +189,7 @@ def _factors(instance: MarketInstance) -> tuple:
     (probability, valuations) types: one per firm, or the joint table's rows."""
     if instance.joint is not None:
         return (instance.joint,)
-    return tuple(tuple((p, (v,)) for p, v in f.scenarios) for f in instance.firms)
+    return tuple(tuple((p, (v,)) for p, v in firm) for firm in instance.firms)
 
 
 def _per_scenario(values, start, combine) -> list:
@@ -260,7 +260,7 @@ class Analysis:
         self._weight = math.prod(weight for weight, _ in weights)
         self._probs = _per_scenario((probs for _, probs in weights), 1, mul)
         self._pools = [sorted(pool) for pool in _per_scenario(
-            ([_scaled((v for mv in vs for v in mv.marginals if v > 0), scale) for _, vs in types]
+            ([_scaled((v for vec in vs for v in vec if v > 0), scale) for _, vs in types]
              for types in factors),
             [], add,
         )]
@@ -301,7 +301,7 @@ class Analysis:
         if reach <= self._reach:
             return
         tops = [min(len(pool), reach) for pool in self._pools]
-        scale, self._cost = _integers(map(self.instance.cost.cost, range(reach + 1)), self._scale)
+        scale, self._cost = _integers(self.instance.cost.costs(reach), self._scale)
         up = scale // self._scale
         self._nums = []
         for p, pool, top in zip(self._probs, self._pools, tops):

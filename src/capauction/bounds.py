@@ -35,7 +35,7 @@ from .auction import (
     DEFAULT_GAP_LIMIT, Analysis, AuctionParams, _integers, _per_scenario, safe_price
 )
 from .io import display, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
-from .model import ZERO, CostCurve, MarginalVector, ValidationError, rat
+from .model import ZERO, CostCurve, Valuation, ValidationError, rat
 
 CHECKED = "checked"
 VACUOUS = "vacuous"
@@ -110,7 +110,7 @@ def demand_quantile_cap(analysis: Analysis, floor: Fraction) -> int:
     return best
 
 
-def best_own_quantity(valuation: MarginalVector, cost: CostCurve) -> tuple[int, Fraction]:
+def best_own_quantity(valuation: Valuation, cost: CostCurve) -> tuple[int, Fraction]:
     """Smallest maximizer and maximum of V(x) - C(x) for one firm.
 
     Increments v(x) - (C(x) - C(x-1)) are non-increasing by concavity and
@@ -120,7 +120,7 @@ def best_own_quantity(valuation: MarginalVector, cost: CostCurve) -> tuple[int, 
     x = 0
     running = ZERO
     below = cost.cost(0)
-    for j, v in enumerate(valuation.marginals, start=1):
+    for j, v in enumerate(valuation, start=1):
         here = cost.cost(j)
         step = v - (here - below)
         if step <= 0:
@@ -254,7 +254,7 @@ def worst_price_gap(cost: CostCurve, limit: int) -> BoundCertificate:
     """
     if limit < 1:
         raise ValidationError(f"quantity limit must be at least 1, got {limit}")
-    _, c = _integers(cost.cost(x) for x in range(limit + 1))
+    _, c = _integers(cost.costs(limit))
     worst = None  # (margin * quantity * common denominator, quantity, units)
     for q in range(1, limit + 1):
         u = bisect_left(range(q), True, key=lambda u: q * (c[u + 1] - c[u]) >= c[q])

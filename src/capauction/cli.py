@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Subcommands: evaluate, optimize, equilibrium, verify, examples, generate.
-Exit codes: 0 ok, 1 validation or parse error, 2 resource limit exceeded,
-141 (128 + SIGPIPE) when the reader of stdout closed it first.
+Exit codes: 0 ok, --help included; 1 validation or parse error; 2
+resource limit exceeded, or a usage error from the argument parser; 141
+(128 + SIGPIPE) when the reader of stdout closed it first, --help
+included.
 Certificate failures from `verify` are findings, not errors, and leave the
 exit code at 0 unless --strict is given.
 
@@ -176,12 +178,17 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> int:
     """Entry point of a CLI process: `main` on `sys.argv`, then the exit
     status. It leaves the collector off and every object frozen, so call
-    it only where the process exits next. When the reader of stdout has
-    closed it, the process exits 141 with nothing on stderr, and stdout
-    points at the null device so the flush at exit has nowhere to fail."""
+    it only where the process exits next. The parser's exit (help, usage
+    error) is a status too, so its text is flushed here as well. When the
+    reader of stdout has closed it, the process exits 141 with nothing on
+    stderr, and stdout points at the null device so the flush at exit has
+    nowhere to fail."""
     gc.disable()
     try:
-        status = main()
+        try:
+            status = main()
+        except SystemExit as exc:
+            status = exc.code
         sys.stdout.flush()
         return status
     except BrokenPipeError:

@@ -57,10 +57,11 @@ from operator import add, contains, getitem, mul
 from typing import NamedTuple
 
 from .auction import (
-    DEFAULT_PROFILE_LIMIT, Analysis, AuctionParams, _integers, _per_scenario, _scaled, clear_valid
+    DEFAULT_PROFILE_LIMIT, Analysis, AuctionParams,
+    _demand, _integers, _per_scenario, _scaled, clear_valid,
 )
 from .io import display, load_instance, parse_cap, rational_cells, write_report
-from .model import MarginalVector, MarketInstance, TooLargeError, ValidationError, rat
+from .model import ZERO, MarketInstance, TooLargeError, Valuation, ValidationError, rat
 
 # Imported constant-factor guarantee for uniform-price equilibria: worst
 # equilibrium welfare of a safe-price auction is at least baseline/3.15.
@@ -114,7 +115,7 @@ class EquilibriumReport:
         return f"EquilibriumReport({fields})"
 
     @cached_property
-    def profiles(self) -> tuple[tuple[tuple[MarginalVector, ...], ...], ...]:
+    def profiles(self) -> tuple[tuple[tuple[Valuation, ...], ...], ...]:
         ids = dict.fromkeys(r for profile in self._found for strategy in profile for r in strategy)
         vectors = dict(zip(ids, self._game.vectors(tuple(ids))))
         return tuple(
@@ -168,7 +169,7 @@ class _GridGame:
                 "strategic analysis needs per-firm independent types (product form)"
             )
         self.strict = strict
-        self.types = [firm.scenarios for firm in instance.firms]
+        self.types = instance.firms
         levels = {*analysis.grid[:-1], params.floor}  # zero and the marginals; no sentinel
         if params.ceiling is not None:
             levels.add(params.ceiling)
@@ -187,11 +188,10 @@ class _GridGame:
         self.costs = [c * (self.scale // cost_scale) for c in analysis._cost]
         self.values = []
         for scenarios in self.types:
-            length = max(truth.positive_units for _, truth in scenarios)
+            length = max(_demand(truth, ZERO) for _, truth in scenarios)
             self.values.append([
                 list(itertools.accumulate(
-                    _scaled(truth.marginals[:length], self.scale)
-                    + [0] * (length - len(truth.marginals)),
+                    _scaled(truth[:length], self.scale) + [0] * (length - len(truth)),
                     initial=0,
                 ))
                 for _, truth in scenarios
@@ -217,10 +217,10 @@ class _GridGame:
         self.near_best: list[dict[_Profile, list[dict[int, int]]]] = [{} for _ in self.types]
         self._welfares: list[dict[tuple[int, ...], int]] = [{} for _ in self.draws]
 
-    def vectors(self, ids: tuple[int, ...]) -> tuple[MarginalVector, ...]:
+    def vectors(self, ids: tuple[int, ...]) -> tuple[Valuation, ...]:
         """The ids' bid vectors over the grid's Fractions, each built anew."""
         on_grid = dict(zip(self.levels, self.grid)).__getitem__
-        return tuple(MarginalVector(tuple(map(on_grid, self._bids[r]))) for r in ids)
+        return tuple(tuple(map(on_grid, self._bids[r])) for r in ids)
 
     def candidates(self, firm: int, type_index: int) -> tuple[int, ...]:
         """The slot's grid strategies as vector ids, in canonical order.
@@ -464,7 +464,7 @@ def cmd_equilibrium(args) -> int:
             welfare = rational_cells(w)
             for i, per_type in enumerate(profile):
                 for t, report_vec in enumerate(per_type):
-                    bid = "|".join(str(v) for v in report_vec.marginals)
+                    bid = "|".join(map(str, report_vec))
                     u = report.utilities[k][i][t]
                     yield [str(k), str(i), str(t), bid, *rational_cells(u), *welfare]
 

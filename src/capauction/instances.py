@@ -17,9 +17,7 @@ from itertools import accumulate, repeat
 from typing import Callable, Iterable
 
 from .model import (
-    FirmDistribution,
     MarginalCostTable,
-    MarginalVector,
     MarketInstance,
     QuadraticCost,
     REPEAT_LAST,
@@ -49,8 +47,8 @@ def demand_reduction() -> MarketInstance:
     """
     return MarketInstance(
         firms=(
-            FirmDistribution.point_mass(MarginalVector.of(10, 10)),
-            FirmDistribution.point_mass(MarginalVector.of(6, 1)),
+            ((Fraction(1), (Fraction(10), Fraction(10))),),
+            ((Fraction(1), (Fraction(6), Fraction(1))),),
         ),
         cost=MarginalCostTable((Fraction(9), Fraction(9)), REPEAT_LAST),
         label="demand-reduction",
@@ -70,12 +68,10 @@ def _doubling(n: int, units: Callable[[int], int], label: str) -> MarketInstance
     _check_marginal_count(label, map(units, range(1, n + 1)))
     beta = scale_weight(n)
     scenarios = tuple(
-        (Fraction(1, 4**i) / beta, MarginalVector((Fraction(2 ** (i + 1)),) * units(i)))
+        (Fraction(1, 4**i) / beta, (Fraction(2 ** (i + 1)),) * units(i))
         for i in range(1, n + 1)
     )
-    return MarketInstance(
-        firms=(FirmDistribution(scenarios),), cost=QuadraticCost(Fraction(1)), label=label
-    )
+    return MarketInstance(firms=(scenarios,), cost=QuadraticCost(Fraction(1)), label=label)
 
 
 def logscale(n: int) -> MarketInstance:
@@ -153,10 +149,8 @@ def generate(
             marginals = sorted(
                 (rng.randint(value_low, value_high) for _ in range(units)), reverse=True
             )
-            rows.append(
-                (Fraction(w, total), MarginalVector(tuple(Fraction(v) for v in marginals)))
-            )
-        firm_list.append(FirmDistribution(tuple(rows)))
+            rows.append((Fraction(w, total), tuple(Fraction(v) for v in marginals)))
+        firm_list.append(tuple(rows))
 
     if cost_kind == "quadratic":
         cost = QuadraticCost(Fraction(rng.randint(1, 4), rng.choice((1, 2))))

@@ -21,11 +21,11 @@ from .model import (
     ERROR_BEYOND,
     REPEAT_LAST,
     CostCurve,
-    FirmDistribution,
+    Firm,
     MarginalCostTable,
-    MarginalVector,
     MarketInstance,
     QuadraticCost,
+    Valuation,
     ValidationError,
     rat,
     require_valid,
@@ -61,8 +61,8 @@ def _items(value, where: str) -> list:
     return value
 
 
-def _marginal_vector(values, where: str) -> MarginalVector:
-    return MarginalVector(tuple(rat(v) for v in _items(values, where)))
+def _valuation(values, where: str) -> Valuation:
+    return tuple(rat(v) for v in _items(values, where))
 
 
 def _cost_from_obj(obj) -> CostCurve:
@@ -85,23 +85,12 @@ def instance_to_obj(instance: MarketInstance) -> dict:
     obj = {"label": instance.label, "cost": _cost_to_obj(instance.cost)}
     if instance.joint is not None:
         obj["joint_scenarios"] = [
-            {
-                "prob": str(p),
-                "marginals": [[str(v) for v in mv.marginals] for mv in vs],
-            }
+            {"prob": str(p), "marginals": [[str(v) for v in vec] for vec in vs]}
             for p, vs in instance.joint
         ]
     else:
         obj["firms"] = [
-            {
-                "scenarios": [
-                    {
-                        "prob": str(p),
-                        "marginals": [str(v) for v in mv.marginals],
-                    }
-                    for p, mv in firm.scenarios
-                ]
-            }
+            {"scenarios": [{"prob": str(p), "marginals": [str(v) for v in vec]} for p, vec in firm]}
             for firm in instance.firms
         ]
     return obj
@@ -115,7 +104,7 @@ def instance_from_obj(obj) -> MarketInstance:
         raise ValidationError(f"label: expected a JSON string, got {type(label).__name__}")
     cost = _cost_from_obj(obj.get("cost", {}))
     joint = None
-    firms: tuple[FirmDistribution, ...] = ()
+    firms: tuple[Firm, ...] = ()
     if "joint_scenarios" in obj:
         if "firms" in obj:
             raise ValidationError("instance: give either 'firms' or 'joint_scenarios', not both")
@@ -125,7 +114,7 @@ def instance_from_obj(obj) -> MarketInstance:
             try:
                 prob = rat(row["prob"])
                 vs = tuple(
-                    _marginal_vector(marginals, f"{where}[{i}]")
+                    _valuation(marginals, f"{where}[{i}]")
                     for i, marginals in enumerate(_items(row["marginals"], where))
                 )
             except (KeyError, TypeError) as exc:
@@ -137,13 +126,12 @@ def instance_from_obj(obj) -> MarketInstance:
         for i, firm in enumerate(_items(obj["firms"], "firms")):
             where = f"firms[{i}].scenarios"
             try:
-                scenarios = tuple(
-                    (rat(s["prob"]), _marginal_vector(s["marginals"], f"{where}[{k}].marginals"))
+                parsed.append(tuple(
+                    (rat(s["prob"]), _valuation(s["marginals"], f"{where}[{k}].marginals"))
                     for k, s in enumerate(_items(firm["scenarios"], where))
-                )
+                ))
             except (KeyError, TypeError) as exc:
                 raise ValidationError(f"firms[{i}]: {exc}") from None
-            parsed.append(FirmDistribution(scenarios))
         firms = tuple(parsed)
     else:
         raise ValidationError("instance: needs either 'firms' or 'joint_scenarios'")

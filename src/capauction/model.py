@@ -1,16 +1,20 @@
 """Domain model for license markets with convex social cost.
 
-Firms value identical licenses through concave curves, encoded as
-non-increasing per-license marginal values. Society bears a convex cost for
-the total quantity allocated. Everything is exact rational arithmetic
-(fractions.Fraction): the welfare inequalities this package checks are
-rational statements and must not be blurred by floating point.
+Firms value identical licenses through concave curves. A valuation is a
+plain tuple of non-increasing per-license marginal values, and a firm a
+tuple of (probability, valuation) types, its finite type distribution;
+`validate` checks both in one pass over the instance. Society bears a
+convex cost for the total quantity allocated. Everything is exact
+rational arithmetic (fractions.Fraction): the welfare inequalities this
+package checks are rational statements and must not be blurred by
+floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Union
+from itertools import accumulate
+from typing import NamedTuple, Union
 
 
 class MarketError(Exception):
@@ -28,7 +32,6 @@ class TooLargeError(MarketError):
 Rational = Union[int, str, Fraction]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def rat(value: Rational) -> Fraction:
@@ -54,34 +57,23 @@ def rat(value: Rational) -> Fraction:
     raise ValidationError(f"not a rational: {value!r} (got {type(value).__name__})")
 
 
-class MarginalVector(NamedTuple):
-    """A firm's valuation as non-increasing per-license marginal values.
+# A valuation: a firm's non-increasing per-license marginal values. The
+# value of x licenses is the prefix sum of the first x entries; entries
+# past the end are zero, so every curve is finite, concave, non-decreasing
+# and flat in the tail, and its value at zero is zero. A firm is its finite
+# type distribution: (probability, valuation) pairs.
+Valuation = tuple[Fraction, ...]
+Firm = tuple[tuple[Fraction, Valuation], ...]
 
-    The value of x licenses is the prefix sum of the first x entries;
-    entries past the end of the list are zero, so every curve is finite,
-    concave, non-decreasing, and flat in the tail. Value at zero is zero
-    by construction.
-    """
 
-    marginals: tuple[Fraction, ...]
-
-    @staticmethod
-    def of(*values: Rational) -> "MarginalVector":
-        return MarginalVector(tuple(rat(v) for v in values))
-
-    @property
-    def positive_units(self) -> int:
-        """Number of strictly positive marginals (finite demand at price 0)."""
-        return sum(1 for v in self.marginals if v > 0)
-
-    def violations(self, where: str = "marginals") -> list[str]:
-        out = []
-        for j, v in enumerate(self.marginals):
-            if v < 0:
-                out.append(f"{where}[{j}]: negative marginal {v}")
-            if j > 0 and v > self.marginals[j - 1]:
-                out.append(f"{where}: not non-increasing at index {j}")
-        return out
+def _valuation_violations(marginals: Valuation, where: str) -> list[str]:
+    out = []
+    for j, v in enumerate(marginals):
+        if v < 0:
+            out.append(f"{where}[{j}]: negative marginal {v}")
+        if j > 0 and v > marginals[j - 1]:
+            out.append(f"{where}: not non-increasing at index {j}")
+    return out
 
 
 REPEAT_LAST = "repeat-last"
@@ -97,6 +89,10 @@ class QuadraticCost(NamedTuple):
         if x < 0:
             raise ValidationError(f"cost undefined for negative quantity {x}")
         return self.a * x * x
+
+    def costs(self, n: int) -> list[Fraction]:
+        """C(0), ..., C(n)."""
+        return [self.a * x * x for x in range(n + 1)]
 
     def violations(self, where: str = "cost") -> list[str]:
         if self.a <= 0:
@@ -128,6 +124,17 @@ class MarginalCostTable(NamedTuple):
             f"(extension policy {self.extension!r})"
         )
 
+    def costs(self, n: int) -> list[Fraction]:
+        """C(0), ..., C(n) in one prefix-sum pass; past the table's end it
+        raises as `cost` does at the first quantity beyond it."""
+        marginals = self.marginals[:n]
+        beyond = n - len(self.marginals)
+        if beyond > 0:
+            if self.extension != REPEAT_LAST:
+                self.cost(len(self.marginals) + 1)  # raises
+            marginals += (self.marginals[-1] if self.marginals else ZERO,) * beyond
+        return list(accumulate(marginals, initial=ZERO))
+
     def violations(self, where: str = "cost") -> list[str]:
         out = []
         for j, v in enumerate(self.marginals):
@@ -143,32 +150,7 @@ class MarginalCostTable(NamedTuple):
 CostCurve = Union[QuadraticCost, MarginalCostTable]
 
 
-class FirmDistribution(NamedTuple):
-    """A firm's private valuation, drawn from a finite scenario list."""
-
-    scenarios: tuple[tuple[Fraction, MarginalVector], ...]
-
-    @staticmethod
-    def point_mass(valuation: MarginalVector) -> "FirmDistribution":
-        return FirmDistribution(((ONE, valuation),))
-
-    def violations(self, where: str = "firm") -> list[str]:
-        out = []
-        if not self.scenarios:
-            out.append(f"{where}: no scenarios")
-            return out
-        total = ZERO
-        for s, (p, v) in enumerate(self.scenarios):
-            if p <= 0:
-                out.append(f"{where}.scenarios[{s}]: probability {p} not positive")
-            total += p
-            out.extend(v.violations(f"{where}.scenarios[{s}].marginals"))
-        if total != 1:
-            out.append(f"{where}: probabilities sum to {total}, not 1")
-        return out
-
-
-JointRow = tuple[Fraction, tuple[MarginalVector, ...]]
+JointRow = tuple[Fraction, tuple[Valuation, ...]]
 
 
 class MarketInstance(NamedTuple):
@@ -179,20 +161,10 @@ class MarketInstance(NamedTuple):
     empty.
     """
 
-    firms: tuple[FirmDistribution, ...]
+    firms: tuple[Firm, ...]
     cost: CostCurve
     label: str = ""
     joint: tuple[JointRow, ...] | None = None
-
-    def all_valuations(self) -> Iterator[MarginalVector]:
-        """Every valuation appearing in any scenario of any firm."""
-        if self.joint is not None:
-            for _, vs in self.joint:
-                yield from vs
-        else:
-            for firm in self.firms:
-                for _, v in firm.scenarios:
-                    yield v
 
 
 def validate(instance: MarketInstance) -> list[str]:
@@ -202,7 +174,17 @@ def validate(instance: MarketInstance) -> list[str]:
         out.append("instance: at least one firm is required")
     out.extend(instance.cost.violations("cost"))
     for i, firm in enumerate(instance.firms):
-        out.extend(firm.violations(f"firms[{i}]"))
+        if not firm:
+            out.append(f"firms[{i}]: no scenarios")
+            continue
+        total = ZERO
+        for s, (p, v) in enumerate(firm):
+            if p <= 0:
+                out.append(f"firms[{i}].scenarios[{s}]: probability {p} not positive")
+            total += p
+            out.extend(_valuation_violations(v, f"firms[{i}].scenarios[{s}].marginals"))
+        if total != 1:
+            out.append(f"firms[{i}]: probabilities sum to {total}, not 1")
     if instance.joint is not None:
         if not instance.joint:
             out.append("joint_scenarios: empty table")
@@ -218,7 +200,7 @@ def validate(instance: MarketInstance) -> list[str]:
                 if len(vs) != width:
                     out.append(f"joint_scenarios[{r}]: expected {width} firms, got {len(vs)}")
                 for i, v in enumerate(vs):
-                    out.extend(v.violations(f"joint_scenarios[{r}].marginals[{i}]"))
+                    out.extend(_valuation_violations(v, f"joint_scenarios[{r}].marginals[{i}]"))
             if total != 1:
                 out.append(f"joint_scenarios: probabilities sum to {total}, not 1")
     return out

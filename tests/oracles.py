@@ -20,9 +20,7 @@ from capauction import (
     Analysis,
     AuctionParams,
     CostCurve,
-    FirmDistribution,
     MarginalCostTable,
-    MarginalVector,
     MarketInstance,
     QuadraticCost,
     ValidationError,
@@ -35,7 +33,7 @@ from capauction.auction import (
 )
 from capauction.bounds import BoundCertificate, best_own_quantity, verify_price_gap
 from capauction.equilibrium import _GridGame
-from capauction.model import REPEAT_LAST, ZERO
+from capauction.model import REPEAT_LAST, ZERO, Firm, Valuation, _valuation_violations
 
 
 def quadratic(a) -> QuadraticCost:
@@ -46,10 +44,20 @@ def cost_table(*values, extension: str = REPEAT_LAST) -> MarginalCostTable:
     return MarginalCostTable(tuple(rat(v) for v in values), extension)
 
 
-def firm_distribution(*scenarios) -> FirmDistribution:
+def mv(*values) -> Valuation:
+    """A valuation from its marginals, each coerced by `rat`."""
+    return tuple(rat(v) for v in values)
+
+
+def point_mass(valuation: Valuation) -> Firm:
+    """A firm with one type, of probability 1."""
+    return ((Fraction(1), valuation),)
+
+
+def firm_distribution(*scenarios) -> Firm:
     """A firm's types from (probability, valuation) pairs, each probability
     coerced by `rat`."""
-    return FirmDistribution(tuple((rat(p), v) for p, v in scenarios))
+    return tuple((rat(p), v) for p, v in scenarios)
 
 
 def split_logscale(n: int, m: int, joint: bool = False) -> MarketInstance:
@@ -60,24 +68,24 @@ def split_logscale(n: int, m: int, joint: bool = False) -> MarketInstance:
     joint table."""
     beta = scale_weight(n)
     types = tuple(
-        (Fraction(1, 4**i) / beta, MarginalVector((Fraction(2 ** (i + 1)),) * max(1, 2**i // m)))
+        (Fraction(1, 4**i) / beta, (Fraction(2 ** (i + 1)),) * max(1, 2**i // m))
         for i in range(1, n + 1)
     )
     if joint:
         rows = tuple((p, (v,) * m) for p, v in types)
         return MarketInstance((), QuadraticCost(Fraction(1)), joint=rows)
-    return MarketInstance((FirmDistribution(types),) * m, QuadraticCost(Fraction(1)))
+    return MarketInstance((types,) * m, QuadraticCost(Fraction(1)))
 
 
-def value_of(valuation: MarginalVector, x: int) -> Fraction:
+def value_of(valuation: Valuation, x: int) -> Fraction:
     """Total value of x licenses (prefix sum; zero beyond the list)."""
     if x <= 0:
         return ZERO
-    return sum(valuation.marginals[: min(x, len(valuation.marginals))], ZERO)
+    return sum(valuation[:x], ZERO)
 
 
 def welfare_of(
-    valuations: Sequence[MarginalVector],
+    valuations: Sequence[Valuation],
     allocation: Sequence[int],
     cost: CostCurve,
 ) -> Fraction:
@@ -106,21 +114,21 @@ class Outcome(NamedTuple):
 
 def clear(
     params: AuctionParams,
-    bids: list[MarginalVector] | tuple[MarginalVector, ...],
+    bids: list[Valuation] | tuple[Valuation, ...],
 ) -> tuple[tuple[int, ...], Fraction, str]:
     """`auction.clear_valid` on bids it first checks."""
     for i, b in enumerate(bids):
-        problems = b.violations(f"bids[{i}]")
+        problems = _valuation_violations(b, f"bids[{i}]")
         if problems:
             raise ValidationError("; ".join(problems))
-    return clear_valid([b.marginals for b in bids], *params)
+    return clear_valid(bids, *params)
 
 
 def run_auction(
     params: AuctionParams,
-    bids: list[MarginalVector] | tuple[MarginalVector, ...],
+    bids: list[Valuation] | tuple[Valuation, ...],
     cost: CostCurve,
-    true_values: list[MarginalVector] | tuple[MarginalVector, ...] | None = None,
+    true_values: list[Valuation] | tuple[Valuation, ...] | None = None,
 ) -> Outcome:
     """Clear the auction on reported bids; value welfare at true curves.
 
@@ -146,7 +154,7 @@ def run_auction(
 
 class ScenarioRow(NamedTuple):
     probability: Fraction
-    valuations: tuple[MarginalVector, ...]
+    valuations: tuple[Valuation, ...]
 
 
 def enumerate_scenarios(
@@ -163,7 +171,7 @@ def enumerate_scenarios(
     ))
 
 
-def combined_valuation(valuations: Sequence[MarginalVector], x: int) -> Fraction:
+def combined_valuation(valuations: Sequence[Valuation], x: int) -> Fraction:
     """Maximum total value from splitting x licenses among the firms.
 
     By concavity this is the sum of the x largest marginals across all
@@ -171,7 +179,7 @@ def combined_valuation(valuations: Sequence[MarginalVector], x: int) -> Fraction
     """
     if x <= 0:
         return Fraction(0)
-    pool = sorted((v for mv in valuations for v in mv.marginals), reverse=True)
+    pool = sorted((v for vec in valuations for v in vec), reverse=True)
     return sum(pool[:x], Fraction(0))
 
 
@@ -182,7 +190,7 @@ def make_safe_auction(cap: int, cost: CostCurve, pricing: str = LOWEST_WINNING) 
 
 def scenario_product(
     instance: MarketInstance,
-) -> list[tuple[Fraction, tuple[int, ...], tuple[MarginalVector, ...]]]:
+) -> list[tuple[Fraction, tuple[int, ...], tuple[Valuation, ...]]]:
     """(probability, type indices, valuations) of every scenario, in the
     package's scenario order: a joint table's rows as given (each row its
     own type), else the cartesian product of the firms' types with the last
@@ -195,13 +203,20 @@ def scenario_product(
             tuple(t for t, _ in combo),
             tuple(v for _, (_, v) in combo),
         )
-        for combo in itertools.product(*(tuple(enumerate(f.scenarios)) for f in instance.firms))
+        for combo in itertools.product(*(tuple(enumerate(f)) for f in instance.firms))
     ]
+
+
+def valuations_of(instance: MarketInstance) -> list[Valuation]:
+    """Every valuation of every type of every firm, or of every joint row."""
+    if instance.joint is not None:
+        return [vec for _, vs in instance.joint for vec in vs]
+    return [vec for firm in instance.firms for _, vec in firm]
 
 
 def bid_levels(instance: MarketInstance, params: AuctionParams) -> tuple[Fraction, ...]:
     """Zero, every true marginal, the floor and a finite ceiling, sorted."""
-    values = {v for mv in instance.all_valuations() for v in mv.marginals}
+    values = {v for vec in valuations_of(instance) for v in vec}
     values.add(Fraction(0))
     values.add(params.floor)
     if params.ceiling is not None:
@@ -239,7 +254,7 @@ class SingleBuyerOutcome(NamedTuple):
 
 
 def single_buyer_mechanism(
-    true_values: Sequence[MarginalVector], cost: CostCurve
+    true_values: Sequence[Valuation], cost: CostCurve
 ) -> SingleBuyerOutcome:
     """Run the sell-to-one-firm mechanism under truthful reporting."""
     truths = tuple(true_values)
@@ -264,17 +279,17 @@ def single_buyer_mechanism(
 
 
 def satisfies_no_overbidding(
-    report: MarginalVector, truth: MarginalVector, strict: bool = False
+    report: Valuation, truth: Valuation, strict: bool = False
 ) -> bool:
     """Aggregate mode caps reported prefix sums by true values; strict mode
     additionally dominates marginal by marginal."""
     if strict:
-        for j, b in enumerate(report.marginals, start=1):
+        for j, b in enumerate(report, start=1):
             if b > value_of(truth, j) - value_of(truth, j - 1):
                 return False
         return True
     running = ZERO
-    for j, b in enumerate(report.marginals, start=1):
+    for j, b in enumerate(report, start=1):
         running += b
         if running > value_of(truth, j):
             return False
@@ -286,7 +301,7 @@ class EagerReport(NamedTuple):
 
     params: AuctionParams
     epsilon: Fraction
-    profiles: tuple[tuple[tuple[MarginalVector, ...], ...], ...]
+    profiles: tuple[tuple[tuple[Valuation, ...], ...], ...]
     welfares: tuple[Fraction, ...]
     utilities: tuple[tuple[tuple[Fraction, ...], ...], ...]
     worst_welfare: Fraction | None
@@ -305,7 +320,7 @@ def eager_report(
     epsilon = rat(epsilon)
     firms = instance.firms
     slots = [
-        [candidate_reports(instance, params, i, t, strict) for t in range(len(f.scenarios))]
+        [candidate_reports(instance, params, i, t, strict) for t in range(len(f))]
         for i, f in enumerate(firms)
     ]
     memo = {}
@@ -313,7 +328,7 @@ def eager_report(
     def utilities(i, t, others):
         key = (i, t, others)
         if key not in memo:
-            truth = firms[i].scenarios[t][1]
+            truth = firms[i][t][1]
             rivals = instance._replace(firms=firms[:i] + firms[i + 1 :])
             draws = [(p, types) for p, types, _ in scenario_product(rivals)]
             memo[key] = got = {}
@@ -355,7 +370,7 @@ def candidate_reports(
     firm: int,
     type_index: int,
     strict: bool = False,
-) -> tuple[MarginalVector, ...]:
+) -> tuple[Valuation, ...]:
     """All grid strategies available to one firm type, canonically sorted:
     that slot of the game a search with these parameters walks."""
     game = _GridGame(Analysis(instance), params, strict)

@@ -8,10 +8,8 @@ from hypothesis import given, settings, strategies as st
 from capauction import (
     Analysis,
     AuctionParams,
-    FirmDistribution,
     HIGHEST_LOSING,
     LOWEST_WINNING,
-    MarginalVector,
     MarketInstance,
     TooLargeError,
     ValidationError,
@@ -36,13 +34,14 @@ from oracles import (
     expected_welfare,
     firm_distribution,
     make_safe_auction,
+    mv,
+    point_mass,
     quadratic,
     run_auction,
     scenario_product,
     value_of,
 )
 
-mv = MarginalVector.of
 BETA5 = scale_weight(5)
 
 
@@ -145,7 +144,7 @@ class TestOptimize:
 
     def test_worthless_market_opts_to_zero(self):
         m = MarketInstance(
-            firms=(FirmDistribution.point_mass(mv(3, 2)),), cost=cost_table(5, 5)
+            firms=(point_mass(mv(3, 2)),), cost=cost_table(5, 5)
         )
         opt = optimize_cap_and_price(Analysis(m))
         assert opt.winner.expected_welfare == 0
@@ -180,7 +179,7 @@ class TestOptimizeSafe:
 
     def test_single_firm_flat_curve(self):
         m = MarketInstance(
-            firms=(FirmDistribution.point_mass(mv(10, 10)),), cost=cost_table(9, 9)
+            firms=(point_mass(mv(10, 10)),), cost=cost_table(9, 9)
         )
         result = optimize_safe(Analysis(m))
         assert result.winner.cap == 2
@@ -188,7 +187,7 @@ class TestOptimizeSafe:
 
     def test_empty_demand(self):
         m = MarketInstance(
-            firms=(FirmDistribution.point_mass(mv(0, 0)),), cost=quadratic(1)
+            firms=(point_mass(mv(0, 0)),), cost=quadratic(1)
         )
         result = optimize_safe(Analysis(m))
         assert result.winner.expected_welfare == 0
@@ -237,7 +236,7 @@ class TestDemandQuantileCap:
 
     def test_zero_when_nothing_demanded(self):
         m = MarketInstance(
-            firms=(FirmDistribution.point_mass(mv(0,)),), cost=quadratic(1)
+            firms=(point_mass(mv(0,)),), cost=quadratic(1)
         )
         assert demand_quantile_cap(Analysis(m), F(0)) == 0
 
@@ -261,7 +260,7 @@ class TestSingleBuyerExpected:
 
     def test_all_zero(self):
         m = MarketInstance(
-            firms=(FirmDistribution.point_mass(mv(0, 0)),), cost=quadratic(1)
+            firms=(point_mass(mv(0, 0)),), cost=quadratic(1)
         )
         assert single_buyer_expected(Analysis(m)) == 0
 
@@ -302,9 +301,9 @@ class TestBruteForceOracle:
             total = F(0)
             for row in enumerate_scenarios(m):
                 demands = [
-                    sum(1 for x in v.marginals if x >= floor and x > 0)
+                    sum(1 for x in v if x >= floor and x > 0)
                     if floor == 0
-                    else sum(1 for x in v.marginals if x >= floor)
+                    else sum(1 for x in v if x >= floor)
                     for v in row.valuations
                 ]
                 if sum(demands) < cap:
@@ -314,7 +313,7 @@ class TestBruteForceOracle:
                         (
                             (value, firm)
                             for firm, v in enumerate(row.valuations)
-                            for value in v.marginals
+                            for value in v
                         ),
                         key=lambda t: (-t[0], t[1]),
                     )
@@ -371,10 +370,7 @@ class TestWelfareKernel:
                      value_low=value_low, cost_kind=cost_kind)
         m = MarketInstance(  # fractional marginals when divisor > 1
             firms=tuple(
-                FirmDistribution(tuple(
-                    (p, MarginalVector(tuple(v / divisor for v in mv.marginals)))
-                    for p, mv in firm.scenarios
-                ))
+                tuple((p, tuple(v / divisor for v in vec)) for p, vec in firm)
                 for firm in m.firms
             ),
             cost=m.cost,
@@ -446,7 +442,7 @@ class TestWelfareKernel:
                         (
                             row.probability * run_auction(params, row.valuations, m.cost).welfare
                             for row in enumerate_scenarios(m)
-                            if sum(_demand(v.marginals, floor) for v in row.valuations) >= cap
+                            if sum(_demand(v, floor) for v in row.valuations) >= cap
                         ),
                         F(0),
                     )
@@ -455,7 +451,7 @@ class TestWelfareKernel:
     def test_error_extension_table_fails_when_built(self):
         m = MarketInstance(
             firms=(
-                FirmDistribution.point_mass(mv(9, 8, 7)),
+                point_mass(mv(9, 8, 7)),
                 firm_distribution((F(1, 2), mv(6, 5)), (F(1, 2), mv(3))),
             ),
             cost=cost_table(1, 2, extension="error"),
@@ -470,7 +466,7 @@ class TestWelfareKernel:
 # ---- integer tables and the reused sweep candidates ----------------------
 
 VALUE = st.builds(F, st.integers(0, 12), st.sampled_from((1, 2, 3, 4, 6, 7)))
-VALUATION = st.lists(VALUE, max_size=4).map(lambda vs: MarginalVector(tuple(sorted(vs, reverse=True))))
+VALUATION = st.lists(VALUE, max_size=4).map(lambda vs: tuple(sorted(vs, reverse=True)))
 # Types of one factor: (weight, valuation), weights 0..4 with one positive;
 # a weight of 0 is a zero-probability type.
 TYPE_WEIGHTS = st.lists(st.integers(0, 4), min_size=1, max_size=3).filter(any)
@@ -499,7 +495,7 @@ def markets(draw):
         for _ in range(draw(st.integers(1, 3))):
             weights = draw(TYPE_WEIGHTS)
             valuations = draw(st.lists(VALUATION, min_size=len(weights), max_size=len(weights)))
-            firms.append(FirmDistribution(tuple(zip(normalized(weights), valuations))))
+            firms.append(tuple(zip(normalized(weights), valuations)))
         return MarketInstance(firms=tuple(firms), cost=cost)
     width = draw(st.integers(1, 3))
     weights = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
@@ -519,7 +515,7 @@ class TestIntegerTables:
     def test_tables_match_enumerated_scenarios(self, m):
         analysis = Analysis(m)
         rows = enumerate_scenarios(m)
-        pools = [sorted(v for mv in row.valuations for v in mv.marginals if v > 0) for row in rows]
+        pools = [sorted(v for vec in row.valuations for v in vec if v > 0) for row in rows]
         assert [F(w, analysis._weight) for w in analysis._probs] == [r.probability for r in rows]
         assert [[F(v, analysis._scale) for v in pool] for pool in analysis._pools] == pools
         assert analysis.max_demand == max(map(len, pools), default=0)

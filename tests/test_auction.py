@@ -14,7 +14,6 @@ from capauction import (
     HIGHEST_LOSING,
     LOWEST_WINNING,
     AuctionParams,
-    MarginalVector,
     ValidationError,
     demand_reduction,
     logscale,
@@ -27,6 +26,8 @@ from oracles import (
     combined_valuation,
     cost_table,
     make_safe_auction,
+    mv,
+    point_mass,
     quadratic,
     run_auction,
     single_buyer_mechanism,
@@ -34,7 +35,6 @@ from oracles import (
     welfare_of,
 )
 
-mv = MarginalVector.of
 COST_9X = cost_table(9, 9)
 EX_TRUTHS = (mv(10, 10), mv(6, 1))
 
@@ -42,36 +42,36 @@ EX_TRUTHS = (mv(10, 10), mv(6, 1))
 def marginal_vectors(max_units=4, max_value=12):
     return st.lists(
         st.integers(min_value=0, max_value=max_value), max_size=max_units
-    ).map(lambda vs: MarginalVector(tuple(F(v) for v in sorted(vs, reverse=True))))
+    ).map(lambda vs: tuple(F(v) for v in sorted(vs, reverse=True)))
 
 
 class TestDemand:
     def test_both_units_clear(self):
-        assert _demand(mv(10, 10).marginals, F(6)) == 2
+        assert _demand(mv(10, 10), F(6)) == 2
 
     def test_only_first_clears(self):
-        assert _demand(mv(6, 1).marginals, F(6)) == 1
+        assert _demand(mv(6, 1), F(6)) == 1
 
     def test_all_below(self):
-        assert _demand(mv(6, 1).marginals, F(7)) == 0
+        assert _demand(mv(6, 1), F(7)) == 0
 
     def test_price_zero_counts_positives_only(self):
-        assert _demand(mv(6, 1, 0, 0).marginals, F(0)) == 2
+        assert _demand(mv(6, 1, 0, 0), F(0)) == 2
 
     def test_infinite_price(self):
-        assert _demand(mv(6, 1).marginals, None) == 0
+        assert _demand(mv(6, 1), None) == 0
 
     @given(marginal_vectors(5, 20), st.integers(0, 25), st.integers(0, 25))
     def test_non_increasing_in_price(self, v, p1, p2):
         lo, hi = sorted((F(p1), F(p2)))
-        assert _demand(v.marginals, lo) >= _demand(v.marginals, hi)
+        assert _demand(v, lo) >= _demand(v, hi)
 
     @given(marginal_vectors(5, 20))
     def test_demand_at_min_positive_counts_weakly_above(self, v):
-        positives = [x for x in v.marginals if x > 0]
+        positives = [x for x in v if x > 0]
         if positives:
             p = min(positives)
-            assert _demand(v.marginals, p) == sum(1 for x in v.marginals if x >= p)
+            assert _demand(v, p) == sum(1 for x in v if x >= p)
 
 
 class TestParams:
@@ -203,8 +203,8 @@ class TestCasePartition:
     def test_exactly_one_case_applies(self, bids, cap, floor, gap):
         params = AuctionParams(cap, floor, floor + gap)
         out = run_auction(params, bids, quadratic(1))
-        d_ceiling = sum(_demand(b.marginals, params.ceiling) for b in bids)
-        d_floor = sum(_demand(b.marginals, params.floor) for b in bids)
+        d_ceiling = sum(_demand(b, params.ceiling) for b in bids)
+        d_floor = sum(_demand(b, params.floor) for b in bids)
         if d_ceiling >= cap:
             assert out.case == CEILING_BINDS and out.unit_price == params.ceiling
         elif d_floor < cap:
@@ -234,11 +234,11 @@ class TestCasePartition:
         if out.case == CAP_BINDS:
             # winners hold the top marginals, all clearing the floor
             for b, x in zip(bids, out.allocation):
-                assert all(m >= params.floor and m > 0 for m in b.marginals[:x])
+                assert all(m >= params.floor and m > 0 for m in b[:x])
         else:
             threshold = params.ceiling if out.case == CEILING_BINDS else params.floor
             for b, x in zip(bids, out.allocation):
-                assert _demand(b.marginals, threshold) == x
+                assert _demand(b, threshold) == x
 
     def test_deterministic(self):
         bids = (mv(5, 5, 2), mv(5, 3), mv(5,))
@@ -248,10 +248,11 @@ class TestCasePartition:
         )
 
 
-def _random_vector(rng: random.Random, top: int) -> MarginalVector:
-    values = sorted((F(rng.randint(0, 2 * top), rng.choice((1, 2))) for _ in range(rng.randint(0, 4))),
-                    reverse=True)
-    return MarginalVector(tuple(values))
+def _random_vector(rng: random.Random, top: int) -> tuple[F, ...]:
+    return tuple(sorted(
+        (F(rng.randint(0, 2 * top), rng.choice((1, 2))) for _ in range(rng.randint(0, 4))),
+        reverse=True,
+    ))
 
 
 class TestClear:
@@ -315,7 +316,7 @@ class TestClear:
         assert type(price) is int and price == want[1] * scale
 
     def test_rejects_the_bids_run_auction_rejects(self):
-        bids = (mv(3, 1), MarginalVector((F(1), F(2))))
+        bids = (mv(3, 1), (F(1), F(2)))
         with pytest.raises(ValidationError) as direct:
             clear(AuctionParams(2, 0), bids)
         with pytest.raises(ValidationError) as oracle:
@@ -371,11 +372,9 @@ class TestPriceCandidates:
         assert got == (F(0), F(1), F(6), F(10), F(11))
 
     def test_single_marginal(self):
-        from capauction import FirmDistribution, MarketInstance
+        from capauction import MarketInstance
 
-        m = MarketInstance(
-            firms=(FirmDistribution.point_mass(mv(5)),), cost=quadratic(1)
-        )
+        m = MarketInstance(firms=(point_mass(mv(5)),), cost=quadratic(1))
         assert price_candidates(m) == (F(0), F(5), F(6))
 
     def test_logscale_two(self):

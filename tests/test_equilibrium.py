@@ -15,10 +15,8 @@ from capauction import (
     Analysis,
     AuctionParams,
     EquilibriumReport,
-    FirmDistribution,
     HIGHEST_LOSING,
     LOWEST_WINNING,
-    MarginalVector,
     MarketInstance,
     POA_FACTOR,
     PoACheck,
@@ -35,7 +33,7 @@ from capauction import (
 )
 from capauction import auction, equilibrium
 from capauction.cli import build_parser, main
-from capauction.model import ERROR_BEYOND
+from capauction.model import ERROR_BEYOND, _valuation_violations
 from oracles import (
     bid_levels,
     candidate_reports,
@@ -44,6 +42,8 @@ from oracles import (
     expected_welfare,
     firm_distribution,
     make_safe_auction,
+    mv,
+    point_mass,
     quadratic,
     run_auction,
     satisfies_no_overbidding,
@@ -52,8 +52,6 @@ from oracles import (
 )
 from test_analysis import markets
 from test_golden import EQUILIBRIUM_CASES
-
-mv = MarginalVector.of
 
 MARKET = demand_reduction()
 OPEN_FLOOR = AuctionParams(2, 0, None, HIGHEST_LOSING)
@@ -91,13 +89,13 @@ class TestBidGrid:
 
     def test_floor_joins_grid(self):
         m = MarketInstance(
-            firms=(FirmDistribution.point_mass(mv(5)),), cost=quadratic(1)
+            firms=(point_mass(mv(5)),), cost=quadratic(1)
         )
         assert bid_grid(m, AuctionParams(1, 2, None)) == (F(0), F(2), F(5))
 
     def test_floor_above_marginals_still_included(self):
         m = MarketInstance(
-            firms=(FirmDistribution.point_mass(mv(5)),), cost=quadratic(1)
+            firms=(point_mass(mv(5)),), cost=quadratic(1)
         )
         assert F(9) in bid_grid(m, AuctionParams(1, 9, None))
 
@@ -165,12 +163,12 @@ class TestCandidateReports:
         rng = random.Random(3)
         for _ in range(150):
             m = _mixed_instance(rng, rng.choice((1, 2, 3)), units=(0, 1, 2, 3), zeros=True)
-            levels = sorted({v for f in m.firms for _, t in f.scenarios for v in t.marginals})
+            levels = sorted({v for f in m.firms for _, t in f for v in t})
             floor = rng.choice(levels + [F(0), F(5, 4), F(7, 3)])
             ceiling = rng.choice((None, floor + rng.choice((F(1, 2), F(1), F(8)))))
             params = AuctionParams(2, floor, ceiling)
             for i, f in enumerate(m.firms):
-                for t in range(len(f.scenarios)):
+                for t in range(len(f)):
                     for strict in (False, True):
                         assert candidate_reports(m, params, i, t, strict) == _filtered_candidates(
                             m, params, i, t, strict
@@ -184,11 +182,11 @@ class TestCandidateReports:
             for cap in (1, 2):
                 params = make_safe_auction(cap, m.cost, HIGHEST_LOSING)
                 for i, f in enumerate(m.firms):
-                    for t in range(len(f.scenarios)):
+                    for t in range(len(f)):
                         for strict in (False, True):
                             got = candidate_reports(m, params, i, t, strict)
                             assert got == _filtered_candidates(m, params, i, t, strict)
-                            longest = max(longest, len(got[0].marginals))
+                            longest = max(longest, len(got[0]))
                             most = max(most, len(got))
         assert (longest, most) == (8, 495)
 
@@ -210,7 +208,7 @@ class TestUtility:
     def test_expectation_over_opponent_types(self):
         m = MarketInstance(
             firms=(
-                FirmDistribution.point_mass(mv(5, 5)),
+                point_mass(mv(5, 5)),
                 firm_distribution((F(1, 2), mv(8)), (F(1, 2), mv(2))),
             ),
             cost=quadratic(1),
@@ -249,7 +247,7 @@ class TestReportValidation:
                 assert find_grid_equilibria(Analysis(instance), params, strict=strict).profiles
                 assert len(scans) == 1
         assert len(walked) > 20
-        assert all(v.violations() == [] for v in walked)
+        assert all(_valuation_violations(v, "bid") == [] for v in walked)
 
 
 class TestFindEquilibria:
@@ -274,7 +272,7 @@ class TestFindEquilibria:
 
     def test_single_firm_truthful_class_is_equilibrium(self):
         m = MarketInstance(
-            firms=(FirmDistribution.point_mass(mv(4, 3)),), cost=quadratic(1)
+            firms=(point_mass(mv(4, 3)),), cost=quadratic(1)
         )
         params = AuctionParams(5, 0, None, HIGHEST_LOSING)
         report = find_grid_equilibria(m, params)
@@ -282,7 +280,7 @@ class TestFindEquilibria:
 
     def test_all_below_floor_zero_welfare(self):
         m = MarketInstance(
-            firms=(FirmDistribution.point_mass(mv(4, 3)),), cost=quadratic(1)
+            firms=(point_mass(mv(4, 3)),), cost=quadratic(1)
         )
         report = find_grid_equilibria(m, AuctionParams(2, 6, None))
         assert report.profiles
@@ -346,7 +344,7 @@ class TestFindEquilibria:
     def test_bayesian_two_type_market(self):
         m = MarketInstance(
             firms=(
-                FirmDistribution.point_mass(mv(5, 5)),
+                point_mass(mv(5, 5)),
                 firm_distribution((F(1, 2), mv(8)), (F(1, 2), mv(2))),
             ),
             cost=quadratic(1),
@@ -370,31 +368,29 @@ def _mixed_instance(rng, firms, units=(1, 1, 2), zeros=False):
             den = rng.choice((3, 7))
             k = rng.randint(1, den - 1)
             probabilities = (F(k, den), F(den - k, den))
-        distributions.append(FirmDistribution(tuple(
+        distributions.append(tuple(
             (p, mv(*sorted((F(rng.randint(low, 8), rng.choice((1, 2, 3)))
                             for _ in range(rng.choice(units))), reverse=True)))
             for p in probabilities
-        )))
+        ))
     return MarketInstance(firms=tuple(distributions), cost=quadratic(rng.choice((F(1, 2), 1, F(2, 3)))))
 
 
 def _filtered_candidates(instance, params, firm, type_index, strict):
     """Every non-increasing grid vector, filtered by no-overbidding, sorted."""
-    truth = instance.firms[firm].scenarios[type_index][1]
-    length = max(v.positive_units for _, v in instance.firms[firm].scenarios)
+    truth = instance.firms[firm][type_index][1]
+    length = max(sum(1 for x in v if x > 0) for _, v in instance.firms[firm])
     if length == 0:
-        return (MarginalVector(()),)
+        return ((),)
     grid = sorted(bid_levels(instance, params), reverse=True)
     combos = itertools.combinations_with_replacement(grid, length)
-    return tuple(sorted(
-        MarginalVector(c) for c in combos if satisfies_no_overbidding(MarginalVector(c), truth, strict)
-    ))
+    return tuple(sorted(c for c in combos if satisfies_no_overbidding(c, truth, strict)))
 
 
 def _type_draws(instance, firm=None, type_index=None):
     """(probability, type indices) of every joint type draw; with `firm`,
     only the draws where it has `type_index`, weighted by the others."""
-    for combo in itertools.product(*(list(enumerate(f.scenarios)) for f in instance.firms)):
+    for combo in itertools.product(*(list(enumerate(f)) for f in instance.firms)):
         types = tuple(t for t, _ in combo)
         if firm is not None and types[firm] != type_index:
             continue
@@ -406,7 +402,7 @@ def _type_draws(instance, firm=None, type_index=None):
 
 
 def _direct_utility(instance, params, reports, firm, type_index, report):
-    truth = instance.firms[firm].scenarios[type_index][1]
+    truth = instance.firms[firm][type_index][1]
     total = F(0)
     for prob, types in _type_draws(instance, firm, type_index):
         bids = [report if j == firm else reports[j][t] for j, t in enumerate(types)]
@@ -453,7 +449,7 @@ class TestAgainstDirectOracle:
                 value_high=rng.choice((4, 6)),
             )
             cap, floor = rng.choice((1, 2)), rng.choice((0, 1, 2))
-            slots = [(i, t) for i, f in enumerate(m.firms) for t in range(len(f.scenarios))]
+            slots = [(i, t) for i, f in enumerate(m.firms) for t in range(len(f))]
             size = 1
             for i, t in slots:
                 size *= len(candidate_reports(m, AuctionParams(cap, floor), i, t))
@@ -487,7 +483,7 @@ class TestAgainstDirectOracle:
                 rng.choice((HIGHEST_LOSING, LOWEST_WINNING)),
             )
             sizes = [
-                math.prod(len(candidate_reports(m, params, i, t, strict)) for t in range(len(f.scenarios)))
+                math.prod(len(candidate_reports(m, params, i, t, strict)) for t in range(len(f)))
                 for i, f in enumerate(m.firms)
             ]
             if not 4 <= math.prod(sizes) <= 48:
@@ -513,7 +509,7 @@ class TestAgainstDirectOracle:
         # covers; the bids' total length (4) is beyond it.
         m = MarketInstance(
             firms=(
-                FirmDistribution.point_mass(mv(5, 4)),
+                point_mass(mv(5, 4)),
                 firm_distribution((F(1, 2), mv(6, 5)), (F(1, 2), mv(3))),
             ),
             cost=cost_table(1, 2, extension=ERROR_BEYOND),
@@ -531,7 +527,7 @@ class TestAgainstDirectOracle:
         m = MarketInstance(
             firms=(
                 firm_distribution((0, mv(3, 2)), (1, mv(2))),
-                FirmDistribution.point_mass(mv(4)),
+                point_mass(mv(4)),
             ),
             cost=quadratic(1),
         )
@@ -554,7 +550,7 @@ class TestAgainstDirectOracle:
         seen = Counter()
         for _ in range(120):
             m = _mixed_instance(rng, rng.choice((1, 2, 2)))
-            marginals = sorted({v for f in m.firms for _, t in f.scenarios for v in t.marginals})
+            marginals = sorted({v for f in m.firms for _, t in f for v in t})
             on_grid = rng.random() < 0.5
             floor = rng.choice(marginals) if on_grid else rng.choice((F(0), F(5, 4), F(7, 3), F(11, 2)))
             ceiling = rng.choice((None, floor + rng.choice((F(1, 2), F(1), F(5, 3)))))
@@ -704,7 +700,7 @@ class TestPerScenarioSafety:
                 for _ in range(2)
             )
             m = MarketInstance(
-                firms=tuple(FirmDistribution.point_mass(v) for v in truths),
+                firms=tuple(point_mass(v) for v in truths),
                 cost=quadratic(rng.choice((1, 2))),
             )
             cap = rng.randint(1, 3)
@@ -714,7 +710,7 @@ class TestPerScenarioSafety:
                 bids = []
                 ok = True
                 for v in truths:
-                    n = max(v.positive_units, 1)
+                    n = max(sum(1 for x in v if x > 0), 1)
                     bid = mv(*sorted((rng.choice(grid) for _ in range(n)), reverse=True))
                     if not satisfies_no_overbidding(bid, v):
                         ok = False
@@ -739,7 +735,7 @@ class TestPoACheck:
 
     def test_zero_baseline_vacuous(self):
         m = MarketInstance(
-            firms=(FirmDistribution.point_mass(mv(1,)),), cost=quadratic(9)
+            firms=(point_mass(mv(1,)),), cost=quadratic(9)
         )
         safe = make_safe_auction(1, m.cost)
         report = find_grid_equilibria(m, safe)
@@ -768,12 +764,12 @@ class TestPoACheck:
                 for _ in range(2)
             )
             m = MarketInstance(
-                firms=tuple(FirmDistribution.point_mass(v) for v in truths),
+                firms=tuple(point_mass(v) for v in truths),
                 cost=quadratic(1),
             )
             for cap in (1, 2):
                 price = make_safe_auction(cap, m.cost).floor
-                if any(price in v.marginals for v in truths):
+                if any(price in v for v in truths):
                     continue
                 report = find_grid_equilibria(
                     m, make_safe_auction(cap, m.cost, HIGHEST_LOSING)
@@ -811,8 +807,8 @@ class TestPoACheck:
         # a finding rather than crash.
         m = MarketInstance(
             firms=(
-                FirmDistribution.point_mass(mv(2)),
-                FirmDistribution.point_mass(mv(1)),
+                point_mass(mv(2)),
+                point_mass(mv(1)),
             ),
             cost=quadratic(1),
         )

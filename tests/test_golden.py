@@ -32,8 +32,6 @@ from pathlib import Path
 import pytest
 
 from capauction import (
-    FirmDistribution,
-    MarginalVector,
     MarketInstance,
     demand_reduction,
     first_best,
@@ -43,12 +41,10 @@ from capauction import (
 )
 from capauction import cli
 from capauction.cli import main
-from oracles import cost_table, firm_distribution, quadratic
+from oracles import cost_table, firm_distribution, mv, point_mass, quadratic
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = str(Path(cli.__file__).resolve().parent.parent)
-
-mv = MarginalVector.of
 
 JOINT = MarketInstance(
     firms=(),
@@ -71,7 +67,7 @@ INSTANCES = {
     # Demand 1 never reaches the safe price 5 of quadratic(5): the checks
     # print their vacuous, not-applicable and degenerate statuses.
     "no-trade": MarketInstance(
-        firms=(FirmDistribution.point_mass(mv(1)),), cost=quadratic(5), label="no-trade"
+        firms=(point_mass(mv(1)),), cost=quadratic(5), label="no-trade"
     ),
 }
 
@@ -140,7 +136,7 @@ LIMIT_CASES = {
 # path that sells and prices at most two units succeeds.
 SHORT_TABLE = MarketInstance(
     firms=(
-        FirmDistribution.point_mass(mv(9, 8, 7)),
+        point_mass(mv(9, 8, 7)),
         firm_distribution((F(1, 2), mv(6, 5)), (F(1, 2), mv(3))),
     ),
     cost=cost_table(1, 2, extension="error"),

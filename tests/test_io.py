@@ -7,8 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capauction import (
-    FirmDistribution,
-    MarginalVector,
     MarketInstance,
     ValidationError,
     demand_reduction,
@@ -18,7 +16,7 @@ from capauction import (
     loads_instance,
 )
 from capauction.model import ERROR_BEYOND, MarginalCostTable
-from oracles import enumerate_scenarios
+from oracles import enumerate_scenarios, mv
 
 QUADRATIC = {"kind": "quadratic", "a": "1"}
 FIRM = {"scenarios": [{"prob": "1", "marginals": ["9", "1"]}]}
@@ -91,12 +89,12 @@ def test_firms_beside_a_joint_table_are_rejected():
     with pytest.raises(ValidationError, match="either 'firms' or 'joint_scenarios', not both"):
         loads_instance(json.dumps({"cost": QUADRATIC, "firms": [FIRM], "joint_scenarios": joint}))
     m = loads_instance(json.dumps({"cost": QUADRATIC, "joint_scenarios": joint}))
-    assert m.firms == () and m.joint == ((F(1), (MarginalVector.of(9, 1),)),)
+    assert m.firms == () and m.joint == ((F(1), (mv(9, 1),)),)
 
 
 def test_well_formed_lists_still_parse():
     m = loads_instance(json.dumps({"cost": QUADRATIC, "firms": [FIRM]}))
-    assert m.firms[0].scenarios == ((F(1), MarginalVector.of(9, 1)),)
+    assert m.firms[0] == ((F(1), mv(9, 1)),)
     assert loads_instance(dumps_instance(demand_reduction())) == demand_reduction()
 
 
@@ -135,11 +133,7 @@ def test_non_string_label_is_a_validation_error(name):
 def scaled(m: MarketInstance, divisor: int) -> MarketInstance:
     """The market with every marginal divided by `divisor`."""
     return m._replace(firms=tuple(
-        FirmDistribution(tuple(
-            (p, MarginalVector(tuple(v / divisor for v in mv.marginals)))
-            for p, mv in firm.scenarios
-        ))
-        for firm in m.firms
+        tuple((p, tuple(v / divisor for v in vec)) for p, vec in firm) for firm in m.firms
     ))
 
 

@@ -7,26 +7,30 @@ import pytest
 from hypothesis import given, strategies as st
 
 from capauction import (
-    FirmDistribution,
     MarginalCostTable,
-    MarginalVector,
     MarketInstance,
+    QuadraticCost,
     ValidationError,
+    demand_reduction,
+    first_best,
+    generate,
+    load_instance,
+    logscale,
     rat,
+    save_instance,
     validate,
 )
-from capauction.model import ERROR_BEYOND
+from capauction.model import ERROR_BEYOND, REPEAT_LAST
 from oracles import (
-    combined_valuation, cost_table, firm_distribution, quadratic, value_of, welfare_of
+    combined_valuation, cost_table, firm_distribution, mv, point_mass, quadratic, value_of,
+    welfare_of,
 )
-
-mv = MarginalVector.of
 
 
 def marginal_vectors(max_units=5, max_value=20):
     return st.lists(
         st.integers(min_value=0, max_value=max_value), max_size=max_units
-    ).map(lambda vs: MarginalVector(tuple(F(v) for v in sorted(vs, reverse=True))))
+    ).map(lambda vs: tuple(F(v) for v in sorted(vs, reverse=True)))
 
 
 def convex_tables(max_len=6, max_step=5):
@@ -62,7 +66,7 @@ class TestValueAt:
 
     def test_zero_units_is_zero(self):
         assert value_of(mv(10, 10), 0) == 0
-        assert value_of(MarginalVector(()), 0) == 0
+        assert value_of((), 0) == 0
 
     def test_beyond_list_is_flat(self):
         assert value_of(mv(6, 1), 5) == 7
@@ -123,6 +127,29 @@ class TestCost:
         with pytest.raises(ValidationError):
             q.cost(3)
 
+    @given(
+        st.builds(F, st.integers(1, 9), st.integers(1, 4)).map(QuadraticCost)
+        | st.builds(
+            lambda steps, extension: MarginalCostTable(
+                tuple(itertools.accumulate(map(F, steps))), extension
+            ),
+            st.lists(st.integers(0, 5), max_size=6),
+            st.sampled_from((REPEAT_LAST, ERROR_BEYOND)),
+        ),
+        st.integers(0, 10),
+    )
+    def test_costs_tabulates_cost(self, cost, n):
+        # One pass gives C(0..n), past the table's end too, or the error
+        # that `cost` raises at the first quantity beyond it.
+        try:
+            want = [cost.cost(x) for x in range(n + 1)]
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                cost.costs(n)
+            assert str(got.value) == str(exc)
+        else:
+            assert cost.costs(n) == want
+
 
 class TestWelfare:
     COST = cost_table(9, 9)
@@ -159,8 +186,8 @@ class TestValidate:
     def well_formed(self):
         return MarketInstance(
             firms=(
-                FirmDistribution.point_mass(mv(10, 10)),
-                FirmDistribution.point_mass(mv(6, 1)),
+                point_mass(mv(10, 10)),
+                point_mass(mv(6, 1)),
             ),
             cost=cost_table(9, 9),
         )
@@ -170,7 +197,7 @@ class TestValidate:
 
     def test_increasing_marginals_flagged(self):
         bad = MarketInstance(
-            firms=(FirmDistribution.point_mass(mv(1, 5)),), cost=quadratic(1)
+            firms=(point_mass(mv(1, 5)),), cost=quadratic(1)
         )
         problems = validate(bad)
         assert any("index 1" in p for p in problems)
@@ -190,7 +217,7 @@ class TestValidate:
 
     def test_decreasing_cost_table_flagged(self):
         bad = MarketInstance(
-            firms=(FirmDistribution.point_mass(mv(3)),),
+            firms=(point_mass(mv(3)),),
             cost=cost_table(5, 4),
         )
         assert any("convexity" in p for p in validate(bad))
@@ -202,3 +229,63 @@ class TestValidate:
             joint=((F(1, 2), (mv(3), mv(2))),),
         )
         assert any("sum to" in p for p in validate(bad))
+
+    def test_messages_name_each_location(self):
+        firms = MarketInstance(
+            firms=((), firm_distribution((F(-1, 2), mv(1, -1)), (F(1, 3), mv(2, 3)))),
+            cost=quadratic(1),
+        )
+        assert validate(firms) == [
+            "firms[0]: no scenarios",
+            "firms[1].scenarios[0]: probability -1/2 not positive",
+            "firms[1].scenarios[0].marginals[1]: negative marginal -1",
+            "firms[1].scenarios[1].marginals: not non-increasing at index 1",
+            "firms[1]: probabilities sum to -1/6, not 1",
+        ]
+        joint = MarketInstance(
+            firms=(),
+            cost=quadratic(1),
+            joint=((F(0), (mv(1, -1),)), (F(1, 2), (mv(2, 3), mv(1)))),
+        )
+        assert validate(joint) == [
+            "joint_scenarios[0]: probability 0 not positive",
+            "joint_scenarios[0].marginals[0][1]: negative marginal -1",
+            "joint_scenarios[1]: expected 1 firms, got 2",
+            "joint_scenarios[1].marginals[0]: not non-increasing at index 1",
+            "joint_scenarios: probabilities sum to 1/2, not 1",
+        ]
+
+
+def _rationals(values) -> bool:
+    return type(values) is tuple and all(type(v) is F for v in values)
+
+
+def test_instances_hold_plain_tuples_of_fractions(tmp_path):
+    built = [
+        demand_reduction(), logscale(3), first_best(2), generate(0),
+        generate(1, firms=3, scenarios_per_firm=3, cost_kind="marginals"),
+    ]
+    joint_file = tmp_path / "joint.json"
+    joint_file.write_text(
+        '{"cost": {"kind": "quadratic", "a": "1"}, "joint_scenarios": ['
+        '{"prob": "1/3", "marginals": [["5", "2"], []]}, '
+        '{"prob": "2/3", "marginals": [["4"], ["3/2", "1"]]}]}',
+        encoding="utf-8",
+    )
+    loaded = [load_instance(joint_file)]
+    for k, m in enumerate(built):
+        save_instance(m, tmp_path / f"{k}.json")
+        loaded.append(load_instance(tmp_path / f"{k}.json"))
+    for m in built + loaded:
+        rows = m.joint if m.joint is not None else ()
+        assert type(m.firms) is tuple and type(rows) is tuple
+        for firm in m.firms:
+            assert type(firm) is tuple
+            for pair in firm:
+                assert type(pair) is tuple and len(pair) == 2
+                p, valuation = pair
+                assert type(p) is F and _rationals(valuation), pair
+        for row in rows:
+            assert type(row) is tuple and len(row) == 2 and type(row[0]) is F
+            assert type(row[1]) is tuple and all(map(_rationals, row[1])), row
+    assert loaded[1:] == built

@@ -17,7 +17,6 @@ import pytest
 import capauction
 from capauction import (
     AuctionParams,
-    MarginalVector,
     ValidationError,
     demand_reduction,
     generate,
@@ -196,10 +195,8 @@ def _records():
     params = AuctionParams(2, 9, None, "highest-losing")
     report = find_grid_equilibria(instance, params)
     return [
-        MarginalVector.of(3, 1),
         quadratic(1),
         instance,
-        instance.firms[0],
         params,
         enumerate_scenarios(instance)[0],
         optimize_cap_and_price(analysis, allow_ceiling=False),
@@ -215,11 +212,6 @@ def test_records_are_read_only():
             setattr(record, field, getattr(record, field))
         with pytest.raises(AttributeError):
             record.extra = 1
-
-
-def test_marginal_vectors_order_as_their_tuples():
-    vectors = [MarginalVector.of(*vs) for vs in ((3, 1), (2, 2), (3,), (), (3, 1, 1))]
-    assert sorted(vectors) == [MarginalVector(m) for m in sorted(v.marginals for v in vectors)]
 
 
 def test_generated_instances_hash_and_compare_by_value():
@@ -296,7 +288,6 @@ def test_no_package_module_defines_the_clearing_oracle():
         if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
     }
     assert {(name, d) for name, d in defined if d in ORACLE_ONLY} == set()
-    assert not hasattr(MarginalVector, "value") and not hasattr(MarginalVector, "require_valid")
     assert set(capauction.__all__) & (ORACLE_ONLY | {"best_own_quantity"}) == set()
 
 
@@ -307,8 +298,8 @@ def _static(method: ast.FunctionDef) -> bool:
 def test_every_package_method_is_read_by_package_code():
     """A method or property that only tests read belongs in the tests too;
     Python calls the dunder methods itself. A static method is read only
-    as `ClassName.name`, so another class's method of the same name (such
-    as `MarginalVector.of`) does not count for it."""
+    as `ClassName.name`, so a read of another class's method of the same
+    name does not count for it."""
     trees = _parsed(PACKAGE)
     attributes = [
         sub for tree in trees.values() for sub in ast.walk(tree) if isinstance(sub, ast.Attribute)

@@ -14,10 +14,11 @@ table's entry at the quantity sold.
 
 Where code lives: run without cached bytecode (`PYTHONDONTWRITEBYTECODE`),
 each process compiles every module it imports from source. This module
-holds the sweeps and the `optimize` and `evaluate` handlers, which `cli`
-imports on call; `verify` loads it when it first reads an optimum
-(`Analysis.no_ceiling_optimum`, `Analysis.safe_optimum`), and an
-`equilibrium` process never does. The clearing rule and the
+holds the sweeps and the `optimize` and `evaluate` subcommands (their
+arguments, declared by `add_arguments`, and their handlers), which `cli`
+imports only to run one of them. `verify` loads it when it first reads
+an optimum (`Analysis.no_ceiling_optimum`, `Analysis.safe_optimum`), and
+an `equilibrium` process never does. The clearing rule and the
 per-instance tables that every subcommand reads are in `auction`. The
 helpers that only certificates call (`one_minus_inv_e`,
 `demand_quantile_cap`, `best_own_quantity`, `single_buyer_expected`)
@@ -30,7 +31,10 @@ from fractions import Fraction
 from operator import add, attrgetter, getitem
 from typing import NamedTuple
 
-from .auction import Analysis, AuctionParams, _per_scenario, clear_valid
+from .auction import (
+    LOWEST_WINNING, PRICING_RULES, Analysis, AuctionParams, _per_scenario, add_common_arguments,
+    clear_valid,
+)
 from .io import display, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
 from .model import ZERO, MarketInstance, ValidationError, rat
 
@@ -115,12 +119,34 @@ def optimize_safe(analysis: Analysis) -> OptResult:
     """Best safe-price auction: argmax over caps with floor pinned to the
     average cost of the cap."""
     analysis._tabulate(analysis.cap_limit)  # once, not growing cap by cap
+    # Every cap's safe price from one pass over the cost, not a sum per cap;
+    # a short "error" table raises here, naming the first cap it lacks.
+    costs = analysis.instance.cost.costs(analysis.cap_limit)
+    analysis._safe_prices.update((cap, costs[cap] / cap) for cap in range(1, len(costs)))
     table = tuple(
         Candidate(cap, analysis.safe_price(cap), None, analysis.safe_welfare(cap))
         for cap in range(1, analysis.cap_limit + 1)
     )
     best = max(table, key=attrgetter("expected_welfare"))  # ties keep the smaller cap
     return OptResult(best, table)
+
+
+def add_arguments(parser, name: str) -> None:
+    """Declare the arguments of the `evaluate` or `optimize` subcommand
+    and set its handler."""
+    parser.add_argument("instance")
+    if name == "evaluate":
+        parser.add_argument("--cap", required=True, help="positive integer or 'unbounded'")
+        parser.add_argument("--floor", required=True)
+        parser.add_argument("--ceiling", default="inf")
+        parser.add_argument("--pricing", choices=PRICING_RULES, default=LOWEST_WINNING)
+        parser.set_defaults(func=cmd_evaluate)
+    else:
+        parser.add_argument("--no-ceiling", action="store_true")
+        parser.add_argument("--safe-only", action="store_true")
+        parser.add_argument("--cap-limit", type=int)
+        parser.set_defaults(func=cmd_optimize)
+    add_common_arguments(parser)
 
 
 def cmd_evaluate(args) -> int:

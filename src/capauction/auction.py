@@ -40,10 +40,11 @@ weights and cost list from them.
 Where code lives: run without cached bytecode (`PYTHONDONTWRITEBYTECODE`),
 each process compiles every module it imports from source. Every
 subcommand but `examples` and `generate` clears or reads these tables,
-so the rule, the tables and the resource limits that the parser's
-defaults name are here, in the one module `cli` loads besides `model`;
-the sweeps and the `optimize` and `evaluate` handlers are in `analysis`,
-which an `equilibrium` process does not load.
+so the rule, the tables, the scenario limit and the two options those
+four subcommands share (`add_common_arguments`: --out and
+--scenario-limit) are here; `examples` and `generate` processes never
+load this module. The sweeps and the `optimize` and `evaluate` handlers
+are in `analysis`, which an `equilibrium` process does not load.
 """
 
 from __future__ import annotations
@@ -180,8 +181,12 @@ def price_candidates(instance: MarketInstance) -> tuple[Fraction, ...]:
 
 
 DEFAULT_SCENARIO_LIMIT = 100_000
-DEFAULT_PROFILE_LIMIT = 200_000  # grid profiles an equilibrium search may enumerate
-DEFAULT_GAP_LIMIT = 20  # largest quantity of verify's `unsafe` scan without --cap-limit
+
+
+def add_common_arguments(parser) -> None:
+    """Declare the options of every subcommand that reads an instance's scenarios."""
+    parser.add_argument("--out", help="write the CSV report here")
+    parser.add_argument("--scenario-limit", type=int, default=DEFAULT_SCENARIO_LIMIT)
 
 
 def _factors(instance: MarketInstance) -> tuple:

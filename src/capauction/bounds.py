@@ -17,9 +17,9 @@ three terms on those rows. The price-gap certificates (`verify_price_gap`,
 Only `verify` loads this module, so it also holds the helpers that only
 certificates read (`one_minus_inv_e`, `demand_quantile_cap`,
 `best_own_quantity`, `single_buyer_expected`) and the `verify`
-subcommand's handler, `cmd_verify`: a process compiles every module it
-imports, and `evaluate`, `optimize` and `equilibrium` processes need none
-of this.
+subcommand: its checks and limit, its arguments (`add_arguments`) and its
+handler, `cmd_verify`. A process compiles every module it imports, and
+`evaluate`, `optimize` and `equilibrium` processes need none of this.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .auction import (
-    DEFAULT_GAP_LIMIT, Analysis, AuctionParams, _integers, _per_scenario, safe_price
+    Analysis, AuctionParams, _integers, _per_scenario, add_common_arguments, safe_price
 )
 from .io import display, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
 from .model import ZERO, CostCurve, Valuation, ValidationError, rat
@@ -114,21 +114,16 @@ def best_own_quantity(valuation: Valuation, cost: CostCurve) -> tuple[int, Fract
     """Smallest maximizer and maximum of V(x) - C(x) for one firm.
 
     Increments v(x) - (C(x) - C(x-1)) are non-increasing by concavity and
-    convexity, so the scan stops at the first non-positive increment.
+    convexity, so the scan stops at the first non-positive increment. It
+    reads each marginal cost once, and none past that increment.
     """
     best = ZERO
     x = 0
-    running = ZERO
-    below = cost.cost(0)
-    for j, v in enumerate(valuation, start=1):
-        here = cost.cost(j)
-        step = v - (here - below)
-        if step <= 0:
+    for v, marginal_cost in zip(valuation, cost.marginal_costs()):
+        if v <= marginal_cost:
             break
-        running += step
-        best = running
-        x = j
-        below = here
+        best += v - marginal_cost
+        x += 1
     return x, best
 
 
@@ -423,6 +418,29 @@ def verify_single_buyer_cover(analysis: Analysis) -> tuple[BoundCertificate, Bou
 
 
 # ---- the `verify` subcommand ---------------------------------------------
+
+VERIFY_CHECKS = ("priceceil", "optcond", "unsafe", "decomp", "thmq", "main", "all")
+DEFAULT_GAP_LIMIT = 20  # largest quantity of the `unsafe` scan without --cap-limit
+
+
+def add_arguments(parser, name: str) -> None:
+    """Declare the arguments of the `verify` subcommand, `name`, and set
+    its handler."""
+    parser.add_argument("instance")
+    parser.add_argument("--which", choices=VERIFY_CHECKS, default="all")
+    parser.add_argument("--cap")
+    parser.add_argument("--floor")
+    parser.add_argument("--ceiling")
+    parser.add_argument(
+        "--cap-limit", type=int,
+        help="largest cap searched (default: the largest pooled demand); also the largest "
+             f"quantity of the unsafe scan (default {DEFAULT_GAP_LIMIT})",
+    )
+    parser.add_argument("--strict", action="store_true",
+                        help="exit nonzero when a certificate fails")
+    add_common_arguments(parser)
+    parser.set_defaults(func=cmd_verify)
+
 
 def _cap_and_floor(args, analysis: Analysis) -> tuple[int | None, Fraction]:
     """--cap and --floor, each defaulting to the best no-ceiling auction's."""

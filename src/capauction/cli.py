@@ -11,17 +11,18 @@ exit code at 0 unless --strict is given.
 Where each subcommand's code lives: run without cached bytecode
 (`PYTHONDONTWRITEBYTECODE`), each process compiles every module it imports
 from source, so a process should import only its own subcommand's code.
-This module holds the parser and `main`, and reads only the parser's
-defaults and the pricing rules (from `auction`) and the error types. Each
-subcommand's handler lives in a module that the other subcommands' code
-does not need (`evaluate` and `optimize` in `analysis`, `verify` in
-`bounds`, `equilibrium` in `equilibrium`, `examples` and `generate` in
-`instances`), and its `cmd_<name>` here imports it on call; so an
-`equilibrium` process compiles no sweep. The helpers the handlers share
-are in `io`, not here: `python -m capauction.cli` runs this module as
-`__main__`, and importing it again would compile it twice. Every
-subcommand but `examples` and `generate` reads the integer tables of
-`auction.Analysis`.
+This module holds the subcommands' names and help lines (`COMMANDS`),
+`main` and the exit handling, and reads only the error types of `model`.
+Each subcommand's arguments, limits and handler live in the module that
+`COMMANDS` names for it (`evaluate` and `optimize` in `analysis`,
+`equilibrium` in `equilibrium`, `verify` in `bounds`, `examples` and
+`generate` in `instances`), whose `add_arguments` declares them and sets
+`func` to the handler. `build_parser` imports that module only for the
+subcommand the arguments name, so an `equilibrium` process compiles no
+sweep and an `examples` process no auction. The helpers the handlers
+share are in `io` and `auction`, not here: `python -m capauction.cli`
+runs this module as `__main__`, and importing it again would compile it
+twice.
 
 How a process exits: the `capauction` console script and
 `python -m capauction.cli` both call `run`, which runs `main` with the
@@ -40,131 +41,43 @@ import argparse
 import gc
 import os
 import sys
+from importlib import import_module
 
-from .auction import (
-    DEFAULT_GAP_LIMIT, DEFAULT_PROFILE_LIMIT, DEFAULT_SCENARIO_LIMIT,
-    HIGHEST_LOSING, LOWEST_WINNING, PRICING_RULES,
-)
 from .model import MarketError, TooLargeError, ValidationError
 
-VERIFY_CHECKS = ("priceceil", "optcond", "unsafe", "decomp", "thmq", "main", "all")
-# `instances.NAMED_INSTANCES`, spelled out so the parser need not import it.
-EXAMPLES = ("demand-reduction", "logscale", "first-best")
+# Each subcommand, the module that declares its arguments and holds its
+# handler, and its help line, in the order --help lists them.
+COMMANDS = (
+    ("evaluate", "analysis", "expected welfare of fixed parameters"),
+    ("optimize", "analysis", "exhaustive search for the best parameters"),
+    ("equilibrium", "equilibrium", "enumerate grid equilibria"),
+    ("verify", "bounds", "check the welfare guarantees"),
+    ("examples", "instances", "emit a built-in instance file"),
+    ("generate", "instances", "seeded random instance"),
+)
 
 
-def cmd_evaluate(args) -> int:
-    from .analysis import cmd_evaluate
-
-    return cmd_evaluate(args)
-
-
-def cmd_optimize(args) -> int:
-    from .analysis import cmd_optimize
-
-    return cmd_optimize(args)
-
-
-def cmd_equilibrium(args) -> int:
-    from .equilibrium import cmd_equilibrium
-
-    return cmd_equilibrium(args)
-
-
-def cmd_verify(args) -> int:
-    from .bounds import cmd_verify
-
-    return cmd_verify(args)
-
-
-def cmd_examples(args) -> int:
-    from .instances import cmd_examples
-
-    return cmd_examples(args)
-
-
-def cmd_generate(args) -> int:
-    from .instances import cmd_generate
-
-    return cmd_generate(args)
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of `argv`. Every subcommand is registered, so help and
+    usage list them all, but only the one argparse dispatches to, the first
+    argument that does not start with '-', has its arguments declared."""
     parser = argparse.ArgumentParser(
         prog="capauction",
         description="Capped uniform-price license auctions: simulate, optimize, verify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, profile=False):
-        p.add_argument("--out", help="write the CSV report here")
-        p.add_argument("--scenario-limit", type=int, default=DEFAULT_SCENARIO_LIMIT)
-        if profile:
-            p.add_argument("--profile-limit", type=int, default=DEFAULT_PROFILE_LIMIT)
-
-    p = sub.add_parser("evaluate", help="expected welfare of fixed parameters")
-    p.add_argument("instance")
-    p.add_argument("--cap", required=True, help="positive integer or 'unbounded'")
-    p.add_argument("--floor", required=True)
-    p.add_argument("--ceiling", default="inf")
-    p.add_argument("--pricing", choices=PRICING_RULES, default=LOWEST_WINNING)
-    common(p)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("optimize", help="exhaustive search for the best parameters")
-    p.add_argument("instance")
-    p.add_argument("--no-ceiling", action="store_true")
-    p.add_argument("--safe-only", action="store_true")
-    p.add_argument("--cap-limit", type=int)
-    common(p)
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("equilibrium", help="enumerate grid equilibria")
-    p.add_argument("instance")
-    p.add_argument("--cap", required=True)
-    p.add_argument("--floor", required=True)
-    p.add_argument("--pricing", choices=PRICING_RULES, default=HIGHEST_LOSING)
-    p.add_argument("--epsilon", default="0")
-    p.add_argument("--strict-overbidding", action="store_true",
-                   help="dominate marginal by marginal instead of prefix sums")
-    common(p, profile=True)
-    p.set_defaults(func=cmd_equilibrium)
-
-    p = sub.add_parser("verify", help="check the welfare guarantees")
-    p.add_argument("instance")
-    p.add_argument("--which", choices=VERIFY_CHECKS, default="all")
-    p.add_argument("--cap")
-    p.add_argument("--floor")
-    p.add_argument("--ceiling")
-    p.add_argument("--cap-limit", type=int,
-                   help="largest cap searched (default: the largest pooled demand); "
-                        f"also the largest quantity of the unsafe scan (default {DEFAULT_GAP_LIMIT})")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero when a certificate fails")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("examples", help="emit a built-in instance file")
-    p.add_argument("name", choices=EXAMPLES)
-    p.add_argument("-n", type=int, help="scenario count for the scaled families (default 5)")
-    p.add_argument("--horizon", type=int, help="marginal-list truncation for first-best")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_examples)
-
-    p = sub.add_parser("generate", help="seeded random instance")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--firms", type=int, default=2)
-    p.add_argument("--scenarios", type=int, default=2)
-    p.add_argument("--max-units", type=int, default=4)
-    p.add_argument("--value-range", type=int, nargs=2, default=(1, 12))
-    p.add_argument("--cost-kind", choices=("quadratic", "marginals"), default="quadratic")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
-
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, module, summary in COMMANDS:
+        command = sub.add_parser(name, help=summary)
+        if name == chosen:
+            import_module(f".{module}", __package__).add_arguments(command, name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except TooLargeError as exc:

@@ -42,8 +42,9 @@ best value, and only the product of those sets is checked against the
 other firms' slots. When i* is not the last firm the equilibria are
 sorted back into canonical order.
 
-The `equilibrium` subcommand's handler, `cmd_equilibrium`, lives here,
-since only that subcommand loads this module. It reads the per-instance
+The `equilibrium` subcommand (its arguments, declared by
+`add_arguments`, and its handler, `cmd_equilibrium`) lives here, since
+only that subcommand loads this module. It reads the per-instance
 tables of `auction`, never the sweeps of `analysis`.
 """
 
@@ -57,8 +58,8 @@ from operator import add, contains, getitem, mul
 from typing import NamedTuple
 
 from .auction import (
-    DEFAULT_PROFILE_LIMIT, Analysis, AuctionParams,
-    _demand, _integers, _per_scenario, _scaled, clear_valid,
+    HIGHEST_LOSING, PRICING_RULES, Analysis, AuctionParams,
+    _demand, _integers, _per_scenario, _scaled, add_common_arguments, clear_valid,
 )
 from .io import display, load_instance, parse_cap, rational_cells, write_report
 from .model import ZERO, MarketInstance, TooLargeError, Valuation, ValidationError, rat
@@ -66,6 +67,8 @@ from .model import ZERO, MarketInstance, TooLargeError, Valuation, ValidationErr
 # Imported constant-factor guarantee for uniform-price equilibria: worst
 # equilibrium welfare of a safe-price auction is at least baseline/3.15.
 POA_FACTOR = Fraction(20, 63)  # exactly 1/3.15
+
+DEFAULT_PROFILE_LIMIT = 200_000  # grid profiles a search may enumerate
 
 _Profile = tuple[tuple[int, ...], ...]  # bid vector ids per firm per type
 
@@ -426,6 +429,21 @@ def check_poa_bound(analysis: Analysis, report: EquilibriumReport) -> PoACheck:
         ratio=worst / baseline if found and baseline != 0 else None,
         status="checked" if found else "no-equilibria",
     )
+
+
+def add_arguments(parser, name: str) -> None:
+    """Declare the arguments of the `equilibrium` subcommand, `name`, and
+    set its handler."""
+    parser.add_argument("instance")
+    parser.add_argument("--cap", required=True)
+    parser.add_argument("--floor", required=True)
+    parser.add_argument("--pricing", choices=PRICING_RULES, default=HIGHEST_LOSING)
+    parser.add_argument("--epsilon", default="0")
+    parser.add_argument("--strict-overbidding", action="store_true",
+                        help="dominate marginal by marginal instead of prefix sums")
+    add_common_arguments(parser)
+    parser.add_argument("--profile-limit", type=int, default=DEFAULT_PROFILE_LIMIT)
+    parser.set_defaults(func=cmd_equilibrium)
 
 
 def cmd_equilibrium(args) -> int:

@@ -5,8 +5,9 @@ demand-reduction market, the single-firm log-scale market whose demand
 variance defeats every safe-price auction, and its pure-linear variant
 whose first-best welfare no capped auction approaches.
 
-The `examples` and `generate` subcommands' handlers live here, since only
-those subcommands load this module.
+The `examples` and `generate` subcommands (their arguments, declared by
+`add_arguments`, and their handlers) live here, since only those
+subcommands load this module; neither loads `auction`.
 """
 
 from __future__ import annotations
@@ -168,6 +169,26 @@ def generate(
     return MarketInstance(
         firms=tuple(firm_list), cost=cost, label=f"random-{seed}"
     )
+
+
+def add_arguments(parser, name: str) -> None:
+    """Declare the arguments of the `examples` or `generate` subcommand
+    and set its handler."""
+    if name == "examples":
+        parser.add_argument("name", choices=NAMED_INSTANCES)
+        parser.add_argument("-n", type=int,
+                            help="scenario count for the scaled families (default 5)")
+        parser.add_argument("--horizon", type=int, help="marginal-list truncation for first-best")
+        parser.set_defaults(func=cmd_examples)
+    else:
+        parser.add_argument("--seed", type=int, required=True)
+        parser.add_argument("--firms", type=int, default=2)
+        parser.add_argument("--scenarios", type=int, default=2)
+        parser.add_argument("--max-units", type=int, default=4)
+        parser.add_argument("--value-range", type=int, nargs=2, default=(1, 12))
+        parser.add_argument("--cost-kind", choices=("quadratic", "marginals"), default="quadratic")
+        parser.set_defaults(func=cmd_generate)
+    parser.add_argument("--out", required=True)
 
 
 def cmd_examples(args) -> int:

@@ -13,7 +13,7 @@ floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count, islice, repeat
 from typing import NamedTuple, Union
 
 
@@ -94,6 +94,10 @@ class QuadraticCost(NamedTuple):
         """C(0), ..., C(n)."""
         return [self.a * x * x for x in range(n + 1)]
 
+    def marginal_costs(self):
+        """C(1) - C(0), C(2) - C(1), ..., without end."""
+        return (self.a * (2 * x - 1) for x in count(1))
+
     def violations(self, where: str = "cost") -> list[str]:
         if self.a <= 0:
             return [f"{where}: quadratic coefficient must be positive, got {self.a}"]
@@ -125,15 +129,17 @@ class MarginalCostTable(NamedTuple):
         )
 
     def costs(self, n: int) -> list[Fraction]:
-        """C(0), ..., C(n) in one prefix-sum pass; past the table's end it
-        raises as `cost` does at the first quantity beyond it."""
-        marginals = self.marginals[:n]
-        beyond = n - len(self.marginals)
-        if beyond > 0:
-            if self.extension != REPEAT_LAST:
-                self.cost(len(self.marginals) + 1)  # raises
-            marginals += (self.marginals[-1] if self.marginals else ZERO,) * beyond
-        return list(accumulate(marginals, initial=ZERO))
+        """C(0), ..., C(n) in one prefix-sum pass over `marginal_costs`."""
+        return list(accumulate(islice(self.marginal_costs(), n), initial=ZERO))
+
+    def marginal_costs(self):
+        """C(1) - C(0), C(2) - C(1), ..., each entry read once and read only
+        when asked for. Past the table's end it repeats the last entry, or
+        raises as `cost` does at the first quantity beyond the table."""
+        yield from self.marginals
+        if self.extension != REPEAT_LAST:
+            self.cost(len(self.marginals) + 1)  # raises
+        yield from repeat(self.marginals[-1] if self.marginals else ZERO)
 
     def violations(self, where: str = "cost") -> list[str]:
         out = []

@@ -11,6 +11,7 @@ import it by name, since pytest puts this directory on `sys.path`.
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from operator import add, mul
 from typing import NamedTuple, Sequence
@@ -31,7 +32,10 @@ from capauction import (
 from capauction.auction import (
     DEFAULT_SCENARIO_LIMIT, _check_scenario_limit, _integers, _per_scenario, clear_valid
 )
-from capauction.bounds import BoundCertificate, best_own_quantity, verify_price_gap
+from capauction.bounds import (
+    BoundCertificate, best_own_quantity, verify_ceiling_removal, verify_decomposition_bounds,
+    verify_price_gap, verify_sellout_conditional, verify_sellout_factor, verify_single_buyer_cover,
+)
 from capauction.equilibrium import _GridGame
 from capauction.model import REPEAT_LAST, ZERO, Firm, Valuation, _valuation_violations
 
@@ -42,6 +46,25 @@ def quadratic(a) -> QuadraticCost:
 
 def cost_table(*values, extension: str = REPEAT_LAST) -> MarginalCostTable:
     return MarginalCostTable(tuple(rat(v) for v in values), extension)
+
+
+class CountedEntries(tuple):
+    """A cost table's entries, counting how often each index is read."""
+
+    def __new__(cls, values):
+        entries = super().__new__(cls, values)
+        entries.reads = Counter()
+        return entries
+
+    def __iter__(self):
+        for j, value in enumerate(tuple.__iter__(self)):
+            self.reads[j] += 1
+            yield value
+
+    def __getitem__(self, key):
+        indices = range(len(self))[key]
+        self.reads.update(indices if isinstance(key, slice) else [indices])
+        return tuple.__getitem__(self, key)
 
 
 def mv(*values) -> Valuation:
@@ -253,6 +276,24 @@ class SingleBuyerOutcome(NamedTuple):
     scores: tuple[Fraction, ...]
 
 
+def scanned_own_quantity(valuation: Valuation, cost: CostCurve) -> tuple[int, Fraction]:
+    """`bounds.best_own_quantity` by the per-unit scan it replaced: C(j)
+    read anew through `cost` for each unit j up to the first non-positive
+    increment, so quadratic in the scan's length on a marginal-cost table."""
+    best = ZERO
+    x = 0
+    below = cost.cost(0)
+    for j, v in enumerate(valuation, start=1):
+        here = cost.cost(j)
+        step = v - (here - below)
+        if step <= 0:
+            break
+        best += step
+        x = j
+        below = here
+    return x, best
+
+
 def single_buyer_mechanism(
     true_values: Sequence[Valuation], cost: CostCurve
 ) -> SingleBuyerOutcome:
@@ -391,3 +432,35 @@ def scanned_price_gap(cost: CostCurve, limit: int) -> BoundCertificate:
         if worst is None or gap * worst[1] < worst[0] * q:
             worst = (gap, q, u)
     return verify_price_gap(cost, worst[1], worst[2])
+
+
+def verify_all(analysis: Analysis, unsafe: BoundCertificate) -> list[BoundCertificate]:
+    """The certificates of `verify --which all` at its default parameters,
+    the no-ceiling optimum, with the unsafe scan `unsafe` of the cost."""
+    opt = analysis.no_ceiling_optimum.winner
+    ceiling = analysis.grid[-1]
+    low = analysis.grid[0] if ceiling <= opt.floor else opt.floor
+    return [
+        verify_ceiling_removal(analysis, AuctionParams(opt.cap, low, ceiling)),
+        verify_sellout_conditional(analysis, AuctionParams(opt.cap, opt.floor)),
+        unsafe,
+        *verify_decomposition_bounds(analysis, opt.cap, opt.floor),
+        verify_sellout_factor(analysis),
+        *verify_single_buyer_cover(analysis),
+    ]
+
+
+def safe_covers_charged_above(analysis: Analysis) -> bool:
+    """The corrected `safe-covers-above` at the no-ceiling optimum (cap k,
+    floor f): safe(k) >= the sell-out term plus, over the scenarios that
+    do not sell out, p_s times the sum of v - C(k)/k over their above
+    units, the D_s(max(f, C(k)/k)) largest pooled marginals."""
+    opt = analysis.no_ceiling_optimum.winner
+    k, r = opt.cap, analysis.safe_price(opt.cap)
+    above = ZERO
+    for p, pool, x, a in zip(analysis._probs, analysis._pools, analysis.demand(opt.floor),
+                             analysis.demand(max(opt.floor, r))):
+        if x < k:
+            charged = Fraction(sum(pool[len(pool) - a:]), analysis._scale) - a * r
+            above += Fraction(p, analysis._weight) * charged
+    return analysis.safe_welfare(k) >= analysis.sold_out_welfare(k, opt.floor) + above

@@ -10,6 +10,7 @@ from capauction import (
     AuctionParams,
     HIGHEST_LOSING,
     LOWEST_WINNING,
+    MarginalCostTable,
     MarketInstance,
     TooLargeError,
     ValidationError,
@@ -29,6 +30,7 @@ from capauction import (
 from capauction.analysis import Candidate
 from capauction.auction import _demand
 from oracles import (
+    CountedEntries,
     cost_table,
     enumerate_scenarios,
     expected_welfare,
@@ -191,6 +193,19 @@ class TestOptimizeSafe:
         )
         result = optimize_safe(Analysis(m))
         assert result.winner.expected_welfare == 0
+
+    def test_reads_each_cost_entry_at_most_twice(self):
+        # Once to tabulate welfare, once for every cap's safe price.
+        n = 2000
+        entries = CountedEntries(F(j, 7) for j in range(1, n + 1))
+        m = MarketInstance(firms=(point_mass((F(n),) * n),), cost=MarginalCostTable(entries))
+        assert optimize_safe(Analysis(m)).searched == n
+        assert set(entries.reads) == set(range(n)) and max(entries.reads.values()) == 2
+
+    def test_short_table_names_the_first_cap_it_lacks(self):
+        m = MarketInstance(firms=(point_mass(mv(9)),), cost=cost_table(1, 2, extension="error"))
+        with pytest.raises(ValidationError, match="^quantity 3 beyond cost table of length 2 "):
+            optimize_safe(Analysis(m, cap_limit=4))
 
     def test_safe_table_has_zero_cap_convention(self):
         analysis = Analysis(demand_reduction())

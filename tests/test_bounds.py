@@ -4,10 +4,10 @@ import math
 import time
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings, strategies as st, target
 
 from capauction import (
     Analysis,
@@ -32,9 +32,11 @@ from capauction import (
     verify_single_buyer_cover,
     worst_price_gap,
 )
-from capauction.auction import DEFAULT_GAP_LIMIT, _demand
-from capauction.model import ERROR_BEYOND, MarginalCostTable
+from capauction.auction import _demand
+from capauction.bounds import DEFAULT_GAP_LIMIT, SINGLE_BUYER_COVER_CONSTANT, best_own_quantity
+from capauction.model import ERROR_BEYOND, REPEAT_LAST, MarginalCostTable, QuadraticCost
 from oracles import (
+    CountedEntries,
     cost_table,
     enumerate_scenarios,
     expected_welfare,
@@ -43,10 +45,13 @@ from oracles import (
     point_mass,
     quadratic,
     run_auction,
+    safe_covers_charged_above,
+    scanned_own_quantity,
     scanned_price_gap,
     single_buyer_mechanism,
     split_logscale,
     value_of,
+    verify_all,
 )
 
 
@@ -312,6 +317,43 @@ class TestSingleBuyerExpected:
         assert result(lambda: single_buyer_expected(analysis)) == want
 
 
+FRACTIONS = st.fractions(0, 12, max_denominator=6)
+
+
+class TestBestOwnQuantity:
+    """`best_own_quantity` walks the cost's marginals once; the oracle
+    reads C(j) anew for every unit."""
+
+    @given(
+        valuation=st.lists(FRACTIONS, max_size=8).map(lambda vs: tuple(sorted(vs, reverse=True))),
+        cost=FRACTIONS.filter(bool).map(QuadraticCost) | st.builds(
+            lambda steps, extension: MarginalCostTable(tuple(accumulate(steps)), extension),
+            st.lists(st.fractions(0, 3, max_denominator=4), max_size=8),
+            st.sampled_from((REPEAT_LAST, ERROR_BEYOND)),
+        ),
+    )
+    def test_matches_scan(self, valuation, cost):
+        want = result(lambda: scanned_own_quantity(valuation, cost))
+        assert result(lambda: best_own_quantity(valuation, cost)) == want
+
+    def test_reads_each_marginal_cost_once(self):
+        n = 4000
+        entries = CountedEntries(F(j) for j in range(1, n + 1))
+        # Unit j gains n + 1 - j, so every unit is bought.
+        assert best_own_quantity((F(n + 1),) * n, MarginalCostTable(entries)) == (
+            n, F(n * (n + 1) // 2)
+        )
+        assert entries.reads == Counter(range(n))
+
+    def test_reads_no_entry_past_the_optimum(self):
+        entries = CountedEntries((F(1), F(2)))
+        cost = MarginalCostTable(entries, ERROR_BEYOND)
+        assert best_own_quantity(mv(5, 1, 1, 1), cost) == scanned_own_quantity(
+            mv(5, 1, 1, 1), cost_table(1, 2, extension="error")
+        ) == (1, 4)
+        assert entries.reads == Counter(range(2))
+
+
 def scenario_demands(instance, floor):
     """(D_s(floor), p_s) per scenario, from the Fraction scenario rows."""
     return [
@@ -543,38 +585,6 @@ def two_firm_slice() -> list[MarketInstance]:
     ]
 
 
-def verify_all(analysis: Analysis, unsafe: BoundCertificate) -> list[BoundCertificate]:
-    """The certificates of `verify --which all` at its default parameters,
-    the no-ceiling optimum, with the unsafe scan `unsafe` of the cost."""
-    opt = analysis.no_ceiling_optimum.winner
-    ceiling = analysis.grid[-1]
-    low = analysis.grid[0] if ceiling <= opt.floor else opt.floor
-    return [
-        verify_ceiling_removal(analysis, AuctionParams(opt.cap, low, ceiling)),
-        verify_sellout_conditional(analysis, AuctionParams(opt.cap, opt.floor)),
-        unsafe,
-        *verify_decomposition_bounds(analysis, opt.cap, opt.floor),
-        verify_sellout_factor(analysis),
-        *verify_single_buyer_cover(analysis),
-    ]
-
-
-def safe_covers_charged_above(analysis: Analysis) -> bool:
-    """The corrected `safe-covers-above` at the no-ceiling optimum (cap k,
-    floor f): safe(k) >= the sell-out term plus, over the scenarios that
-    do not sell out, p_s times the sum of v - C(k)/k over their above
-    units, the D_s(max(f, C(k)/k)) largest pooled marginals."""
-    opt = analysis.no_ceiling_optimum.winner
-    k, r = opt.cap, analysis.safe_price(opt.cap)
-    above = F(0)
-    for p, pool, x, a in zip(analysis._probs, analysis._pools, analysis.demand(opt.floor),
-                             analysis.demand(max(opt.floor, r))):
-        if x < k:
-            charged = F(sum(pool[len(pool) - a:]), analysis._scale) - a * r
-            above += F(p, analysis._weight) * charged
-    return analysis.safe_welfare(k) >= analysis.sold_out_welfare(k, opt.floor) + above
-
-
 class TestTwoFirmSlice:
     """A slice of the exhaustive small universe of ROADMAP item 1, checked
     at the default parameters of `verify --which all`."""
@@ -630,6 +640,17 @@ class TestDemandQuantileCap:
         analysis = Analysis(m)
         assert demand_quantile_cap(analysis, F(1)) == want
         assert demand_quantile_cap(analysis, F(5)) == 0
+
+
+# A firm of one to three types, each with positive integer weight and one
+# to four fractional marginals.
+INDEPENDENT_FIRM = st.lists(
+    st.tuples(st.integers(1, 5), st.lists(st.fractions(0, 16, max_denominator=4),
+                                           min_size=1, max_size=4)),
+    min_size=1, max_size=3,
+).map(lambda types: tuple(
+    (F(w, sum(w for w, _ in types)), tuple(sorted(vs, reverse=True))) for w, vs in types
+))
 
 
 class TestSeparations:
@@ -694,6 +715,43 @@ class TestSeparations:
                 for row in enumerate_scenarios(analysis.instance)
             )
         assert opt.expected_welfare / max(safe.expected_welfare, single) == ratio
+
+    @given(
+        firms=st.lists(INDEPENDENT_FIRM, min_size=2, max_size=4),
+        cost=st.fractions(F(1, 8), 4, max_denominator=8).map(QuadraticCost) | st.lists(
+            st.fractions(0, 4, max_denominator=4), min_size=1, max_size=8,
+        ).map(lambda steps: MarginalCostTable(tuple(accumulate(steps)))),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_independent_markets_stay_within_the_cover_constant(self, firms, cost):
+        # The headline guarantee: on independent firms the best no-ceiling
+        # welfare is at most 26 times the better of the best safe-price
+        # auction and the single-buyer mechanism. The search climbs the ratio.
+        analysis = Analysis(MarketInstance(tuple(firms), cost))
+        opt = analysis.no_ceiling_optimum.winner.expected_welfare
+        better = max(analysis.safe_optimum.winner.expected_welfare,
+                     single_buyer_expected(analysis))
+        ratio = opt / better if better else F(0)
+        target(float(ratio))
+        assert opt <= SINGLE_BUYER_COVER_CONSTANT * better
+
+    def test_largest_ratio_the_search_has_found(self):
+        # 4,000 targeted examples of the property above climbed to 607/539:
+        # opt sells 2 at floor 13, the best safe auction and the
+        # single-buyer mechanism both reach 77/8.
+        m = MarketInstance(
+            (
+                point_mass(mv(F(53, 4))),
+                firm_distribution((F(4, 7), mv(8, 0)), (F(3, 7), mv(13, 11, 0, 0))),
+                firm_distribution((F(3, 4), mv(0)), (F(1, 4), mv(13, 0))),
+            ),
+            quadratic(F(29, 8)),
+        )
+        analysis = Analysis(m)
+        opt = analysis.no_ceiling_optimum.winner
+        assert (opt.cap, opt.floor, opt.expected_welfare) == (2, 13, F(607, 56))
+        assert analysis.safe_optimum.winner.expected_welfare == single_buyer_expected(analysis)
+        assert opt.expected_welfare / single_buyer_expected(analysis) == F(607, 539)
 
     @pytest.mark.parametrize("n, m", [(2, 1), (4, 1), (4, 2), (4, 3), (6, 3), (8, 4), (12, 8)])
     def test_split_logscale_splits_each_logscale_type(self, n, m):

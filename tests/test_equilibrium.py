@@ -578,7 +578,8 @@ def _golden_searches():
     for case, (instance, options) in sorted(EQUILIBRIUM_CASES.items()):
         if case in ("joint-3", "random-1-marginals"):  # exit 1 and 2
             continue
-        args = build_parser().parse_args(["equilibrium", "instance.json", *options])
+        argv = ["equilibrium", "instance.json", *options]
+        args = build_parser(argv).parse_args(argv)
         params = AuctionParams(int(args.cap), args.floor, None, args.pricing)
         yield case, instance, params, args.epsilon, args.strict_overbidding
 

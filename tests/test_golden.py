@@ -170,6 +170,16 @@ PARSER_CASES = {
     "equilibrium-bad-pricing": [
         "equilibrium", "x.json", "--cap", "2", "--floor", "1", "--pricing", "cheapest",
     ],
+    # These print the top-level usage, or a subcommand's, with an error.
+    "no-arguments": [],
+    "equilibrium-unrecognized-argument": [
+        "equilibrium", "x.json", "--cap", "2", "--floor", "1", "extra",
+    ],
+    "unknown-option-before-command": [
+        "--bogus", "equilibrium", "x.json", "--cap", "2", "--floor", "1",
+    ],
+    "verify-missing-instance": ["verify"],
+    "examples-bad-name": ["examples", "bogus", "--out", "x.json"],
 }
 PARSER_COLUMNS = "80"
 PARSER_GOLDEN = f"parser-py{sys.version_info[0]}.{sys.version_info[1]}"
@@ -390,8 +400,9 @@ def test_a_command_leaves_cyclic_garbage_of_a_fixed_size(tmp_path, command):
     leaves in reference cycles lives until the process exits. That must not
     grow with the input: it is the parser, and where an instance file is
     written, the closures of the JSON encoder."""
-    # `main` drops its parser when it returns.
-    fixed = left_for_the_collector(lambda: cli.build_parser() and None)[1]
+    instance, argv = LARGER_CASES[command]
+    # `main` drops the parser it builds for the command when it returns.
+    fixed = left_for_the_collector(lambda: cli.build_parser(argv) and None)[1]
     if command in ("examples", "generate"):
         fixed += left_for_the_collector(save_instance, logscale(2), tmp_path / "x.json")[1]
     left = []
@@ -403,7 +414,6 @@ def test_a_command_leaves_cyclic_garbage_of_a_fixed_size(tmp_path, command):
 
     expected, got = replay(tmp_path, command, run)
     assert got == expected
-    instance, argv = LARGER_CASES[command]
     if instance is None:
         got = run_in(tmp_path, argv, "instance.json", run)
     else:
@@ -424,8 +434,10 @@ def test_parser_output_matches_recording(parser_columns, case):
     assert run_parser(PARSER_CASES[case]) == recorded(PARSER_GOLDEN)[case]
 
 
-def test_recorded_parser_exit_codes():
-    golden = recorded("parser-py3.11")
+# One recording per Python version that CI runs.
+@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+def test_recorded_parser_exit_codes(version):
+    golden = recorded(f"parser-py{version}")
     assert sorted(golden) == sorted(PARSER_CASES)
     for case, result in golden.items():
         if case.endswith("help"):
@@ -435,6 +447,8 @@ def test_recorded_parser_exit_codes():
             assert result["rc"] == 2 and result["stdout"] == "", case
             assert "capauction" in result["stderr"] and ": error: " in result["stderr"], case
     assert "invalid choice: 'bogus'" in golden["unknown-command"]["stderr"]
+    # The top-level usage, which lists every subcommand.
+    assert golden["no-arguments"]["stderr"].startswith(golden["help"]["stdout"].split("\n\n")[0])
 
 
 def test_joint_instance_has_no_single_buyer_cover():

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction as F
+from operator import sub
 
 import pytest
 from hypothesis import given, strategies as st
@@ -139,16 +140,19 @@ class TestCost:
         st.integers(0, 10),
     )
     def test_costs_tabulates_cost(self, cost, n):
-        # One pass gives C(0..n), past the table's end too, or the error
-        # that `cost` raises at the first quantity beyond it.
+        # One pass gives C(0..n), and the first n marginal costs their
+        # differences, past the table's end too, or the error that `cost`
+        # raises at the first quantity beyond it.
         try:
             want = [cost.cost(x) for x in range(n + 1)]
         except ValidationError as exc:
-            with pytest.raises(ValidationError) as got:
-                cost.costs(n)
-            assert str(got.value) == str(exc)
+            for tabulate in (cost.costs, lambda n: list(itertools.islice(cost.marginal_costs(), n))):
+                with pytest.raises(ValidationError) as got:
+                    tabulate(n)
+                assert str(got.value) == str(exc)
         else:
             assert cost.costs(n) == want
+            assert list(itertools.islice(cost.marginal_costs(), n)) == list(map(sub, want[1:], want))
 
 
 class TestWelfare:

@@ -23,7 +23,7 @@ from capauction import (
 )
 from capauction.analysis import Analysis, optimize_cap_and_price
 from capauction.bounds import verify_sellout_factor
-from capauction.cli import build_parser, main
+from capauction.cli import COMMANDS, build_parser, main
 from capauction.equilibrium import find_grid_equilibria
 from capauction.instances import NAMED_INSTANCES
 from capauction.io import save_instance
@@ -47,10 +47,10 @@ def test_cli_import_loads_no_subcommand_module():
     loaded = subprocess.run(
         [sys.executable, "-c", probe], env=ENV, capture_output=True, text=True, check=True
     ).stdout.split()
-    # The allocation rule, its truthful tables and the parser's default
-    # limits are one module, `auction`, so the parser needs no other.
+    # Each subcommand's arguments are declared by its handler's module,
+    # which the parser imports only for that subcommand.
     assert [name for name in loaded if name.split(".")[0] == "capauction"] == [
-        "capauction", "capauction.auction", "capauction.cli", "capauction.model",
+        "capauction", "capauction.cli", "capauction.model",
     ]
     assert [name for name in NOT_AT_STARTUP if name in loaded] == []
 
@@ -63,10 +63,13 @@ NOT_LOADED_BY = {
     "optimize": ("bounds", "equilibrium", "instances", "cli"),
     "verify": ("equilibrium", "instances", "cli"),
     "equilibrium": ("analysis", "bounds", "instances", "cli"),
+    # These two read no scenario, so they need no `auction`.
+    "examples": ("auction", "analysis", "bounds", "equilibrium", "cli"),
+    "generate": ("auction", "analysis", "bounds", "equilibrium", "cli"),
 }
 # Definitions an `equilibrium` process must not compile: the sweeps and the
-# `optimize` and `evaluate` handlers. (`cli`, run as `__main__`, only
-# imports each handler on call.)
+# `optimize` and `evaluate` handlers. (`cli`, run as `__main__`, imports
+# only the running subcommand's module.)
 SWEEP_CODE = {"optimize_cap_and_price", "optimize_safe", "cmd_optimize", "cmd_evaluate"}
 
 
@@ -84,9 +87,9 @@ def _console_script() -> str:
 
 def _at_exit(tmp_path, argv, expression: str, start: str = AS_MAIN) -> str:
     """What `expression` reads at exit, by an atexit hook, in a CLI process
-    that `start` begins and that runs `argv` on demand_reduction."""
+    that `start` begins and that runs `argv` in a directory where
+    instance.json holds demand_reduction."""
     save_instance(demand_reduction(), tmp_path / "instance.json")
-    command, *options = argv
     probe = (
         "import atexit, gc, runpy, sys\n"
         f"atexit.register(lambda: print({expression}, file=sys.stderr))\n"
@@ -94,7 +97,7 @@ def _at_exit(tmp_path, argv, expression: str, start: str = AS_MAIN) -> str:
         + start
     )
     done = subprocess.run(
-        [sys.executable, "-c", probe, command, "instance.json", *options],
+        [sys.executable, "-c", probe, *argv],
         env=ENV, cwd=tmp_path, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
@@ -108,7 +111,7 @@ def _loaded_by(tmp_path, argv) -> list[str]:
 
 @pytest.mark.parametrize("start", ["python -m", "console script"])
 def test_cli_process_exits_with_the_collector_off_and_its_objects_frozen(tmp_path, start):
-    state = _at_exit(tmp_path, ["equilibrium", "--cap", "2", "--floor", "9"],
+    state = _at_exit(tmp_path, ["equilibrium", "instance.json", "--cap", "2", "--floor", "9"],
                      "gc.isenabled(), gc.get_freeze_count() > 0",
                      AS_MAIN if start == "python -m" else _console_script())
     assert state == "False True\n"
@@ -128,21 +131,26 @@ def test_main_leaves_the_collector_as_it_was(tmp_path, capsys, enabled):
 
 
 @pytest.mark.parametrize("argv", [
-    ["evaluate", "--cap", "2", "--floor", "9"],
-    ["optimize", "--out", "report.csv"],
-    ["optimize", "--no-ceiling"],
-    ["verify", "--which", "all"],
-    ["equilibrium", "--cap", "2", "--floor", "9"],
+    ["evaluate", "instance.json", "--cap", "2", "--floor", "9"],
+    ["optimize", "instance.json", "--out", "report.csv"],
+    ["optimize", "instance.json", "--no-ceiling"],
+    ["verify", "instance.json", "--which", "all"],
+    ["equilibrium", "instance.json", "--cap", "2", "--floor", "9"],
+    ["examples", "logscale", "-n", "3", "--out", "written.json"],
+    ["generate", "--seed", "7", "--out", "written.json"],
 ])
 def test_subcommand_process_loads_only_its_own_modules(tmp_path, argv):
     loaded = _loaded_by(tmp_path, argv)
-    assert "capauction.auction" in loaded
+    owner = next(module for name, module, _ in COMMANDS if name == argv[0])
+    assert f"capauction.{owner}" in loaded
     assert [m for m in NOT_LOADED_BY[argv[0]] if f"capauction.{m}" in loaded] == []
 
 
 @pytest.mark.parametrize("options", [[], ["--out", "report.csv"]])
 def test_equilibrium_process_compiles_no_sweep(tmp_path, options):
-    loaded = _loaded_by(tmp_path, ["equilibrium", "--cap", "2", "--floor", "9", *options])
+    loaded = _loaded_by(
+        tmp_path, ["equilibrium", "instance.json", "--cap", "2", "--floor", "9", *options]
+    )
     package = {f"capauction.{name[:-3]}": tree for name, tree in _parsed(PACKAGE).items()}
     defined = {
         (module, statement.name)
@@ -155,7 +163,7 @@ def test_equilibrium_process_compiles_no_sweep(tmp_path, options):
 
 
 def test_examples_choices_are_the_named_instances():
-    parser = build_parser()
+    parser = build_parser(["examples"])
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     name = next(a for a in commands.choices["examples"]._actions if a.dest == "name")
     assert tuple(name.choices) == NAMED_INSTANCES

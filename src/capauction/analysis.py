@@ -119,10 +119,6 @@ def optimize_safe(analysis: Analysis) -> OptResult:
     """Best safe-price auction: argmax over caps with floor pinned to the
     average cost of the cap."""
     analysis._tabulate(analysis.cap_limit)  # once, not growing cap by cap
-    # Every cap's safe price from one pass over the cost, not a sum per cap;
-    # a short "error" table raises here, naming the first cap it lacks.
-    costs = analysis.instance.cost.costs(analysis.cap_limit)
-    analysis._safe_prices.update((cap, costs[cap] / cap) for cap in range(1, len(costs)))
     table = tuple(
         Candidate(cap, analysis.safe_price(cap), None, analysis.safe_welfare(cap))
         for cap in range(1, analysis.cap_limit + 1)

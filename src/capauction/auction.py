@@ -53,6 +53,7 @@ import itertools
 import math
 from bisect import bisect_left
 from collections import namedtuple
+from contextlib import suppress
 from fractions import Fraction
 from functools import cached_property
 from operator import add, getitem, mul
@@ -246,6 +247,8 @@ class Analysis:
     once a sweep asks for them, p_s * W_s(q) for every quantity q the sweep
     can sell, so a candidate costs one demand lookup and one integer sum
     per scenario.
+    The social cost is read in one walk of its marginal costs, kept across
+    calls (`_costs`), from which both the rows and the safe prices read.
     The no-ceiling and safe-price optima are computed on first read and
     kept. The equilibrium search reads the price grid, the type weights
     and the cost list from here too.
@@ -276,7 +279,8 @@ class Analysis:
             raise ValidationError(f"cap limit must be at least 1, got {cap_limit}")
         self.cap_limit = cap_limit
         self._demands: dict[Fraction, list[int]] = {}
-        self._safe_prices: dict[int, Fraction] = {}
+        self._walk = itertools.accumulate(instance.cost.marginal_costs(), initial=ZERO)
+        self._known_costs: list[Fraction] = []  # C(0), C(1), ... as far as walked
         self._reach = -1  # rows cover quantities up to min(len(pool), _reach)
         self._nums: list[list[int]] = []
         self._cost: list[int] = []  # C(q) * (_den // _weight) for q up to _reach
@@ -293,6 +297,15 @@ class Analysis:
             self._demands[price] = demands
         return demands
 
+    def _costs(self, n: int) -> list[Fraction]:
+        """C(0), C(1), ... at least up to C(n), or up to an "error" table's
+        end if that comes first; each marginal cost is read once over all
+        calls."""
+        known = self._known_costs
+        with suppress(ValidationError):  # the walk raises past an "error" table's end
+            known.extend(itertools.islice(self._walk, max(0, n + 1 - len(known))))
+        return known
+
     def _tabulate(self, reach: int | None) -> None:
         """Make the p_s * W_s(q) rows cover every quantity up to `reach`.
 
@@ -306,7 +319,9 @@ class Analysis:
         if reach <= self._reach:
             return
         tops = [min(len(pool), reach) for pool in self._pools]
-        scale, self._cost = _integers(self.instance.cost.costs(reach), self._scale)
+        if len(self._costs(reach)) <= reach:  # an "error" table short of reach
+            self.instance.cost.costs(reach)  # raises, naming the first quantity it lacks
+        scale, self._cost = _integers(self._known_costs[:reach + 1], self._scale)
         up = scale // self._scale
         self._nums = []
         for p, pool, top in zip(self._probs, self._pools, tops):
@@ -353,11 +368,10 @@ class Analysis:
         )
 
     def safe_price(self, cap: int) -> Fraction:
-        """`safe_price` of the instance's cost, memoized per cap."""
-        price = self._safe_prices.get(cap)
-        if price is None:
-            price = self._safe_prices[cap] = safe_price(self.instance.cost, cap)
-        return price
+        """`safe_price` of the instance's cost, read from `_costs`."""
+        if cap is None or not 0 < cap < len(self._costs(cap)):
+            return safe_price(self.instance.cost, cap)  # raises, naming the cap
+        return self._known_costs[cap] / cap
 
     def safe_welfare(self, cap: int) -> Fraction:
         """Expected welfare of the safe-price auction with this cap; 0 for

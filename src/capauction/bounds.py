@@ -28,7 +28,8 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from itertools import takewhile
+from operator import mul, sub
 from typing import NamedTuple
 
 from .auction import (
@@ -117,14 +118,8 @@ def best_own_quantity(valuation: Valuation, cost: CostCurve) -> tuple[int, Fract
     convexity, so the scan stops at the first non-positive increment. It
     reads each marginal cost once, and none past that increment.
     """
-    best = ZERO
-    x = 0
-    for v, marginal_cost in zip(valuation, cost.marginal_costs()):
-        if v <= marginal_cost:
-            break
-        best += v - marginal_cost
-        x += 1
-    return x, best
+    gains = list(takewhile(lambda gain: gain > 0, map(sub, valuation, cost.marginal_costs())))
+    return len(gains), sum(gains, ZERO)
 
 
 def single_buyer_expected(analysis: Analysis) -> Fraction:

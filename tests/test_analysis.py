@@ -194,18 +194,26 @@ class TestOptimizeSafe:
         result = optimize_safe(Analysis(m))
         assert result.winner.expected_welfare == 0
 
-    def test_reads_each_cost_entry_at_most_twice(self):
-        # Once to tabulate welfare, once for every cap's safe price.
+    def test_reads_each_cost_entry_once(self):
+        # The welfare rows and every cap's safe price share one walk of the table.
         n = 2000
         entries = CountedEntries(F(j, 7) for j in range(1, n + 1))
         m = MarketInstance(firms=(point_mass((F(n),) * n),), cost=MarginalCostTable(entries))
         assert optimize_safe(Analysis(m)).searched == n
-        assert set(entries.reads) == set(range(n)) and max(entries.reads.values()) == 2
+        assert set(entries.reads) == set(range(n)) and max(entries.reads.values()) == 1
 
     def test_short_table_names_the_first_cap_it_lacks(self):
         m = MarketInstance(firms=(point_mass(mv(9)),), cost=cost_table(1, 2, extension="error"))
         with pytest.raises(ValidationError, match="^quantity 3 beyond cost table of length 2 "):
             optimize_safe(Analysis(m, cap_limit=4))
+
+    def test_a_safe_price_past_a_short_table_names_its_cap(self):
+        analysis = Analysis(MarketInstance(
+            firms=(point_mass(mv(9)),), cost=cost_table(1, 2, extension="error")))
+        for cap in (5, 3, 4):  # the walk ends at the table on the first of these
+            with pytest.raises(ValidationError, match=f"^quantity {cap} beyond cost table of length 2 "):
+                analysis.safe_price(cap)
+        assert [analysis.safe_price(cap) for cap in (1, 2)] == [1, F(3, 2)]
 
     def test_safe_table_has_zero_cap_convention(self):
         analysis = Analysis(demand_reduction())

@@ -11,7 +11,8 @@ tests/golden/commands.json, and SHORT_TABLE_CASES (`verify`, `evaluate` and
 tests/golden/short-cost-table.json. PARSER_CASES (help, usage and argument
 errors, which the parser prints before any subcommand runs) are recorded in
 tests/golden/parser-py<major>.<minor>.json, since argparse's wording and
-layout vary with the Python version. PROCESS_CASES replay some of these
+layout vary with the Python version; each was recorded with the patch
+release that CI pins for its version (3.10.13, 3.11.7, 3.12.1, 3.13.0). PROCESS_CASES replay some of these
 recordings in `python -m capauction.cli` processes.
 After a change that is meant to alter output, re-record with
 

@@ -17,10 +17,11 @@ script prints the verdict counts and exits 1 on any other outcome.
 Not collected by pytest. It takes a few minutes; run from the repository
 root with
 
-    PYTHONPATH=src python tests/universe.py [--workers N]
+    PYTHONPATH=src python tests/universe.py
+
+with one worker process per CPU.
 """
 
-import argparse
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -76,13 +77,10 @@ def check(task) -> tuple[Counter, list]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=2)
-    workers = parser.parse_args().workers
     pairs = list(combinations_with_replacement(firms(), 2))
     tasks = [(a, pairs[i:i + CHUNK]) for a in COSTS for i in range(0, len(pairs), CHUNK)]
     counts, wrong = Counter(), []
-    with get_context("spawn").Pool(workers) as pool:
+    with get_context("spawn").Pool() as pool:
         for got, bad in pool.imap_unordered(check, tasks):
             counts.update(got)
             wrong.extend(bad)

@@ -118,7 +118,8 @@ def optimize_cap_and_price(analysis: Analysis, allow_ceiling: bool = True) -> Op
 def optimize_safe(analysis: Analysis) -> OptResult:
     """Best safe-price auction: argmax over caps with floor pinned to the
     average cost of the cap."""
-    analysis._tabulate(analysis.cap_limit)  # once, not growing cap by cap
+    analysis._costs(analysis.cap_limit)  # once, not growing cap by cap
+    analysis._tabulate(analysis.cap_limit)
     table = tuple(
         Candidate(cap, analysis.safe_price(cap), None, analysis.safe_welfare(cap))
         for cap in range(1, analysis.cap_limit + 1)

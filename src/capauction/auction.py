@@ -8,9 +8,9 @@ everyone buys at the floor; otherwise exactly `cap` licenses go to the
 highest reported marginals. An unbounded cap always sells at the floor.
 `clear_valid` is the one clearing routine, on plain tuples of marginals:
 `evaluate` clears truthful Fraction bids with it, and the equilibrium
-search its integer bid levels over its scale L. `safe_price` is the
-average social cost at the cap, and `price_candidates` the price grid
-that the sweeps search.
+search its integer bid levels over its scale L. `price_candidates` is
+the price grid that the sweeps search, and `Analysis.safe_price` the
+safe price, the average social cost C(cap)/cap.
 
 Every case sells the top reported units, so under truthful bids the
 welfare of scenario s depends only on the quantity q sold: W_s(q) =
@@ -27,10 +27,12 @@ This module owns scenario order (`_factors`, `_per_scenario`) and the
 integer encoding (`_integers`, `_scaled`); `Analysis`, `analysis`,
 `bounds` and the equilibrium search fold scenarios and encode rationals
 only through them. `Analysis` is the one truthful path per instance. It
-checks the scenario count against the limit before any other work, then
+checks the scenario count against its limit, and a given cap limit
+against `CAP_LIMIT`, before any other work, then
 builds its integer tables straight from the firm types (or the joint
-rows): D_s, p_s * W_s(q) and each cap's safe price. The sweeps, single
-auctions (`Analysis.welfare`, `Analysis.safe_welfare`), the sell-out
+rows): D_s, p_s * W_s(q) and each cap's safe price, the last two read
+from one `model.costs` table of C(0..n) kept across calls. The sweeps,
+single auctions (`Analysis.welfare`, `Analysis.safe_welfare`), the sell-out
 probability and welfare (`Analysis.sell_out_probability`,
 `Analysis.sold_out_welfare`, both over the scenarios with D_s(floor) >=
 cap), `evaluate`'s per-scenario welfares and the certificates are lookups
@@ -40,9 +42,9 @@ weights and cost list from them.
 Where code lives: run without cached bytecode (`PYTHONDONTWRITEBYTECODE`),
 each process compiles every module it imports from source. Every
 subcommand but `examples` and `generate` clears or reads these tables,
-so the rule, the tables, the scenario limit and the two options those
-four subcommands share (`add_common_arguments`: --out and
---scenario-limit) are here; `examples` and `generate` processes never
+so the rule, the tables, the scenario and cap limits and the two
+options those four subcommands share (`add_common_arguments`: --out
+and --scenario-limit) are here; `examples` and `generate` processes never
 load this module. The sweeps and the `optimize` and `evaluate` handlers
 are in `analysis`, which an `equilibrium` process does not load.
 """
@@ -53,12 +55,11 @@ import itertools
 import math
 from bisect import bisect_left
 from collections import namedtuple
-from contextlib import suppress
 from fractions import Fraction
 from functools import cached_property
 from operator import add, getitem, mul
 
-from .model import ZERO, CostCurve, MarketInstance, TooLargeError, ValidationError, rat
+from .model import ZERO, MarketInstance, TooLargeError, ValidationError, costs, rat
 
 LOWEST_WINNING = "lowest-winning"
 HIGHEST_LOSING = "highest-losing"
@@ -159,13 +160,6 @@ def clear_valid(
     return allocation, price, case
 
 
-def safe_price(cost: CostCurve, cap: int) -> Fraction:
-    """Average social cost per license when the full cap is sold."""
-    if cap is None or cap < 1:
-        raise ValidationError(f"safe price needs cap >= 1, got {cap}")
-    return cost.cost(cap) / cap
-
-
 def price_candidates(instance: MarketInstance) -> tuple[Fraction, ...]:
     """Finite price grid that is welfare-exhaustive for floors and ceilings.
 
@@ -182,6 +176,11 @@ def price_candidates(instance: MarketInstance) -> tuple[Fraction, ...]:
 
 
 DEFAULT_SCENARIO_LIMIT = 100_000
+# The largest --cap-limit, refused before any table is built: a sweep
+# builds candidates cap by cap, and the unsafe scan tabulates the cost that
+# far. At this limit, on demand-reduction, `verify --which unsafe` takes
+# about 0.5 s and `optimize` about 2 s and 360 MB (2 vCPU, Python 3.11).
+CAP_LIMIT = 100_000
 
 
 def add_common_arguments(parser) -> None:
@@ -247,7 +246,7 @@ class Analysis:
     once a sweep asks for them, p_s * W_s(q) for every quantity q the sweep
     can sell, so a candidate costs one demand lookup and one integer sum
     per scenario.
-    The social cost is read in one walk of its marginal costs, kept across
+    The social cost is one `model.costs` table of C(0..n), kept across
     calls (`_costs`), from which both the rows and the safe prices read.
     The no-ceiling and safe-price optima are computed on first read and
     kept. The equilibrium search reads the price grid, the type weights
@@ -261,6 +260,10 @@ class Analysis:
         cap_limit: int | None = None,
     ):
         self._factors = factors = _check_scenario_limit(instance, scenario_limit)
+        if cap_limit is not None and cap_limit < 1:
+            raise ValidationError(f"cap limit must be at least 1, got {cap_limit}")
+        if cap_limit is not None and cap_limit > CAP_LIMIT:
+            raise TooLargeError(f"cap limit {cap_limit} is above the largest allowed, {CAP_LIMIT}")
         self.instance = instance
         self.grid = price_candidates(instance)
         self._scale = scale = math.lcm(*(g.denominator for g in self.grid))
@@ -273,14 +276,9 @@ class Analysis:
             [], add,
         )]
         self.max_demand = max(map(len, self._pools), default=0)
-        if cap_limit is None:
-            cap_limit = max(1, self.max_demand)
-        elif cap_limit < 1:
-            raise ValidationError(f"cap limit must be at least 1, got {cap_limit}")
-        self.cap_limit = cap_limit
+        self.cap_limit = max(1, self.max_demand) if cap_limit is None else cap_limit
         self._demands: dict[Fraction, list[int]] = {}
-        self._walk = itertools.accumulate(instance.cost.marginal_costs(), initial=ZERO)
-        self._known_costs: list[Fraction] = []  # C(0), C(1), ... as far as walked
+        self._known_costs: list[Fraction] = []  # C(0), C(1), ... as far as tabulated
         self._reach = -1  # rows cover quantities up to min(len(pool), _reach)
         self._nums: list[list[int]] = []
         self._cost: list[int] = []  # C(q) * (_den // _weight) for q up to _reach
@@ -298,13 +296,12 @@ class Analysis:
         return demands
 
     def _costs(self, n: int) -> list[Fraction]:
-        """C(0), C(1), ... at least up to C(n), or up to an "error" table's
-        end if that comes first; each marginal cost is read once over all
-        calls."""
-        known = self._known_costs
-        with suppress(ValidationError):  # the walk raises past an "error" table's end
-            known.extend(itertools.islice(self._walk, max(0, n + 1 - len(known))))
-        return known
+        """C(0), C(1), ... at least up to C(n), kept across calls and
+        tabulated anew only when a call reaches past them; an "error" table
+        short of n raises, naming the first quantity it lacks."""
+        if len(self._known_costs) <= n:
+            self._known_costs = costs(self.instance.cost, n)
+        return self._known_costs
 
     def _tabulate(self, reach: int | None) -> None:
         """Make the p_s * W_s(q) rows cover every quantity up to `reach`.
@@ -319,9 +316,7 @@ class Analysis:
         if reach <= self._reach:
             return
         tops = [min(len(pool), reach) for pool in self._pools]
-        if len(self._costs(reach)) <= reach:  # an "error" table short of reach
-            self.instance.cost.costs(reach)  # raises, naming the first quantity it lacks
-        scale, self._cost = _integers(self._known_costs[:reach + 1], self._scale)
+        scale, self._cost = _integers(self._costs(reach)[:reach + 1], self._scale)
         up = scale // self._scale
         self._nums = []
         for p, pool, top in zip(self._probs, self._pools, tops):
@@ -368,10 +363,10 @@ class Analysis:
         )
 
     def safe_price(self, cap: int) -> Fraction:
-        """`safe_price` of the instance's cost, read from `_costs`."""
-        if cap is None or not 0 < cap < len(self._costs(cap)):
-            return safe_price(self.instance.cost, cap)  # raises, naming the cap
-        return self._known_costs[cap] / cap
+        """Average social cost per license when the full cap is sold, C(cap)/cap."""
+        if cap is None or cap < 1:
+            raise ValidationError(f"safe price needs cap >= 1, got {cap}")
+        return self._costs(cap)[cap] / cap
 
     def safe_welfare(self, cap: int) -> Fraction:
         """Expected welfare of the safe-price auction with this cap; 0 for

@@ -12,7 +12,7 @@ list, demand memo, probability weights, sell-out probabilities, safe
 prices and cached no-ceiling and safe-price optima), never a scenario
 cleared again; `verify_decomposition_bounds` splits the welfare into its
 three terms on those rows. The price-gap certificates (`verify_price_gap`,
-`worst_price_gap`) read only the cost curve.
+`worst_price_gap`) read only the cost curve, through `model.costs`.
 
 Only `verify` loads this module, so it also holds the helpers that only
 certificates read (`one_minus_inv_e`, `demand_quantile_cap`,
@@ -32,11 +32,9 @@ from itertools import takewhile
 from operator import mul, sub
 from typing import NamedTuple
 
-from .auction import (
-    Analysis, AuctionParams, _integers, _per_scenario, add_common_arguments, safe_price
-)
+from .auction import Analysis, AuctionParams, _integers, _per_scenario, add_common_arguments
 from .io import display, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
-from .model import ZERO, CostCurve, Valuation, ValidationError, rat
+from .model import ZERO, CostCurve, Valuation, ValidationError, costs, rat
 
 CHECKED = "checked"
 VACUOUS = "vacuous"
@@ -213,10 +211,11 @@ def verify_price_gap(cost: CostCurve, quantity: int, units: int) -> BoundCertifi
         raise ValidationError(f"quantity must be at least 1, got {quantity}")
     if not 0 <= units <= quantity:
         raise ValidationError(f"units must lie in [0, {quantity}], got {units}")
-    full_price = safe_price(cost, quantity)
-    half_price = (cost.cost(quantity // 2) + cost.cost((quantity + 1) // 2)) / quantity
+    c = costs(cost, quantity)
+    full_price = c[quantity] / quantity
+    half_price = (c[quantity // 2] + c[(quantity + 1) // 2]) / quantity
     lhs = quantity * (full_price - half_price)
-    rhs = full_price * units - cost.cost(units)
+    rhs = full_price * units - c[units]
     return _certify(
         "below-safe-price-welfare-gap",
         lhs,
@@ -244,7 +243,7 @@ def worst_price_gap(cost: CostCurve, limit: int) -> BoundCertificate:
     """
     if limit < 1:
         raise ValidationError(f"quantity limit must be at least 1, got {limit}")
-    _, c = _integers(cost.costs(limit))
+    _, c = _integers(costs(cost, limit))
     worst = None  # (margin * quantity * common denominator, quantity, units)
     for q in range(1, limit + 1):
         u = bisect_left(range(q), True, key=lambda u: q * (c[u + 1] - c[u]) >= c[q])

@@ -4,14 +4,18 @@ Firms value identical licenses through concave curves. A valuation is a
 plain tuple of non-increasing per-license marginal values, and a firm a
 tuple of (probability, valuation) types, its finite type distribution;
 `validate` checks both in one pass over the instance. Society bears a
-convex cost for the total quantity allocated. Everything is exact
-rational arithmetic (fractions.Fraction): the welfare inequalities this
-package checks are rational statements and must not be blurred by
-floating point.
+convex cost for the total quantity allocated. A cost curve is read only
+through its marginal costs C(x) - C(x - 1), x = 1, 2, ...; `costs`
+tabulates C(0..n) as their prefix sum, and every reader of C at integer
+quantities (the welfare rows, the safe price C(k)/k, the price-gap
+certificates) reads that table. Everything is exact rational arithmetic
+(fractions.Fraction): the welfare inequalities this package checks are
+rational statements and must not be blurred by floating point.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import accumulate, count, islice, repeat
 from typing import NamedTuple, Union
@@ -35,11 +39,12 @@ ZERO = Fraction(0)
 
 
 def rat(value: Rational) -> Fraction:
-    """Coerce an int, "p/q" string, or Fraction to an exact Fraction.
+    """Coerce an int, "p/q" or decimal string, or Fraction to an exact Fraction.
 
     Floats are rejected on purpose; they would silently break exactness.
     So are booleans, which are ints to Python but never a number in an
-    instance file.
+    instance file, and exponent notation ("1e5000"), which `Fraction`
+    would expand into an integer of that many digits.
     """
     if isinstance(value, Fraction):
         return value
@@ -48,6 +53,8 @@ def rat(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if re.search(r"[\d.][eE][-+]?\d", value):
+            raise ValidationError(f"not a rational: {value!r} (exponent notation is not accepted)")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -85,15 +92,6 @@ class QuadraticCost(NamedTuple):
 
     a: Fraction
 
-    def cost(self, x: int) -> Fraction:
-        if x < 0:
-            raise ValidationError(f"cost undefined for negative quantity {x}")
-        return self.a * x * x
-
-    def costs(self, n: int) -> list[Fraction]:
-        """C(0), ..., C(n)."""
-        return [self.a * x * x for x in range(n + 1)]
-
     def marginal_costs(self):
         """C(1) - C(0), C(2) - C(1), ..., without end."""
         return (self.a * (2 * x - 1) for x in count(1))
@@ -114,31 +112,16 @@ class MarginalCostTable(NamedTuple):
     marginals: tuple[Fraction, ...]
     extension: str = REPEAT_LAST
 
-    def cost(self, x: int) -> Fraction:
-        if x < 0:
-            raise ValidationError(f"cost undefined for negative quantity {x}")
-        if x <= len(self.marginals):
-            return sum(self.marginals[:x], ZERO)
-        if self.extension == REPEAT_LAST:
-            base = sum(self.marginals, ZERO)
-            tail = self.marginals[-1] if self.marginals else ZERO
-            return base + tail * (x - len(self.marginals))
-        raise ValidationError(
-            f"quantity {x} beyond cost table of length {len(self.marginals)} "
-            f"(extension policy {self.extension!r})"
-        )
-
-    def costs(self, n: int) -> list[Fraction]:
-        """C(0), ..., C(n) in one prefix-sum pass over `marginal_costs`."""
-        return list(accumulate(islice(self.marginal_costs(), n), initial=ZERO))
-
     def marginal_costs(self):
         """C(1) - C(0), C(2) - C(1), ..., each entry read once and read only
         when asked for. Past the table's end it repeats the last entry, or
-        raises as `cost` does at the first quantity beyond the table."""
+        raises at the first quantity the table lacks."""
         yield from self.marginals
         if self.extension != REPEAT_LAST:
-            self.cost(len(self.marginals) + 1)  # raises
+            raise ValidationError(
+                f"quantity {len(self.marginals) + 1} beyond cost table of length "
+                f"{len(self.marginals)} (extension policy {self.extension!r})"
+            )
         yield from repeat(self.marginals[-1] if self.marginals else ZERO)
 
     def violations(self, where: str = "cost") -> list[str]:
@@ -154,6 +137,11 @@ class MarginalCostTable(NamedTuple):
 
 
 CostCurve = Union[QuadraticCost, MarginalCostTable]
+
+
+def costs(curve: CostCurve, n: int) -> list[Fraction]:
+    """C(0), ..., C(n): the prefix sums of the curve's first n marginal costs."""
+    return list(accumulate(islice(curve.marginal_costs(), n), initial=ZERO))
 
 
 JointRow = tuple[Fraction, tuple[Valuation, ...]]

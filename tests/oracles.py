@@ -26,7 +26,6 @@ from capauction import (
     QuadraticCost,
     ValidationError,
     rat,
-    safe_price,
     scale_weight,
 )
 from capauction.auction import (
@@ -46,6 +45,27 @@ def quadratic(a) -> QuadraticCost:
 
 def cost_table(*values, extension: str = REPEAT_LAST) -> MarginalCostTable:
     return MarginalCostTable(tuple(rat(v) for v in values), extension)
+
+
+def cost_of(cost: CostCurve, x: int) -> Fraction:
+    """C(x) by its direct formula: a * x^2, or the sum of a table's first x
+    entries with its last entry repeated past the end. Past the end of an
+    "error" table it raises the error that `model.costs` raises, naming the
+    first quantity the table lacks."""
+    if isinstance(cost, QuadraticCost):
+        return cost.a * x * x
+    table = cost.marginals
+    if x > len(table) and cost.extension != REPEAT_LAST:
+        raise ValidationError(
+            f"quantity {len(table) + 1} beyond cost table of length {len(table)} "
+            f"(extension policy {cost.extension!r})"
+        )
+    return sum(table[:x], ZERO) + (table[-1] if table else ZERO) * max(0, x - len(table))
+
+
+def safe_price(cost: CostCurve, cap: int) -> Fraction:
+    """Average social cost per license when the full cap is sold, C(cap)/cap."""
+    return cost_of(cost, cap) / cap
 
 
 class CountedEntries(tuple):
@@ -122,7 +142,7 @@ def welfare_of(
             raise ValidationError(f"allocation[{i}] is negative")
     total = sum(allocation)
     value = sum((value_of(v, x) for v, x in zip(valuations, allocation)), ZERO)
-    return value - cost.cost(total)
+    return value - cost_of(cost, total)
 
 
 class Outcome(NamedTuple):
@@ -278,13 +298,13 @@ class SingleBuyerOutcome(NamedTuple):
 
 def scanned_own_quantity(valuation: Valuation, cost: CostCurve) -> tuple[int, Fraction]:
     """`bounds.best_own_quantity` by the per-unit scan it replaced: C(j)
-    read anew through `cost` for each unit j up to the first non-positive
+    computed anew by `cost_of` for each unit j up to the first non-positive
     increment, so quadratic in the scan's length on a marginal-cost table."""
     best = ZERO
     x = 0
-    below = cost.cost(0)
+    below = cost_of(cost, 0)
     for j, v in enumerate(valuation, start=1):
-        here = cost.cost(j)
+        here = cost_of(cost, j)
         step = v - (here - below)
         if step <= 0:
             break
@@ -424,7 +444,7 @@ def scanned_price_gap(cost: CostCurve, limit: int) -> BoundCertificate:
     C(0..limit); ties keep the smaller quantity, then the fewer units."""
     if limit < 1:
         raise ValidationError(f"quantity limit must be at least 1, got {limit}")
-    _, c = _integers(cost.cost(x) for x in range(limit + 1))
+    _, c = _integers(cost_of(cost, x) for x in range(limit + 1))
     worst = None  # (margin * quantity * common denominator, quantity, units)
     for q in range(1, limit + 1):
         gap, u = min((q * c[u] - c[q] * u, u) for u in range(q + 1))

@@ -31,6 +31,7 @@ from capauction.analysis import Candidate
 from capauction.auction import _demand
 from oracles import (
     CountedEntries,
+    cost_of,
     cost_table,
     enumerate_scenarios,
     expected_welfare,
@@ -202,16 +203,25 @@ class TestOptimizeSafe:
         assert optimize_safe(Analysis(m)).searched == n
         assert set(entries.reads) == set(range(n)) and max(entries.reads.values()) == 1
 
+    def test_a_cap_limit_past_the_demand_reads_each_cost_entry_once(self):
+        # Demand is 1, so the rows stop at quantity 1 and every larger cap's
+        # safe price reads past them: one table for all caps, not one per cap.
+        n = 2000
+        entries = CountedEntries(F(j, 7) for j in range(1, n + 1))
+        m = MarketInstance(firms=(point_mass(mv(n)),), cost=MarginalCostTable(entries))
+        assert optimize_safe(Analysis(m, cap_limit=n)).searched == n
+        assert set(entries.reads) == set(range(n)) and max(entries.reads.values()) == 1
+
     def test_short_table_names_the_first_cap_it_lacks(self):
         m = MarketInstance(firms=(point_mass(mv(9)),), cost=cost_table(1, 2, extension="error"))
         with pytest.raises(ValidationError, match="^quantity 3 beyond cost table of length 2 "):
             optimize_safe(Analysis(m, cap_limit=4))
 
-    def test_a_safe_price_past_a_short_table_names_its_cap(self):
+    def test_a_safe_price_past_a_short_table_names_the_first_quantity_it_lacks(self):
         analysis = Analysis(MarketInstance(
             firms=(point_mass(mv(9)),), cost=cost_table(1, 2, extension="error")))
-        for cap in (5, 3, 4):  # the walk ends at the table on the first of these
-            with pytest.raises(ValidationError, match=f"^quantity {cap} beyond cost table of length 2 "):
+        for cap in (5, 3, 4):
+            with pytest.raises(ValidationError, match="^quantity 3 beyond cost table of length 2 "):
                 analysis.safe_price(cap)
         assert [analysis.safe_price(cap) for cap in (1, 2)] == [1, F(3, 2)]
 
@@ -346,7 +356,7 @@ class TestBruteForceOracle:
                 value = sum(
                     (value_of(v, x) for v, x in zip(row.valuations, alloc)), F(0)
                 )
-                total += row.probability * (value - m.cost.cost(sum(alloc)))
+                total += row.probability * (value - cost_of(m.cost, sum(alloc)))
             return total
 
         for seed in range(25):

@@ -22,7 +22,6 @@ from capauction import (
     logscale,
     one_minus_inv_e,
     price_candidates,
-    safe_price,
     single_buyer_expected,
     verify_ceiling_removal,
     verify_decomposition_bounds,
@@ -37,6 +36,7 @@ from capauction.bounds import DEFAULT_GAP_LIMIT, SINGLE_BUYER_COVER_CONSTANT, be
 from capauction.model import ERROR_BEYOND, REPEAT_LAST, MarginalCostTable, QuadraticCost
 from oracles import (
     CountedEntries,
+    cost_of,
     cost_table,
     enumerate_scenarios,
     expected_welfare,
@@ -46,6 +46,7 @@ from oracles import (
     quadratic,
     run_auction,
     safe_covers_charged_above,
+    safe_price,
     scanned_own_quantity,
     scanned_price_gap,
     single_buyer_mechanism,
@@ -67,7 +68,7 @@ def as_joint(m: MarketInstance) -> MarketInstance:
 def with_error_extension(m: MarketInstance, length: int) -> MarketInstance:
     """The market with its cost cut to a table of `length` marginals that
     raises beyond its end."""
-    marginals = tuple(m.cost.cost(x + 1) - m.cost.cost(x) for x in range(length))
+    marginals = tuple(cost_of(m.cost, x + 1) - cost_of(m.cost, x) for x in range(length))
     return m._replace(cost=MarginalCostTable(marginals, ERROR_BEYOND))
 
 
@@ -198,7 +199,7 @@ def piecewise_linear_average(cost, x):
     """C(x)/x for the cost C extended linearly between integer quantities."""
     lo = math.floor(x)
     f = x - lo
-    return (cost.cost(lo) * (1 - f) + cost.cost(lo + 1) * f) / x
+    return (cost_of(cost, lo) * (1 - f) + cost_of(cost, lo + 1) * f) / x
 
 
 COSTS = st.one_of(
@@ -229,7 +230,7 @@ class TestWorstPriceGap:
                 cert = verify_price_gap(cost, quantity, 0)
             except ValidationError:  # only where an "error" table stops short of C(quantity)
                 with pytest.raises(ValidationError):
-                    cost.cost(quantity)
+                    cost_of(cost, quantity)
                 break
             assert cert.witness["half_price"] == piecewise_linear_average(cost, F(quantity, 2))
 
@@ -394,8 +395,8 @@ class TestDecomposeWelfare:
                  for v, b, theta in zip(row.valuations, below, thresholds)),
                 F(0),
             )
-            above_term += row.probability * (above_value - cost.cost(sum(above)))
-            below_term += row.probability * (below_value - cost.cost(sum(below)))
+            above_term += row.probability * (above_value - cost_of(cost, sum(above)))
+            below_term += row.probability * (below_value - cost_of(cost, sum(below)))
 
         def safe(c):
             if c == 0:

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from capauction import analysis, auction, bounds, cli, equilibrium, instances
 from capauction.auction import (
-    FLOOR_BINDS, HIGHEST_LOSING, LOWEST_WINNING, Analysis, price_candidates
+    CAP_LIMIT, FLOOR_BINDS, HIGHEST_LOSING, LOWEST_WINNING, Analysis, price_candidates
 )
 from capauction.cli import main
 from capauction.instances import demand_reduction, first_best, generate, logscale
@@ -148,6 +149,56 @@ def test_cap_limit_below_one_is_rejected(demand_reduction_file, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: cap limit must be at least 1")
+
+
+def run_bounded(argv: list[str], cwd) -> subprocess.CompletedProcess:
+    """A `python -m capauction.cli` process held to 1.5 GB of address space
+    and 20 s, so that a guard that fails costs a failed test, not the machine."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+    return subprocess.run([sys.executable, "-m", "capauction.cli", *argv], env=ENV, cwd=cwd,
+                          capture_output=True, text=True, timeout=20, preexec_fn=limit_memory)
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "instance.json", "--cap", "2", "--floor", "1"],
+    ["evaluate", "demand-reduction.json", "--cap", "2", "--floor", "1e20000000"],
+    ["equilibrium", "demand-reduction.json", "--cap", "2", "--floor", "9",
+     "--epsilon", "1e-20000000"],
+], ids=["instance-value", "floor", "epsilon"])
+def test_exponent_notation_is_one_error_line(tmp_path, argv):
+    # `Fraction` would expand each into an integer of thousands or millions
+    # of digits: a traceback from the int-to-str limit, or many seconds of work.
+    save_instance(demand_reduction(), tmp_path / "demand-reduction.json")
+    write(tmp_path, {
+        "cost": {"kind": "quadratic", "a": "1"},
+        "firms": [{"scenarios": [{"prob": "1", "marginals": ["1e5000"]}]}],
+    })
+    done = run_bounded(argv, tmp_path)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: not a rational: '1e") and done.stderr.count("\n") == 1
+    assert "exponent notation is not accepted" in done.stderr and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--cap-limit", "3000000"],
+    ["optimize", "--safe-only", "--cap-limit", "3000000"],
+    ["verify", "--which", "unsafe", "--cap-limit", "30000000"],
+])
+def test_a_cap_limit_past_its_bound_is_refused_before_work(demand_reduction_file, tmp_path, argv):
+    command, *options = argv
+    done = run_bounded([command, demand_reduction_file, *options], tmp_path)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        f"resource limit: cap limit {options[-1]} is above the largest allowed, {CAP_LIMIT}\n"
+    )
+
+
+def test_the_largest_cap_limit_is_accepted(demand_reduction_file, capsys):
+    assert main(["verify", demand_reduction_file, "--which", "unsafe",
+                 "--cap-limit", str(CAP_LIMIT)]) == 0
+    assert "[pass] below-safe-price-welfare-gap" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("options, message", [

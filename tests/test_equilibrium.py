@@ -33,7 +33,7 @@ from capauction import (
 )
 from capauction import auction, equilibrium
 from capauction.cli import build_parser, main
-from capauction.model import ERROR_BEYOND, _valuation_violations
+from capauction.model import ERROR_BEYOND, _valuation_violations, costs
 from oracles import (
     bid_levels,
     candidate_reports,
@@ -514,8 +514,8 @@ class TestAgainstDirectOracle:
             ),
             cost=cost_table(1, 2, extension=ERROR_BEYOND),
         )
-        with pytest.raises(ValidationError, match="quantity 4 beyond cost table"):
-            m.cost.cost(4)
+        with pytest.raises(ValidationError, match="quantity 3 beyond cost table"):
+            costs(m.cost, 4)
         params = AuctionParams(2, 0, None, HIGHEST_LOSING)
         report = find_grid_equilibria(m, params, F(1, 3))
         assert (report.searched, len(report.profiles), report.worst_welfare) == (252, 32, F(13, 2))

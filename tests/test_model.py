@@ -12,6 +12,7 @@ from capauction import (
     MarketInstance,
     QuadraticCost,
     ValidationError,
+    costs,
     demand_reduction,
     first_best,
     generate,
@@ -23,8 +24,8 @@ from capauction import (
 )
 from capauction.model import ERROR_BEYOND, REPEAT_LAST
 from oracles import (
-    combined_valuation, cost_table, firm_distribution, mv, point_mass, quadratic, value_of,
-    welfare_of,
+    combined_valuation, cost_of, cost_table, firm_distribution, mv, point_mass, quadratic,
+    value_of, welfare_of,
 )
 
 
@@ -54,6 +55,9 @@ class TestRat:
             rat("one half")
         with pytest.raises(ValidationError):
             rat("1/0")
+        for exponent in ("1e5000", "1E3"):
+            with pytest.raises(ValidationError, match="exponent notation is not accepted"):
+                rat(exponent)
 
     @pytest.mark.parametrize("value", (True, False))
     def test_rejects_booleans(self, value):
@@ -80,12 +84,13 @@ class TestConcavityConvexity:
 
     @given(convex_tables(), st.integers(1, 10))
     def test_costs_convex(self, q, x):
-        assert q.cost(x + 1) - q.cost(x) >= q.cost(x) - q.cost(x - 1)
+        c = costs(q, x + 1)
+        assert c[x + 1] - c[x] >= c[x] - c[x - 1]
 
     @given(st.integers(1, 4), st.integers(1, 10))
     def test_quadratic_convex(self, a, x):
-        q = quadratic(a)
-        assert q.cost(x + 1) - q.cost(x) >= q.cost(x) - q.cost(x - 1)
+        c = costs(quadratic(a), x + 1)
+        assert c[x + 1] - c[x] >= c[x] - c[x - 1]
 
 
 class TestCombinedValuation:
@@ -113,20 +118,20 @@ class TestCombinedValuation:
 
 class TestCost:
     def test_quadratic(self):
-        assert quadratic(1).cost(2) == 4
+        assert costs(quadratic(1), 2) == [0, 1, 4]
 
     def test_zero(self):
-        assert quadratic(3).cost(0) == 0
-        assert cost_table(9, 9).cost(0) == 0
+        assert costs(quadratic(3), 0) == [0]
+        assert costs(cost_table(9, 9), 0) == [0]
 
     def test_repeat_last_extension(self):
-        assert cost_table(9, 9).cost(3) == 27
+        assert costs(cost_table(9, 9), 3) == [0, 9, 18, 27]
 
     def test_error_extension_raises(self):
         q = cost_table(9, 9, extension=ERROR_BEYOND)
-        assert q.cost(2) == 18
-        with pytest.raises(ValidationError):
-            q.cost(3)
+        assert costs(q, 2) == [0, 9, 18]
+        with pytest.raises(ValidationError, match="^quantity 3 beyond cost table of length 2 "):
+            costs(q, 5)
 
     @given(
         st.builds(F, st.integers(1, 9), st.integers(1, 4)).map(QuadraticCost)
@@ -141,17 +146,18 @@ class TestCost:
     )
     def test_costs_tabulates_cost(self, cost, n):
         # One pass gives C(0..n), and the first n marginal costs their
-        # differences, past the table's end too, or the error that `cost`
-        # raises at the first quantity beyond it.
+        # differences, past the table's end too, or the error naming the
+        # first quantity the table lacks.
         try:
-            want = [cost.cost(x) for x in range(n + 1)]
+            want = [cost_of(cost, x) for x in range(n + 1)]
         except ValidationError as exc:
-            for tabulate in (cost.costs, lambda n: list(itertools.islice(cost.marginal_costs(), n))):
+            for tabulate in (lambda n: costs(cost, n),
+                             lambda n: list(itertools.islice(cost.marginal_costs(), n))):
                 with pytest.raises(ValidationError) as got:
                     tabulate(n)
                 assert str(got.value) == str(exc)
         else:
-            assert cost.costs(n) == want
+            assert costs(cost, n) == want
             assert list(itertools.islice(cost.marginal_costs(), n)) == list(map(sub, want[1:], want))
 
 
@@ -183,7 +189,7 @@ class TestWelfare:
             for split in itertools.product(range(x + 1), repeat=len(vs))
             if sum(split) == x
         )
-        assert best == combined_valuation(vs, x) - q.cost(x)
+        assert best == combined_valuation(vs, x) - cost_of(q, x)
 
 
 class TestValidate:

@@ -6,11 +6,11 @@ and cap range, so optimization results are exact rather than approximate.
 The sweeps (`optimize_cap_and_price`, `optimize_safe`) and `evaluate`'s
 expectations, its sell-out probability included, are lookups on the
 integer tables of `auction.Analysis`; the `auction` docstring derives
-the quantity each auction sells. A sweep's `OptResult` holds its winning
-`Candidate`, which has no pricing rule since truthful welfare does not
-depend on one, and every candidate it searched. `evaluate` clears each scenario's
-truthful marginals with `auction.clear_valid`; its welfare is the
-table's entry at the quantity sold.
+the quantity each auction sells. A sweep streams its candidates as keys
+(`sweep_keys`, `safe_keys`) and keeps only the largest, its `OptResult`'s
+winning `Candidate` (no pricing rule: truthful welfare depends on none).
+`evaluate` clears each scenario's truthful marginals with
+`auction.clear_valid`; its welfare is the table's entry at the quantity sold.
 
 Where code lives: run without cached bytecode (`PYTHONDONTWRITEBYTECODE`),
 each process compiles every module it imports from source. This module
@@ -27,15 +27,17 @@ live in `bounds`, which only `verify` loads.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
-from operator import add, attrgetter, getitem
+from itertools import count
+from operator import add, getitem, itemgetter
 from typing import NamedTuple
 
 from .auction import (
     LOWEST_WINNING, PRICING_RULES, Analysis, AuctionParams, _per_scenario, add_common_arguments,
-    clear_valid,
+    clear_valid, parse_cap,
 )
-from .io import display, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
+from .io import display, load_instance, parse_ceiling, rational_cells, write_report
 from .model import ZERO, MarketInstance, ValidationError, rat
 
 
@@ -47,33 +49,20 @@ class Candidate(NamedTuple):
 
 
 class OptResult(NamedTuple):
-    """A sweep's best candidate and every candidate it searched, in order."""
+    """A sweep's best candidate and the number of candidates it searched."""
 
     winner: Candidate
-    table: tuple[Candidate, ...]
-
-    @property
-    def searched(self) -> int:
-        return len(self.table)
+    searched: int
 
 
-def optimize_cap_and_price(analysis: Analysis, allow_ceiling: bool = True) -> OptResult:
-    """Exhaustive exact search for the welfare-best cap and price band.
-
-    The price grid is welfare-exhaustive (see price_candidates), and a
-    sentinel cap one above the search bound stands in for every larger cap,
-    so the reported maximum is the true optimum over all parameter choices,
-    not a discretization of it. Candidates come cap by cap, floors
-    ascending, each floor's no-ceiling candidate before its ceilings.
-    The maximum has the largest welfare; ties prefer the smaller cap, then
-    the larger floor, then the larger ceiling (no ceiling counts as the
-    largest). Candidates are compared as integer welfare numerators over
-    the common denominator, with grid indices standing in for prices.
-    Where neither the cap nor the ceiling binds in any scenario, a
-    candidate reuses the numerator of the one it sells the same as.
-    """
-    if isinstance(analysis, MarketInstance):  # callers holding only an instance get the defaults
-        analysis = Analysis(analysis)
+def sweep_keys(analysis: Analysis, allow_ceiling: bool = True) -> Iterator[tuple]:
+    """The cap-and-price candidates as keys (welfare numerator over
+    `analysis._den`, -cap, floor index, ceiling index; `len(grid)` is no
+    ceiling): cap by cap, floors ascending, each floor's no-ceiling one
+    first. The keys are distinct and rank as the search does: the largest
+    welfare, then the smaller cap, the larger floor, the larger ceiling
+    (none the largest). Where neither cap nor ceiling binds in any scenario,
+    a candidate reuses the numerator of the one it sells the same as."""
     grid = analysis.grid
     analysis._tabulate(None if allow_ceiling else analysis.cap_limit + 1)
     nums = analysis._nums
@@ -83,7 +72,6 @@ def optimize_cap_and_price(analysis: Analysis, allow_ceiling: bool = True) -> Op
     most = [max(at_price, default=0) for at_price in demands]
     uncapped: dict[int, int] = {}  # floor index -> its numerator with no binding cap
     top = len(grid)  # the ceiling index of "no ceiling"
-    found = []  # (welfare numerator, -cap, floor index, ceiling index)
     for cap in range(1, analysis.cap_limit + 2):  # cap_limit + 1 is the sentinel
         # A ceiling with D_s(ceiling) <= cap in every scenario sells what the
         # capped floor alone sells; so does every higher ceiling.
@@ -100,32 +88,46 @@ def optimize_cap_and_price(analysis: Analysis, allow_ceiling: bool = True) -> Op
             else:
                 capped = [d if d < cap else cap for d in at_floor]
                 num = sum(map(getitem, nums, capped))
-            found.append((num, -cap, i, top))
+            yield num, -cap, i, top
             if allow_ceiling:
                 for j in range(i + 1, free):
                     sold = [c if c >= cap else q for c, q in zip(demands[j], capped)]
-                    found.append((sum(map(getitem, nums, sold)), -cap, i, j))
-                found.extend((num, -cap, i, j) for j in range(max(i + 1, free), top))
-    den = analysis._den
-    welfare = {num: Fraction(num, den) for num in {num for num, _, _, _ in found}}
-    table = tuple(
-        Candidate(-cap, grid[i], None if j == top else grid[j], welfare[num])
-        for num, cap, i, j in found
-    )
-    return OptResult(table[found.index(max(found))], table)
+                    yield sum(map(getitem, nums, sold)), -cap, i, j
+                for j in range(max(i + 1, free), top):
+                    yield num, -cap, i, j
+
+
+def optimize_cap_and_price(analysis: Analysis, allow_ceiling: bool = True) -> OptResult:
+    """Exhaustive exact search for the welfare-best cap and price band, the
+    largest of `sweep_keys`; it keeps no other.
+
+    The price grid is welfare-exhaustive (see price_candidates), and a
+    sentinel cap one above the search bound stands in for every larger cap,
+    so the reported maximum is the true optimum over all parameter choices,
+    not a discretization of it.
+    """
+    if isinstance(analysis, MarketInstance):  # callers holding only an instance get the defaults
+        analysis = Analysis(analysis)
+    walked = count()  # zip draws one number per key, so next(walked) counts them
+    num, cap, i, j = max(map(itemgetter(0), zip(sweep_keys(analysis, allow_ceiling), walked)))
+    prices = (*analysis.grid, None)  # the last index is no ceiling
+    winner = Candidate(-cap, prices[i], prices[j], Fraction(num, analysis._den))
+    return OptResult(winner, next(walked))
+
+
+def safe_keys(analysis: Analysis) -> Iterator[tuple[Fraction, int]]:
+    """(expected welfare, -cap) of the safe-price auction at every cap up
+    to the cap limit, caps ascending."""
+    analysis._costs(analysis.cap_limit)  # once, not growing cap by cap
+    analysis._tabulate(analysis.cap_limit)
+    return ((analysis.safe_welfare(cap), -cap) for cap in range(1, analysis.cap_limit + 1))
 
 
 def optimize_safe(analysis: Analysis) -> OptResult:
     """Best safe-price auction: argmax over caps with floor pinned to the
-    average cost of the cap."""
-    analysis._costs(analysis.cap_limit)  # once, not growing cap by cap
-    analysis._tabulate(analysis.cap_limit)
-    table = tuple(
-        Candidate(cap, analysis.safe_price(cap), None, analysis.safe_welfare(cap))
-        for cap in range(1, analysis.cap_limit + 1)
-    )
-    best = max(table, key=attrgetter("expected_welfare"))  # ties keep the smaller cap
-    return OptResult(best, table)
+    average cost of the cap; ties keep the smaller cap."""
+    welfare, cap = max(safe_keys(analysis))
+    return OptResult(Candidate(-cap, analysis.safe_price(-cap), None, welfare), analysis.cap_limit)
 
 
 def add_arguments(parser, name: str) -> None:
@@ -196,15 +198,20 @@ def cmd_evaluate(args) -> int:
 
 def cmd_optimize(args) -> int:
     """`capauction optimize`: search the best cap and price band, or the
-    best safe-price auction."""
+    best safe-price auction; --out walks the sweep's keys again."""
     instance = load_instance(args.instance)
     analysis = Analysis(instance, args.scenario_limit, args.cap_limit)
     if args.safe_only:
         result = optimize_safe(analysis)
         kind = "best safe-price auction"
+        rows = (
+            [str(-cap), *rational_cells(analysis.safe_price(-cap)), "inf", "inf", *rational_cells(w)]
+            for w, cap in safe_keys(analysis)
+        )
     else:
         result = optimize_cap_and_price(analysis, allow_ceiling=not args.no_ceiling)
         kind = "best cap-and-price auction"
+        rows = _sweep_rows(analysis, allow_ceiling=not args.no_ceiling)
     best = result.winner
     print(f"instance: {instance.label or args.instance}")
     print(f"{kind} over {result.searched} candidates:")
@@ -213,23 +220,16 @@ def cmd_optimize(args) -> int:
     print(f"  ceiling: {display(best.ceiling)}")
     print(f"  expected welfare: {display(best.expected_welfare)}")
     header = ["cap", "floor", "floor_dec", "ceiling", "ceiling_dec", "welfare", "welfare_dec"]
-    # A table has few distinct floors, ceilings and welfares: each is
-    # formatted once, keyed by its value (not its grid position, since
-    # --safe-only floors are off the grid).
-    formatted: dict[tuple[int, int], list[str]] = {}
-
-    def cells(value: Fraction | None) -> list[str]:
-        if value is None:
-            return rational_cells(None)
-        key = value.numerator, value.denominator
-        got = formatted.get(key)
-        if got is None:
-            got = formatted[key] = rational_cells(value)
-        return got
-
-    rows = (
-        [str(cand.cap), *cells(cand.floor), *cells(cand.ceiling), *cells(cand.expected_welfare)]
-        for cand in result.table
-    )
     write_report(args.out, header, rows)
     return 0
+
+
+def _sweep_rows(analysis: Analysis, allow_ceiling: bool) -> Iterator[list[str]]:
+    """The CSV rows of `sweep_keys`, each distinct price (by grid index; the
+    last is no ceiling) and welfare (by numerator) formatted once."""
+    prices = [*map(rational_cells, analysis.grid), rational_cells(None)]
+    welfares: dict[int, list[str]] = {}
+    for num, cap, i, j in sweep_keys(analysis, allow_ceiling):
+        if num not in welfares:
+            welfares[num] = rational_cells(Fraction(num, analysis._den))
+        yield [str(-cap), *prices[i], *prices[j], *welfares[num]]

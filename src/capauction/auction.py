@@ -28,7 +28,7 @@ integer encoding (`_integers`, `_scaled`); `Analysis`, `analysis`,
 `bounds` and the equilibrium search fold scenarios and encode rationals
 only through them. `Analysis` is the one truthful path per instance. It
 checks the scenario count against its limit, and a given cap limit
-against `CAP_LIMIT`, before any other work, then
+against `CAP_LIMIT` (as `parse_cap` does a --cap), before any other work, then
 builds its integer tables straight from the firm types (or the joint
 rows): D_s, p_s * W_s(q) and each cap's safe price, the last two read
 from one `model.costs` table of C(0..n) kept across calls. The sweeps,
@@ -42,10 +42,10 @@ weights and cost list from them.
 Where code lives: run without cached bytecode (`PYTHONDONTWRITEBYTECODE`),
 each process compiles every module it imports from source. Every
 subcommand but `examples` and `generate` clears or reads these tables,
-so the rule, the tables, the scenario and cap limits and the two
-options those four subcommands share (`add_common_arguments`: --out
-and --scenario-limit) are here; `examples` and `generate` processes never
-load this module. The sweeps and the `optimize` and `evaluate` handlers
+so the rule, the tables, the scenario and cap limits, `parse_cap` and
+the two options those four subcommands share (`add_common_arguments`:
+--out and --scenario-limit) are here; `examples` and `generate` processes
+never load this module. The sweeps and the `optimize` and `evaluate` handlers
 are in `analysis`, which an `equilibrium` process does not load.
 """
 
@@ -176,10 +176,10 @@ def price_candidates(instance: MarketInstance) -> tuple[Fraction, ...]:
 
 
 DEFAULT_SCENARIO_LIMIT = 100_000
-# The largest --cap-limit, refused before any table is built: a sweep
-# builds candidates cap by cap, and the unsafe scan tabulates the cost that
-# far. At this limit, on demand-reduction, `verify --which unsafe` takes
-# about 0.5 s and `optimize` about 2 s and 360 MB (2 vCPU, Python 3.11).
+# The largest --cap-limit and --cap, refused before any table is built: a
+# sweep walks caps one by one, and the unsafe scan and the safe price tabulate
+# the cost that far. At this limit, on demand-reduction, `verify --which
+# unsafe` takes about 0.5 s and `optimize` 0.55 s and 15 MB (2 vCPU, Python 3.11).
 CAP_LIMIT = 100_000
 
 
@@ -187,6 +187,19 @@ def add_common_arguments(parser) -> None:
     """Declare the options of every subcommand that reads an instance's scenarios."""
     parser.add_argument("--out", help="write the CSV report here")
     parser.add_argument("--scenario-limit", type=int, default=DEFAULT_SCENARIO_LIMIT)
+
+
+def parse_cap(text: str) -> int | None:
+    """A --cap value: an integer up to CAP_LIMIT, or 'unbounded'/'inf' for no cap."""
+    if text in ("unbounded", "inf"):
+        return None
+    try:
+        cap = int(text)
+    except ValueError:
+        raise ValidationError(f"cap must be an integer or 'unbounded', got {text!r}") from None
+    if cap > CAP_LIMIT:
+        raise TooLargeError(f"cap {cap} is above the largest allowed, {CAP_LIMIT}")
+    return cap
 
 
 def _factors(instance: MarketInstance) -> tuple:

@@ -32,8 +32,8 @@ from itertools import takewhile
 from operator import mul, sub
 from typing import NamedTuple
 
-from .auction import Analysis, AuctionParams, _integers, _per_scenario, add_common_arguments
-from .io import display, load_instance, parse_cap, parse_ceiling, rational_cells, write_report
+from .auction import Analysis, AuctionParams, _integers, _per_scenario, add_common_arguments, parse_cap
+from .io import display, load_instance, parse_ceiling, rational_cells, write_report
 from .model import ZERO, CostCurve, Valuation, ValidationError, costs, rat
 
 CHECKED = "checked"
@@ -96,17 +96,14 @@ def demand_quantile_cap(analysis: Analysis, floor: Fraction) -> int:
     floor. Returns 0 when even one license is too rarely demanded.
     """
     threshold = one_minus_inv_e()
-    # tail = Pr[d >= c] * _weight, scanning demands from the top down.
-    best = 0
+    # tail = Pr[d >= c] * _weight, scanning demands from the top down: the
+    # first to reach the threshold is the largest c with Pr[d >= c] >= it.
     tail = 0
     for demand, weight in sorted(zip(analysis.demand(floor), analysis._probs), reverse=True):
         tail += weight
         if Fraction(tail, analysis._weight) >= threshold:
-            best = demand
-            # Larger demands had tail < threshold; this is the largest c
-            # with Pr[d >= c] >= threshold.
-            break
-    return best
+            return demand
+    return 0
 
 
 def best_own_quantity(valuation: Valuation, cost: CostCurve) -> tuple[int, Fraction]:

@@ -59,9 +59,9 @@ from typing import NamedTuple
 
 from .auction import (
     HIGHEST_LOSING, PRICING_RULES, Analysis, AuctionParams,
-    _demand, _integers, _per_scenario, _scaled, add_common_arguments, clear_valid,
+    _demand, _integers, _per_scenario, _scaled, add_common_arguments, clear_valid, parse_cap,
 )
-from .io import display, load_instance, parse_cap, rational_cells, write_report
+from .io import display, load_instance, rational_cells, write_report
 from .model import ZERO, MarketInstance, TooLargeError, Valuation, ValidationError, rat
 
 # Imported constant-factor guarantee for uniform-price equilibria: worst

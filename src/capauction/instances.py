@@ -89,12 +89,12 @@ def first_best(n: int, horizon: int | None = None) -> MarketInstance:
     past the largest scenario's cost intercept (default 2^(n+1)) so the
     marginal list stays finite without changing any welfare figure.
     """
+    # 2^(n+1) is cut where the answer is known: past the limit's bit length the
+    # count check fails, and a given horizon's bit length decides horizon < 2^(n+1).
     if horizon is None:
-        horizon = 2 ** (n + 1)
-    elif n >= 1 and horizon < 2 ** (n + 1):  # n < 1 is scale_weight's error
-        raise ValidationError(
-            f"horizon {horizon} cuts into the largest scenario's surplus range"
-        )
+        horizon = 2 ** min(n + 1, MARGINAL_LIMIT.bit_length())
+    elif n >= 1 and horizon < 2 ** min(n + 1, horizon.bit_length()):  # n < 1: scale_weight's error
+        raise ValidationError(f"horizon {horizon} cuts into the largest scenario's surplus range")
     return _doubling(n, lambda i: horizon, f"first-best-{n}")
 
 

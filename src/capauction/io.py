@@ -4,10 +4,10 @@ Instance files are human-editable JSON with every number written as an
 exact rational string ("p/q" or an integer literal). Reports are CSV with
 each rational emitted twice: exact "p/q" (lossless, reparses to the same
 Fraction) and a 12-place decimal for reading. The helpers the
-subcommands' handlers share (`parse_cap`, `parse_ceiling`, `display`,
-`write_report`) live here rather than in `cli`: `python -m
-capauction.cli` runs `cli` as `__main__`, so a handler importing from
-`capauction.cli` would compile it a second time.
+subcommands' handlers share (`parse_ceiling`, `display`, `write_report`)
+live here rather than in `cli`: `python -m capauction.cli` runs `cli` as
+`__main__`, so a handler importing from `capauction.cli` would compile it
+a second time.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def dumps_instance(instance: MarketInstance) -> str:
 def loads_instance(text: str) -> MarketInstance:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, digit limit, deep nesting
         raise ValidationError(f"instance file is not valid JSON: {exc}") from None
     return instance_from_obj(obj)
 
@@ -165,16 +165,6 @@ def load_instance(path: str | Path) -> MarketInstance:
     instance = loads_instance(text)
     require_valid(instance)
     return instance
-
-
-def parse_cap(text: str) -> int | None:
-    """A --cap value: an integer, or 'unbounded'/'inf' for no cap."""
-    if text in ("unbounded", "inf"):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise ValidationError(f"cap must be an integer or 'unbounded', got {text!r}")
 
 
 def parse_ceiling(text: str | None) -> Fraction | None:

@@ -27,7 +27,7 @@ from capauction import (
     single_buyer_expected,
     verify_ceiling_removal,
 )
-from capauction.analysis import Candidate
+from capauction.analysis import Candidate, safe_keys, sweep_keys
 from capauction.auction import _demand
 from oracles import (
     CountedEntries,
@@ -46,6 +46,22 @@ from oracles import (
 )
 
 BETA5 = scale_weight(5)
+
+
+def sweep_rows(analysis, allow_ceiling=True):
+    """Every candidate of the cap-and-price sweep, in search order, read off its keys."""
+    grid = analysis.grid
+    return tuple(
+        Candidate(-cap, grid[i], grid[j] if j < len(grid) else None, F(num, analysis._den))
+        for num, cap, i, j in sweep_keys(analysis, allow_ceiling)
+    )
+
+
+def safe_rows(analysis):
+    """Every candidate of the safe-price sweep, caps ascending."""
+    return tuple(
+        Candidate(-cap, analysis.safe_price(-cap), None, w) for w, cap in safe_keys(analysis)
+    )
 
 
 def two_scenario_firm():
@@ -165,11 +181,11 @@ class TestOptimize:
             assert opt.winner.expected_welfare >= 0
 
     def test_table_covers_search(self):
-        opt = optimize_cap_and_price(Analysis(demand_reduction()), allow_ceiling=False)
-        assert len(opt.table) == opt.searched
-        assert all(
-            opt.winner.expected_welfare >= cand.expected_welfare for cand in opt.table
-        )
+        analysis = Analysis(demand_reduction())
+        opt = optimize_cap_and_price(analysis, allow_ceiling=False)
+        rows = sweep_rows(analysis, allow_ceiling=False)
+        assert len(rows) == opt.searched
+        assert all(opt.winner.expected_welfare >= cand.expected_welfare for cand in rows)
 
 
 class TestOptimizeSafe:
@@ -434,7 +450,8 @@ class TestWelfareKernel:
                 (1, 0) if c.ceiling is None else (0, c.ceiling),
             ))
             opt = optimize_cap_and_price(analysis, allow_ceiling=allow_ceiling)
-            assert opt.table == tuple(rows), m.label
+            assert sweep_rows(analysis, allow_ceiling) == tuple(rows), m.label
+            assert opt.searched == len(rows)
             assert opt.winner == best
 
     def test_safe_sweeps_match_oracle(self):
@@ -444,9 +461,10 @@ class TestWelfareKernel:
             safe = [make_safe_auction(c, m.cost) for c in range(1, cap_limit + 1)]
             welfares = [expected_welfare(analysis, p) for p in safe]
             result = optimize_safe(analysis)
-            assert [(c.cap, c.floor, c.expected_welfare) for c in result.table] == [
+            assert [(c.cap, c.floor, c.expected_welfare) for c in safe_rows(analysis)] == [
                 (p.cap, p.floor, w) for p, w in zip(safe, welfares)
             ]
+            assert result.searched == len(safe)
             best = welfares.index(max(welfares))  # ties keep the smaller cap
             assert result.winner == Candidate(safe[best].cap, safe[best].floor, None, welfares[best])
 
@@ -591,11 +609,14 @@ class TestIntegerTables:
     @settings(max_examples=150, deadline=None)
     def test_every_sweep_row_matches_welfare(self, m, below_demand, allow_ceiling):
         cap_limit = max(1, Analysis(m).max_demand - below_demand)
-        opt = optimize_cap_and_price(Analysis(m, cap_limit=cap_limit), allow_ceiling)
+        analysis = Analysis(m, cap_limit=cap_limit)
+        opt = optimize_cap_and_price(analysis, allow_ceiling)
+        rows = sweep_rows(analysis, allow_ceiling)
+        assert len(rows) == opt.searched
         oracle = Analysis(m, cap_limit=cap_limit)
-        for cand in opt.table:
+        for cand in rows:
             assert cand.expected_welfare == oracle.welfare(cand.cap, cand.floor, cand.ceiling)
-        assert opt.winner.expected_welfare == max(c.expected_welfare for c in opt.table)
+        assert opt.winner.expected_welfare == max(c.expected_welfare for c in rows)
 
     def test_sweep_reuses_rows_where_nothing_binds(self):
         # generate(3): the sentinel cap and the high ceilings bind nowhere,
@@ -603,14 +624,14 @@ class TestIntegerTables:
         m = generate(3)
         for cap_limit in (None, 1):
             analysis = Analysis(m, cap_limit=cap_limit)
-            opt = optimize_cap_and_price(analysis)
+            rows = sweep_rows(analysis)
             free = [
-                c for c in opt.table
+                c for c in rows
                 if c.ceiling is not None and max(analysis.demand(c.ceiling)) <= c.cap
             ]
-            assert free and len(free) < len(opt.table)
+            assert free and len(free) < len(rows)
             oracle = Analysis(m, cap_limit=cap_limit)
-            for cand in opt.table:
+            for cand in rows:
                 assert cand.expected_welfare == expected_welfare(
                     oracle, AuctionParams(cand.cap, cand.floor, cand.ceiling)
                 )

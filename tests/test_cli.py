@@ -151,11 +151,12 @@ def test_cap_limit_below_one_is_rejected(demand_reduction_file, capsys, argv):
     assert err.startswith("error: cap limit must be at least 1")
 
 
-def run_bounded(argv: list[str], cwd) -> subprocess.CompletedProcess:
-    """A `python -m capauction.cli` process held to 1.5 GB of address space
-    and 20 s, so that a guard that fails costs a failed test, not the machine."""
+def run_bounded(argv: list[str], cwd, memory: int = 3 << 29) -> subprocess.CompletedProcess:
+    """A `python -m capauction.cli` process held to `memory` bytes of address
+    space (1.5 GB) and 20 s, so that a guard that fails costs a failed test,
+    not the machine."""
     def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
 
     return subprocess.run([sys.executable, "-m", "capauction.cli", *argv], env=ENV, cwd=cwd,
                           capture_output=True, text=True, timeout=20, preexec_fn=limit_memory)
@@ -181,17 +182,36 @@ def test_exponent_notation_is_one_error_line(tmp_path, argv):
     assert "exponent notation is not accepted" in done.stderr and "Traceback" not in done.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ["optimize", "--cap-limit", "3000000"],
-    ["optimize", "--safe-only", "--cap-limit", "3000000"],
-    ["verify", "--which", "unsafe", "--cap-limit", "30000000"],
+@pytest.mark.parametrize("argv, refused", [
+    (["optimize", "--cap-limit", "3000000"], "cap limit 3000000"),
+    (["optimize", "--safe-only", "--cap-limit", "3000000"], "cap limit 3000000"),
+    (["verify", "--which", "unsafe", "--cap-limit", "30000000"], "cap limit 30000000"),
+    # The safe price would tabulate C(0..cap) first.
+    (["equilibrium", "--cap", "3000000", "--floor", "9"], "cap 3000000"),
+    (["verify", "--which", "decomp", "--cap", "3000000"], "cap 3000000"),
 ])
-def test_a_cap_limit_past_its_bound_is_refused_before_work(demand_reduction_file, tmp_path, argv):
+def test_a_cap_limit_past_its_bound_is_refused_before_work(
+    demand_reduction_file, tmp_path, argv, refused
+):
     command, *options = argv
     done = run_bounded([command, demand_reduction_file, *options], tmp_path)
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == (
-        f"resource limit: cap limit {options[-1]} is above the largest allowed, {CAP_LIMIT}\n"
+    assert done.stderr == f"resource limit: {refused} is above the largest allowed, {CAP_LIMIT}\n"
+
+
+def test_the_largest_cap_limit_sweeps_in_little_memory(demand_reduction_file, tmp_path):
+    # The sweep keeps only its running maximum: 1,500,015 candidates in
+    # 128 MB of address space, the winner the same as at any smaller limit.
+    done = run_bounded(["optimize", demand_reduction_file, "--cap-limit", str(CAP_LIMIT)],
+                       tmp_path, memory=128 << 20)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (
+        "instance: demand-reduction\n"
+        "best cap-and-price auction over 1500015 candidates:\n"
+        "  cap: 1\n"
+        "  floor: 6 (6.000000000000)\n"
+        "  ceiling: 10 (10.000000000000)\n"
+        "  expected welfare: 2 (2.000000000000)\n"
     )
 
 
@@ -242,6 +262,19 @@ def test_examples_rejects_horizon_except_for_first_best(tmp_path, capsys):
     assert main(["examples", "logscale", "-n", "3", "--horizon", "10", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: logscale takes no horizon; only first-best does\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("options, code, message", [
+    ([], 2, "resource limit: first-best-10000000000 would hold more than 1000000 marginal values"),
+    (["--horizon", "5"], 1, "error: horizon 5 cuts into the largest scenario's surplus range"),
+], ids=["default", "given"])
+def test_a_horizon_is_checked_without_building_2_to_the_n(tmp_path, options, code, message):
+    # 2^(n+1), the default horizon and the least one allowed, would be an
+    # integer of 10^10 bits.
+    done = run_bounded(["examples", "first-best", "-n", "10000000000", *options,
+                        "--out", "x.json"], tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (code, "", message + "\n")
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_instances_past_the_marginal_limit_are_refused_before_they_are_built():

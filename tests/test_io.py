@@ -43,6 +43,11 @@ MALFORMED = {
                      "firms": [{"scenarios": [{"prob": {"p": 1}, "marginals": ["9"]}]}]},
                     "not a rational: {'p': 1} (got dict)"),
     "not-json": ('{"cost": ', "instance file is not valid JSON"),
+    # Past Python's 4,300-digit int limit, and past its recursion limit.
+    "huge-integer": ('{"cost": {"kind": "quadratic", "a": "1"}, "firms": [{"scenarios": '
+                     '[{"prob": "1", "marginals": [' + "9" * 5001 + ']}]}]}',
+                     "instance file is not valid JSON: Exceeds the limit"),
+    "deep-nesting": ("[" * 100_000, "instance file is not valid JSON: maximum recursion depth"),
     "unreadable": (None, "cannot read instance file"),
     "top-level-array": ([FIRM], "instance: expected a JSON object"),
     "cost-without-kind": ({"cost": {"a": "1"}, "firms": [FIRM]},

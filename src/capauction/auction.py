@@ -255,7 +255,7 @@ class Analysis:
     type's positive marginals and probability are encoded once (`_weights`
     keeps each factor's lcm and type weights), and `_per_scenario` combines
     them per scenario. Per scenario it keeps the
-    ascending positive pooled marginals (for D_s, memoized per price) and,
+    ascending positive pooled marginals (for D_s) and,
     once a sweep asks for them, p_s * W_s(q) for every quantity q the sweep
     can sell, so a candidate costs one demand lookup and one integer sum
     per scenario.
@@ -290,7 +290,6 @@ class Analysis:
         )]
         self.max_demand = max(map(len, self._pools), default=0)
         self.cap_limit = max(1, self.max_demand) if cap_limit is None else cap_limit
-        self._demands: dict[Fraction, list[int]] = {}
         self._known_costs: list[Fraction] = []  # C(0), C(1), ... as far as tabulated
         self._reach = -1  # rows cover quantities up to min(len(pool), _reach)
         self._nums: list[list[int]] = []
@@ -298,15 +297,11 @@ class Analysis:
         self._den = 1
 
     def demand(self, price: Fraction) -> list[int]:
-        """D_s(price) for every scenario, memoized per price."""
-        demands = self._demands.get(price)
-        if demands is None:
-            # v / scale >= price iff v >= ceil(price * scale) for integer v; the
-            # pools hold positive marginals only, so a price <= 0 counts them all.
-            least = math.ceil(price * self._scale)
-            demands = [len(pool) - bisect_left(pool, least) for pool in self._pools]
-            self._demands[price] = demands
-        return demands
+        """D_s(price) for every scenario."""
+        # v / scale >= price iff v >= ceil(price * scale) for integer v; the
+        # pools hold positive marginals only, so a price <= 0 counts them all.
+        least = math.ceil(price * self._scale)
+        return [len(pool) - bisect_left(pool, least) for pool in self._pools]
 
     def _costs(self, n: int) -> list[Fraction]:
         """C(0), C(1), ... at least up to C(n), kept across calls and

@@ -8,10 +8,10 @@ not-applicable or degenerate check. Checks never raise on a failed
 inequality; a failure is a finding.
 
 Every certificate reads `auction.Analysis` (its integer welfare rows, cost
-list, demand memo, probability weights, sell-out probabilities, safe
-prices and cached no-ceiling and safe-price optima), never a scenario
-cleared again; `verify_decomposition_bounds` splits the welfare into its
-three terms on those rows. The price-gap certificates (`verify_price_gap`,
+list, probability weights, sell-out probabilities, safe prices and cached
+no-ceiling and safe-price optima), never a scenario cleared again;
+`verify_decomposition_bounds` splits the welfare into its three terms on
+those rows. The price-gap certificates (`verify_price_gap`,
 `worst_price_gap`) read only the cost curve, through `model.costs`.
 
 Only `verify` loads this module, so it also holds the helpers that only

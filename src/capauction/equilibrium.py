@@ -456,6 +456,8 @@ def cmd_equilibrium(args) -> int:
     params = AuctionParams(cap=cap, floor=rat(args.floor), ceiling=None, pricing=args.pricing)
     epsilon = _checked_epsilon(args.epsilon, args.profile_limit)
     analysis = Analysis(instance, args.scenario_limit)
+    # A cost curve undefined at the cap fails here, before anything is printed.
+    safe = analysis.safe_price(cap)
     report = find_grid_equilibria(
         analysis,
         params,
@@ -468,7 +470,7 @@ def cmd_equilibrium(args) -> int:
     print(f"equilibria found: {len(report._found)}")
     if report.worst_welfare is not None:
         print(f"worst equilibrium welfare: {display(report.worst_welfare)}")
-    if params.floor == analysis.safe_price(cap):
+    if params.floor == safe:
         poa = check_poa_bound(analysis, report)
         print(f"safe-price baseline welfare: {display(poa.baseline)}")
         print(f"welfare floor (baseline/3.15): {display(poa.bound)}")

@@ -96,9 +96,9 @@ class QuadraticCost(NamedTuple):
         """C(1) - C(0), C(2) - C(1), ..., without end."""
         return (self.a * (2 * x - 1) for x in count(1))
 
-    def violations(self, where: str = "cost") -> list[str]:
+    def violations(self) -> list[str]:
         if self.a <= 0:
-            return [f"{where}: quadratic coefficient must be positive, got {self.a}"]
+            return [f"cost: quadratic coefficient must be positive, got {self.a}"]
         return []
 
 
@@ -124,15 +124,15 @@ class MarginalCostTable(NamedTuple):
             )
         yield from repeat(self.marginals[-1] if self.marginals else ZERO)
 
-    def violations(self, where: str = "cost") -> list[str]:
+    def violations(self) -> list[str]:
         out = []
         for j, v in enumerate(self.marginals):
             if v < 0:
-                out.append(f"{where}.marginals[{j}]: negative marginal cost {v}")
+                out.append(f"cost.marginals[{j}]: negative marginal cost {v}")
             if j > 0 and v < self.marginals[j - 1]:
-                out.append(f"{where}.marginals: not non-decreasing at index {j} (convexity)")
+                out.append(f"cost.marginals: not non-decreasing at index {j} (convexity)")
         if self.extension not in (REPEAT_LAST, ERROR_BEYOND):
-            out.append(f"{where}: unknown extension policy {self.extension!r}")
+            out.append(f"cost: unknown extension policy {self.extension!r}")
         return out
 
 
@@ -166,7 +166,7 @@ def validate(instance: MarketInstance) -> list[str]:
     out = []
     if instance.joint is None and not instance.firms:
         out.append("instance: at least one firm is required")
-    out.extend(instance.cost.violations("cost"))
+    out.extend(instance.cost.violations())
     for i, firm in enumerate(instance.firms):
         if not firm:
             out.append(f"firms[{i}]: no scenarios")

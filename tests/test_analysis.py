@@ -570,10 +570,15 @@ class TestIntegerTables:
         assert [F(w, analysis._weight) for w in analysis._probs] == [r.probability for r in rows]
         assert [[F(v, analysis._scale) for v in pool] for pool in analysis._pools] == pools
         assert analysis.max_demand == max(map(len, pools), default=0)
-        for price in analysis.grid:
+        grid = analysis.grid
+        # Off the grid too: the safe prices C(k)/k the safe sweep reads, the
+        # midpoints between grid prices, and prices below and above the grid.
+        safe = [cost_of(m.cost, k) / k for k in range(1, analysis.max_demand + 2)]
+        midpoints = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+        for price in [*grid, *safe, *midpoints, F(-1), grid[-1] + 1]:
             assert analysis.demand(price) == [
                 sum(1 for v in pool if v >= price) for pool in pools
-            ]
+            ], price
 
     @given(m=markets(), limit=st.integers(-2, 30))
     @settings(max_examples=100, deadline=None)

@@ -118,11 +118,20 @@ def test_short_cost_table_with_ceilings_fails(tmp_path, capsys):
     assert err.startswith("error: quantity ") and "beyond cost table" in err
 
 
-def test_short_cost_table_fails_before_the_equilibrium_search(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("market, floor", [
     # A search may sell up to the cap, 3, which the table does not cover.
-    path = write(tmp_path, SHORT_COST_TABLE)
+    (SHORT_COST_TABLE, "100"),
+    # No demand reaches the cap, so only the safe price C(3)/3 reads past
+    # the table.
+    ({"cost": SHORT_COST_TABLE["cost"],
+      "firms": [{"scenarios": [{"prob": "1", "marginals": ["5", "4"]}]}]}, "1"),
+], ids=["demand-past-table", "cap-past-table"])
+def test_short_cost_table_fails_before_the_equilibrium_search(
+    tmp_path, capsys, monkeypatch, market, floor
+):
+    path = write(tmp_path, market)
     monkeypatch.setattr(equilibrium._GridGame, "candidates", None)  # must not be reached
-    assert main(["equilibrium", path, "--cap", "3", "--floor", "100"]) == 1
+    assert main(["equilibrium", path, "--cap", "3", "--floor", floor]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: quantity 3 beyond cost table of length 2")
@@ -213,6 +222,31 @@ def test_the_largest_cap_limit_sweeps_in_little_memory(demand_reduction_file, tm
         "  ceiling: 10 (10.000000000000)\n"
         "  expected welfare: 2 (2.000000000000)\n"
     )
+
+
+@pytest.mark.parametrize("argv, printed", [
+    (["optimize", "--safe-only"],
+     "best safe-price auction over 5000 candidates:\n"
+     "  cap: 4\n"
+     "  floor: 4 (4.000000000000)\n"
+     "  ceiling: inf\n"
+     "  expected welfare: 38669/1932 (20.015010351967)\n"),
+    (["verify", "--which", "thmq"],
+     "[pass] safe-within-sellout-factor (checked): lhs 6272305145/78224748 (80.183130088192)"
+     " vs rhs 9082/441 (20.594104308390),"
+     " margin 97888067029/1642719708 (59.589025779802)\n"),
+], ids=["optimize", "verify"])
+def test_a_safe_sweep_keeps_no_demands_per_cap(tmp_path, capsys, argv, printed):
+    # Each of the 5,000 caps has its own safe price; the demands of 1,000
+    # scenarios kept per price would not fit in 48 MB of address space.
+    path = tmp_path / "random.json"
+    save_instance(generate(0, firms=3, scenarios_per_firm=10), path)
+    command, *options = argv
+    argv = [command, str(path), *options, "--cap-limit", "5000"]
+    done = run_bounded(argv, tmp_path, memory=48 << 20)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out == "instance: random-0\n" + printed
 
 
 def test_the_largest_cap_limit_is_accepted(demand_reduction_file, capsys):

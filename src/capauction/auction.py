@@ -59,7 +59,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import add, getitem, mul
 
-from .model import ZERO, MarketInstance, TooLargeError, ValidationError, costs, rat
+from .model import ZERO, MarketInstance, TooLargeError, ValidationError, at_least_one, costs, rat
 
 LOWEST_WINNING = "lowest-winning"
 HIGHEST_LOSING = "highest-losing"
@@ -233,10 +233,17 @@ def _integers(values, base: int = 1) -> tuple[int, list[int]]:
     return scale, _scaled(values, scale)
 
 
+def check_cap_limit(cap_limit: int | None) -> None:
+    """Refuse a given cap limit below 1 or above `CAP_LIMIT`."""
+    if cap_limit is not None:
+        at_least_one(cap_limit, "cap limit")
+        if cap_limit > CAP_LIMIT:
+            raise TooLargeError(f"cap limit {cap_limit} is above the largest allowed, {CAP_LIMIT}")
+
+
 def _check_scenario_limit(instance: MarketInstance, limit: int) -> tuple:
     """The instance's `_factors`, once their product fits in `limit`."""
-    if limit < 1:
-        raise ValidationError(f"scenario limit must be at least 1, got {limit}")
+    at_least_one(limit, "scenario limit")
     factors = _factors(instance)
     size = math.prod(map(len, factors))
     if size > limit:
@@ -273,10 +280,7 @@ class Analysis:
         cap_limit: int | None = None,
     ):
         self._factors = factors = _check_scenario_limit(instance, scenario_limit)
-        if cap_limit is not None and cap_limit < 1:
-            raise ValidationError(f"cap limit must be at least 1, got {cap_limit}")
-        if cap_limit is not None and cap_limit > CAP_LIMIT:
-            raise TooLargeError(f"cap limit {cap_limit} is above the largest allowed, {CAP_LIMIT}")
+        check_cap_limit(cap_limit)
         self.instance = instance
         self.grid = price_candidates(instance)
         self._scale = scale = math.lcm(*(g.denominator for g in self.grid))

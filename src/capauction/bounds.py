@@ -32,9 +32,12 @@ from itertools import takewhile
 from operator import mul, sub
 from typing import NamedTuple
 
-from .auction import Analysis, AuctionParams, _integers, _per_scenario, add_common_arguments, parse_cap
+from .auction import (
+    Analysis, AuctionParams, _integers, _per_scenario, add_common_arguments, check_cap_limit,
+    parse_cap,
+)
 from .io import display, load_instance, parse_ceiling, rational_cells, write_report
-from .model import ZERO, CostCurve, Valuation, ValidationError, costs, rat
+from .model import ZERO, CostCurve, Valuation, ValidationError, at_least_one, costs, rat
 
 CHECKED = "checked"
 VACUOUS = "vacuous"
@@ -204,8 +207,7 @@ def verify_price_gap(cost: CostCurve, quantity: int, units: int) -> BoundCertifi
     and for odd k the extension at k/2 is the midpoint (C(floor(k/2)) +
     C(ceil(k/2))) / 2, divided by k/2.
     """
-    if quantity < 1:
-        raise ValidationError(f"quantity must be at least 1, got {quantity}")
+    at_least_one(quantity, "quantity")
     if not 0 <= units <= quantity:
         raise ValidationError(f"units must lie in [0, {quantity}], got {units}")
     c = costs(cost, quantity)
@@ -238,8 +240,7 @@ def worst_price_gap(cost: CostCurve, limit: int) -> BoundCertificate:
     first u with q * (C(u + 1) - C(u)) >= C(q), found by bisection;
     u = q - 1 always qualifies, as C(q) - C(q - 1) >= C(q)/q.
     """
-    if limit < 1:
-        raise ValidationError(f"quantity limit must be at least 1, got {limit}")
+    at_least_one(limit, "quantity limit")
     _, c = _integers(costs(cost, limit))
     worst = None  # (margin * quantity * common denominator, quantity, units)
     for q in range(1, limit + 1):
@@ -474,7 +475,11 @@ def cmd_verify(args) -> int:
     if which == "unsafe" and (args.cap is not None or args.floor is not None):
         raise ValidationError("--which unsafe checks no cap or floor; it takes no --cap or --floor")
     instance = load_instance(args.instance)
-    analysis = Analysis(instance, args.scenario_limit, args.cap_limit)
+    if which == "unsafe":  # the scan reads only the cost curve: no scenario is tabulated
+        at_least_one(args.scenario_limit, "scenario limit")
+        check_cap_limit(args.cap_limit)
+    else:
+        analysis = Analysis(instance, args.scenario_limit, args.cap_limit)
     ceiling = parse_ceiling(args.ceiling)
     if which in ("priceceil", "optcond", "decomp", "all"):
         cap, floor = _cap_and_floor(args, analysis)

@@ -21,7 +21,7 @@ The worst equilibrium the search finds is what `check_poa_bound`
 compares with the safe-price baseline.
 
 The game computes in exact scaled integers over one scale L, the lcm of
-the analysis's cost scale and the bid levels' denominators: values, bid
+the bid levels' and the costs C(q)'s denominators: values, bid
 levels, prices and costs are integers over L. Each candidate is interned
 once, as its tuple of bid levels over L, and `auction.clear_valid`
 clears those tuples as they are, at the floor and ceiling over L, so the
@@ -62,7 +62,9 @@ from .auction import (
     _demand, _integers, _per_scenario, _scaled, add_common_arguments, clear_valid, parse_cap,
 )
 from .io import display, load_instance, rational_cells, write_report
-from .model import ZERO, MarketInstance, TooLargeError, Valuation, ValidationError, rat
+from .model import (
+    ZERO, MarketInstance, TooLargeError, Valuation, ValidationError, at_least_one, rat,
+)
 
 # Imported constant-factor guarantee for uniform-price equilibria: worst
 # equilibrium welfare of a safe-price auction is at least baseline/3.15.
@@ -179,16 +181,16 @@ class _GridGame:
         self.grid = tuple(sorted(levels))
         # A profile sells at most the cap, unless a ceiling binds, and at
         # most the bids' total length, the largest demand: the cost list
-        # covers every draw. `_tabulate` replaces the list when it grows,
-        # so the game keeps this one.
-        analysis._tabulate(params.cap if params.ceiling is None else None)
-        cost_scale = analysis._den // analysis._weight
-        self.scale, self.levels = _integers(self.grid, cost_scale)
+        # covers every draw.
+        most = analysis.max_demand
+        if params.cap is not None and params.ceiling is None:
+            most = min(params.cap, most)
+        self.scale, levels = _integers([*self.grid, *analysis._costs(most)[:most + 1]])
+        self.levels, self.costs = levels[:len(self.grid)], levels[len(self.grid):]
         over_scale = dict(zip(self.grid, self.levels))
         self.cap, self.pricing = params.cap, params.pricing
         self.floor = over_scale[params.floor]  # over L, like the ceiling
         self.ceiling = None if params.ceiling is None else over_scale[params.ceiling]
-        self.costs = [c * (self.scale // cost_scale) for c in analysis._cost]
         self.values = []
         for scenarios in self.types:
             length = max(_demand(truth, ZERO) for _, truth in scenarios)
@@ -316,8 +318,7 @@ def _walk(values, levels, strict, walked, chosen, top, spent) -> None:
 
 def _checked_epsilon(epsilon: Fraction | int | str, profile_limit: int) -> Fraction:
     """`epsilon` as a Fraction, once it and the profile limit are valid."""
-    if profile_limit < 1:
-        raise ValidationError(f"profile limit must be at least 1, got {profile_limit}")
+    at_least_one(profile_limit, "profile limit")
     epsilon = rat(epsilon)
     if epsilon < 0:
         raise ValidationError(f"epsilon must be non-negative, got {epsilon}")

@@ -24,6 +24,7 @@ from .model import (
     REPEAT_LAST,
     TooLargeError,
     ValidationError,
+    at_least_one,
     require_valid,
 )
 
@@ -58,8 +59,7 @@ def demand_reduction() -> MarketInstance:
 
 def scale_weight(n: int) -> Fraction:
     """Normalization constant of the log-scale distributions: sum of 4^-i."""
-    if n < 1:
-        raise ValidationError(f"n must be at least 1, got {n}")
+    at_least_one(n, "n")
     return sum((Fraction(1, 4**i) for i in range(1, n + 1)), Fraction(0))
 
 

@@ -33,6 +33,12 @@ class TooLargeError(MarketError):
     """An enumeration would exceed a configured resource limit."""
 
 
+def at_least_one(value: int, name: str) -> None:
+    """Refuse a count or limit below 1."""
+    if value < 1:
+        raise ValidationError(f"{name} must be at least 1, got {value}")
+
+
 Rational = Union[int, str, Fraction]
 
 ZERO = Fraction(0)

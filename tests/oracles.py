@@ -16,27 +16,20 @@ from fractions import Fraction
 from operator import add, mul
 from typing import NamedTuple, Sequence
 
-from capauction import (
-    LOWEST_WINNING,
-    Analysis,
-    AuctionParams,
-    CostCurve,
-    MarginalCostTable,
-    MarketInstance,
-    QuadraticCost,
-    ValidationError,
-    rat,
-    scale_weight,
-)
 from capauction.auction import (
-    DEFAULT_SCENARIO_LIMIT, _check_scenario_limit, _integers, _per_scenario, clear_valid
+    DEFAULT_SCENARIO_LIMIT, LOWEST_WINNING, Analysis, AuctionParams, _check_scenario_limit,
+    _integers, _per_scenario, clear_valid,
 )
 from capauction.bounds import (
     BoundCertificate, best_own_quantity, verify_ceiling_removal, verify_decomposition_bounds,
     verify_price_gap, verify_sellout_conditional, verify_sellout_factor, verify_single_buyer_cover,
 )
 from capauction.equilibrium import _GridGame
-from capauction.model import REPEAT_LAST, ZERO, Firm, Valuation, _valuation_violations
+from capauction.instances import scale_weight
+from capauction.model import (
+    REPEAT_LAST, ZERO, CostCurve, Firm, MarginalCostTable, MarketInstance, QuadraticCost,
+    ValidationError, Valuation, _valuation_violations, rat,
+)
 
 
 def quadratic(a) -> QuadraticCost:

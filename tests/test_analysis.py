@@ -5,30 +5,17 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capauction import (
-    Analysis,
-    AuctionParams,
-    HIGHEST_LOSING,
-    LOWEST_WINNING,
-    MarginalCostTable,
-    MarketInstance,
-    TooLargeError,
-    ValidationError,
-    demand_quantile_cap,
-    demand_reduction,
-    first_best,
-    generate,
-    logscale,
-    one_minus_inv_e,
-    optimize_cap_and_price,
-    optimize_safe,
-    price_candidates,
-    scale_weight,
-    single_buyer_expected,
-    verify_ceiling_removal,
+from capauction.analysis import (
+    Candidate, optimize_cap_and_price, optimize_safe, safe_keys, sweep_keys,
 )
-from capauction.analysis import Candidate, safe_keys, sweep_keys
-from capauction.auction import _demand
+from capauction.auction import (
+    HIGHEST_LOSING, LOWEST_WINNING, Analysis, AuctionParams, _demand, price_candidates,
+)
+from capauction.bounds import (
+    demand_quantile_cap, one_minus_inv_e, single_buyer_expected, verify_ceiling_removal,
+)
+from capauction.instances import demand_reduction, first_best, generate, logscale, scale_weight
+from capauction.model import MarginalCostTable, MarketInstance, TooLargeError, ValidationError
 from oracles import (
     CountedEntries,
     cost_of,

@@ -7,20 +7,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capauction import (
-    CAP_BINDS,
-    CEILING_BINDS,
-    FLOOR_BINDS,
-    HIGHEST_LOSING,
-    LOWEST_WINNING,
-    AuctionParams,
-    ValidationError,
-    demand_reduction,
-    logscale,
-    price_candidates,
+from capauction.auction import (
+    CAP_BINDS, CEILING_BINDS, FLOOR_BINDS, HIGHEST_LOSING, LOWEST_WINNING, AuctionParams, _demand,
+    clear_valid, price_candidates,
 )
-from capauction.auction import _demand, clear_valid
 from capauction.bounds import best_own_quantity
+from capauction.instances import demand_reduction, logscale
+from capauction.model import MarketInstance, ValidationError
 from oracles import (
     clear,
     combined_valuation,
@@ -373,8 +366,6 @@ class TestPriceCandidates:
         assert got == (F(0), F(1), F(6), F(10), F(11))
 
     def test_single_marginal(self):
-        from capauction import MarketInstance
-
         m = MarketInstance(firms=(point_mass(mv(5)),), cost=quadratic(1))
         assert price_candidates(m) == (F(0), F(5), F(6))
 

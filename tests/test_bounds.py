@@ -9,31 +9,17 @@ from itertools import accumulate, combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st, target
 
-from capauction import (
-    Analysis,
-    AuctionParams,
-    BoundCertificate,
-    MarketInstance,
-    ValidationError,
-    demand_quantile_cap,
-    demand_reduction,
-    first_best,
-    generate,
-    logscale,
-    one_minus_inv_e,
-    price_candidates,
-    single_buyer_expected,
-    verify_ceiling_removal,
-    verify_decomposition_bounds,
-    verify_price_gap,
-    verify_sellout_conditional,
-    verify_sellout_factor,
-    verify_single_buyer_cover,
-    worst_price_gap,
+from capauction.auction import Analysis, AuctionParams, _demand, price_candidates
+from capauction.bounds import (
+    DEFAULT_GAP_LIMIT, SINGLE_BUYER_COVER_CONSTANT, BoundCertificate, best_own_quantity,
+    demand_quantile_cap, one_minus_inv_e, single_buyer_expected, verify_ceiling_removal,
+    verify_decomposition_bounds, verify_price_gap, verify_sellout_conditional,
+    verify_sellout_factor, verify_single_buyer_cover, worst_price_gap,
 )
-from capauction.auction import _demand
-from capauction.bounds import DEFAULT_GAP_LIMIT, SINGLE_BUYER_COVER_CONSTANT, best_own_quantity
-from capauction.model import ERROR_BEYOND, REPEAT_LAST, MarginalCostTable, QuadraticCost
+from capauction.instances import demand_reduction, first_best, generate, logscale
+from capauction.model import (
+    ERROR_BEYOND, REPEAT_LAST, MarginalCostTable, MarketInstance, QuadraticCost, ValidationError,
+)
 from oracles import (
     CountedEntries,
     cost_of,

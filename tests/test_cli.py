@@ -249,6 +249,19 @@ def test_a_safe_sweep_keeps_no_demands_per_cap(tmp_path, capsys, argv, printed):
     assert done.stdout == capsys.readouterr().out == "instance: random-0\n" + printed
 
 
+def test_verify_unsafe_builds_no_scenario_tables(tmp_path, capsys):
+    # The unsafe scan reads only the cost curve: 262,144 scenarios are past
+    # the default scenario limit, and their tables would not fit in 48 MB.
+    path = tmp_path / "big.json"
+    save_instance(generate(3, firms=6, scenarios_per_firm=8), path)
+    argv = ["verify", str(path), "--which", "unsafe"]
+    done = run_bounded(argv, tmp_path, memory=48 << 20)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
+    assert "below-safe-price-welfare-gap (checked)" in done.stdout
+
+
 def test_the_largest_cap_limit_is_accepted(demand_reduction_file, capsys):
     assert main(["verify", demand_reduction_file, "--which", "unsafe",
                  "--cap-limit", str(CAP_LIMIT)]) == 0
@@ -386,6 +399,8 @@ def test_equilibrium_honours_scenario_limit(tmp_path, capsys, monkeypatch):
     (["evaluate", "--cap", "2", "--floor", "1", "--scenario-limit", "-1"],
      "scenario limit must be at least 1, got -1"),
     (["verify", "--scenario-limit", "0"], "scenario limit must be at least 1, got 0"),
+    (["verify", "--which", "unsafe", "--scenario-limit", "0"],
+     "scenario limit must be at least 1, got 0"),
     (["equilibrium", "--cap", "2", "--floor", "4", "--scenario-limit", "0"],
      "scenario limit must be at least 1, got 0"),
     (["equilibrium", "--cap", "2", "--floor", "4", "--profile-limit", "0"],

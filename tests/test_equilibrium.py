@@ -11,29 +11,19 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capauction import (
-    Analysis,
-    AuctionParams,
-    EquilibriumReport,
-    HIGHEST_LOSING,
-    LOWEST_WINNING,
-    MarketInstance,
-    POA_FACTOR,
-    PoACheck,
-    TooLargeError,
-    ValidationError,
-    check_poa_bound,
-    demand_reduction,
-    find_grid_equilibria,
-    first_best,
-    generate,
-    logscale,
-    price_candidates,
-    save_instance,
-)
 from capauction import auction, equilibrium
+from capauction.auction import (
+    HIGHEST_LOSING, LOWEST_WINNING, Analysis, AuctionParams, price_candidates,
+)
 from capauction.cli import build_parser, main
-from capauction.model import ERROR_BEYOND, _valuation_violations, costs
+from capauction.equilibrium import (
+    POA_FACTOR, EquilibriumReport, PoACheck, check_poa_bound, find_grid_equilibria,
+)
+from capauction.instances import demand_reduction, first_best, generate, logscale
+from capauction.io import save_instance
+from capauction.model import (
+    ERROR_BEYOND, MarketInstance, TooLargeError, ValidationError, _valuation_violations, costs,
+)
 from oracles import (
     bid_levels,
     candidate_reports,

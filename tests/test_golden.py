@@ -32,16 +32,11 @@ from pathlib import Path
 
 import pytest
 
-from capauction import (
-    MarketInstance,
-    demand_reduction,
-    first_best,
-    generate,
-    logscale,
-    save_instance,
-)
 from capauction import cli
 from capauction.cli import main
+from capauction.instances import demand_reduction, first_best, generate, logscale
+from capauction.io import save_instance
+from capauction.model import MarketInstance
 from oracles import cost_table, firm_distribution, mv, point_mass, quadratic
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

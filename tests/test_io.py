@@ -6,16 +6,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capauction import (
-    MarketInstance,
-    ValidationError,
-    demand_reduction,
-    dumps_instance,
-    generate,
-    load_instance,
-    loads_instance,
-)
-from capauction.model import ERROR_BEYOND, MarginalCostTable
+from capauction.instances import demand_reduction, generate
+from capauction.io import dumps_instance, load_instance, loads_instance
+from capauction.model import ERROR_BEYOND, MarginalCostTable, MarketInstance, ValidationError
 from oracles import enumerate_scenarios, mv
 
 QUADRATIC = {"kind": "quadratic", "a": "1"}

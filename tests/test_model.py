@@ -7,22 +7,12 @@ from operator import sub
 import pytest
 from hypothesis import given, strategies as st
 
-from capauction import (
-    MarginalCostTable,
-    MarketInstance,
-    QuadraticCost,
-    ValidationError,
-    costs,
-    demand_reduction,
-    first_best,
-    generate,
-    load_instance,
-    logscale,
-    rat,
-    save_instance,
-    validate,
+from capauction.instances import demand_reduction, first_best, generate, logscale
+from capauction.io import load_instance, save_instance
+from capauction.model import (
+    ERROR_BEYOND, REPEAT_LAST, MarginalCostTable, MarketInstance, QuadraticCost, ValidationError,
+    costs, rat, validate,
 )
-from capauction.model import ERROR_BEYOND, REPEAT_LAST
 from oracles import (
     combined_valuation, cost_of, cost_table, firm_distribution, mv, point_mass, quadratic,
     value_of, welfare_of,

@@ -15,18 +15,14 @@ from pathlib import Path
 import pytest
 
 import capauction
-from capauction import (
-    AuctionParams,
-    ValidationError,
-    demand_reduction,
-    generate,
-)
-from capauction.analysis import Analysis, optimize_cap_and_price
+from capauction.analysis import optimize_cap_and_price
+from capauction.auction import Analysis, AuctionParams
 from capauction.bounds import verify_sellout_factor
 from capauction.cli import COMMANDS, build_parser, main
 from capauction.equilibrium import find_grid_equilibria
-from capauction.instances import NAMED_INSTANCES
+from capauction.instances import NAMED_INSTANCES, demand_reduction, generate
 from capauction.io import save_instance
+from capauction.model import ValidationError
 from oracles import enumerate_scenarios, quadratic
 
 SRC = str(Path(capauction.__file__).resolve().parent.parent)
@@ -169,20 +165,6 @@ def test_examples_choices_are_the_named_instances():
     assert tuple(name.choices) == NAMED_INSTANCES
 
 
-def test_every_exported_name_resolves():
-    assert len(set(capauction.__all__)) == len(capauction.__all__)
-    listed = dir(capauction)
-    for name in capauction.__all__:
-        assert getattr(capauction, name) is not None, name
-        assert name in listed, name
-
-
-def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="has no attribute 'price_gap_at_half'"):
-        capauction.price_gap_at_half
-    assert not hasattr(capauction, "no_such_name")
-
-
 def test_auction_params_repr_is_unchanged():
     assert repr(AuctionParams(2, 1)) == (
         "AuctionParams(cap=2, floor=Fraction(1, 1), ceiling=None, pricing='lowest-winning')"
@@ -266,18 +248,32 @@ def test_every_module_level_import_is_read():
 
 def test_every_package_definition_is_read_by_package_code():
     """A top-level function or class that only tests call belongs in the
-    tests (`oracles.py`); `__init__`'s module hooks are called by Python."""
+    tests (`oracles.py`)."""
     statements = [s for tree in _parsed(PACKAGE).values() for s in tree.body]
     unread = []
     for name, tree in _parsed(PACKAGE).items():
         for statement in tree.body:
             if not isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if name == "__init__.py" and statement.name in ("__getattr__", "__dir__"):
-                continue
             if not any(statement.name in _loads(s) for s in statements if s is not statement):
                 unread.append(f"{name}: {statement.name}")
     assert unread == []
+
+
+def test_the_package_root_re_exports_nothing():
+    """Each name is imported from the module that defines it: the root
+    binds only its version, and tests import only modules from it."""
+    _, *body = _parsed(PACKAGE)["__init__.py"].body  # after the docstring
+    assert [ast.unparse(getattr(s, "targets", s)[0]) for s in body] == ["__version__"]
+    modules = {name[:-3] for name in _parsed(PACKAGE)} - {"__init__"}
+    from_root = {
+        alias.name
+        for tree in _parsed(TESTS).values()
+        for statement in ast.walk(tree)
+        if isinstance(statement, ast.ImportFrom) and statement.module == "capauction"
+        for alias in statement.names
+    }
+    assert from_root and from_root <= modules
 
 
 # The Fraction clearing oracle and the scenario rows it clears, which live
@@ -296,7 +292,6 @@ def test_no_package_module_defines_the_clearing_oracle():
         if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
     }
     assert {(name, d) for name, d in defined if d in ORACLE_ONLY} == set()
-    assert set(capauction.__all__) & (ORACLE_ONLY | {"best_own_quantity"}) == set()
 
 
 def _static(method: ast.FunctionDef) -> bool:

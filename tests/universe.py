@@ -28,8 +28,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from multiprocessing import get_context
 
-from capauction import Analysis, MarketInstance, worst_price_gap
-from capauction.bounds import DEFAULT_GAP_LIMIT
+from capauction.auction import Analysis
+from capauction.bounds import DEFAULT_GAP_LIMIT, worst_price_gap
+from capauction.model import MarketInstance
 from oracles import (  # this script's directory is on sys.path
     firm_distribution, mv, point_mass, quadratic, safe_covers_charged_above, verify_all,
 )
